@@ -5,7 +5,9 @@ The headline objects:
 
     build_sieve(x)             von Mangoldt table Lambda(n), n <= x
     build_group(q)             the phi(q) Dirichlet characters mod q
-    build_class_convolution    G(n; q, a, b) for all n <= x (one FFT)
+    s_grid(xs, q, a, b, sieve) S(x; q, a, b) on an x grid (prefix sums)
+    restricted_sum(xs, q, c, sieve)  sum_{n<=x, n=c (q)} G(n) on a grid
+    build_class_convolution    G(n; q, a, b) for every n <= x (one FFT)
     find_zeros(chi, T)         certified zeros of L(s, chi), |gamma| <= T
     thm12_rhs / thm14_rhs      explicit-formula right-hand sides
     singular_series(q, c)      exact S_q(c) as a Fraction
@@ -13,7 +15,8 @@ The headline objects:
 
 from .characters import build_group, char_value, character_from_label
 from .explicit import h_term, landau_gonek, thm12_rhs, thm14_rhs, z_gamma_ratio
-from .goldbach import build_class_convolution, goldbach_g, restricted_sum, s_chi
+from .goldbach import (build_class_convolution, goldbach_g, restricted_sum,
+                       s_chi, s_grid)
 from .lfunc import (
     completed_lambda,
     compute_zero_sets,
@@ -52,6 +55,7 @@ __all__ = [
     "psi_explicit",
     "restricted_sum",
     "s_chi",
+    "s_grid",
     "singular_series",
     "thm12_rhs",
     "thm14_rhs",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import GzError
 from .explicit import thm12_rhs, thm14_rhs
-from .goldbach import ClassConvolution, build_class_convolution, restricted_sum
+from .goldbach import restricted_sum, s_grid
 from .lfunc import ZeroSet
 from .numtheory import SieveTable, euler_phi
 
@@ -56,10 +56,13 @@ class FitResult:
 
 
 def geometric_grid(x_min: float, x_max: float, points: int = 25) -> np.ndarray:
-    """Deterministic log-spaced grid (no randomness anywhere)."""
+    """Deterministic log-spaced grid (no randomness anywhere) whose end
+    points are exactly x_min and x_max."""
     if not x_min < x_max:
         raise ValueError("need x_min < x_max")
-    return np.exp(np.linspace(math.log(x_min), math.log(x_max), points))
+    xs = np.exp(np.linspace(math.log(x_min), math.log(x_max), points))
+    xs[0], xs[-1] = x_min, x_max  # exp(log(x)) can land an ulp below x
+    return xs
 
 
 @dataclass
@@ -73,14 +76,6 @@ class ResidualParams:
     T: float = 200.0
     sieve: SieveTable | None = None
     zero_sets: dict[str, ZeroSet] = field(default_factory=dict)
-    conv: ClassConvolution | None = None        # q, a, b convolution
-    plain_conv: ClassConvolution | None = None  # q = 1 convolution
-
-
-def _need_sieve(params: ResidualParams) -> SieveTable:
-    if params.sieve is None:
-        raise GzError("residual_grid needs a sieve covering max x")
-    return params.sieve
 
 
 def residual_grid(
@@ -92,37 +87,27 @@ def residual_grid(
     thm12: S(x;q,a,b) - thm12_rhs(x)
     thm14: restricted_sum(x;q,c) - thm14_rhs(x)
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    # exact sums only ever read floor(x); tolerate grid-endpoint rounding
-    x_max = int(math.floor(float(xs.max()) + 1e-9))
-    sieve = _need_sieve(params)
-    q, a, b, c = params.q, params.a, params.b, params.c
-    out: list[tuple[float, float]] = []
-
-    if mode in ("thm11", "thm12"):
-        conv = params.conv
-        if conv is None or conv.x < x_max or (conv.q, conv.a, conv.b) != (q, a, b):
-            conv = build_class_convolution(q, a, b, x_max, sieve)
-        phi = euler_phi(q)
-        for x in xs:
-            exact = conv.s_at(float(x))
-            if mode == "thm11":
-                out.append((float(x), exact - x * x / (2 * phi * phi)))
-            else:
-                row = thm12_rhs(float(x), q, a, b, params.zero_sets,
-                                params.T, exact=exact)
-                out.append((float(x), row.residual))
-    elif mode == "thm14":
-        plain = params.plain_conv
-        if plain is None or plain.x < x_max:
-            plain = build_class_convolution(1, 1, 1, x_max, sieve)
-        for x in xs:
-            exact = restricted_sum(int(x), q, c, sieve, plain=plain)
-            row = thm14_rhs(float(x), q, c, params.zero_sets,
-                            params.T, exact=exact)
-            out.append((float(x), row.residual))
-    else:
+    if mode not in ("thm11", "thm12", "thm14"):
         raise ValueError(f"unknown mode {mode!r}")
+    xs = np.asarray(xs, dtype=np.float64)
+    sieve = params.sieve
+    if sieve is None:
+        raise GzError("residual_grid needs a sieve covering max x")
+    q, a, b, c, T = params.q, params.a, params.b, params.c, params.T
+    if mode == "thm14":
+        exact = restricted_sum(xs, q, c, sieve)
+    else:
+        exact = s_grid(xs, q, a, b, sieve)
+    phi = euler_phi(q)
+    out: list[tuple[float, float]] = []
+    for x, e in zip(xs.tolist(), exact.tolist()):
+        if mode == "thm11":
+            d = e - x * x / (2 * phi * phi)
+        elif mode == "thm12":
+            d = thm12_rhs(x, q, a, b, params.zero_sets, T, exact=e).residual
+        else:
+            d = thm14_rhs(x, q, c, params.zero_sets, T, exact=e).residual
+        out.append((x, d))
     return out
 
 

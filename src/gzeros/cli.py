@@ -40,7 +40,7 @@ from .characters import (
 from .circle import build_grid, decompose_check, j_chi, selberg_integral, w_mass
 from .errors import GzError
 from .explicit import landau_gonek, thm12_rhs, thm14_rhs
-from .goldbach import build_class_convolution, restricted_sum
+from .goldbach import build_class_convolution, floor_x, restricted_sum, s_grid
 from .lfunc import export_zeros, find_zeros, import_zeros
 from .numtheory import build_sieve, euler_phi
 from .singular import compute_c2, j_average, j_weight_table, singular_series
@@ -193,7 +193,7 @@ def _cmd_javg(args, cfg) -> int:
     constants = compute_c2(10 ** 5)
     table = j_weight_table(args.x, constants)
     rows = []
-    for x in [int(v) for v in geometric_grid(100, args.x, cfg.grid_points)]:
+    for x in floor_x(geometric_grid(100, args.x, cfg.grid_points)).tolist():
         exact, main, resid = j_average(x, args.q, args.c, constants, j_table=table)
         rows.append((x, exact, main, resid))
     _emit_csv(args.out, ["x", "exact", "main", "residual"], rows)
@@ -209,50 +209,31 @@ def _zero_sets_cached(q: int, T: float, cfg) -> dict:
     return sets
 
 
-def _cmd_verify_thm12(args, cfg) -> int:
+def _cmd_verify(args, cfg) -> int:
+    """verify-thm12 / verify-thm14: exact sums on a grid against the
+    explicit formula."""
     sieve = load_or_build_sieve(args.xmax, cfg.resolved_cache_dir())
     zsets = _zero_sets_cached(args.q, args.height, cfg)
-    conv = build_class_convolution(args.q, args.a, args.b, args.xmax, sieve)
-    rows = []
-    for x in geometric_grid(args.xmin, args.xmax, args.grid):
-        row = thm12_rhs(float(x), args.q, args.a, args.b, zsets, args.height,
-                        exact=conv.s_at(float(x)))
-        rows.append((row.x, row.exact, row.main, row.zero_correction.real,
-                     row.residual, row.truncation_bound))
-    _emit_csv(args.out, ["x", "exact", "main", "zero_correction", "residual",
-                         "truncation_bound"], rows)
-    ok = all(abs(r[4]) <= r[5] + 5 * r[0] ** 1.5 for r in rows)
-    certified = all(zs.certified for zs in zsets.values())
-    summary = {
-        "mode": "thm12",
-        "q": args.q, "a": args.a, "b": args.b, "T": args.height,
-        "rms_residual": rms([(r[0], r[4]) for r in rows]),
-        "pass": bool(ok),
-        "certified": certified,
-        "watermark": "" if certified else "uncertified",
-    }
-    if args.json:
-        _emit_json(args.json, summary)
-    return 0 if ok else 1
-
-
-def _cmd_verify_thm14(args, cfg) -> int:
-    sieve = load_or_build_sieve(args.xmax, cfg.resolved_cache_dir())
-    zsets = _zero_sets_cached(args.q, args.height, cfg)
-    plain = build_class_convolution(1, 1, 1, args.xmax, sieve)
-    rows = []
-    for x in geometric_grid(args.xmin, args.xmax, args.grid):
-        exact = restricted_sum(int(x), args.q, args.c, sieve, plain=plain)
-        row = thm14_rhs(float(x), args.q, args.c, zsets, args.height, exact=exact)
-        rows.append((row.x, row.exact, row.main, row.zero_correction.real,
-                     row.residual, row.truncation_bound))
+    xs = geometric_grid(args.xmin, args.xmax, args.grid)
+    if args.command == "verify-thm12":
+        summary = {"mode": "thm12", "q": args.q, "a": args.a, "b": args.b}
+        exact = s_grid(xs, args.q, args.a, args.b, sieve)
+        rows = [thm12_rhs(x, args.q, args.a, args.b, zsets, args.height, exact=e)
+                for x, e in zip(xs.tolist(), exact.tolist())]
+    else:
+        summary = {"mode": "thm14", "q": args.q, "c": args.c}
+        exact = restricted_sum(xs, args.q, args.c, sieve)
+        rows = [thm14_rhs(x, args.q, args.c, zsets, args.height, exact=e)
+                for x, e in zip(xs.tolist(), exact.tolist())]
+    rows = [(r.x, r.exact, r.main, r.zero_correction.real, r.residual,
+             r.truncation_bound) for r in rows]
     _emit_csv(args.out, ["x", "exact", "main", "zero_correction", "residual",
                          "truncation_bound"], rows)
     ok = all(abs(r[4]) <= r[5] + 5 * r[0] ** 1.5 for r in rows)
     certified = all(zs.certified for zs in zsets.values())
     if args.json:
         _emit_json(args.json, {
-            "mode": "thm14", "q": args.q, "c": args.c, "T": args.height,
+            **summary, "T": args.height,
             "rms_residual": rms([(r[0], r[4]) for r in rows]),
             "pass": bool(ok),
             "certified": certified,
@@ -549,8 +530,8 @@ _HANDLERS = {
     "goldbach": _cmd_goldbach,
     "singular": _cmd_singular,
     "javg": _cmd_javg,
-    "verify-thm12": _cmd_verify_thm12,
-    "verify-thm14": _cmd_verify_thm14,
+    "verify-thm12": _cmd_verify,
+    "verify-thm14": _cmd_verify,
     "landau-gonek": _cmd_landau_gonek,
     "circle": _cmd_circle,
     "fit": _cmd_fit,

@@ -1,15 +1,22 @@
 """Exact Goldbach-type sums.
 
-G(n; q, a, b) = sum_{l+m=n, l=a, m=b (mod q)} Lambda(l) Lambda(m) and its
-summatory S(x; q, a, b), the character-twisted S(x; chi1, chi2), the
-plain S(x) = S(x; 1, 1, 1), and congruence-restricted sums
-sum_{n<=x, n=c (q)} G(n).
+G(n; q, a, b) = sum_{l+m=n, l=a, m=b (mod q)} Lambda(l) Lambda(m), its
+summatory S(x; q, a, b), the character-twisted S(x; chi1, chi2), and
+congruence-restricted sums sum_{n<=x, n=c (q)} G(n), G(n) = G(n; 1, 1, 1).
 
-Per-n arrays are produced by one real FFT convolution of the two
-class-restricted Lambda arrays (size = next power of two >= 2x+1), which
-is exact to ~1e-7 absolute per coefficient at x = 1e7: the rounding
-budget is about eps * ||a||_2 ||b||_2 * log2(N) ~ 2e-16 * (x log x) * 24.
-Prime powers stay in (the definition uses Lambda, never primes only).
+Every summatory value comes from one prefix-sum kernel,
+sum_{l+m<=n} u[l] v[m] = sum_{l<n} u[l] V[n-l] with V = cumsum(v): O(x)
+memory whatever q is, no FFT, and a pairwise np.sum (not a BLAS dot), so
+results do not depend on the thread count.  A sum over n <= x ends at
+floor_x(x) = floor(x (1 + 1e-12)), so grid points that are integers in
+exact arithmetic but round just below keep n = x.
+
+Per-n arrays (build_class_convolution) come from one real FFT
+convolution of the two class-restricted Lambda arrays (size = next power
+of two >= 2x+1), which is exact to ~1e-7 absolute per coefficient at
+x = 1e7: the rounding budget is about eps * ||a||_2 ||b||_2 * log2(N)
+~ 2e-16 * (x log x) * 24.  Prime powers stay in (the definition uses
+Lambda, never primes only).
 
 gcd(ab, q) > 1 inputs are legal but logged: the main theorems assume
 (ab, q) = 1, and computing anyway aids debugging.
@@ -70,10 +77,8 @@ class ClassConvolution:
 
     def s_at(self, x: float) -> float:
         """S(x; q, a, b) for any real x <= the table limit."""
-        if x < 0:
-            return 0.0
-        i = min(int(math.floor(x)), self.x)
-        return float(self.cumulative[i])
+        i = min(int(floor_x(x)), self.x)
+        return float(self.cumulative[i]) if i >= 0 else 0.0
 
 
 def build_class_convolution(
@@ -107,43 +112,67 @@ def build_class_convolution(
     )
 
 
-def s_direct(x: int, q: int, a: int, b: int, sieve: SieveTable) -> float:
-    """S(x; q, a, b) by the O(x) prefix-sum route (no FFT).
+def floor_x(x):
+    """floor(x (1 + 1e-12)), the last n of a sum over n <= x (scalar or
+    array)."""
+    return np.floor(np.asarray(x, dtype=np.float64) * (1 + 1e-12)).astype(np.int64)
 
-    sum_{l+m<=x} = sum_l Lambda(l)[l=a] * Psi_b(x-l) with Psi_b the
-    class-restricted Chebyshev function.
+
+def _pair_sums(u: np.ndarray, v: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """sum_{l<n} u[l] V[n-l] with V = cumsum(v), for every n in ns.
+
+    With u[0] = v[0] = 0 this is sum_{l+m<=n} u[l] v[m].  u and v cover
+    0..max(ns).
     """
-    if x > sieve.limit:
-        raise ValueError(f"x={x} exceeds sieve limit {sieve.limit}")
-    if x < 4:
-        return 0.0
-    va = _class_lambda(q, a, x, sieve)
-    vb = _class_lambda(q, b, x, sieve)
-    cb = np.cumsum(vb)
-    l = np.nonzero(va)[0]
-    l = l[l <= x - 1]
-    return float(np.dot(va[l], cb[x - l]))
+    V = np.cumsum(v)
+    l = np.flatnonzero(u)
+    w = u[l]
+    out = np.zeros(len(ns), dtype=np.result_type(u, v))
+    for i, n in enumerate(ns):
+        k = int(np.searchsorted(l, n))
+        out[i] = np.sum(w[:k] * V[n - l[:k]])
+    return out
 
 
-def s_chi(
-    x: int,
-    chi1: DirichletCharacter,
-    chi2: DirichletCharacter,
-    sieve: SieveTable,
-) -> complex:
-    """S(x; chi1, chi2) = sum_{l+m<=x} chi1(l)Lambda(l) chi2(m)Lambda(m)."""
+def _grid(xs, sieve: SieveTable) -> tuple[np.ndarray, int]:
+    """floor_x of the x values as a 1-d array, and the array length the
+    sums need (checked against the sieve)."""
+    ns = np.atleast_1d(floor_x(xs))
+    top = max(int(ns.max()), 0) if ns.size else 0
+    if top > sieve.limit:
+        raise CapacityError(f"x={top} exceeds sieve limit {sieve.limit}")
+    return ns, top
+
+
+def _class_sums(ns, top: int, q: int, a: int, b: int, sieve: SieveTable):
+    u = _class_lambda(q, a, top, sieve)
+    v = u if (a - b) % q == 0 else _class_lambda(q, b, top, sieve)
+    return _pair_sums(u, v, ns)
+
+
+def _like(xs, values: np.ndarray):
+    """A plain number for scalar xs, the array otherwise."""
+    return values.item() if np.ndim(xs) == 0 else values
+
+
+def s_grid(xs, q: int, a: int, b: int, sieve: SieveTable):
+    """S(x; q, a, b) for every x in xs (a float for scalar x)."""
+    if math.gcd(a * b, q) != 1:
+        logger.warning("s_grid: gcd(ab, q) > 1 (q=%d a=%d b=%d)", q, a, b)
+    ns, top = _grid(xs, sieve)
+    return _like(xs, _class_sums(ns, top, q, a, b, sieve))
+
+
+def s_chi(xs, chi1: DirichletCharacter, chi2: DirichletCharacter,
+          sieve: SieveTable):
+    """S(x; chi1, chi2) = sum_{l+m<=x} chi1(l)Lambda(l) chi2(m)Lambda(m)
+    for every x in xs (a complex for scalar x)."""
     if chi1.q != chi2.q:
         raise ValueError("characters must share a modulus")
-    if x > sieve.limit:
-        raise ValueError(f"x={x} exceeds sieve limit {sieve.limit}")
-    if x < 4:
-        return 0j
-    c1 = twisted_lambda(chi1, x, sieve)
-    c2 = c1 if chi2 == chi1 else twisted_lambda(chi2, x, sieve)
-    cum2 = np.cumsum(c2)
-    l = np.nonzero(c1)[0]
-    l = l[l <= x - 1]
-    return complex(np.dot(c1[l], cum2[x - l]))
+    ns, top = _grid(xs, sieve)
+    c1 = twisted_lambda(chi1, top, sieve)
+    c2 = c1 if chi2 == chi1 else twisted_lambda(chi2, top, sieve)
+    return _like(xs, _pair_sums(c1, c2, ns))
 
 
 def twisted_lambda(
@@ -159,19 +188,15 @@ def twisted_lambda(
     return v
 
 
-def restricted_sum(
-    x: int, q: int, c: int, sieve: SieveTable,
-    plain: ClassConvolution | None = None,
-) -> float:
-    """sum over n <= x, n = c (mod q), of G(n) = G(n; 1, 1, 1).
+def restricted_sum(xs, q: int, c: int, sieve: SieveTable):
+    """sum over n <= x, n = c (mod q), of G(n) = G(n; 1, 1, 1), for every
+    x in xs (a float for scalar x).
 
-    A precomputed plain convolution (q=1, a=b=1, limit >= x) can be
-    passed to amortize the FFT across residue classes.
+    Summed as sum_{a=1..q} S(x; q, a, c-a) over every class a, non-units
+    too: prime powers of p | q count.
     """
-    if plain is None:
-        plain = build_class_convolution(1, 1, 1, x, sieve)
-    if plain.q != 1 or plain.x < x:
-        raise ValueError("plain convolution must be q=1 with limit >= x")
-    n = np.arange(x + 1)
-    mask = n % q == c % q
-    return float(plain.values[: x + 1][mask].sum())
+    ns, top = _grid(xs, sieve)
+    total = np.zeros(len(ns))
+    for a in range(1, q + 1):
+        total += _class_sums(ns, top, q, a, c - a, sieve)
+    return _like(xs, total)

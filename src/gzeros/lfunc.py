@@ -106,6 +106,8 @@ def hurwitz_zeta_array(s, alpha: float) -> np.ndarray:
     s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     if not 0 < alpha:
         raise ValueError("alpha must be positive")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("s must be finite")  # NaN would never finish a band
     t = np.abs(s.imag)
     tmax = float(t.max()) if len(t) else 0.0
     if tmax > IM_CAP:

@@ -68,6 +68,13 @@ def test_geometric_grid_deterministic():
     assert a[-1] == pytest.approx(1e6)
 
 
+def test_geometric_grid_exact_endpoints():
+    # exp(log(x)) lands an ulp below 1e3 and 8e6; the grid pins both ends
+    xs = geometric_grid(1e3, 8e6, 25)
+    assert xs[0] == 1e3 and xs[-1] == 8e6
+    assert np.all(np.diff(xs) > 0)
+
+
 def test_residual_thm11_band(sieve):
     params = ResidualParams(q=1, sieve=sieve)
     xs = geometric_grid(1e3, 1e5, 15)
@@ -99,23 +106,18 @@ def test_residual_thm14_not_worse_than_main_only():
     # on the standard [1e3, 1e6] grid; on shorter ranges the restricted
     # sums are dominated by lower-order terms and the bound fails, so
     # the grid here is not negotiable
-    from gzeros.goldbach import build_class_convolution, restricted_sum
+    from gzeros.goldbach import restricted_sum
     from gzeros.singular import singular_series
 
     sieve6 = build_sieve(10 ** 6)
     zsets = compute_zero_sets(4, 200)
     xs = geometric_grid(1e3, 1e6, 25)
-    plain = build_class_convolution(1, 1, 1, 10 ** 6, sieve6)
     for c in (2, 4):
-        params = ResidualParams(
-            q=4, c=c, T=200.0, sieve=sieve6, zero_sets=zsets, plain_conv=plain
-        )
+        params = ResidualParams(q=4, c=c, T=200.0, sieve=sieve6, zero_sets=zsets)
         r14 = rms(residual_grid("thm14", params, xs))
         main_only = rms([
-            (float(x),
-             restricted_sum(int(x), 4, c, sieve6, plain=plain)
-             - float(singular_series(4, c)) * x * x / 2)
-            for x in xs
+            (float(x), g - float(singular_series(4, c)) * x * x / 2)
+            for x, g in zip(xs, restricted_sum(xs, 4, c, sieve6))
         ])
         assert r14 <= 1.1 * main_only
 
@@ -148,18 +150,17 @@ def test_restricted_g_minus_j_band():
     # observed, |sum_{n<=x, n=c(q)} (G(n) - J(n))| stays within a small
     # multiple of x^1.5 (measured <= 0.095 x^1.5 over this grid, frozen
     # ceiling 1)
-    from gzeros.goldbach import build_class_convolution, restricted_sum
+    from gzeros.goldbach import restricted_sum
     from gzeros.singular import compute_c2, j_weight_table
 
     sieve6 = build_sieve(10 ** 6)
-    plain = build_class_convolution(1, 1, 1, 10 ** 6, sieve6)
     constants = compute_c2(10 ** 5)
     jt = j_weight_table(10 ** 6, constants)
     n = np.arange(10 ** 6 + 1)
     for q in (3, 4):
         for c in range(1, q + 1):
             for x in (10 ** 4, 10 ** 5, 10 ** 6):
-                g = restricted_sum(x, q, c, sieve6, plain=plain)
+                g = restricted_sum(x, q, c, sieve6)
                 j = float(jt[: x + 1][n[: x + 1] % q == c % q].sum())
                 assert abs(g - j) <= x ** 1.5
 

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -9,6 +10,8 @@ from gzeros.cache import (
     load_or_build_zeros,
 )
 from gzeros.cli import RunConfig, dispatch
+from gzeros.goldbach import goldbach_g
+from gzeros.numtheory import build_sieve
 
 
 @pytest.fixture()
@@ -168,3 +171,61 @@ def test_fit_command(cache_env, tmp_path):
     assert code == 0
     payload = json.loads(js.read_text())
     assert 0.5 < payload["exponent"] < 2.0
+
+
+@pytest.fixture(scope="module")
+def shared_cache(tmp_path_factory):
+    # zero sets at T = 60 for q = 3, 4, built once for the tests below
+    return tmp_path_factory.mktemp("shared-cache")
+
+
+SMALL = ["--xmax", "10000", "--grid", "6", "--height", "60"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-thm12", "--q", "3", "--a", "1", "--b", "2", "--xmin", "100", *SMALL],
+    ["verify-thm14", "--q", "4", "--c", "2", "--xmin", "100", *SMALL],
+    ["fit", "--mode", "thm11", "--q", "1", "--xmax", "100000"],
+    ["fit", "--mode", "thm12", "--q", "3", "--xmax", "100000", "--height", "60"],
+    ["fit", "--mode", "thm14", "--q", "4", "--c", "2", "--xmax", "100000",
+     "--height", "60"],
+], ids=["verify-thm12", "verify-thm14", "fit-thm11", "fit-thm12", "fit-thm14"])
+def test_summatory_commands_build_no_fft(argv, shared_cache, monkeypatch, tmp_path):
+    from gzeros import goldbach
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("a summatory path built an FFT convolution")
+
+    fft = goldbach.build_class_convolution
+    for name, module in list(sys.modules.items()):
+        if name == "gzeros" or name.startswith("gzeros."):
+            for attr, value in list(vars(module).items()):
+                if value is fft:
+                    monkeypatch.setattr(module, attr, no_fft)
+    monkeypatch.setenv("GZ_CACHE_DIR", str(shared_cache))
+    assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_verify_thm14_repeats_and_counts_endpoint(shared_cache, monkeypatch, tmp_path):
+    # the x = 1000 row must include n = 1000 (the grid once ended an ulp
+    # below it) and the CSV must be byte-identical across runs
+    monkeypatch.setenv("GZ_CACHE_DIR", str(shared_cache))
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        assert dispatch(["verify-thm14", "--q", "4", "--c", "4", "--xmin", "1000",
+                         *SMALL, "--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    x, exact = paths[0].read_text().splitlines()[1].split(",")[:2]
+    sieve = build_sieve(1000)
+    brute = sum(goldbach_g(n, 1, 1, 1, sieve) for n in range(4, 1001, 4))
+    assert float(exact) == pytest.approx(brute, rel=1e-12)
+    assert float(x) == 1000.0
+
+
+def test_javg_grid_keeps_integer_points(cache_env, tmp_path):
+    out = tmp_path / "javg.csv"
+    # the 25-point grid from 100 to 1e5 reaches 1000 as 999.9999999999998
+    assert dispatch(["javg", "--x", "100000", "--q", "3", "--c", "2",
+                     "--out", str(out)]) == 0
+    xs = [int(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    assert xs[0] == 100 and xs[-1] == 100000 and 1000 in xs

@@ -1,15 +1,18 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from gzeros.analysis import geometric_grid
 from gzeros.characters import build_group, char_value, as_complex
 from gzeros.goldbach import (
     build_class_convolution,
+    floor_x,
     goldbach_g,
     restricted_sum,
     s_chi,
-    s_direct,
+    s_grid,
     twisted_lambda,
 )
 from gzeros.numtheory import build_sieve, euler_phi
@@ -96,11 +99,11 @@ def test_s_symmetry(sieve):
         assert c1.s_at(4000) == pytest.approx(c2.s_at(4000), rel=1e-12)
 
 
-def test_s_direct_matches_convolution(sieve):
+def test_s_grid_matches_convolution(sieve):
     for q, a, b in [(1, 1, 1), (3, 1, 2), (5, 2, 3)]:
         conv = build_class_convolution(q, a, b, 10 ** 4, sieve)
         for x in [10, 100, 999, 10 ** 4]:
-            assert s_direct(x, q, a, b, sieve) == pytest.approx(
+            assert s_grid(x, q, a, b, sieve) == pytest.approx(
                 conv.s_at(x), rel=1e-9, abs=1e-9
             )
 
@@ -110,7 +113,7 @@ def test_s_brute_small(sieve):
     brute = sum(brute_g(n, 1, 1, 1, sieve) for n in range(4, 21))
     conv = build_class_convolution(1, 1, 1, 20, sieve)
     assert conv.s_at(20) == pytest.approx(brute, rel=1e-10)
-    assert s_direct(20, 1, 1, 1, sieve) == pytest.approx(brute, rel=1e-10)
+    assert s_grid(20, 1, 1, 1, sieve) == pytest.approx(brute, rel=1e-10)
 
 
 def test_class_decomposition_covers_total(sieve):
@@ -187,20 +190,16 @@ def test_twisted_lambda_values(sieve):
 
 def test_restricted_sum_partition(sieve):
     x = 5000
-    plain = build_class_convolution(1, 1, 1, x, sieve)
-    total = plain.s_at(x)
+    total = build_class_convolution(1, 1, 1, x, sieve).s_at(x)
     for q in [1, 2, 3, 7]:
-        parts = sum(
-            restricted_sum(x, q, c, sieve, plain=plain) for c in range(1, q + 1)
-        )
+        parts = sum(restricted_sum(x, q, c, sieve) for c in range(1, q + 1))
         assert parts == pytest.approx(total, rel=1e-12)
 
 
 def test_restricted_sum_odd_class_small(sieve):
     # odd n needs a power-of-two summand; brute force confirms smallness
     x = 10 ** 4
-    plain = build_class_convolution(1, 1, 1, x, sieve)
-    odd_total = restricted_sum(x, 2, 1, sieve, plain=plain)
+    odd_total = restricted_sum(x, 2, 1, sieve)
     # bound: 2 * sum_{2^k <= x} log 2 * psi(x) is generous
     assert odd_total <= 2 * math.log(2) * math.log2(x) * sieve.psi(x)
     assert odd_total > 0
@@ -214,3 +213,66 @@ def test_leading_behavior_band():
         s = build_class_convolution(q, a, b, x, sieve6).s_at(x)
         ratio = s * 2 * euler_phi(q) ** 2 / x ** 2
         assert 0.8 <= ratio <= 1.2, (q, a, b, ratio)
+
+
+@pytest.fixture(scope="module")
+def sieve6():
+    return build_sieve(10 ** 6)
+
+
+@pytest.fixture(scope="module")
+def plain_g(sieve):
+    return [goldbach_g(n, 1, 1, 1, sieve) for n in range(2001)]
+
+
+# (q, a, b) for S(x; q, a, b), or (q, None, c) for the Thm 1.4 sum over
+# n = c (mod q); (4, 2, 2) and (6, 3, 3) are non-unit classes
+ENGINE_CASES = [(3, 1, 2), (4, 1, 3), (5, 2, 3), (4, 2, 2), (6, 3, 3),
+                *[(4, None, c) for c in range(1, 5)]]
+
+
+@pytest.mark.parametrize("q, a, b", ENGINE_CASES)
+def test_engine_matches_fft_and_brute_force(q, a, b, sieve, sieve6, plain_g, caplog):
+    # the prefix-sum engine against two independent routes: the FFT
+    # per-n tables on a 25-point grid to 1e6, and goldbach_g summed by
+    # hand for small x, including x < 4 and x on an integer boundary
+    caplog.set_level(logging.ERROR)  # non-unit classes log gcd warnings
+    if a is None:
+        c = b
+        pairs = [(r, c - r) for r in range(1, q + 1)]
+        engine = lambda xs, sv: restricted_sum(xs, q, c, sv)
+        g = [v if n % q == c % q else 0.0 for n, v in enumerate(plain_g)]
+    else:
+        pairs = [(a, b)]
+        engine = lambda xs, sv: s_grid(xs, q, a, b, sv)
+        g = [goldbach_g(n, q, a, b, sieve) for n in range(2001)]
+    xs = geometric_grid(1e3, 1e6, 25)
+    table = sum(build_class_convolution(q, r, t, 10 ** 6, sieve6).cumulative
+                for r, t in pairs)
+    ref = table[floor_x(xs)]
+    assert np.max(np.abs(engine(xs, sieve6) - ref) / ref) <= 1e-12
+    small = [3, 4, 10, 999, 1000, 2000]
+    brute = [math.fsum(g[: x + 1]) for x in small]
+    got = engine(np.array(small, dtype=np.float64), sieve)
+    for x, e, want in zip(small, got, brute):
+        assert e == pytest.approx(want, rel=1e-12, abs=1e-12), x
+
+
+def test_floor_rule_keeps_integer_endpoints(sieve):
+    # exp(log(1000)) is 999.9999999999998: the sum must still include n = 1000
+    x = math.exp(math.log(1000.0))
+    assert x < 1000
+    assert int(floor_x(x)) == 1000
+    assert s_grid(x, 1, 1, 1, sieve) == s_grid(1000, 1, 1, 1, sieve)
+    assert s_grid(x, 1, 1, 1, sieve) > s_grid(999, 1, 1, 1, sieve)
+    assert build_class_convolution(1, 1, 1, 2000, sieve).s_at(x) == pytest.approx(
+        s_grid(1000, 1, 1, 1, sieve), rel=1e-12)
+
+
+def test_engine_grid_beyond_sieve(sieve):
+    from gzeros.errors import CapacityError
+
+    with pytest.raises(CapacityError):
+        s_grid([10.0, sieve.limit + 1.0], 3, 1, 2, sieve)
+    with pytest.raises(CapacityError):
+        restricted_sum(sieve.limit + 1, 4, 1, sieve)

@@ -102,6 +102,26 @@ def test_hurwitz_zeta_pole_and_domain():
         hurwitz_zeta_array(np.array([0.5 + 2e4j]), 1.0)
 
 
+def test_hurwitz_zeta_rejects_nan():
+    # a NaN ordinate used to loop forever in the |Im s| band loop; the
+    # alarm turns a regression into a failure instead of a hung suite
+    import signal
+
+    def hung(signum, frame):
+        raise TimeoutError("hurwitz_zeta did not return on NaN input")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError):
+            hurwitz_zeta(complex(0.5, math.nan), 1.0)
+        with pytest.raises(ValueError):
+            hurwitz_zeta_array(np.array([0.5 + 3j, complex(0.5, math.nan)]), 1.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 # ---------------------------------------------------------------------------
 # L-values
 
