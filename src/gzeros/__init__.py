@@ -9,23 +9,27 @@ The headline objects:
     restricted_sum(xs, q, c, sieve)  sum_{n<=x, n=c (q)} G(n) on a grid
     build_class_convolution    G(n; q, a, b) for every n <= x (one FFT)
     find_zeros(chi, T)         certified zeros of L(s, chi), |gamma| <= T
+    load_or_build_zero_sets(q, T)  zero sets of every chi mod q, cached,
+                               one zero search per conjugate pair
+    zero_power_sum(zeros, T, x, weight)  sum_{|gamma|<=T} m x^rho weight(rho)
     thm12_rhs / thm14_rhs      explicit-formula right-hand sides
     singular_series(q, c)      exact S_q(c) as a Fraction
 """
 
+from .cache import load_or_build_zero_sets
 from .characters import build_group, char_value, character_from_label
 from .explicit import h_term, landau_gonek, thm12_rhs, thm14_rhs, z_gamma_ratio
 from .goldbach import (build_class_convolution, goldbach_g, restricted_sum,
                        s_chi, s_grid)
 from .lfunc import (
     completed_lambda,
-    compute_zero_sets,
     find_zeros,
     hurwitz_zeta,
     l_value,
     psi_chi,
     psi_explicit,
     zero_count_argument,
+    zero_power_sum,
 )
 from .numtheory import build_sieve, euler_phi, factorize, moebius
 from .singular import compute_c2, j_weight, singular_series
@@ -40,7 +44,6 @@ __all__ = [
     "character_from_label",
     "completed_lambda",
     "compute_c2",
-    "compute_zero_sets",
     "euler_phi",
     "factorize",
     "find_zeros",
@@ -50,6 +53,7 @@ __all__ = [
     "j_weight",
     "l_value",
     "landau_gonek",
+    "load_or_build_zero_sets",
     "moebius",
     "psi_chi",
     "psi_explicit",
@@ -61,4 +65,5 @@ __all__ = [
     "thm14_rhs",
     "z_gamma_ratio",
     "zero_count_argument",
+    "zero_power_sum",
 ]

@@ -1,5 +1,12 @@
 """Content-addressed cache for sieves, zero sets, and convolutions.
 
+It is also the one provider of zero sets: load_or_build_zero_sets(q, T)
+returns the set of every character mod q, read or built once per
+primitive character through load_or_build_zeros.  The zeros of
+L(s, conj chi) are those of L(s, chi) with gamma -> -gamma, so on a miss
+a checksummed set of the conjugate character is mirrored instead of
+searched again: a conjugate pair costs one zero search.
+
 Keys are sha256 digests of the input parameters plus a format version,
 so a version bump invalidates everything stale.  Writes go through a
 temporary file and an atomic rename; every artifact carries a sidecar
@@ -15,9 +22,11 @@ import hashlib
 import logging
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
-from .lfunc import ZeroSet, export_zeros, find_zeros, import_zeros
+from .characters import build_group, character_from_label, conjugate, induce_primitive
+from .lfunc import ZeroSet, export_zeros, find_zeros, import_zeros, mirror_zero_set
 from .numtheory import SieveTable, build_sieve, read_sieve_cache, write_sieve_cache
 
 logger = logging.getLogger(__name__)
@@ -91,22 +100,49 @@ def load_or_build_sieve(x: int, cache_dir: Path | None = None) -> SieveTable:
     return sieve
 
 
-def load_or_build_zeros(
-    chi_label: str, T: float, cache_dir: Path | None = None
-) -> ZeroSet:
-    from .characters import character_from_label
+def _zeros_path(chi_label: str, T: float, cache_dir: Path) -> Path:
+    return cache_dir / f"zeros-{cache_key('zeros', label=chi_label, T=float(T))}.txt"
 
-    cache_dir = cache_dir or default_cache_dir()
-    key = cache_key("zeros", label=chi_label, T=float(T))
-    path = cache_dir / f"zeros-{key}.txt"
+
+def _read_zeros(path: Path, chi_label: str) -> ZeroSet | None:
     if _verify(path):
         try:
             return import_zeros(path, chi_label, validate=False)
         except Exception as exc:  # damaged payload: rebuild
             logger.warning("zero cache unreadable (%s); recomputing", exc)
-    zs = find_zeros(character_from_label(chi_label), T)
+    return None
+
+
+def load_or_build_zeros(
+    chi_label: str, T: float, cache_dir: Path | None = None
+) -> ZeroSet:
+    """Zero set of one character to height T.  On a miss the cached set
+    of the conjugate character, mirrored, stands in for find_zeros."""
+    cache_dir = cache_dir or default_cache_dir()
+    path = _zeros_path(chi_label, T, cache_dir)
+    zs = _read_zeros(path, chi_label)
+    if zs is not None:
+        return zs
+    chi = character_from_label(chi_label)
+    conj = conjugate(chi).label
+    base = None
+    if conj != chi_label:
+        base = _read_zeros(_zeros_path(conj, T, cache_dir), conj)
+    zs = find_zeros(chi, T) if base is None else mirror_zero_set(base, chi_label)
     _store_atomic(path, lambda tmp: export_zeros(zs, tmp))
     return zs
+
+
+def load_or_build_zero_sets(
+    q: int, T: float, cache_dir: Path | None = None
+) -> dict[str, ZeroSet]:
+    """Zero sets of every character mod q to height T, keyed and labelled
+    by chi.label; an imprimitive chi gets the set of its primitive chi*."""
+    out = {}
+    for chi in build_group(q):
+        base = load_or_build_zeros(induce_primitive(chi).label, T, cache_dir)
+        out[chi.label] = replace(base, char_label=chi.label)
+    return out
 
 
 def sieve_hash(sieve: SieveTable) -> str:

@@ -80,13 +80,6 @@ ONE = RootOfUnity(0, 1)
 MINUS_ONE = RootOfUnity(1, 2)
 
 
-def as_complex(v) -> complex:
-    """Embed a char_value result (RootOfUnity or 0) into complex."""
-    if isinstance(v, RootOfUnity):
-        return complex(v)
-    return complex(v)
-
-
 # ---------------------------------------------------------------------------
 # group basis
 
@@ -266,7 +259,7 @@ class DirichletCharacter:
         return char_value(self, n)
 
     def __call__(self, n: int) -> complex:
-        return as_complex(char_value(self, n))
+        return complex(char_value(self, n))
 
 
 def format_label(q: int, exponents: tuple[int, ...]) -> str:
@@ -421,10 +414,6 @@ def char_values_table(chi: DirichletCharacter) -> np.ndarray:
     return out
 
 
-def conductor(chi: DirichletCharacter) -> int:
-    return chi.conductor
-
-
 def induce_primitive(chi: DirichletCharacter) -> DirichletCharacter:
     """The primitive character chi* mod q* inducing chi.
 
@@ -510,39 +499,15 @@ def pair_weight_nonzero(q: int, a: int, b: int) -> bool:
 # the complete character sum of the key lemma
 
 
-def char_sum_closed_form_exact(
-    chi: DirichletCharacter, c: int
-) -> tuple[int, RootOfUnity]:
-    """sum_{a=1..q, (a(c-a),q)=1} chi(a) in closed form, exactly.
-
-    Returns (t, zeta) meaning t * zeta with t an integer and zeta a root
-    of unity; the closed form is
-        mu(q*) chi*(c) (phi(q)/phi(q*)) prod_{p | q, p !| q* c} (p-2)/(p-1)
-    and the integrality of t is guaranteed by the prime-power splitting.
-    """
-    q = chi.q
-    qs = chi.conductor
-    chis = induce_primitive(chi)
-    vc = char_value(chis, c)
-    mu = moebius(qs)
-    if vc == 0 or mu == 0:
-        return 0, ONE
-    coeff = mu
-    qs_factors = dict(factorize(qs).factors)
-    for p, k in factorize(q).factors:
-        ell = qs_factors.get(p, 0)
-        if ell == 0:
-            coeff *= p ** (k - 1) * ((p - 1) if c % p == 0 else (p - 2))
-        else:
-            # p | q*: the phi(q)/phi(q*) ratio contributes p^{k-ell} and
-            # the (p-2)/(p-1) product skips this prime
-            coeff *= p ** (k - ell)
-    return coeff, vc
-
-
 def char_sum_closed_form(chi: DirichletCharacter, c: int) -> complex:
-    t, zeta = char_sum_closed_form_exact(chi, c)
-    return t * complex(zeta)
+    """sum_{a=1..q, (a(c-a),q)=1} chi(a) in closed form,
+        mu(q*) chi*(c) (phi(q)/phi(q*)) prod_{p | q, p !| q* c} (p-2)/(p-1),
+    which is t e(pos/ord chi) with t an integer: the class-of-c entry of
+    _closed_form_coefficients, the table verify_char_sum_identity checks."""
+    coeff, pos = _closed_form_coefficients(chi)
+    r = c % chi.q
+    t = int(coeff[r])
+    return t * complex(RootOfUnity.make(int(pos[r]), chi.order)) if t else 0j
 
 
 def char_sum_brute(chi: DirichletCharacter, c: int) -> complex:

@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +31,17 @@ from .analysis import (
     residual_grid,
     rms,
 )
-from .cache import default_cache_dir, load_or_build_sieve, load_or_build_zeros
+from .cache import (
+    default_cache_dir,
+    load_or_build_sieve,
+    load_or_build_zero_sets,
+    load_or_build_zeros,
+)
 from .characters import (
     build_group,
     character_from_label,
     induce_primitive,
+    verify_char_sum_identity,
 )
 from .circle import build_grid, decompose_check, j_chi, selberg_integral, w_mass
 from .errors import GzError
@@ -53,16 +59,9 @@ class RunConfig:
     """key=value config file; flags override file values."""
 
     cache_dir: str = ""
-    sieve_limit: int = 10 ** 6
-    moduli: str = "1,3,4,5,7,8"
-    height: float = 200.0
     grid_points: int = 25
     c1: float = 1.0
     epsilon: float = 1.0 / 7.0
-    output: str = "csv"
-
-    def moduli_list(self) -> list[int]:
-        return [int(t) for t in self.moduli.split(",") if t.strip()]
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -74,7 +73,7 @@ class RunConfig:
             if "=" not in line:
                 raise GzError(f"{path}:{ln}: expected key=value")
             key, val = (t.strip() for t in line.split("=", 1))
-            if not hasattr(cfg, key):
+            if key not in {f.name for f in fields(cfg)}:
                 raise GzError(f"{path}:{ln}: unknown key {key!r}")
             cur = getattr(cfg, key)
             if isinstance(cur, int) and not isinstance(cur, bool):
@@ -84,19 +83,6 @@ class RunConfig:
             else:
                 setattr(cfg, key, val)
         return cfg
-
-    def to_file(self, path) -> None:
-        lines = [
-            f"cache_dir={self.cache_dir}",
-            f"sieve_limit={self.sieve_limit}",
-            f"moduli={self.moduli}",
-            f"height={self.height!r}",
-            f"grid_points={self.grid_points}",
-            f"c1={self.c1!r}",
-            f"epsilon={self.epsilon!r}",
-            f"output={self.output}",
-        ]
-        Path(path).write_text("\n".join(lines) + "\n")
 
     def resolved_cache_dir(self) -> Path:
         if self.cache_dir:
@@ -200,20 +186,11 @@ def _cmd_javg(args, cfg) -> int:
     return 0
 
 
-def _zero_sets_cached(q: int, T: float, cfg) -> dict:
-    sets = {}
-    for chi in build_group(q):
-        star = induce_primitive(chi)
-        base = load_or_build_zeros(star.label, T, cfg.resolved_cache_dir())
-        sets[chi.label] = base
-    return sets
-
-
 def _cmd_verify(args, cfg) -> int:
     """verify-thm12 / verify-thm14: exact sums on a grid against the
     explicit formula."""
     sieve = load_or_build_sieve(args.xmax, cfg.resolved_cache_dir())
-    zsets = _zero_sets_cached(args.q, args.height, cfg)
+    zsets = load_or_build_zero_sets(args.q, args.height, cfg.resolved_cache_dir())
     xs = geometric_grid(args.xmin, args.xmax, args.grid)
     if args.command == "verify-thm12":
         summary = {"mode": "thm12", "q": args.q, "a": args.a, "b": args.b}
@@ -283,7 +260,7 @@ def _cmd_fit(args, cfg) -> int:
     sieve = load_or_build_sieve(args.xmax, cfg.resolved_cache_dir())
     zsets = {}
     if args.mode in ("thm12", "thm14"):
-        zsets = _zero_sets_cached(args.q, args.height, cfg)
+        zsets = load_or_build_zero_sets(args.q, args.height, cfg.resolved_cache_dir())
     params = ResidualParams(
         q=args.q, a=args.a, b=args.b, c=args.c, T=args.height,
         sieve=sieve, zero_sets=zsets,
@@ -317,22 +294,8 @@ def _cmd_selfcheck(args, cfg) -> int:
         print(f"[{status}] {name}" + (f"  ({detail})" if detail else ""))
         failures += 0 if ok else 1
 
-    from .characters import char_sum_brute_exact, char_sum_closed_form_exact
-    from .characters import root_counts_equal
-    import numpy as _np
-
-    ok = True
-    for q in range(1, 31):
-        for chi in build_group(q):
-            n = chi.order
-            for c in range(1, q + 1):
-                t, zeta = char_sum_closed_form_exact(chi, c)
-                counts = _np.zeros(n, dtype=_np.int64)
-                for v, cnt in char_sum_brute_exact(chi, c).items():
-                    counts[v.k * (n // v.m)] += cnt
-                if not root_counts_equal(counts, n, t, zeta):
-                    ok = False
-    report("character-sum closed form == brute force (q <= 30, exact)", ok)
+    report("character-sum closed form == brute force (q <= 30, exact)",
+           all(verify_char_sum_identity(q) for q in range(1, 31)))
 
     import fractions
     ok = True
@@ -371,7 +334,7 @@ def _cmd_selfcheck(args, cfg) -> int:
     report("FFT convolution vs direct double loop (x=400)", ok)
 
     from .goldbach import s_chi
-    from .characters import as_complex, char_value
+    from .characters import char_value
 
     q, x = 3, 500
     chars3 = build_group(q)
@@ -385,8 +348,8 @@ def _cmd_selfcheck(args, cfg) -> int:
     for a in (1, 2):
         for b in (1, 2):
             total = sum(
-                as_complex(char_value(c1, a)).conjugate()
-                * as_complex(char_value(c2, b)).conjugate()
+                complex(char_value(c1, a)).conjugate()
+                * complex(char_value(c2, b)).conjugate()
                 * svals[(c1.label, c2.label)]
                 for c1 in chars3
                 for c2 in chars3

@@ -14,9 +14,10 @@ which enters the two main asymptotics as
                          - (2/phi(q)^2) sum_chi conj(csum(chi, c)) H_T(x, chi)
 
 with csum the complete character sum collapsed through its closed form.
-Zero sums evaluate x^rho as x^beta e^(i gamma log x) and accumulate in
-gamma-ascending order with exact (fsum) compensation: the sums are
-cancellation-heavy and runs must be reproducible bit for bit.
+Every zero sum here is lfunc.zero_power_sum, which evaluates x^rho as
+x^beta e^(i gamma log x) over the whole set and sums with exact (fsum)
+rounding: the sums are cancellation-heavy and runs must be reproducible
+bit for bit.
 
 Also here: the Landau-Gonek prime-power detector sum_{|gamma|<=T} x^rho
 with its assembled unit-constant error budget, the Gamma-ratio of the
@@ -35,13 +36,12 @@ from scipy.special import loggamma
 
 from .characters import (
     DirichletCharacter,
-    as_complex,
     build_group,
     char_sum_closed_form,
     char_value,
 )
 from .errors import GzError
-from .lfunc import ZeroSet
+from .lfunc import ZeroSet, zero_power_sum
 from .numtheory import euler_phi, factorize
 from .singular import singular_series
 
@@ -60,18 +60,8 @@ def _kahan_complex(terms) -> complex:
 
 def h_term(x: float, chi: DirichletCharacter, zeros: ZeroSet, T: float) -> complex:
     """H_T(x, chi) = sum over |gamma| <= T of x^(rho+1)/(rho(rho+1)),
-    counted with multiplicity, gamma-ascending compensated accumulation."""
-    entries = sorted(zeros.below(T), key=lambda e: e.gamma)
-    if not entries or x <= 0:
-        return 0j
-    lx = math.log(x)
-    return _kahan_complex(
-        e.multiplicity
-        * x ** (e.beta + 1)
-        * cmath.exp(1j * e.gamma * lx)
-        / (e.rho * (e.rho + 1))
-        for e in entries
-    )
+    counted with multiplicity (0 for x <= 0)."""
+    return x * zero_power_sum(zeros, T, x, lambda rho: 1 / (rho * (rho + 1)))
 
 
 def h_term_tail_bound(x: float, q: int, T: float) -> float:
@@ -148,8 +138,8 @@ def thm12_rhs(
     phi = euler_phi(q)
     corr_terms = []
     for chi in chars:
-        w = (as_complex(char_value(chi, a)).conjugate()
-             + as_complex(char_value(chi, b)).conjugate())
+        w = (complex(char_value(chi, a)).conjugate()
+             + complex(char_value(chi, b)).conjugate())
         if w != 0:
             corr_terms.append(w * h_term(x, chi, zero_sets[chi.label], T))
     corr = _kahan_complex(corr_terms) / phi ** 2
@@ -217,12 +207,8 @@ def landau_gonek(
     """
     if not 1 < x:
         raise ValueError("x must exceed 1")
-    entries = sorted(zeros.below(T), key=lambda e: e.gamma)
+    total = zero_power_sum(zeros, T, x)
     lx = math.log(x)
-    total = _kahan_complex(
-        e.multiplicity * x ** e.beta * cmath.exp(1j * e.gamma * lx)
-        for e in entries
-    )
 
     lam = 0.0
     chival = 0j
@@ -231,7 +217,7 @@ def landau_gonek(
         fac = factorize(xi)
         if fac.is_prime_power():
             lam = fac.von_mangoldt()
-        chival = as_complex(char_value(chi, xi))
+        chival = complex(char_value(chi, xi))
     prediction = -(T / math.pi) * chival * lam
 
     if nearest_gap is None:
@@ -305,8 +291,8 @@ def residue_r(
         m = _multiplicity_at(zero_sets[chi.label], rho_q, tol)
         if m:
             found = True
-            w = (as_complex(char_value(chi, a)).conjugate()
-                 + as_complex(char_value(chi, b)).conjugate())
+            w = (complex(char_value(chi, a)).conjugate()
+                 + complex(char_value(chi, b)).conjugate())
             total += w * m
     if not found:
         raise ValueError(f"{rho_q} is not a recorded zero mod {q}")

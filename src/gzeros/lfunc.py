@@ -22,6 +22,12 @@ it means a missed zero, a multiple zero, or an off-line zero.
 
 Computed zeros store beta = 1/2 exactly; imported sets may carry other
 beta values for hypothetical-scenario replay but are never certified.
+Zero sets for a whole modulus come from cache.load_or_build_zero_sets,
+which searches once per conjugate pair and mirrors the other set.
+
+Every sum over zeros, sum_{|gamma| <= T} m x^rho weight(rho), goes
+through the one kernel zero_power_sum (psi_explicit here, h_term and
+landau_gonek in explicit.py).
 """
 
 from __future__ import annotations
@@ -491,36 +497,29 @@ def find_zeros(
     return zs
 
 
-_PRIMITIVE_ZERO_CACHE: dict[tuple[str, float], ZeroSet] = {}
+# ---------------------------------------------------------------------------
+# the zero-sum kernel
 
 
-def compute_zero_sets(q: int, T: float) -> dict[str, ZeroSet]:
-    """Certified zero sets for every character mod q, sharing work across
-    induced characters and conjugate pairs."""
-    from .characters import build_group
+def zero_power_sum(zeros: ZeroSet, T: float, x: float, weight=None) -> complex:
+    """sum_{|gamma| <= T} m x^rho weight(rho), counted with multiplicity.
 
-    out: dict[str, ZeroSet] = {}
-    for chi in build_group(q):
-        star = induce_primitive(chi)
-        key = (star.label, float(T))
-        if key not in _PRIMITIVE_ZERO_CACHE:
-            conj_star = conjugate(star)
-            ckey = (conj_star.label, float(T))
-            if ckey in _PRIMITIVE_ZERO_CACHE and conj_star != star:
-                _PRIMITIVE_ZERO_CACHE[key] = mirror_zero_set(
-                    _PRIMITIVE_ZERO_CACHE[ckey], star.label
-                )
-            else:
-                _PRIMITIVE_ZERO_CACHE[key] = find_zeros(star, T)
-        base = _PRIMITIVE_ZERO_CACHE[key]
-        out[chi.label] = ZeroSet(
-            char_label=chi.label,
-            height=base.height,
-            entries=list(base.entries),
-            certified=base.certified,
-            diagnostics=base.diagnostics,
-        )
-    return out
+    x^rho is evaluated as x^beta e^(i gamma log x) over the whole set at
+    once; weight maps an array of rho to an array of factors (None means
+    1).  The real and imaginary parts are summed with math.fsum, which
+    rounds exactly, so the cancellation-heavy sums repeat bit for bit.
+    x <= 0 has no zero contribution and gives 0.
+    """
+    entries = zeros.below(T)
+    if not entries or x <= 0:
+        return 0j
+    beta = np.array([e.beta for e in entries])
+    gamma = np.array([e.gamma for e in entries])
+    mult = np.array([e.multiplicity for e in entries], dtype=np.float64)
+    terms = mult * x ** beta * np.exp(1j * gamma * math.log(x))
+    if weight is not None:
+        terms = terms * weight(beta + 1j * gamma)
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -542,19 +541,8 @@ def psi_explicit(
 ) -> complex:
     """delta_0(chi) u - sum_{|gamma| <= T} u^rho / rho (the constant term
     of the full formula is omitted and measured separately)."""
-    entries = zeros.below(T)
     main = u if chi.is_principal else 0.0
-    if u <= 0:
-        return complex(main)
-    lu = math.log(u) if u > 0 else 0.0
-    re_parts, im_parts = [], []
-    for e in sorted(entries, key=lambda e: e.gamma):
-        rho = e.rho
-        w = e.multiplicity * (u ** e.beta) * cmath.exp(1j * e.gamma * lu) / rho
-        re_parts.append(w.real)
-        im_parts.append(w.imag)
-    corr = complex(math.fsum(re_parts), math.fsum(im_parts))
-    return main - corr
+    return main - zero_power_sum(zeros, T, u, lambda rho: 1 / rho)
 
 
 def explicit_formula_report(
@@ -584,13 +572,24 @@ def export_zeros(zs: ZeroSet, path) -> None:
         fh.write(f"# char {zs.char_label}\n")
         fh.write(f"# height {zs.height!r}\n")
         fh.write(f"# certified {int(zs.certified)}\n")
-        for e in sorted(zs.entries, key=lambda e: e.gamma):
+        for e in zs.entries:  # ZeroSet keeps them gamma-ascending
             fh.write(f"{e.beta!r} {e.gamma!r} {e.multiplicity}\n")
 
 
 def import_zeros(path, char_label: str, validate: bool = True) -> ZeroSet:
-    """Read a zero file and validate each on-line entry against the
-    evaluator: |L(1/2 + i gamma, chi)| < 1e-6.
+    """Read a zero file written in the export_zeros format.
+
+    Every file must be well formed: finite fields, 0 < beta < 1,
+    multiplicity >= 1, gamma strictly ascending (a repeated gamma is a
+    duplicate) and no |gamma| above the "# height" line.  A violation
+    raises ValidationError with the offending line number.
+
+    validate=True also checks each on-line entry against the evaluator,
+    |L(1/2 + i gamma, chi)| < 1e-6, and keeps the file's "# certified 1"
+    only when the total multiplicity equals the argument-principle count
+    N(height, chi*); a height that cannot be counted leaves the set
+    uncertified.  validate=False trusts the flag (the cache reads only
+    files it wrote and checksummed).
 
     Entries with beta != 1/2 are accepted for hypothetical-scenario
     replay but force certified = False; they are not validated against
@@ -609,6 +608,7 @@ def import_zeros(path, char_label: str, validate: bool = True) -> ZeroSet:
             line_number=2,
         )
     height = None
+    height_line = None
     certified_flag = 0
     entries: list[tuple[int, ZeroEntry]] = []
     prev_gamma = -math.inf
@@ -616,28 +616,46 @@ def import_zeros(path, char_label: str, validate: bool = True) -> ZeroSet:
         line = line.strip()
         if not line:
             continue
-        if line.startswith("#"):
+        try:
             if line.startswith("# height"):
-                height = float(line.split()[-1])
+                height, height_line = float(line.split()[-1]), ln
+                if not (math.isfinite(height) and height >= 0):
+                    raise ValueError(f"height {height} is not a finite T >= 0")
             elif line.startswith("# certified"):
                 certified_flag = int(line.split()[-1])
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValidationError(f"malformed zero line {line!r}", line_number=ln)
-        try:
+            if line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise ValueError(f"malformed zero line {line!r}")
             beta, gamma, mult = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ValidationError(str(exc), line_number=ln) from exc
+        if not math.isfinite(gamma):
+            raise ValidationError(f"gamma={gamma} is not finite", line_number=ln)
         if not 0 < beta < 1:
             raise ValidationError(f"beta={beta} outside (0,1)", line_number=ln)
+        if mult < 1:
+            raise ValidationError(f"multiplicity {mult} < 1", line_number=ln)
+        if gamma == prev_gamma:
+            raise ValidationError(f"duplicate gamma={gamma}", line_number=ln)
         if gamma < prev_gamma:
             raise ValidationError("gamma values not ascending", line_number=ln)
         prev_gamma = gamma
         entries.append((ln, ZeroEntry(beta, gamma, mult, source="imported")))
 
+    top = max((abs(e.gamma) for _, e in entries), default=0.0)
+    if height is None:
+        height = top
+    elif top > height:
+        raise ValidationError(
+            f"max |gamma| = {top} lies above the height {height}",
+            line_number=height_line,
+        )
     chi = character_from_label(char_label)
     hypothetical = any(e.beta != 0.5 for _, e in entries)
+    certified = bool(certified_flag) and not hypothetical
+    diagnostics = "hypothetical (off-line entries)" if hypothetical else ""
     if validate and entries:
         chi_star = induce_primitive(chi)
         on_line = [(ln, e) for ln, e in entries if e.beta == 0.5]
@@ -651,14 +669,22 @@ def import_zeros(path, char_label: str, validate: bool = True) -> ZeroSet:
                     f"|L(1/2 + {e.gamma}i)| = {vals[bad[0]]:.3g} >= 1e-6",
                     line_number=ln,
                 )
-    if height is None:
-        height = max((abs(e.gamma) for _, e in entries), default=0.0)
+    if validate and certified:
+        total = sum(e.multiplicity for _, e in entries)
+        try:
+            n_true = zero_count_argument(chi, height)
+        except (ContourError, CapacityError, ValueError) as exc:
+            n_true = f"unavailable ({exc})"
+        if total != n_true:
+            certified = False
+            diagnostics = (f"multiplicity total {total} != argument count "
+                           f"{n_true} at height {height}")
     return ZeroSet(
         char_label=char_label,
         height=height,
         entries=[e for _, e in entries],
-        certified=bool(certified_flag) and not hypothetical,
-        diagnostics="hypothetical (off-line entries)" if hypothetical else "",
+        certified=certified,
+        diagnostics=diagnostics,
     )
 
 

@@ -14,6 +14,7 @@ import pytest
 from scipy.special import loggamma
 
 from gzeros.analysis import ResidualParams, fit_exponent, geometric_grid, residual_grid, rms
+from gzeros.cache import load_or_build_zero_sets
 from gzeros.characters import (
     build_group,
     character_from_label,
@@ -24,7 +25,7 @@ from gzeros.characters import (
 from gzeros.circle import build_grid, decompose_check, j_chi, selberg_integral
 from gzeros.explicit import landau_gonek, z_gamma_ratio_matrix
 from gzeros.goldbach import build_class_convolution
-from gzeros.lfunc import compute_zero_sets, find_zeros, l_values_array, zero_count_argument
+from gzeros.lfunc import find_zeros, l_values_array, zero_count_argument
 from gzeros.numtheory import build_sieve, euler_phi
 from gzeros.singular import compute_c2, j_weight_table, singular_series
 
@@ -46,7 +47,7 @@ def sieve():
 
 @pytest.fixture(scope="module")
 def zero_sets():
-    return {q: compute_zero_sets(q, HEIGHT) for q in ZERO_MODULI}
+    return {q: load_or_build_zero_sets(q, HEIGHT) for q in ZERO_MODULI}
 
 
 @pytest.fixture(scope="module")

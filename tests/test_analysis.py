@@ -13,8 +13,9 @@ from gzeros.analysis import (
     rms,
     zero_sum_diagnostics,
 )
+from gzeros.cache import load_or_build_zero_sets
 from gzeros.characters import build_group
-from gzeros.lfunc import compute_zero_sets, find_zeros
+from gzeros.lfunc import find_zeros
 from gzeros.numtheory import build_sieve
 
 
@@ -84,7 +85,7 @@ def test_residual_thm11_band(sieve):
 
 
 def test_residual_thm12_improves(sieve):
-    zsets = compute_zero_sets(1, 200)
+    zsets = load_or_build_zero_sets(1, 200)
     params = ResidualParams(q=1, T=200.0, sieve=sieve, zero_sets=zsets)
     xs = geometric_grid(1e3, 1e5, 15)
     r11 = residual_grid("thm11", params, xs)
@@ -93,7 +94,7 @@ def test_residual_thm12_improves(sieve):
 
 
 def test_residual_thm14_runs(sieve):
-    zsets = compute_zero_sets(4, 100)
+    zsets = load_or_build_zero_sets(4, 100)
     params = ResidualParams(q=4, c=2, T=100.0, sieve=sieve, zero_sets=zsets)
     xs = geometric_grid(1e3, 1e4, 8)
     res = residual_grid("thm14", params, xs)
@@ -110,7 +111,7 @@ def test_residual_thm14_not_worse_than_main_only():
     from gzeros.singular import singular_series
 
     sieve6 = build_sieve(10 ** 6)
-    zsets = compute_zero_sets(4, 200)
+    zsets = load_or_build_zero_sets(4, 200)
     xs = geometric_grid(1e3, 1e6, 25)
     for c in (2, 4):
         params = ResidualParams(q=4, c=c, T=200.0, sieve=sieve6, zero_sets=zsets)

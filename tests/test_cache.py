@@ -1,0 +1,94 @@
+"""The zero-set provider: one cache, conjugate pairs mirrored, one label
+per character, and the CLI reading exactly what the library reads."""
+
+import pytest
+
+from gzeros import cache, cli
+from gzeros.cache import load_or_build_zero_sets, load_or_build_zeros
+from gzeros.characters import build_group, conjugate
+from gzeros.lfunc import find_zeros
+
+T = 20.0
+
+
+@pytest.fixture()
+def searches(monkeypatch):
+    """Labels find_zeros ran for, in call order."""
+    calls = []
+    real = cache.find_zeros
+
+    def counting(chi, height, *args, **kwargs):
+        calls.append(chi.label)
+        return real(chi, height, *args, **kwargs)
+
+    monkeypatch.setattr(cache, "find_zeros", counting)
+    return calls
+
+
+def _view(sets):
+    return {
+        label: (zs.char_label, zs.certified, zs.height,
+                [(e.beta, e.gamma, e.multiplicity) for e in zs.entries])
+        for label, zs in sets.items()
+    }
+
+
+def test_conjugate_pairs_cost_one_search(tmp_path, searches):
+    sets = load_or_build_zero_sets(7, T, tmp_path)
+    # zeta, the quadratic character and one of each conjugate pair
+    # (orders 3 and 6); the other two sets are mirrored
+    assert len(searches) == 4
+    chars = build_group(7)
+    assert list(sets) == [chi.label for chi in chars]
+    mirrored = [chi for chi in chars
+                if not chi.is_principal and chi.label not in searches]
+    assert len(mirrored) == 2
+    for chi in mirrored:
+        assert conjugate(chi).label in searches
+        zs, direct = sets[chi.label], find_zeros(chi, T)
+        assert zs.certified and zs.char_label == chi.label
+        assert len(zs.entries) == len(direct.entries) > 0
+        assert max(abs(a.gamma - b.gamma)
+                   for a, b in zip(zs.entries, direct.entries)) <= 1e-9
+
+    searches.clear()
+    assert _view(load_or_build_zero_sets(7, T, tmp_path)) == _view(sets)
+    assert searches == []
+
+
+def test_imprimitive_characters_get_their_own_label(tmp_path):
+    sets = load_or_build_zero_sets(8, T, tmp_path)
+    for chi in build_group(8):
+        assert sets[chi.label].char_label == chi.label
+    principal = build_group(8)[0]
+    zeta = load_or_build_zeros("q=1;e=", T, tmp_path)
+    assert [e.gamma for e in sets[principal.label].entries] == \
+        [e.gamma for e in zeta.entries]
+
+
+def test_damaged_conjugate_set_is_not_mirrored(tmp_path, searches):
+    load_or_build_zeros("q=5;e=1", T, tmp_path)
+    (path,) = tmp_path.glob("zeros-*.txt")
+    path.write_text(path.read_text().replace("0.5 ", "0.25 ", 1))
+    zs = load_or_build_zeros("q=5;e=3", T, tmp_path)
+    assert searches == ["q=5;e=1", "q=5;e=3"]
+    assert zs.certified
+
+
+def test_cli_and_library_read_the_same_sets(tmp_path, monkeypatch):
+    read = []
+    real = cli.thm12_rhs
+
+    def spy(x, q, a, b, zero_sets, height, **kwargs):
+        read.append(zero_sets)
+        return real(x, q, a, b, zero_sets, height, **kwargs)
+
+    monkeypatch.setattr(cli, "thm12_rhs", spy)
+    monkeypatch.setenv("GZ_CACHE_DIR", str(tmp_path))
+    assert cli.dispatch([
+        "verify-thm12", "--q", "7", "--a", "1", "--b", "2", "--xmin", "100",
+        "--xmax", "10000", "--grid", "4", "--height", str(T),
+        "--out", str(tmp_path / "v.csv"),
+    ]) == 0
+    assert read and all(sets is read[0] for sets in read)
+    assert _view(read[0]) == _view(load_or_build_zero_sets(7, T))

@@ -10,12 +10,10 @@ from gzeros.characters import (
     MINUS_ONE,
     ONE,
     RootOfUnity,
-    as_complex,
     build_group,
     char_sum_brute,
     char_sum_brute_exact,
     char_sum_closed_form,
-    char_sum_closed_form_exact,
     char_value,
     character_from_label,
     conjugate,
@@ -30,6 +28,7 @@ from gzeros.characters import (
     root_counts_equal,
     root_number,
     root_sum_is_zero,
+    _closed_form_coefficients,
 )
 from gzeros.numtheory import euler_phi
 
@@ -106,7 +105,7 @@ def test_homomorphism_oracle_q5():
     tables = set()
     for c in chars:
         tables.add(tuple(np.round(
-            [as_complex(char_value(c, n)) for n in range(1, 5)], 9
+            [complex(char_value(c, n)) for n in range(1, 5)], 9
         ).tolist()))
     # generator 2 of (Z/5)*: homs send 2 to each 4th root of unity
     expect = set()
@@ -330,18 +329,22 @@ def test_char_sum_examples():
 
 
 def test_char_sum_exact_oracle_small():
-    # exhaustive exact equivalence for q <= 40 (the acceptance run
-    # covers q <= 200 with the batched path)
+    # exhaustive exact equivalence for q <= 40 against the per-a brute
+    # force (the acceptance run covers q <= 200 with the batched path);
+    # the closed form is the coefficient table char_sum_closed_form reads
     for q in range(1, 41):
         for chi in build_group(q):
             n = chi.order
+            coeff, pos = _closed_form_coefficients(chi)
             for c in range(1, q + 1):
-                t, zeta = char_sum_closed_form_exact(chi, c)
+                t = int(coeff[c % q])
+                zeta = RootOfUnity.make(int(pos[c % q]), n)
                 counts = np.zeros(n, dtype=np.int64)
                 for v, cnt in char_sum_brute_exact(chi, c).items():
                     assert n % v.m == 0
                     counts[v.k * (n // v.m)] += cnt
                 assert root_counts_equal(counts, n, t, zeta), (q, chi.label, c)
+                assert char_sum_closed_form(chi, c) == t * complex(zeta)
 
 
 def test_sieve_identity_small():

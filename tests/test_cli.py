@@ -114,11 +114,25 @@ def test_convolution_cache(cache_env, tmp_path):
 
 
 def test_config_roundtrip(tmp_path):
-    cfg = RunConfig(sieve_limit=12345, height=77.5, output="json")
     path = tmp_path / "gz.conf"
-    cfg.to_file(path)
+    path.write_text("# every live key\ncache_dir=zero-cache\ngrid_points=9\n"
+                    "c1 = 2.5\n\nepsilon=0.125\n")
     back = RunConfig.from_file(path)
-    assert back == cfg
+    assert back == RunConfig(cache_dir="zero-cache", grid_points=9, c1=2.5,
+                             epsilon=0.125)
+    assert isinstance(back.grid_points, int) and isinstance(back.c1, float)
+
+
+@pytest.mark.parametrize("line", ["height=500", "sieve_limit=10", "moduli=3,4",
+                                  "output=json", "from_file=1"])
+def test_config_rejects_keys_no_command_reads(tmp_path, line):
+    # these keys were once accepted and silently ignored
+    from gzeros.errors import GzError
+
+    path = tmp_path / "gz.conf"
+    path.write_text(line + "\n")
+    with pytest.raises(GzError, match="unknown key"):
+        RunConfig.from_file(path)
 
 
 def test_config_rejects_unknown_key(tmp_path):

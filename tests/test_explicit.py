@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gzeros.cache import load_or_build_zero_sets
 from gzeros.characters import build_group
 from gzeros.explicit import (
     ExplicitRow,
@@ -19,7 +20,7 @@ from gzeros.explicit import (
     z_gamma_ratio_matrix,
 )
 from gzeros.goldbach import build_class_convolution, restricted_sum
-from gzeros.lfunc import compute_zero_sets, find_zeros
+from gzeros.lfunc import find_zeros
 from gzeros.numtheory import build_sieve
 
 
@@ -40,12 +41,12 @@ def zsets1(zeta_zeros):
 
 @pytest.fixture(scope="module")
 def zsets3():
-    return compute_zero_sets(3, 200)
+    return load_or_build_zero_sets(3, 200)
 
 
 @pytest.fixture(scope="module")
 def zsets4():
-    return compute_zero_sets(4, 200)
+    return load_or_build_zero_sets(4, 200)
 
 
 def test_h_term_empty_below_first_zero(zeta_zeros):
@@ -106,7 +107,7 @@ def test_thm12_exact_tracking(zsets3, sieve):
 
 
 def test_thm12_imaginary_cancellation():
-    zsets5 = compute_zero_sets(5, 100)
+    zsets5 = load_or_build_zero_sets(5, 100)
     x = 10 ** 4
     row = thm12_rhs(float(x), 5, 2, 3, zsets5, 100.0)
     assert abs(row.zero_correction.imag) < 1e-8 * max(abs(row.main), 1.0)
@@ -132,7 +133,7 @@ def test_thm14_q1_degenerates_to_thm12(zsets1):
 
 def test_thm14_even_modulus_odd_class(sieve):
     # q=2, c=1: main term vanishes; exact sum is tiny
-    zsets2 = compute_zero_sets(2, 200)
+    zsets2 = load_or_build_zero_sets(2, 200)
     x = 10 ** 4
     row = thm14_rhs(float(x), 2, 1, zsets2, 200.0)
     assert row.main == 0.0
@@ -230,7 +231,7 @@ def test_residue_r_first_zeta_zero(zsets1, zeta_zeros):
 
 def test_residue_r_vanishing_weight():
     # q=4: the nontrivial character has chi(1) + chi(3) = 0
-    zsets = compute_zero_sets(4, 50)
+    zsets = load_or_build_zero_sets(4, 50)
     chi4 = [c for c in build_group(4) if not c.is_principal][0]
     gamma1 = min(e.gamma for e in zsets[chi4.label].entries if e.gamma > 0)
     rho = complex(0.5, gamma1)
@@ -240,7 +241,7 @@ def test_residue_r_vanishing_weight():
 
 def test_residue_r1_collapses_mod4():
     # q* = 4 is not squarefree: mu(q*) = 0 kills the weight
-    zsets = compute_zero_sets(4, 50)
+    zsets = load_or_build_zero_sets(4, 50)
     chi4 = [c for c in build_group(4) if not c.is_principal][0]
     gamma1 = min(e.gamma for e in zsets[chi4.label].entries if e.gamma > 0)
     r1 = residue_r1(complex(0.5, gamma1), 4, 1, zsets)

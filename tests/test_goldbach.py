@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gzeros.analysis import geometric_grid
-from gzeros.characters import build_group, char_value, as_complex
+from gzeros.characters import build_group, char_value
 from gzeros.goldbach import (
     build_class_convolution,
     floor_x,
@@ -156,8 +156,8 @@ def test_s_chi_orthogonality_reconstruction(sieve):
             for c1 in chars:
                 for c2 in chars:
                     w = (
-                        as_complex(char_value(c1, a)).conjugate()
-                        * as_complex(char_value(c2, b)).conjugate()
+                        complex(char_value(c1, a)).conjugate()
+                        * complex(char_value(c2, b)).conjugate()
                     )
                     total += w * svals[(c1.label, c2.label)]
             total /= phi * phi

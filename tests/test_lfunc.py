@@ -1,9 +1,11 @@
+import cmath
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from gzeros.cache import load_or_build_zero_sets
 from gzeros.characters import build_group, character_from_label, conjugate, induce_primitive
 from gzeros.errors import CapacityError, ValidationError
 from gzeros.lfunc import (
@@ -11,7 +13,6 @@ from gzeros.lfunc import (
     ZeroSet,
     check_conjugate_symmetry,
     completed_lambda,
-    compute_zero_sets,
     explicit_formula_report,
     export_zeros,
     find_zeros,
@@ -24,6 +25,7 @@ from gzeros.lfunc import (
     psi_chi,
     psi_explicit,
     zero_count_argument,
+    zero_power_sum,
 )
 from gzeros.numtheory import build_sieve
 
@@ -217,7 +219,7 @@ def test_find_zeros_chi4(chi4):
 
 def test_find_zeros_symmetry_and_lambda_smallness():
     for q in [3, 4, 5]:
-        sets = compute_zero_sets(q, 60)
+        sets = load_or_build_zero_sets(q, 60)
         for chi in build_group(q):
             zs = sets[chi.label]
             assert zs.certified
@@ -257,6 +259,28 @@ def test_zero_sum_bounds_measured(zeta_zeros):
     tail = [e for e in zeta_zeros.entries if abs(e.gamma) > T]
     s2 = sum(1 / abs(e.rho) ** 2 for e in tail)
     assert s2 <= 3 * math.log(2 * q * T) / T
+
+
+@pytest.mark.parametrize("weight", [None, lambda r: 1 / r,
+                                    lambda r: 1 / (r * (r + 1))],
+                         ids=["one", "inv_rho", "h_term"])
+def test_zero_power_sum_matches_scalar_loop(zeta_zeros, weight):
+    # reference: the per-zero cmath loop the kernel replaced; the array
+    # path may round each term differently, so the tolerance is a few ulps
+    # of the summed term sizes
+    scalar = weight or (lambda r: 1)
+    for x, T in [(2.0, 600.0), (1e4, 200.0), (7.5e6, 100.0)]:
+        entries = zeta_zeros.below(T)
+        terms = [e.multiplicity * x ** e.beta
+                 * cmath.exp(1j * e.gamma * math.log(x)) * scalar(e.rho)
+                 for e in entries]
+        ref = complex(math.fsum(t.real for t in terms),
+                      math.fsum(t.imag for t in terms))
+        scale = sum(abs(t) for t in terms)
+        assert abs(zero_power_sum(zeta_zeros, T, x, weight) - ref) <= 1e-14 * scale
+    assert zero_power_sum(zeta_zeros, 10.0, 5.0, weight) == 0
+    with pytest.raises(ValueError):
+        zero_power_sum(zeta_zeros, 700.0, 5.0, weight)
 
 
 def test_observed_B(zeta_zeros):
@@ -370,3 +394,79 @@ def test_mirror_zero_set():
     m = mirror_zero_set(zs, "q=5;e=3")
     assert [e.gamma for e in m.entries] == [-3.0, 7.0]
     assert m.certified
+
+
+# ---------------------------------------------------------------------------
+# import does not trust the header: a zeta file at T = 40 (12 zeros)
+
+
+@pytest.fixture(scope="module")
+def zeta40_lines(zeta_char, tmp_path_factory):
+    path = tmp_path_factory.mktemp("zeta40") / "zeros.txt"
+    export_zeros(find_zeros(zeta_char, 40), path)
+    lines = path.read_text().splitlines()
+    assert lines[2] == "# height 40.0" and lines[3] == "# certified 1"
+    assert len(lines) == 4 + 12
+    return lines
+
+
+def _import_lines(tmp_path, lines):
+    path = tmp_path / "edited.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return import_zeros(path, "q=1;e=")
+
+
+def test_import_recounts_a_dropped_zero(tmp_path, zeta40_lines):
+    zs = _import_lines(tmp_path, zeta40_lines[:5] + zeta40_lines[6:])
+    assert zs.count() == 11
+    assert not zs.certified
+    assert "argument count 12" in zs.diagnostics
+
+
+def test_import_rejects_a_duplicate_gamma(tmp_path, zeta40_lines):
+    lines = zeta40_lines[:6] + zeta40_lines[5:]
+    with pytest.raises(ValidationError, match="duplicate") as info:
+        _import_lines(tmp_path, lines)
+    assert info.value.line_number == 7
+
+
+@pytest.mark.parametrize("mult", ["-5", "0"])
+def test_import_rejects_multiplicity_below_one(tmp_path, zeta40_lines, mult):
+    lines = list(zeta40_lines)
+    beta, gamma, _ = lines[5].split()
+    lines[5] = f"{beta} {gamma} {mult}"
+    with pytest.raises(ValidationError, match="multiplicity") as info:
+        _import_lines(tmp_path, lines)
+    assert info.value.line_number == 6
+
+
+def test_import_rejects_height_below_gammas(tmp_path, zeta40_lines):
+    lines = list(zeta40_lines)
+    lines[2] = "# height 10.0"
+    with pytest.raises(ValidationError, match="height") as info:
+        _import_lines(tmp_path, lines)
+    assert info.value.line_number == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_import_rejects_non_finite_gamma(tmp_path, zeta40_lines, value):
+    lines = list(zeta40_lines)
+    beta, _, mult = lines[5].split()
+    lines[5] = f"{beta} {value} {mult}"
+    with pytest.raises(ValidationError) as info:
+        _import_lines(tmp_path, lines)
+    assert info.value.line_number == 6
+
+
+def test_import_uncountable_height_stays_uncertified(tmp_path, zeta40_lines,
+                                                     monkeypatch):
+    import gzeros.lfunc
+    from gzeros.errors import ContourError
+
+    def no_count(chi, T):
+        raise ContourError("contour too close to a zero")
+
+    monkeypatch.setattr(gzeros.lfunc, "zero_count_argument", no_count)
+    zs = _import_lines(tmp_path, zeta40_lines)
+    assert zs.count() == 12
+    assert not zs.certified
