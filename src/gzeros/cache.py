@@ -8,12 +8,13 @@ a checksummed set of the conjugate character is mirrored instead of
 searched again: a conjugate pair costs one zero search.
 
 Keys are sha256 digests of the input parameters plus a format version,
-so a version bump invalidates everything stale.  Writes go through a
-temporary file and an atomic rename; every artifact carries a sidecar
-"<name>.sha256" checked on load (corruption means silent recompute, with
-a log line).  The sieve payload itself is the documented GZSV1 binary
-layout and the zero sets are the documented GZZEROS text format, so the
-cache doubles as an export directory.
+so a version bump invalidates everything stale; zero-set keys also carry
+lfunc.EVALUATOR_VERSION, so sets built by an older evaluator are searched
+again.  Writes go through a temporary file and an atomic rename; every
+artifact carries a sidecar "<name>.sha256" checked on load (corruption
+means silent recompute, with a log line).  The sieve payload itself is
+the documented GZSV1 binary layout and the zero sets are the documented
+GZZEROS text format, so the cache doubles as an export directory.
 """
 
 from __future__ import annotations
@@ -26,7 +27,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from .characters import build_group, character_from_label, conjugate, induce_primitive
-from .lfunc import ZeroSet, export_zeros, find_zeros, import_zeros, mirror_zero_set
+from .lfunc import (
+    EVALUATOR_VERSION,
+    ZeroSet,
+    export_zeros,
+    find_zeros,
+    import_zeros,
+    mirror_zero_set,
+)
 from .numtheory import SieveTable, build_sieve, read_sieve_cache, write_sieve_cache
 
 logger = logging.getLogger(__name__)
@@ -101,7 +109,9 @@ def load_or_build_sieve(x: int, cache_dir: Path | None = None) -> SieveTable:
 
 
 def _zeros_path(chi_label: str, T: float, cache_dir: Path) -> Path:
-    return cache_dir / f"zeros-{cache_key('zeros', label=chi_label, T=float(T))}.txt"
+    key = cache_key("zeros", label=chi_label, T=float(T),
+                    evaluator=EVALUATOR_VERSION)
+    return cache_dir / f"zeros-{key}.txt"
 
 
 def _read_zeros(path: Path, chi_label: str) -> ZeroSet | None:

@@ -633,10 +633,12 @@ def char_exponent_table(chi: DirichletCharacter) -> tuple[int, np.ndarray]:
     return n, np.where(valid, (t // gdiv) % n, -1)
 
 
+@lru_cache(maxsize=None)
 def _closed_form_coefficients(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:
     """Vector over residue columns r = 0..q-1 (the class of c): integer
     coefficient and exponent position (in zeta_ord(chi)), -1 where the
-    closed form vanishes."""
+    closed form vanishes.  Built once per character for the explicit
+    formulas, which read it once per x; the cached arrays are read-only."""
     q = chi.q
     star = induce_primitive(chi)
     n, kstar = char_exponent_table(star)
@@ -654,6 +656,8 @@ def _closed_form_coefficients(chi: DirichletCharacter) -> tuple[np.ndarray, np.n
             else:
                 coeff *= p ** (k - ell)
     coeff = np.where(pos < 0, 0, coeff)
+    for arr in (coeff, pos):
+        arr.flags.writeable = False
     return coeff, pos
 
 
@@ -672,7 +676,9 @@ def verify_char_sum_identity(q: int) -> bool:
         rows = karr[units]
         flat = (rows[:, None] * q + cols).ravel()
         counts = np.bincount(flat, minlength=n * q).reshape(n, q)
-        coeff, pos = _closed_form_coefficients(chi)
+        # each character is visited once, so skip the cache: through it a
+        # sweep over every q <= 200 held 35 MB
+        coeff, pos = _closed_form_coefficients.__wrapped__(chi)
         diff = counts.astype(np.int64)
         nz = np.nonzero(coeff)[0]
         diff[pos[nz], nz] -= coeff[nz]

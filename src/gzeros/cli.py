@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -145,7 +145,9 @@ def _cmd_zeros(args, cfg) -> int:
         zs = import_zeros(args.import_path, label)
         print(f"imported {zs.count()} zeros, certified={zs.certified}")
     else:
-        zs = load_or_build_zeros(label, args.height, cfg.resolved_cache_dir())
+        star = induce_primitive(chi).label  # the file verify/fit read
+        zs = load_or_build_zeros(star, args.height, cfg.resolved_cache_dir())
+        zs = replace(zs, char_label=label)
         print(f"{label}: {zs.count()} zeros to height {args.height}, "
               f"certified={zs.certified}")
     if args.export_path:

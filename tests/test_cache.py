@@ -92,3 +92,23 @@ def test_cli_and_library_read_the_same_sets(tmp_path, monkeypatch):
     ]) == 0
     assert read and all(sets is read[0] for sets in read)
     assert _view(read[0]) == _view(load_or_build_zero_sets(7, T))
+
+
+def test_zeros_command_searches_the_primitive_character(tmp_path, monkeypatch,
+                                                        searches, capsys):
+    # the principal character mod 5 is induced by zeta: one search serves
+    # both commands, and the export keeps the requested label
+    monkeypatch.setenv("GZ_CACHE_DIR", str(tmp_path))
+    out = tmp_path / "q5.txt"
+    assert cli.dispatch(["zeros", "--q", "5", "--height", str(T),
+                         "--export", str(out)]) == 0
+    assert cli.dispatch(["zeros", "--q", "1", "--height", str(T)]) == 0
+    assert searches == ["q=1;e="]
+    assert out.read_text().splitlines()[1] == "# char q=5;e=0"
+    assert "q=5;e=0: 2 zeros" in capsys.readouterr().out
+
+
+def test_evaluator_version_keys_the_zero_cache(tmp_path, monkeypatch):
+    path = cache._zeros_path("q=1;e=", T, tmp_path)
+    monkeypatch.setattr(cache, "EVALUATOR_VERSION", "old")
+    assert cache._zeros_path("q=1;e=", T, tmp_path) != path

@@ -79,6 +79,19 @@ def test_hurwitz_zeta_mpmath_strip():
         assert abs(mine - ref) / abs(ref) < 1e-11
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1 / 7, 0.9])
+@pytest.mark.parametrize("t", [999.7, 2500.2, 5000.0])
+@pytest.mark.parametrize("sigma", [-0.5, 0.5, 1.5])
+def test_hurwitz_zeta_truncation_high_t(sigma, t, alpha):
+    # pins the band truncation N = max(20, ceil(h/2)) where it is tightest:
+    # high on the line and on both edges of the counting contour
+    mp.mp.dps = 30
+    s = complex(sigma, t)
+    mine = hurwitz_zeta_array(np.array([s]), alpha)[0]
+    ref = complex(mp.zeta(mp.mpc(s), alpha))
+    assert abs(mine - ref) / abs(ref) < 5e-11
+
+
 def test_hurwitz_zeta_shift_identity():
     # zeta(s, a) = zeta(s, a+1) + a^-s; checks the constant-term wiring
     for s in [0.0001 + 0j, 2.0 + 0j, 0.5 + 9j]:
@@ -208,6 +221,40 @@ def test_first_zero_against_mpmath_bisection_oracle(zeta_char):
     zs = find_zeros(zeta_char, 15)
     gamma1 = max(e.gamma for e in zs.entries)
     assert abs(gamma1 - oracle) < 1e-6
+
+
+@pytest.fixture(scope="module")
+def zeta1000(zeta_char):
+    """find_zeros(zeta, 1000) and the number of points z_line evaluated."""
+    from gzeros import lfunc
+
+    points = []
+    real = lfunc.z_line
+
+    def counting(chi_star, t):
+        values = real(chi_star, t)
+        points.append(values.size)
+        return values
+
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(lfunc, "z_line", counting)
+        zs = find_zeros(zeta_char, 1000)
+    return zs, sum(points)
+
+
+def test_find_zeros_zeta_1000_against_mpmath(zeta1000):
+    zs, _ = zeta1000
+    assert zs.certified and zs.count() == 1298
+    pos = [e.gamma for e in zs.entries if e.gamma > 0]
+    for n in [1, 2, 3, 100, 649]:
+        assert abs(pos[n - 1] - float(mp.zetazero(n).imag)) < 1e-9
+
+
+def test_find_zeros_zeta_1000_point_budget(zeta1000):
+    # a scan at a tenth of the mean spacing (about 8,100 points) plus a
+    # few Illinois steps for each of the 649 brackets
+    _, points = zeta1000
+    assert points <= 15_000
 
 
 def test_find_zeros_chi4(chi4):
