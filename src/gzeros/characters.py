@@ -214,16 +214,6 @@ class CharacterGroup:
         g = np.gcd(n, self.q)
         return n[g == 1]
 
-    def unit_dlog_matrix(self) -> np.ndarray:
-        """Rows = components, columns = units (in units() order)."""
-        us = self.units()
-        if not self.components:
-            return np.zeros((0, len(us)), dtype=np.int64)
-        return np.stack(
-            [dl[us % c.prime_power]
-             for c, dl in zip(self.components, self._dlogs)]
-        )
-
 
 @lru_cache(maxsize=None)
 def group(q: int) -> CharacterGroup:

@@ -13,13 +13,9 @@ class CertificationFailure(GzError):
     """Zero counts disagree: a missed zero, a multiple zero, or an
     off-line zero.  All are fatal inside the validated envelope.
 
-    Carries the uncertified zero set (if one was assembled) so a caller
-    can inspect the diagnostics.
+    Carries no zero set: the message names the character, both counts and
+    the counting height.
     """
-
-    def __init__(self, message, zero_set=None):
-        super().__init__(message)
-        self.zero_set = zero_set
 
 
 class ContourError(GzError):

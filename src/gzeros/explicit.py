@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import loggamma
@@ -85,24 +85,6 @@ class ExplicitRow:
     def residual(self) -> float:
         # exact - main + correction
         return self.exact - self.rhs
-
-
-@dataclass
-class ExplicitReport:
-    mode: str                   # "thm12" or "thm14"
-    q: int
-    params: dict
-    T: float
-    rows: list[ExplicitRow] = field(default_factory=list)
-    certified: bool = True      # false when any zero set is uncertified
-
-    def rms_residual(self) -> float:
-        if not self.rows:
-            return 0.0
-        return math.sqrt(sum(r.residual ** 2 for r in self.rows) / len(self.rows))
-
-    def watermark(self) -> str:
-        return "" if self.certified else "uncertified"
 
 
 def _require_sets(q: int, zero_sets: dict[str, ZeroSet]) -> list[DirichletCharacter]:
@@ -196,14 +178,13 @@ def landau_gonek(
     chi: DirichletCharacter,
     zeros: ZeroSet,
     T: float,
-    nearest_gap: float | None = None,
 ) -> tuple[complex, complex, float]:
     """(sum, prediction, error_budget) for sum_{|gamma|<=T} x^rho.
 
     prediction = -(T/pi) chi(x) Lambda(x), zero when x is not an integer
     prime power; the budget assembles the three error terms with unit
-    constants.  nearest_gap overrides the <x> distance when the caller
-    has a sieve at hand (otherwise it is found by direct search).
+    constants, one of them through the distance <x> from x to the
+    nearest other prime power.
     """
     if not 1 < x:
         raise ValueError("x must exceed 1")
@@ -220,8 +201,7 @@ def landau_gonek(
         chival = complex(char_value(chi, xi))
     prediction = -(T / math.pi) * chival * lam
 
-    if nearest_gap is None:
-        nearest_gap = _nearest_pp_gap_search(x)
+    nearest_gap = _nearest_pp_gap_search(x)
     q = chi.q
     budget = (
         x * math.log(2 * q * x * T) * math.log(math.log(3 * x))
@@ -232,12 +212,16 @@ def landau_gonek(
 
 
 def _nearest_pp_gap_search(x: float) -> float:
-    """<x>: distance to the nearest prime power other than x itself."""
+    """<x>: distance to the nearest prime power other than x itself.
+
+    Walks outward from floor(x) and ceil(x); the pair at radius r lies at
+    least r from x, so the walk stops once r reaches the best distance.
+    """
     best = math.inf
-    lo = int(math.floor(x)) - 1
-    hi = int(math.ceil(x)) + 1
-    radius = 1
-    while math.isinf(best) or radius < best + 2:
+    lo = math.floor(x)
+    hi = math.ceil(x)
+    radius = 0
+    while radius < best:
         for n in (lo, hi):
             if n > 1 and abs(n - x) > 1e-12 and factorize(n).is_prime_power():
                 best = min(best, abs(n - x))

@@ -9,22 +9,33 @@ times the one before, and against mpmath the relative error is below
 Computational methods and experiments in analytic number theory, 2005).
 Then L(s, chi) = q^-s sum_a chi(a) zeta(s, a/q).
 
-Zeros are located on the critical line through the rotated real function
+One gamma factor serves every use of the completed function
+Lambda(s, chi) = G(s, chi) L(s, chi) for primitive chi:
+
+    log G(s, chi) = ((s + kappa)/2) log(q/pi) + log Gamma((s + kappa)/2).
+
+completed_lambda takes its exp, the argument-principle count its
+imaginary part, and the zero scan its imaginary part on the critical line:
 
     Z_chi(t) = Re[ e^{i theta_chi(t)} L(1/2 + it, chi) ],
-    theta_chi(t) = (t/2) log(q/pi) + Im log Gamma((1/2 + kappa + it)/2)
-                   - arg(epsilon(chi)) / 2,
+    theta_chi(t) = Im log G(1/2 + it, chi) - arg(epsilon(chi)) / 2,
 
 which is real-analytic with the same zeros as L on the line (for every
 primitive chi, not only real ones).  The scan step is a tenth of the
 mean zero spacing 2 pi / log(q T / 2 pi) at the top of the range; sign
 changes are refined by vectorized Illinois regula falsi to brackets
 narrower than 2.5e-10.  Completeness is certified by comparing against
-the argument-principle count N(T, chi), computed as the winding number of
-the completed function around the rectangle [-1/2, 3/2] x [-T, T]
-(for the zeta path the s(s-1)/2 factor absorbs the poles, which is the
-pole correction).  A count mismatch is fatal in the validated envelope:
-it means a missed zero, a multiple zero, or an off-line zero.
+the argument-principle count N(T, chi) of zeros in the rectangle
+[-1/2, 3/2] x [-T, T].  The count walks only the right half of its
+boundary, 1/2 - iT -> 3/2 - iT -> 3/2 + iT -> 1/2 + iT, and N is that
+phase change divided by pi: the functional equation
+Lambda(1 - conj s, chi) = epsilon(chi) conj Lambda(s, chi) maps the right
+half onto the left half traversed backwards, so the left half adds the
+same phase change (for zeta, xi(1 - conj s) = conj xi(s)).  So the
+count never evaluates on Re s = -1/2, where Euler-Maclaurin is least
+accurate.  For the zeta path the s(s-1)/2 factor absorbs the poles, which is the pole
+correction.  A count mismatch raises CertificationFailure: it means a
+missed zero, a multiple zero, or an off-line zero.
 
 Computed zeros store beta = 1/2 exactly; imported sets may carry other
 beta values for hypothetical-scenario replay but are never certified.
@@ -193,14 +204,20 @@ def l_value(s: complex, chi: DirichletCharacter) -> complex:
     return complex(l_values_array(chi, np.array([s]))[0])
 
 
+def _log_gamma_factor(chi_star: DirichletCharacter, s) -> np.ndarray:
+    """log G(s, chi) = ((s+kappa)/2) log(q/pi) + log Gamma((s+kappa)/2),
+    the gamma factor of Lambda(s, chi) = G(s, chi) L(s, chi), over an s
+    array (chi primitive)."""
+    sk = (np.asarray(s, dtype=np.complex128) + chi_star.parity) / 2.0
+    return sk * math.log(chi_star.q / math.pi) + loggamma(sk)
+
+
 def completed_lambda(s: complex, chi: DirichletCharacter) -> complex:
     """Lambda(s, chi) = (q/pi)^((s+kappa)/2) Gamma((s+kappa)/2) L(s, chi),
     for primitive chi."""
     if not is_primitive(chi):
         raise ValueError("completed_lambda requires a primitive character")
-    sk = (s + chi.parity) / 2.0
-    pref = cmath.exp(sk * math.log(chi.q / math.pi) + complex(loggamma(sk)))
-    return pref * l_value(s, chi)
+    return complex(np.exp(_log_gamma_factor(chi, s))) * l_value(s, chi)
 
 
 def functional_equation_residual(s: complex, chi: DirichletCharacter) -> float:
@@ -281,26 +298,14 @@ def mirror_zero_set(zs: ZeroSet, label: str) -> ZeroSet:
 # the rotated line function
 
 
-def _theta_phase(chi_star: DirichletCharacter, t: np.ndarray) -> np.ndarray:
-    """Rotation making e^{i theta} L(1/2+it) real, for primitive chi."""
-    kappa = chi_star.parity
-    q = chi_star.q
-    eps_arg = cmath.phase(root_number(chi_star))
-    z = (0.5 + kappa + 1j * t) / 2.0
-    return (
-        t / 2.0 * math.log(q / math.pi)
-        + loggamma(z).imag
-        - eps_arg / 2.0
-    )
-
-
 def z_line(chi_star: DirichletCharacter, t) -> np.ndarray:
-    """Z_chi(t) on the critical line (real array)."""
+    """Z_chi(t) = Re[e^{i theta} L(1/2+it, chi)] on the critical line (real
+    array), theta = Im log G(1/2+it, chi) - arg(epsilon(chi))/2."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    lvals = l_values_array(chi_star, 0.5 + 1j * t)
-    rot = np.exp(1j * _theta_phase(chi_star, t))
-    z = rot * lvals
-    return z.real
+    s = 0.5 + 1j * t
+    theta = (_log_gamma_factor(chi_star, s).imag
+             - cmath.phase(root_number(chi_star)) / 2.0)
+    return (np.exp(1j * theta) * l_values_array(chi_star, s)).real
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +316,7 @@ def _phase_values(chi_star: DirichletCharacter, s: np.ndarray) -> np.ndarray:
     """arg of the completed function at points s (mod 2pi is fine: only
     wrapped differences are used)."""
     lv = l_values_array(chi_star, s)
-    kappa = chi_star.parity
-    sk = (s + kappa) / 2.0
-    ph = (sk * math.log(chi_star.q / math.pi)).imag + loggamma(sk).imag \
-        + np.angle(lv)
+    ph = _log_gamma_factor(chi_star, s).imag + np.angle(lv)
     if chi_star.q == 1:
         # xi path: multiply by s(s-1)/2 to absorb the two poles
         ph = ph + np.angle(s * (s - 1) / 2.0)
@@ -326,13 +328,14 @@ def _wrap(d: np.ndarray) -> np.ndarray:
 
 
 def _winding(chi_star: DirichletCharacter, T: float) -> float:
-    """Total phase change / 2pi around [-1/2, 3/2] x [-T, T]."""
+    """Phase change / pi along 1/2 - iT -> 3/2 - iT -> 3/2 + iT -> 1/2 + iT,
+    the right half of [-1/2, 3/2] x [-T, T]: by the functional equation
+    the left half adds the same change, so this is the winding number."""
     corners = [
-        complex(-0.5, -T),
+        complex(0.5, -T),
         complex(1.5, -T),
         complex(1.5, T),
-        complex(-0.5, T),
-        complex(-0.5, -T),
+        complex(0.5, T),
     ]
     total = 0.0
     for c0, c1 in zip(corners, corners[1:]):
@@ -357,13 +360,14 @@ def _winding(chi_star: DirichletCharacter, T: float) -> float:
         else:
             raise ContourError("phase refinement did not converge")
         total += float(np.sum(_wrap(np.diff(ph))))
-    return total / (2 * math.pi)
+    return total / math.pi
 
 
 def zero_count_argument(chi: DirichletCharacter, T: float) -> int:
     """N(T, chi): zeros with |gamma| <= T, 0 < beta < 1, counted with
-    multiplicity, via the winding of the completed function (the zeta
-    path carries the pole correction through its s(s-1)/2 factor).
+    multiplicity, via the winding of the completed function, read off the
+    right half of the rectangle (the zeta path carries the pole
+    correction through its s(s-1)/2 factor).
 
     Imprimitive characters count the zeros of the inducing primitive one
     (the Euler factors only vanish on Re s = 0 boundary lines, which are
@@ -435,22 +439,14 @@ def _scan_and_bisect(
     return 0.5 * (a + b)
 
 
-def find_zeros(
-    chi: DirichletCharacter,
-    T: float,
-    strict: bool = True,
-) -> ZeroSet:
+def find_zeros(chi: DirichletCharacter, T: float) -> ZeroSet:
     """All zeros of L(s, chi) with |gamma| <= T, located on the critical
     line and certified against the argument-principle count.
 
     The scan step is a tenth of the mean zero spacing at the top of the
     range, 2 pi / log(max(q* (T + margin) / 2 pi, e)) for conductor q*;
     a count mismatch rescans at a quarter of the step (up to three times).
-
-    strict=True raises CertificationFailure when the counts cannot be
-    reconciled; strict=False returns the uncertified set with the surplus
-    multiplicity attached to the nearest located zero (diagnostics says
-    where).
+    Counts that still disagree raise CertificationFailure.
     """
     if chi.q > FIND_Q_CAP or T > FIND_T_CAP:
         raise CapacityError(
@@ -476,7 +472,6 @@ def find_zeros(
         else:
             ordinates = _scan_and_bisect(chi_star, -T - margin, T + margin, step)
 
-        inside = ordinates[np.abs(ordinates) <= T]
         # pick the counting height: away from every located ordinate
         t_count = T
         near = np.abs(np.abs(ordinates) - T)
@@ -491,50 +486,23 @@ def find_zeros(
             n_true = zero_count_argument(chi_star, t_count)
         n_found = int(np.sum(np.abs(ordinates) <= t_count))
         if n_found == n_true:
-            entries = [ZeroEntry(0.5, float(g)) for g in inside]
-            zs = ZeroSet(
+            inside = ordinates[np.abs(ordinates) <= T]
+            return ZeroSet(
                 char_label=chi.label,
                 height=float(T),
-                entries=entries,
+                entries=[ZeroEntry(0.5, float(g)) for g in inside],
                 certified=True,
             )
-            return zs
         logger.warning(
             "find_zeros %s: found %d vs argument count %d at step %.4g",
             chi.label, n_found, n_true, step,
         )
         step /= 4.0
 
-    # unreconciled: attach surplus multiplicity to the nearest zero
-    deficit = n_true - n_found
-    entries = [ZeroEntry(0.5, float(g)) for g in inside]
-    diag = (
-        f"sign-change count {n_found} != argument count {n_true} "
-        f"at height {t_count}"
+    raise CertificationFailure(
+        f"{chi.label}: sign-change count {n_found} != argument count "
+        f"{n_true} at height {t_count}"
     )
-    if deficit > 0 and entries:
-        order = np.sort(inside)
-        gaps = np.diff(np.concatenate([[-t_count], order, [t_count]]))
-        # the zero flanking the widest unsampled gap is the best suspect
-        idx = min(int(np.argmax(gaps)), len(order) - 1)
-        target_gamma = float(order[idx])
-        entries = [
-            ZeroEntry(0.5, e.gamma, e.multiplicity + deficit, e.source)
-            if e.gamma == target_gamma
-            else e
-            for e in entries
-        ]
-        diag += f"; surplus multiplicity {deficit} attached near gamma={target_gamma:.6f}"
-    zs = ZeroSet(
-        char_label=chi.label,
-        height=float(T),
-        entries=entries,
-        certified=False,
-        diagnostics=diag,
-    )
-    if strict:
-        raise CertificationFailure(diag, zero_set=zs)
-    return zs
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ Provides:
 - euler_phi, moebius, tau, phi2: standard multiplicative functions
 - build_sieve(x): von Mangoldt table Lambda(n) for n <= x as float64 logs,
   with Lambda(n) = log p exactly when n = p^k and 0 otherwise
-- nearest prime-power distances <x> used by the Landau-Gonek check
 
 The sieve is segmented (2^20-element blocks) so construction stays cache
 resident; the resulting SieveTable is immutable and safe to share.
@@ -15,7 +14,7 @@ resident; the resulting SieveTable is immutable and safe to share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,37 +211,12 @@ class SieveTable:
     limit: int
     lambda_: np.ndarray  # float64, indices 0..limit; [0] and [1] are 0
     is_prime_power: np.ndarray  # bool, same indexing
-    _pp_list: np.ndarray | None = field(default=None, repr=False)
 
     def psi(self, u: float) -> float:
         """Chebyshev psi(u) = sum_{n<=u} Lambda(n)."""
         if u < 2:
             return 0.0
         return float(self.lambda_[: int(math.floor(u)) + 1].sum())
-
-    def prime_powers(self) -> np.ndarray:
-        """Sorted prime powers <= limit (built lazily, cached)."""
-        if self._pp_list is None:
-            self._pp_list = np.nonzero(self.is_prime_power)[0].astype(np.int64)
-        return self._pp_list
-
-    def nearest_pp_gap(self, x: float) -> float:
-        """<x>: distance from x to the nearest prime power OTHER than x.
-
-        Defined for any real x in (0, limit]; for prime-power x the
-        distance to the nearest other prime power (always >= 1).
-        """
-        pps = self.prime_powers()
-        if len(pps) == 0:
-            raise ValueError("sieve holds no prime powers")
-        i = np.searchsorted(pps, x)
-        best = math.inf
-        for j in (i - 2, i - 1, i, i + 1):
-            if 0 <= j < len(pps):
-                d = abs(float(pps[j]) - x)
-                if d > 1e-12 and d < best:  # skip x itself
-                    best = d
-        return best
 
 
 def build_sieve(x: int, cap: int = SIEVE_CAP) -> SieveTable:

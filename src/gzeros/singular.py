@@ -34,6 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .lfunc import hurwitz_zeta_array
 from .numtheory import euler_phi, factorize, moebius, primes_up_to
 
 _C2_SERIES_TERMS = 120
@@ -64,25 +65,11 @@ def _prime_zeta(s: float) -> float:
         if js > 50:
             lz = math.log1p(2.0 ** -js + 3.0 ** -js)
         else:
-            lz = math.log(float(_zeta_real(js)))
+            lz = math.log(float(hurwitz_zeta_array(js, 1.0)[0].real))
         total += mu / j * lz
         if abs(lz) < 1e-18:
             break
     return total
-
-
-def _zeta_real(s: float) -> float:
-    """zeta(s) for real s > 1 by direct sum plus Euler-Maclaurin tail."""
-    N = 1000
-    ns = np.arange(1, N, dtype=np.float64)
-    head = float(np.sum(ns ** -s))
-    tail = (
-        N ** (1 - s) / (s - 1)
-        + 0.5 * N ** -s
-        + s / 12.0 * N ** (-s - 1)
-        - s * (s + 1) * (s + 2) / 720.0 * N ** (-s - 3)
-    )
-    return head + tail
 
 
 def compute_c2(prime_cutoff: int = 10 ** 6) -> SingularConstants:

@@ -166,6 +166,14 @@ def test_landau_gonek_command(cache_env, capsys):
     assert payload["within_budget"] is True
 
 
+def test_landau_gonek_command_near_prime_power(cache_env, capsys):
+    # x = 4.001 sits 0.001 from the prime power 4, which sets the budget
+    code = dispatch(["landau-gonek", "--x", "4.001", "--q", "1", "--height", "200"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["within_budget"] is True
+
+
 def test_circle_command(cache_env, tmp_path):
     js = tmp_path / "c.json"
     code = dispatch(["circle", "--x", "300", "--q", "1",

@@ -8,6 +8,7 @@ from gzeros.characters import build_group
 from gzeros.explicit import (
     ExplicitRow,
     MissingZeroSetError,
+    _nearest_pp_gap_search,
     h_term,
     h_term_tail_bound,
     landau_gonek,
@@ -191,6 +192,16 @@ def test_landau_gonek_non_integer(zeta_zeros):
     s, pred, budget = landau_gonek(2.5, zc, zeta_zeros, 200.0)
     assert pred == 0
     assert abs(s) <= budget
+
+
+def test_nearest_pp_gap():
+    assert _nearest_pp_gap_search(2) == 1          # 3
+    assert _nearest_pp_gap_search(23) == 2         # 25
+    assert _nearest_pp_gap_search(6.0) == 1.0      # 5 or 7
+    assert _nearest_pp_gap_search(2.5) == 0.5
+    # the prime powers at floor(x) and ceil(x) count too
+    assert _nearest_pp_gap_search(4.001) == pytest.approx(0.001)   # 4
+    assert _nearest_pp_gap_search(127.9) == pytest.approx(0.1)     # 128
 
 
 def test_landau_gonek_character():

@@ -7,7 +7,7 @@ import pytest
 
 from gzeros.cache import load_or_build_zero_sets
 from gzeros.characters import build_group, character_from_label, conjugate, induce_primitive
-from gzeros.errors import CapacityError, ValidationError
+from gzeros.errors import CapacityError, CertificationFailure, ValidationError
 from gzeros.lfunc import (
     ZeroEntry,
     ZeroSet,
@@ -185,6 +185,64 @@ def test_zero_count_zeta(zeta_char):
     assert zero_count_argument(zeta_char, 100) == 58  # 29 pairs
 
 
+def _winding_full_rectangle(chi_star, T):
+    """Reference count: phase change / 2pi around all four sides of
+    [-1/2, 3/2] x [-T, T]."""
+    from gzeros.errors import ContourError
+    from gzeros.lfunc import _phase_values, _wrap
+
+    corners = [complex(-0.5, -T), complex(1.5, -T), complex(1.5, T),
+               complex(-0.5, T), complex(-0.5, -T)]
+    total = 0.0
+    for c0, c1 in zip(corners, corners[1:]):
+        npts = max(8, int(abs(c1 - c0) / 0.25) + 1)
+        pts = c0 + (c1 - c0) * np.linspace(0.0, 1.0, npts + 1)
+        ph = _phase_values(chi_star, pts)
+        for _ in range(44):
+            d = _wrap(np.diff(ph))
+            bad = np.nonzero(np.abs(d) > 1.2)[0]
+            if len(bad) == 0:
+                break
+            if np.min(np.abs(np.diff(pts)[bad])) < 1e-9:
+                raise ContourError("contour too close to a zero")
+            mids = 0.5 * (pts[bad] + pts[bad + 1])
+            pts = np.insert(pts, bad + 1, mids)
+            ph = np.insert(ph, bad + 1, _phase_values(chi_star, mids))
+        else:
+            raise ContourError("phase refinement did not converge")
+        total += float(np.sum(_wrap(np.diff(ph))))
+    return total / (2 * math.pi)
+
+
+def test_zero_count_matches_full_rectangle(zeta_char):
+    # the half-rectangle count against the four-side reference
+    cases = [(zeta_char, T) for T in (15, 100, 200)]
+    cases += [(chi, 40) for q in range(3, 14) for chi in build_group(q)
+              if chi.conductor == q and not chi.is_principal]
+    for chi, T in cases:
+        w = _winding_full_rectangle(chi, T)
+        assert abs(w - round(w)) < 0.05
+        assert zero_count_argument(chi, T) == round(w), chi.label
+
+
+def test_zero_count_point_budget(zeta_char, monkeypatch):
+    # one long side of 8,002 points plus two short ones of 9; all four
+    # sides would take 16,024
+    from gzeros import lfunc
+
+    points = []
+    real = lfunc.hurwitz_zeta_array
+
+    def counting(s, alpha):
+        values = real(s, alpha)
+        points.append(values.size)
+        return values
+
+    monkeypatch.setattr(lfunc, "hurwitz_zeta_array", counting)
+    assert zero_count_argument(zeta_char, 1000) == 1298
+    assert sum(points) <= 8_500
+
+
 def test_zero_count_shape(zeta_char):
     # growth consistent with the T log T shape of the counting lemma
     for T in [50, 100, 200]:
@@ -278,6 +336,18 @@ def test_find_zeros_symmetry_and_lambda_smallness():
                 assert abs(completed_lambda(0.5 + 1j * e.gamma, star)) < 1e-9
 
 
+def test_find_zeros_count_mismatch_raises(zeta_char, monkeypatch):
+    from gzeros import lfunc
+
+    real = lfunc.zero_count_argument
+    monkeypatch.setattr(lfunc, "zero_count_argument",
+                        lambda chi, T: real(chi, T) + 2)
+    with pytest.raises(CertificationFailure) as info:
+        find_zeros(zeta_char, 30)
+    # 3 ordinates below 30, both signs: 6 found against a count of 8
+    assert "sign-change count 6 != argument count 8" in str(info.value)
+
+
 def test_find_zeros_envelope():
     with pytest.raises(CapacityError):
         find_zeros(build_group(1)[0], 2000)
@@ -288,9 +358,12 @@ def test_z_line_is_real():
     # through the imaginary part of the unrotated product
     chi5 = character_from_label("q=5;e=1")
     t = np.linspace(1, 40, 200)
-    from gzeros.lfunc import _theta_phase, l_values_array as lva
+    from gzeros.lfunc import _log_gamma_factor, l_values_array as lva
+    from gzeros.characters import root_number
 
-    z = np.exp(1j * _theta_phase(chi5, t)) * lva(chi5, 0.5 + 1j * t)
+    s = 0.5 + 1j * t
+    theta = _log_gamma_factor(chi5, s).imag - cmath.phase(root_number(chi5)) / 2
+    z = np.exp(1j * theta) * lva(chi5, s)
     assert np.max(np.abs(z.imag)) < 1e-8 * max(1.0, np.max(np.abs(z.real)))
 
 

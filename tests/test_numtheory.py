@@ -153,14 +153,6 @@ def test_sieve_capacity():
         build_sieve(10 ** 7, cap=10 ** 6)
 
 
-def test_nearest_pp_gap():
-    sv = build_sieve(100)
-    assert sv.nearest_pp_gap(2) == 1          # 3
-    assert sv.nearest_pp_gap(23) == 2         # 25
-    assert sv.nearest_pp_gap(6.0) == 1.0      # 5 or 7
-    assert sv.nearest_pp_gap(2.5) == 0.5
-
-
 def test_sieve_cache_roundtrip(tmp_path):
     sv = build_sieve(1234)
     path = tmp_path / "sv.gzsv"
