@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GzError
-from .explicit import thm12_rhs, thm14_rhs
+from .explicit import ExplicitRow, thm12_rhs, thm14_rhs
 from .goldbach import restricted_sum, s_grid
 from .lfunc import ZeroSet
 from .numtheory import SieveTable, euler_phi
@@ -60,6 +60,8 @@ def geometric_grid(x_min: float, x_max: float, points: int = 25) -> np.ndarray:
     points are exactly x_min and x_max."""
     if not x_min < x_max:
         raise ValueError("need x_min < x_max")
+    if points < 2:
+        raise ValueError(f"a grid needs at least 2 points, got {points}")
     xs = np.exp(np.linspace(math.log(x_min), math.log(x_max), points))
     xs[0], xs[-1] = x_min, x_max  # exp(log(x)) can land an ulp below x
     return xs
@@ -67,7 +69,7 @@ def geometric_grid(x_min: float, x_max: float, points: int = 25) -> np.ndarray:
 
 @dataclass
 class ResidualParams:
-    """Everything residual_grid needs beyond the x grid."""
+    """Everything explicit_grid and residual_grid need beyond the x grid."""
 
     q: int
     a: int = 1
@@ -78,37 +80,39 @@ class ResidualParams:
     zero_sets: dict[str, ZeroSet] = field(default_factory=dict)
 
 
-def residual_grid(
+def explicit_grid(
     mode: str, params: ResidualParams, xs: np.ndarray
-) -> list[tuple[float, float]]:
-    """Delta(x) per mode:
+) -> list[ExplicitRow]:
+    """The exact sum against the mode's right-hand side, one row per x:
 
-    thm11: S(x;q,a,b) - x^2/(2 phi(q)^2)
-    thm12: S(x;q,a,b) - thm12_rhs(x)
-    thm14: restricted_sum(x;q,c) - thm14_rhs(x)
+    thm11: S(x;q,a,b) against the main term x^2/(2 phi(q)^2) alone
+    thm12: S(x;q,a,b) against thm12_rhs(x)
+    thm14: restricted_sum(x;q,c) against thm14_rhs(x)
     """
     if mode not in ("thm11", "thm12", "thm14"):
         raise ValueError(f"unknown mode {mode!r}")
+    p = params
+    if p.sieve is None:
+        raise GzError("explicit_grid needs a sieve covering max x")
     xs = np.asarray(xs, dtype=np.float64)
-    sieve = params.sieve
-    if sieve is None:
-        raise GzError("residual_grid needs a sieve covering max x")
-    q, a, b, c, T = params.q, params.a, params.b, params.c, params.T
     if mode == "thm14":
-        exact = restricted_sum(xs, q, c, sieve)
-    else:
-        exact = s_grid(xs, q, a, b, sieve)
-    phi = euler_phi(q)
-    out: list[tuple[float, float]] = []
-    for x, e in zip(xs.tolist(), exact.tolist()):
-        if mode == "thm11":
-            d = e - x * x / (2 * phi * phi)
-        elif mode == "thm12":
-            d = thm12_rhs(x, q, a, b, params.zero_sets, T, exact=e).residual
-        else:
-            d = thm14_rhs(x, q, c, params.zero_sets, T, exact=e).residual
-        out.append((x, d))
-    return out
+        exact = restricted_sum(xs, p.q, p.c, p.sieve)
+        return [thm14_rhs(x, p.q, p.c, p.zero_sets, p.T, exact=e)
+                for x, e in zip(xs.tolist(), exact.tolist())]
+    exact = s_grid(xs, p.q, p.a, p.b, p.sieve)
+    if mode == "thm12":
+        return [thm12_rhs(x, p.q, p.a, p.b, p.zero_sets, p.T, exact=e)
+                for x, e in zip(xs.tolist(), exact.tolist())]
+    phi = euler_phi(p.q)
+    return [ExplicitRow(x, e, x * x / (2 * phi * phi), 0j, 0.0)
+            for x, e in zip(xs.tolist(), exact.tolist())]
+
+
+def residual_grid(
+    mode: str, params: ResidualParams, xs: np.ndarray
+) -> list[tuple[float, float]]:
+    """Delta(x) = exact - rhs on the grid, per mode as in explicit_grid."""
+    return [(r.x, r.residual) for r in explicit_grid(mode, params, xs)]
 
 
 def rms(residuals: list[tuple[float, float]]) -> float:

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError
-from .numtheory import euler_phi, factorize, moebius
+from .numtheory import euler_phi, factorize, moebius, unit_pair_count
 
 GROUP_CAP = 10 ** 6
 
@@ -638,13 +638,11 @@ def _closed_form_coefficients(chi: DirichletCharacter) -> tuple[np.ndarray, np.n
     coeff = np.full(q, mu, dtype=np.int64)
     pos = kstar[cvals % star.q] if star.q > 1 else np.zeros(q, dtype=np.int64)
     if mu != 0:
-        qs_fac = dict(factorize(star.q).factors)
-        for p, k in factorize(q).factors:
-            ell = qs_fac.get(p, 0)
-            if ell == 0:
-                coeff *= np.where(cvals % p == 0, p - 1, p - 2) * p ** (k - 1)
-            else:
-                coeff *= p ** (k - ell)
+        # split q = q_out * m with q_out prime to q*: the primes of q_out
+        # give the sieve factors of unit_pair_count, and p^k || m with
+        # p^ell || q* gives p^(k - ell), together m / q*
+        q_out = math.prod(p ** k for p, k in factorize(q).factors if star.q % p)
+        coeff *= q // q_out // star.q * unit_pair_count(q_out, cvals)
     coeff = np.where(pos < 0, 0, coeff)
     for arr in (coeff, pos):
         arr.flags.writeable = False
@@ -681,14 +679,11 @@ def verify_char_sum_identity(q: int) -> bool:
 
 def verify_sieve_identity(q: int) -> bool:
     """Exact integer identity #{a : (a(c-a), q) = 1} = phi(q)^2 S_q(c)
-    for every c in [1, q] (the principal-character case of the lemma)."""
+    for every c in [1, q] (the principal-character case of the lemma):
+    a cyclic convolution counts, numtheory.unit_pair_count predicts."""
     r = np.arange(q, dtype=np.int64)
     unit = (np.gcd(r, q) == 1).astype(np.int64)
     conv = np.convolve(unit, unit)
     counts = conv[:q].copy()
     counts[: q - 1] += conv[q:]
-    cvals = np.where(r == 0, q, r)
-    expect = np.ones(q, dtype=np.int64)
-    for p, k in factorize(q).factors:
-        expect *= np.where(cvals % p == 0, p - 1, p - 2) * p ** (k - 1)
-    return bool(np.array_equal(counts, expect))
+    return bool(np.array_equal(counts, unit_pair_count(q, r)))

@@ -26,6 +26,7 @@ from .analysis import (
     BStarParams,
     ResidualParams,
     b_star,
+    explicit_grid,
     fit_exponent,
     geometric_grid,
     residual_grid,
@@ -42,11 +43,12 @@ from .characters import (
     character_from_label,
     induce_primitive,
     verify_char_sum_identity,
+    verify_sieve_identity,
 )
 from .circle import build_grid, decompose_check, j_chi, selberg_integral, w_mass
 from .errors import GzError
-from .explicit import landau_gonek, thm12_rhs, thm14_rhs
-from .goldbach import build_class_convolution, floor_x, restricted_sum, s_grid
+from .explicit import landau_gonek
+from .goldbach import build_class_convolution, floor_x
 from .lfunc import export_zeros, find_zeros, import_zeros
 from .numtheory import build_sieve, euler_phi
 from .singular import compute_c2, j_average, j_weight_table, singular_series
@@ -188,31 +190,37 @@ def _cmd_javg(args, cfg) -> int:
     return 0
 
 
+def _residual_params(args, cfg, mode: str) -> ResidualParams:
+    """Sieve to xmax, the zero sets mod q (none for thm11) and the class
+    arguments (a, b, c) the command takes."""
+    sieve = load_or_build_sieve(args.xmax, cfg.resolved_cache_dir())
+    zsets = {}
+    if mode != "thm11":
+        zsets = load_or_build_zero_sets(args.q, args.height, cfg.resolved_cache_dir())
+    return ResidualParams(q=args.q, T=args.height, sieve=sieve,
+                          zero_sets=zsets, **_class_args(args))
+
+
+def _class_args(args) -> dict[str, int]:
+    """The residues a, b, c among the command's arguments."""
+    return {k: getattr(args, k) for k in ("a", "b", "c") if hasattr(args, k)}
+
+
 def _cmd_verify(args, cfg) -> int:
     """verify-thm12 / verify-thm14: exact sums on a grid against the
     explicit formula."""
-    sieve = load_or_build_sieve(args.xmax, cfg.resolved_cache_dir())
-    zsets = load_or_build_zero_sets(args.q, args.height, cfg.resolved_cache_dir())
     xs = geometric_grid(args.xmin, args.xmax, args.grid)
-    if args.command == "verify-thm12":
-        summary = {"mode": "thm12", "q": args.q, "a": args.a, "b": args.b}
-        exact = s_grid(xs, args.q, args.a, args.b, sieve)
-        rows = [thm12_rhs(x, args.q, args.a, args.b, zsets, args.height, exact=e)
-                for x, e in zip(xs.tolist(), exact.tolist())]
-    else:
-        summary = {"mode": "thm14", "q": args.q, "c": args.c}
-        exact = restricted_sum(xs, args.q, args.c, sieve)
-        rows = [thm14_rhs(x, args.q, args.c, zsets, args.height, exact=e)
-                for x, e in zip(xs.tolist(), exact.tolist())]
+    mode = args.command.removeprefix("verify-")
+    params = _residual_params(args, cfg, mode)
     rows = [(r.x, r.exact, r.main, r.zero_correction.real, r.residual,
-             r.truncation_bound) for r in rows]
+             r.truncation_bound) for r in explicit_grid(mode, params, xs)]
     _emit_csv(args.out, ["x", "exact", "main", "zero_correction", "residual",
                          "truncation_bound"], rows)
     ok = all(abs(r[4]) <= r[5] + 5 * r[0] ** 1.5 for r in rows)
-    certified = all(zs.certified for zs in zsets.values())
+    certified = all(zs.certified for zs in params.zero_sets.values())
     if args.json:
         _emit_json(args.json, {
-            **summary, "T": args.height,
+            "mode": mode, "q": args.q, **_class_args(args), "T": args.height,
             "rms_residual": rms([(r[0], r[4]) for r in rows]),
             "pass": bool(ok),
             "certified": certified,
@@ -259,14 +267,7 @@ def _cmd_circle(args, cfg) -> int:
 
 
 def _cmd_fit(args, cfg) -> int:
-    sieve = load_or_build_sieve(args.xmax, cfg.resolved_cache_dir())
-    zsets = {}
-    if args.mode in ("thm12", "thm14"):
-        zsets = load_or_build_zero_sets(args.q, args.height, cfg.resolved_cache_dir())
-    params = ResidualParams(
-        q=args.q, a=args.a, b=args.b, c=args.c, T=args.height,
-        sieve=sieve, zero_sets=zsets,
-    )
+    params = _residual_params(args, cfg, args.mode)
     xs = geometric_grid(args.xmin, args.xmax, cfg.grid_points)
     res = residual_grid(args.mode, params, xs)
     fit = fit_exponent(res)
@@ -299,19 +300,8 @@ def _cmd_selfcheck(args, cfg) -> int:
     report("character-sum closed form == brute force (q <= 30, exact)",
            all(verify_char_sum_identity(q) for q in range(1, 31)))
 
-    import fractions
-    ok = True
-    for q in range(1, 101):
-        phi = euler_phi(q)
-        for c in range(1, q + 1):
-            count = sum(
-                1 for a in range(1, q + 1)
-                if math.gcd(a, q) == 1
-                and math.gcd((c - a) % q if q > 1 else 1, q) == 1
-            )
-            if fractions.Fraction(count) != phi * phi * singular_series(q, c):
-                ok = False
-    report("sieve identity #{a} == phi(q)^2 S_q(c) (q <= 100, exact)", ok)
+    report("sieve identity #{a} == phi(q)^2 S_q(c) (q <= 100, exact)",
+           all(verify_sieve_identity(q) for q in range(1, 101)))
 
     sieve = build_sieve(4000)
     grid = build_grid(300, 3, sieve, 601)

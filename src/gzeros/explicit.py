@@ -2,27 +2,27 @@
 
 The central object is the truncated zero term
 
-    H_T(x, chi) = sum_{|gamma| <= T} x^(rho+1) / (rho (rho+1)),
+    H_T(x, chi) = sum_{|gamma| <= T} x^(rho+1) / (rho (rho+1)).
 
-which enters the two main asymptotics as
+Both main asymptotics read main - (scale/phi(q)^2) sum_chi w_chi H_T(x, chi)
+and differ only in the weight w_chi of chi's zeros and the main term:
 
-    S(x; q, a, b)      ~ x^2/(2 phi(q)^2)
-                         - phi(q)^-2 sum_chi (conj chi(a) + conj chi(b)) H_T(x, chi)
-
-    sum_{n<=x, n=c(q)} G(n)
-                       ~ S_q(c) x^2 / 2
-                         - (2/phi(q)^2) sum_chi conj(csum(chi, c)) H_T(x, chi)
+    S(x; q, a, b):            w_chi = conj chi(a) + conj chi(b), scale 1,
+                              main x^2 / (2 phi(q)^2);
+    sum_{n<=x, n=c(q)} G(n):  w_chi = conj csum(chi, c), scale 2,
+                              main S_q(c) x^2 / 2,
 
 with csum the complete character sum collapsed through its closed form.
-Every zero sum here is lfunc.zero_power_sum, which evaluates x^rho as
-x^beta e^(i gamma log x) over the whole set and sums with exact (fsum)
-rounding: the sums are cancellation-heavy and runs must be reproducible
-bit for bit.
+_thm12_weights and _thm14_weights give the weights; one kernel
+(_explicit_row) sums the correction over the nonzero ones with exact
+fsum rounding, since the sums are cancellation-heavy and runs must be
+reproducible bit for bit, and one kernel (_residue) gives the residue
+-(scale/phi(q)^2) rho^-1 sum_chi w_chi m_chi(rho) of the continued
+series at s = rho + 1.  Every zero sum is lfunc.zero_power_sum.
 
 Also here: the Landau-Gonek prime-power detector sum_{|gamma|<=T} x^rho
-with its assembled unit-constant error budget, the Gamma-ratio of the
-zero-pair term with its T^(1/2) bound, and the residue formulas of the
-meromorphic continuation of the two generating Dirichlet series.
+with its assembled unit-constant error budget and the Gamma-ratio of the
+zero-pair term with its T^(1/2) bound.
 """
 
 from __future__ import annotations
@@ -50,12 +50,8 @@ class MissingZeroSetError(GzError):
     pass
 
 
-def _kahan_complex(terms) -> complex:
-    re, im = [], []
-    for t in terms:
-        re.append(t.real)
-        im.append(t.imag)
-    return complex(math.fsum(re), math.fsum(im))
+# (chi, w_chi) for every chi mod q: the weight of chi's zeros in a formula
+Weights = list[tuple[DirichletCharacter, complex]]
 
 
 def h_term(x: float, chi: DirichletCharacter, zeros: ZeroSet, T: float) -> complex:
@@ -95,82 +91,60 @@ def _require_sets(q: int, zero_sets: dict[str, ZeroSet]) -> list[DirichletCharac
     return chars
 
 
+def _thm12_weights(q: int, a: int, b: int, zero_sets: dict[str, ZeroSet]) -> Weights:
+    """(chi, conj chi(a) + conj chi(b)) for every chi mod q."""
+    return [
+        (chi, complex(char_value(chi, a)).conjugate()
+         + complex(char_value(chi, b)).conjugate())
+        for chi in _require_sets(q, zero_sets)
+    ]
+
+
+def _thm14_weights(q: int, c: int, zero_sets: dict[str, ZeroSet]) -> Weights:
+    """(chi, conj csum(chi, c)) for every chi mod q."""
+    return [(chi, char_sum_closed_form(chi, c).conjugate())
+            for chi in _require_sets(q, zero_sets)]
+
+
 def truncation_bound(x: float, q: int, T: float) -> float:
     """x^2/T (log qx)^2 with constant one (the report's budget column)."""
     return x * x / T * math.log(max(q * x, 2.0)) ** 2
 
 
-def thm12_rhs(
-    x: float,
-    q: int,
-    a: int,
-    b: int,
-    zero_sets: dict[str, ZeroSet],
-    T: float,
-    exact: float = math.nan,
-) -> ExplicitRow:
-    """Main term minus zero correction for S(x; q, a, b).
-
+def _explicit_row(x: float, q: int, weights: Weights, scale: float, main: float,
+                  zero_sets: dict[str, ZeroSet], T: float,
+                  exact: float) -> ExplicitRow:
+    """main - (scale/phi^2) sum of w H_T(x, chi) over the nonzero weights.
     The imaginary part of the correction cancels by conjugate pairing;
-    it is checked and discarded.
-    """
+    it is checked and discarded."""
+    terms = [w * h_term(x, chi, zero_sets[chi.label], T)
+             for chi, w in weights if w != 0]
+    total = complex(math.fsum(t.real for t in terms),
+                    math.fsum(t.imag for t in terms))
+    corr = scale * total / euler_phi(q) ** 2
+    if abs(corr.imag) > 1e-6 * max(abs(corr.real), main, 1.0):
+        raise GzError(f"conjugate pairing failed: imaginary part "
+                      f"{corr.imag:.3e} against scale {main:.3e}")
+    return ExplicitRow(x, exact, main, corr, truncation_bound(x, q, T))
+
+
+def thm12_rhs(x: float, q: int, a: int, b: int, zero_sets: dict[str, ZeroSet],
+              T: float, exact: float = math.nan) -> ExplicitRow:
+    """Main term minus zero correction for S(x; q, a, b)."""
     if math.gcd(a * b, q) != 1:
         raise ValueError("thm12_rhs requires (ab, q) = 1")
-    chars = _require_sets(q, zero_sets)
-    phi = euler_phi(q)
-    corr_terms = []
-    for chi in chars:
-        w = (complex(char_value(chi, a)).conjugate()
-             + complex(char_value(chi, b)).conjugate())
-        if w != 0:
-            corr_terms.append(w * h_term(x, chi, zero_sets[chi.label], T))
-    corr = _kahan_complex(corr_terms) / phi ** 2
-    main = x * x / (2 * phi * phi)
-    _check_real(corr, main)
-    return ExplicitRow(
-        x=x,
-        exact=exact,
-        main=main,
-        zero_correction=corr,
-        truncation_bound=truncation_bound(x, q, T),
-    )
+    weights = _thm12_weights(q, a, b, zero_sets)
+    main = x * x / (2 * euler_phi(q) ** 2)
+    return _explicit_row(x, q, weights, 1.0, main, zero_sets, T, exact)
 
 
-def thm14_rhs(
-    x: float,
-    q: int,
-    c: int,
-    zero_sets: dict[str, ZeroSet],
-    T: float,
-    exact: float = math.nan,
-) -> ExplicitRow:
+def thm14_rhs(x: float, q: int, c: int, zero_sets: dict[str, ZeroSet],
+              T: float, exact: float = math.nan) -> ExplicitRow:
     """Main term minus zero correction for sum_{n<=x, n=c(q)} G(n); the
     inner a-sum is collapsed through the closed-form character sum."""
-    chars = _require_sets(q, zero_sets)
-    phi = euler_phi(q)
-    corr_terms = []
-    for chi in chars:
-        w = char_sum_closed_form(chi, c).conjugate()
-        if w != 0:
-            corr_terms.append(w * h_term(x, chi, zero_sets[chi.label], T))
-    corr = 2.0 * _kahan_complex(corr_terms) / phi ** 2
+    weights = _thm14_weights(q, c, zero_sets)
     main = float(singular_series(q, c)) * x * x / 2.0
-    _check_real(corr, main)
-    return ExplicitRow(
-        x=x,
-        exact=exact,
-        main=main,
-        zero_correction=corr,
-        truncation_bound=truncation_bound(x, q, T),
-    )
-
-
-def _check_real(corr: complex, scale: float) -> None:
-    if abs(corr.imag) > 1e-6 * max(abs(corr.real), scale, 1.0):
-        raise GzError(
-            f"conjugate pairing failed: imaginary part {corr.imag:.3e} "
-            f"against scale {scale:.3e}"
-        )
+    return _explicit_row(x, q, weights, 2.0, main, zero_sets, T, exact)
 
 
 def landau_gonek(
@@ -186,8 +160,8 @@ def landau_gonek(
     constants, one of them through the distance <x> from x to the
     nearest other prime power.
     """
-    if not 1 < x:
-        raise ValueError("x must exceed 1")
+    if not (1 < x < math.inf):
+        raise ValueError(f"x must be finite and exceed 1, got {x}")
     total = zero_power_sum(zeros, T, x)
     lx = math.log(x)
 
@@ -256,57 +230,37 @@ def z_gamma_ratio_matrix(rhos1: np.ndarray, rhos2: np.ndarray) -> np.ndarray:
     return out
 
 
-def residue_r(
-    rho_q: complex,
-    q: int,
-    a: int,
-    b: int,
-    zero_sets: dict[str, ZeroSet],
-    tol: float = 1e-6,
-) -> complex:
-    """Residue of the continued series at s = rho_q + 1:
-    -(1/phi^2) rho_q^-1 sum over chi vanishing at rho_q of
-    (conj chi(a) + conj chi(b)) m_chi(rho_q)."""
-    chars = _require_sets(q, zero_sets)
-    phi = euler_phi(q)
+def _residue(rho_q: complex, q: int, weights: Weights, scale: float,
+             zero_sets: dict[str, ZeroSet], tol: float) -> complex:
+    """-(scale/phi^2) rho_q^-1 sum of w m_chi(rho_q) over the characters
+    whose recorded zeros include rho_q (to within tol)."""
     total = 0j
     found = False
-    for chi in chars:
-        m = _multiplicity_at(zero_sets[chi.label], rho_q, tol)
+    for chi, w in weights:
+        m = sum(e.multiplicity for e in zero_sets[chi.label].entries
+                if abs(e.rho - rho_q) <= tol)
         if m:
             found = True
-            w = (complex(char_value(chi, a)).conjugate()
-                 + complex(char_value(chi, b)).conjugate())
             total += w * m
     if not found:
         raise ValueError(f"{rho_q} is not a recorded zero mod {q}")
-    return -total / (phi * phi * rho_q)
+    phi = euler_phi(q)
+    return -scale * total / (phi * phi * rho_q)
 
 
-def residue_r1(
-    rho_q: complex,
-    q: int,
-    c: int,
-    zero_sets: dict[str, ZeroSet],
-    tol: float = 1e-6,
-) -> complex:
+def residue_r(rho_q: complex, q: int, a: int, b: int,
+              zero_sets: dict[str, ZeroSet], tol: float = 1e-6) -> complex:
+    """Residue of the continued series at s = rho_q + 1:
+    -(1/phi^2) rho_q^-1 sum over chi vanishing at rho_q of
+    (conj chi(a) + conj chi(b)) m_chi(rho_q)."""
+    return _residue(rho_q, q, _thm12_weights(q, a, b, zero_sets), 1.0,
+                    zero_sets, tol)
+
+
+def residue_r1(rho_q: complex, q: int, c: int,
+               zero_sets: dict[str, ZeroSet], tol: float = 1e-6) -> complex:
     """Residue analog for the congruence-class series: the a-summed
     character weight collapses through the closed-form character sum."""
-    chars = _require_sets(q, zero_sets)
-    phi = euler_phi(q)
-    total = 0j
-    found = False
-    for chi in chars:
-        m = _multiplicity_at(zero_sets[chi.label], rho_q, tol)
-        if m:
-            found = True
-            total += char_sum_closed_form(chi, c).conjugate() * m
-    if not found:
-        raise ValueError(f"{rho_q} is not a recorded zero mod {q}")
-    return -2.0 * total / (phi * phi * rho_q)
+    return _residue(rho_q, q, _thm14_weights(q, c, zero_sets), 2.0,
+                    zero_sets, tol)
 
-
-def _multiplicity_at(zeros: ZeroSet, rho: complex, tol: float) -> int:
-    return sum(
-        e.multiplicity for e in zeros.entries if abs(e.rho - rho) <= tol
-    )

@@ -32,9 +32,16 @@ import numpy as np
 
 from .characters import DirichletCharacter, char_values_table
 from .errors import CapacityError
-from .numtheory import SieveTable
+from .numtheory import SieveTable, check_modulus
 
 logger = logging.getLogger(__name__)
+
+
+def _check_classes(caller: str, q: int, a: int, b: int) -> None:
+    """ValueError for q < 1; a logged warning when gcd(ab, q) > 1."""
+    check_modulus(q)
+    if math.gcd(a * b, q) != 1:
+        logger.warning("%s: gcd(ab, q) > 1 (q=%d a=%d b=%d)", caller, q, a, b)
 
 
 def _class_lambda(q: int, a: int, x: int, sieve: SieveTable) -> np.ndarray:
@@ -49,10 +56,9 @@ def _class_lambda(q: int, a: int, x: int, sieve: SieveTable) -> np.ndarray:
 
 def goldbach_g(n: int, q: int, a: int, b: int, sieve: SieveTable) -> float:
     """G(n; q, a, b), the exact double-precision sum over decompositions."""
+    _check_classes("goldbach_g", q, a, b)
     if n > sieve.limit:
         raise ValueError(f"n={n} exceeds sieve limit {sieve.limit}")
-    if math.gcd(a * b, q) != 1:
-        logger.warning("goldbach_g: gcd(ab, q) > 1 (q=%d a=%d b=%d)", q, a, b)
     if n < 4:
         return 0.0
     total = 0.0
@@ -85,12 +91,9 @@ def build_class_convolution(
     q: int, a: int, b: int, x: int, sieve: SieveTable
 ) -> ClassConvolution:
     """G(n; q, a, b) for all n <= x via one real FFT convolution."""
+    _check_classes("build_class_convolution", q, a, b)
     if x > sieve.limit:
         raise CapacityError(f"x={x} exceeds sieve limit {sieve.limit}")
-    if math.gcd(a * b, q) != 1:
-        logger.warning(
-            "build_class_convolution: gcd(ab, q) > 1 (q=%d a=%d b=%d)", q, a, b
-        )
     va = _class_lambda(q, a, x, sieve)
     if (a - b) % q == 0:
         vb = va
@@ -157,8 +160,7 @@ def _like(xs, values: np.ndarray):
 
 def s_grid(xs, q: int, a: int, b: int, sieve: SieveTable):
     """S(x; q, a, b) for every x in xs (a float for scalar x)."""
-    if math.gcd(a * b, q) != 1:
-        logger.warning("s_grid: gcd(ab, q) > 1 (q=%d a=%d b=%d)", q, a, b)
+    _check_classes("s_grid", q, a, b)
     ns, top = _grid(xs, sieve)
     return _like(xs, _class_sums(ns, top, q, a, b, sieve))
 
@@ -195,6 +197,7 @@ def restricted_sum(xs, q: int, c: int, sieve: SieveTable):
     Summed as sum_{a=1..q} S(x; q, a, c-a) over every class a, non-units
     too: prime powers of p | q count.
     """
+    check_modulus(q)
     ns, top = _grid(xs, sieve)
     total = np.zeros(len(ns))
     for a in range(1, q + 1):

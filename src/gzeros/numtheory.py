@@ -4,6 +4,8 @@ Provides:
 - factorize(n): deterministic factorization for n < 2^63 (trial division
   plus Miller-Rabin/Pollard rho for the large cofactor)
 - euler_phi, moebius, tau, phi2: standard multiplicative functions
+- unit_pair_count(q, c): #{a mod q : (a(c-a), q) = 1} = phi(q)^2 S_q(c)
+- check_modulus(q): the one q >= 1 check of the entry points
 - build_sieve(x): von Mangoldt table Lambda(n) for n <= x as float64 logs,
   with Lambda(n) = log p exactly when n = p^k and 0 otherwise
 
@@ -178,6 +180,23 @@ def phi2(n: int) -> int:
     for p, _ in fac:
         out *= p - 2
     return out
+
+
+def check_modulus(q: int) -> None:
+    """ValueError unless the modulus q is at least 1."""
+    if q < 1:
+        raise ValueError(f"modulus q={q} must be >= 1")
+
+
+def unit_pair_count(q: int, c):
+    """#{a mod q : (a(c-a), q) = 1} = phi(q)^2 S_q(c) for the class c (or an
+    array of classes): prod_{p^k || q} (p-1 if p | c, else p-2) p^(k-1)."""
+    check_modulus(q)
+    cvals = np.asarray(c, dtype=np.int64)
+    out = np.ones(cvals.shape, dtype=np.int64)
+    for p, k in factorize(q).factors:
+        out *= np.where(cvals % p == 0, p - 1, p - 2) * p ** (k - 1)
+    return int(out) if out.ndim == 0 else out
 
 
 def divisors(n: int) -> list[int]:

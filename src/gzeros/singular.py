@@ -9,9 +9,10 @@ is the classical approximation to the Goldbach count G(n), and
     S_q(c) = (1/phi(q)) prod_{p | q, p !| c} (p-2)/(p-1)
 
 is its arithmetic density in the congruence class c mod q (zero exactly
-when (2, q) does not divide c).  S_q(c) is returned as an exact Fraction
-so the sieve identity  #{a : (a(c-a), q) = 1} = phi(q)^2 S_q(c)  can be
-checked as an integer identity.
+when (2, q) does not divide c).  S_q(c) is returned as the exact Fraction
+numtheory.unit_pair_count(q, c) / phi(q)^2, so the sieve identity
+#{a : (a(c-a), q) = 1} = phi(q)^2 S_q(c) is an integer identity, which
+characters.verify_sieve_identity checks against a direct count.
 
 C2 itself is a partial product over p <= P plus a rigorous tail
 correction computed through the prime zeta function P(s) (the partial
@@ -35,7 +36,8 @@ from fractions import Fraction
 import numpy as np
 
 from .lfunc import hurwitz_zeta_array
-from .numtheory import euler_phi, factorize, moebius, primes_up_to
+from .numtheory import (check_modulus, euler_phi, factorize, moebius,
+                        primes_up_to, unit_pair_count)
 
 _C2_SERIES_TERMS = 120
 
@@ -154,11 +156,7 @@ def singular_series(q: int, c: int) -> Fraction:
     """
     if q < 1 or c < 1:
         raise ValueError("singular_series: q, c must be >= 1")
-    out = Fraction(1, euler_phi(q))
-    for p, _ in factorize(q).factors:
-        if c % p != 0:
-            out *= Fraction(p - 2, p - 1)
-    return out
+    return Fraction(unit_pair_count(q, c), euler_phi(q) ** 2)
 
 
 def j_average(
@@ -171,6 +169,7 @@ def j_average(
     A precomputed j_table (from j_weight_table, length >= x+1) can be
     passed to amortize the sieve across calls.
     """
+    check_modulus(q)
     if x > 10 ** 7:
         raise ValueError("j_average: x beyond validated envelope 1e7")
     if j_table is None:

@@ -76,6 +76,13 @@ def test_geometric_grid_exact_endpoints():
     assert np.all(np.diff(xs) > 0)
 
 
+@pytest.mark.parametrize("points", [1, 0])
+def test_geometric_grid_rejects_fewer_than_two_points(points):
+    # one point cannot hold both end points
+    with pytest.raises(ValueError):
+        geometric_grid(10, 100, points)
+
+
 def test_residual_thm11_band(sieve):
     params = ResidualParams(q=1, sieve=sieve)
     xs = geometric_grid(1e3, 1e5, 15)

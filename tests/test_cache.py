@@ -3,7 +3,7 @@ per character, and the CLI reading exactly what the library reads."""
 
 import pytest
 
-from gzeros import cache, cli
+from gzeros import analysis, cache, cli
 from gzeros.cache import load_or_build_zero_sets, load_or_build_zeros
 from gzeros.characters import build_group, conjugate
 from gzeros.lfunc import find_zeros
@@ -77,13 +77,13 @@ def test_damaged_conjugate_set_is_not_mirrored(tmp_path, searches):
 
 def test_cli_and_library_read_the_same_sets(tmp_path, monkeypatch):
     read = []
-    real = cli.thm12_rhs
+    real = analysis.thm12_rhs
 
     def spy(x, q, a, b, zero_sets, height, **kwargs):
         read.append(zero_sets)
         return real(x, q, a, b, zero_sets, height, **kwargs)
 
-    monkeypatch.setattr(cli, "thm12_rhs", spy)
+    monkeypatch.setattr(analysis, "thm12_rhs", spy)
     monkeypatch.setenv("GZ_CACHE_DIR", str(tmp_path))
     assert cli.dispatch([
         "verify-thm12", "--q", "7", "--a", "1", "--b", "2", "--xmin", "100",

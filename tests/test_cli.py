@@ -159,6 +159,20 @@ def test_verify_thm12_small(cache_env, tmp_path, capsys):
     assert out.read_text().splitlines()[0].startswith("x,exact,main")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-thm12", "--q", "3", "--a", "1", "--b", "2", "--xmax", "10000",
+     "--grid", "0", "--height", "50"],
+    ["goldbach", "--q", "0", "--a", "1", "--b", "1", "--x", "100"],
+    ["javg", "--x", "1000", "--q", "0", "--c", "1"],
+    ["landau-gonek", "--x", "inf", "--q", "1", "--height", "50"],
+], ids=["verify-grid-0", "goldbach-q-0", "javg-q-0", "landau-gonek-x-inf"])
+def test_bad_input_exits_1_without_traceback(argv, cache_env, capsys):
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_landau_gonek_command(cache_env, capsys):
     code = dispatch(["landau-gonek", "--x", "2", "--q", "1", "--height", "100"])
     assert code == 0

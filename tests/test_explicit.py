@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gzeros.cache import load_or_build_zero_sets
-from gzeros.characters import build_group
+from gzeros.characters import build_group, char_sum_closed_form, char_value
 from gzeros.explicit import (
     ExplicitRow,
     MissingZeroSetError,
@@ -22,7 +22,7 @@ from gzeros.explicit import (
 )
 from gzeros.goldbach import build_class_convolution, restricted_sum
 from gzeros.lfunc import find_zeros
-from gzeros.numtheory import build_sieve
+from gzeros.numtheory import build_sieve, euler_phi
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +204,11 @@ def test_nearest_pp_gap():
     assert _nearest_pp_gap_search(127.9) == pytest.approx(0.1)     # 128
 
 
+def test_landau_gonek_rejects_infinite_x(zeta_zeros):
+    with pytest.raises(ValueError):
+        landau_gonek(math.inf, build_group(1)[0], zeta_zeros, 50.0)
+
+
 def test_landau_gonek_character():
     chi4 = [c for c in build_group(4) if not c.is_principal][0]
     zs = find_zeros(chi4, 200)
@@ -324,3 +329,88 @@ def test_h_term_tail_bound_shape():
     assert h_term_tail_bound(100.0, 1, 50.0) == pytest.approx(
         100.0 ** 2 * math.log(50.0) / 50.0
     )
+
+
+# ---------------------------------------------------------------------------
+# the shared weight/kernel path against the per-theorem loops it replaced
+
+def _ref_corr(terms, phi):
+    return complex(math.fsum(t.real for t in terms),
+                   math.fsum(t.imag for t in terms)) / phi ** 2
+
+
+def _ref_thm12(x, q, a, b, zero_sets, T):
+    """(main, correction) of S(x; q, a, b), written out as one loop."""
+    phi = euler_phi(q)
+    terms = []
+    for chi in build_group(q):
+        w = (complex(char_value(chi, a)).conjugate()
+             + complex(char_value(chi, b)).conjugate())
+        if w != 0:
+            terms.append(w * h_term(x, chi, zero_sets[chi.label], T))
+    return x * x / (2 * phi * phi), _ref_corr(terms, phi)
+
+
+def _ref_thm14(x, q, c, zero_sets, T):
+    from gzeros.singular import singular_series
+
+    phi = euler_phi(q)
+    terms = []
+    for chi in build_group(q):
+        w = char_sum_closed_form(chi, c).conjugate()
+        if w != 0:
+            terms.append(w * h_term(x, chi, zero_sets[chi.label], T))
+    corr = 2.0 * complex(math.fsum(t.real for t in terms),
+                         math.fsum(t.imag for t in terms)) / phi ** 2
+    return float(singular_series(q, c)) * x * x / 2.0, corr
+
+
+def _ref_multiplicity(zeros, rho, tol=1e-6):
+    return sum(e.multiplicity for e in zeros.entries if abs(e.rho - rho) <= tol)
+
+
+def _ref_residue_r(rho_q, q, a, b, zero_sets):
+    phi = euler_phi(q)
+    total = 0j
+    for chi in build_group(q):
+        m = _ref_multiplicity(zero_sets[chi.label], rho_q)
+        if m:
+            w = (complex(char_value(chi, a)).conjugate()
+                 + complex(char_value(chi, b)).conjugate())
+            total += w * m
+    return -total / (phi * phi * rho_q)
+
+
+def _ref_residue_r1(rho_q, q, c, zero_sets):
+    phi = euler_phi(q)
+    total = 0j
+    for chi in build_group(q):
+        m = _ref_multiplicity(zero_sets[chi.label], rho_q)
+        if m:
+            total += char_sum_closed_form(chi, c).conjugate() * m
+    return -2.0 * total / (phi * phi * rho_q)
+
+
+@pytest.mark.parametrize("q", [1, 3, 4, 5, 7, 8])
+def test_shared_kernel_matches_per_theorem_loops(q):
+    T = 50.0
+    zsets = load_or_build_zero_sets(q, T)
+    units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+    for x in (1e3, 1e5, 1e7):
+        for a in units:
+            for b in units:
+                row = thm12_rhs(x, q, a, b, zsets, T)
+                assert (row.main, row.zero_correction) == \
+                    _ref_thm12(x, q, a, b, zsets, T)
+        for c in range(1, q + 1):
+            row = thm14_rhs(x, q, c, zsets, T)
+            assert (row.main, row.zero_correction) == _ref_thm14(x, q, c, zsets, T)
+    for chi in build_group(q):
+        rho = min((e.rho for e in zsets[chi.label].entries if e.gamma > 0),
+                  key=lambda r: r.imag)
+        for a in units:
+            for b in units:
+                assert residue_r(rho, q, a, b, zsets) == \
+                    _ref_residue_r(rho, q, a, b, zsets)
+        for c in range(1, q + 1):
+            assert residue_r1(rho, q, c, zsets) == _ref_residue_r1(rho, q, c, zsets)

@@ -276,3 +276,16 @@ def test_engine_grid_beyond_sieve(sieve):
         s_grid([10.0, sieve.limit + 1.0], 3, 1, 2, sieve)
     with pytest.raises(CapacityError):
         restricted_sum(sieve.limit + 1, 4, 1, sieve)
+
+
+@pytest.mark.parametrize("q", [0, -3])
+def test_entry_points_reject_modulus_below_one(sieve, q):
+    # a modulus below 1 must raise, not sum over no class and return 0.0
+    with pytest.raises(ValueError):
+        restricted_sum(100.0, q, 1, sieve)
+    with pytest.raises(ValueError):
+        s_grid(100.0, q, 1, 1, sieve)
+    with pytest.raises(ValueError):
+        goldbach_g(100, q, 1, 1, sieve)
+    with pytest.raises(ValueError):
+        build_class_convolution(q, 1, 1, 100, sieve)

@@ -18,6 +18,7 @@ from gzeros.numtheory import (
     primes_up_to,
     read_sieve_cache,
     tau,
+    unit_pair_count,
     write_sieve_cache,
 )
 
@@ -172,3 +173,15 @@ def test_sieve_deterministic():
     a = build_sieve(50000)
     b = build_sieve(50000)
     assert np.array_equal(a.lambda_, b.lambda_)
+
+
+def test_unit_pair_count_matches_direct_count():
+    for q in range(1, 61):
+        expect = [
+            sum(1 for a in range(q) if math.gcd(a * (c - a), q) == 1)
+            for c in range(q)
+        ]
+        assert unit_pair_count(q, np.arange(q)).tolist() == expect
+        assert [unit_pair_count(q, c) for c in range(q)] == expect
+    with pytest.raises(ValueError):
+        unit_pair_count(0, 1)

@@ -155,3 +155,8 @@ def test_j_average_matches_brute(constants):
     brute = sum(j_weight(n, constants) for n in range(1, x + 1) if n % q == c % q)
     assert exact == pytest.approx(brute, rel=1e-12)
     assert main == pytest.approx(float(singular_series(q, c)) * x * x / 2, rel=1e-15)
+
+
+def test_j_average_rejects_modulus_zero(constants):
+    with pytest.raises(ValueError):
+        j_average(1000, 0, 1, constants)
