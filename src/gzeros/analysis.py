@@ -60,6 +60,8 @@ def geometric_grid(x_min: float, x_max: float, points: int = 25) -> np.ndarray:
     points are exactly x_min and x_max."""
     if not x_min < x_max:
         raise ValueError("need x_min < x_max")
+    if not x_min > 0:
+        raise ValueError(f"x_min must be positive for a log-spaced grid, got {x_min}")
     if points < 2:
         raise ValueError(f"a grid needs at least 2 points, got {points}")
     xs = np.exp(np.linspace(math.log(x_min), math.log(x_max), points))

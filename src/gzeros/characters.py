@@ -13,15 +13,22 @@ only at evaluation boundaries.  Character labels "q=<q>;e=<v1,v2,...>"
 are the exponent vectors in this fixed basis, so they are deterministic
 across runs.
 
-The module also carries the closed form and the brute force for the
-complete character sum over a with (a(c-a), q) = 1, both in exact
-arithmetic (integer multiples of roots of unity on one side, integer
-count vectors reduced mod the cyclotomic polynomial on the other), so
-the lemma-level identity can be checked with zero tolerance.
+The characters of one modulus also come as one table, in build_group
+order: the exponent matrix K (phi(q) x q), one integer product of the
+exponent vectors with the scaled discrete-log tables mod the group
+exponent, with every character's order, parity and conductor, and the
+closed form of the complete character sum over a with (a(c-a), q) = 1
+for every class c.  verify_char_sum_identity checks that closed form
+against a direct count with zero tolerance: both sides are integer
+combinations of roots of unity, reduced mod the cyclotomic polynomial
+and compared exactly.  The float32 matmul that sums them is exact
+because every product and partial sum is an integer of size at most
+max|R_n| q < 2^24, a bound the code checks (CapacityError past it).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError
-from .numtheory import euler_phi, factorize, moebius, unit_pair_count
+from .numtheory import divisors, euler_phi, factorize, moebius, unit_pair_count
 
 GROUP_CAP = 10 ** 6
 
@@ -205,15 +212,6 @@ class CharacterGroup:
             out.append(int(dl[n % comp.prime_power]))
         return tuple(out)
 
-    def units(self) -> np.ndarray:
-        """Residues in [1, q] coprime to q (q itself stands for 0 mod q
-        only when q = 1)."""
-        if self.q == 1:
-            return np.array([1], dtype=np.int64)
-        n = np.arange(1, self.q + 1, dtype=np.int64)
-        g = np.gcd(n, self.q)
-        return n[g == 1]
-
 
 @lru_cache(maxsize=None)
 def group(q: int) -> CharacterGroup:
@@ -278,16 +276,13 @@ def _char_order(grp: CharacterGroup, exps: tuple[int, ...]) -> int:
 def _char_parity(grp: CharacterGroup, exps: tuple[int, ...]) -> int:
     if grp.q <= 2:
         return 0
+    # chi(-1) = e(t / L) with L the group exponent, so t is 0 or L/2
+    L = grp.exponent
     dv = grp.dlog_vector(grp.q - 1)  # -1 mod q
-    tot = Fraction(0)
-    for e, d, m in zip(exps, dv, grp.orders):
-        tot += Fraction(e * d, m)
-    frac = tot - int(tot)
-    if frac == 0:
-        return 0
-    if frac == Fraction(1, 2):
-        return 1
-    raise AssertionError("chi(-1) not +-1")
+    t = sum(e * d * (L // m) for e, d, m in zip(exps, dv, grp.orders)) % L
+    if 2 * t % L:
+        raise AssertionError("chi(-1) not +-1")
+    return 2 * t // L
 
 
 def _component_conductor(comp: _Component, e: int) -> int:
@@ -603,76 +598,103 @@ def root_counts_equal(counts: np.ndarray, n: int, t: int, zeta: RootOfUnity) -> 
 # bulk exact verification of the character-sum lemma
 
 
+@dataclass(frozen=True)
+class _CharTable:
+    """Every character mod q at once, one row each in build_group order.
+    Columns are residues r = 0..q-1; chi(r) = e(kn[r]/order) (-1 off the
+    units), and the closed form at the class r of c is coeff e(pos/order)
+    (coeff 0, pos -1 where chi*(c) = 0).  All arrays are read-only."""
+
+    exponents: np.ndarray
+    order: np.ndarray
+    parity: np.ndarray
+    conductor: np.ndarray
+    kn: np.ndarray
+    coeff: np.ndarray
+    pos: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def _char_table(q: int) -> _CharTable:
+    grp = group(q)
+    L = grp.exponent
+    r = np.arange(q, dtype=np.int64)
+    unit = np.gcd(r, q) == 1
+    exps = np.array(list(itertools.product(*map(range, grp.orders))), dtype=np.int64)
+    # K = exponent vectors times the dlog tables scaled to e(./L), mod L; its
+    # gcd over all columns, units or not, is L / order, and kn = K / (L / order)
+    dlogs = np.array([np.maximum(dl[r % c.prime_power], 0) * (L // c.order)
+                      for c, dl in zip(grp.components, grp._dlogs)],
+                     dtype=np.int64).reshape(-1, q)
+    kn = exps @ dlogs % L
+    order = L // np.gcd(np.gcd.reduce(kn, axis=1), L)
+    kn //= (L // order)[:, None]
+    kn[:, ~unit] = -1
+    # the conductor is the least d | q with chi = 1 on the units = 1 mod d
+    cond = np.empty(grp.phi, dtype=np.int64)
+    for d in reversed(divisors(q)):
+        cond[np.all(kn[:, unit & (r % d == 1 % d)] == 0, axis=1)] = d
+    coeff = np.zeros_like(kn)
+    pos = np.empty_like(kn)
+    for qs in np.unique(cond).tolist():
+        # q = A * q_out with q_out prime to q*: chi*(c) = chi(c') for the lift
+        # c' = c (mod A), 1 (mod q_out); the primes of q_out give the sieve
+        # factors of unit_pair_count, and A / q* the rest of phi(q)/phi(q*)
+        A = math.prod(p ** k for p, k in factorize(q).factors if qs % p == 0)
+        q_out = q // A
+        lift = (r + A * ((1 - r) * pow(A, -1, q_out) % q_out)) % q
+        rows = cond == qs
+        pos[rows] = kn[np.ix_(rows, lift)]
+        coeff[rows] = moebius(qs) * (A // qs) * unit_pair_count(q_out, r)
+    coeff[pos < 0] = 0
+    tab = _CharTable(exps, order, (kn[:, q - 1] > 0).astype(np.int64), cond,
+                     kn, coeff, pos)
+    for arr in vars(tab).values():
+        arr.flags.writeable = False
+    return tab
+
+
+def _row(chi: DirichletCharacter) -> int:
+    """Index of chi in build_group(chi.q) and in its modulus' table."""
+    return int(np.ravel_multi_index(chi.exponents, group(chi.q).orders))
+
+
 def char_exponent_table(chi: DirichletCharacter) -> tuple[int, np.ndarray]:
     """(n, karr): chi(r) = e(karr[r]/n) for residues r = 0..q-1, with
     karr[r] = -1 off the units.  n = ord(chi)."""
-    grp = group(chi.q)
-    q = chi.q
-    if q == 1:
-        return 1, np.zeros(1, dtype=np.int64)
-    L = grp.exponent
-    r = np.arange(q, dtype=np.int64)
-    valid = np.gcd(r, q) == 1
-    t = np.zeros(q, dtype=np.int64)
-    for e, comp, dl in zip(chi.exponents, grp.components, grp._dlogs):
-        d = dl[r % comp.prime_power]
-        t = (t + e * (L // comp.order) * np.where(d >= 0, d, 0)) % L
-    n = chi.order
-    gdiv = L // n
-    assert not np.any(valid & (t % gdiv != 0)), "exponent not in the subgroup"
-    return n, np.where(valid, (t // gdiv) % n, -1)
+    return chi.order, _char_table(chi.q).kn[_row(chi)]
 
 
-@lru_cache(maxsize=None)
 def _closed_form_coefficients(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:
     """Vector over residue columns r = 0..q-1 (the class of c): integer
-    coefficient and exponent position (in zeta_ord(chi)), -1 where the
-    closed form vanishes.  Built once per character for the explicit
-    formulas, which read it once per x; the cached arrays are read-only."""
-    q = chi.q
-    star = induce_primitive(chi)
-    n, kstar = char_exponent_table(star)
-    r = np.arange(q, dtype=np.int64)
-    cvals = np.where(r == 0, q, r)
-    mu = moebius(star.q)
-    coeff = np.full(q, mu, dtype=np.int64)
-    pos = kstar[cvals % star.q] if star.q > 1 else np.zeros(q, dtype=np.int64)
-    if mu != 0:
-        # split q = q_out * m with q_out prime to q*: the primes of q_out
-        # give the sieve factors of unit_pair_count, and p^k || m with
-        # p^ell || q* gives p^(k - ell), together m / q*
-        q_out = math.prod(p ** k for p, k in factorize(q).factors if star.q % p)
-        coeff *= q // q_out // star.q * unit_pair_count(q_out, cvals)
-    coeff = np.where(pos < 0, 0, coeff)
-    for arr in (coeff, pos):
-        arr.flags.writeable = False
-    return coeff, pos
+    coefficient and exponent position (in zeta_ord(chi)), -1 where the closed
+    form vanishes; chi's row of the table built once per modulus."""
+    tab = _char_table(chi.q)
+    return tab.coeff[_row(chi)], tab.pos[_row(chi)]
 
 
 def verify_char_sum_identity(q: int) -> bool:
     """Exact check, for every chi mod q and every c in [1, q], that the
     brute-force sum over a with (a(c-a), q) = 1 of chi(a) equals the
     closed form.  Both sides live in Z[zeta_n]; equality is tested by
-    reducing the integer count-vector difference mod the n-th cyclotomic
-    polynomial (all arithmetic stays exact: the float matmul below only
-    ever carries integers far below 2^53)."""
-    grp = group(q)
-    units = grp.units() % q
-    cols = (units[:, None] + units[None, :]) % q
-    for chi in build_group(q):
-        n, karr = char_exponent_table(chi)
-        rows = karr[units]
-        flat = (rows[:, None] * q + cols).ravel()
-        counts = np.bincount(flat, minlength=n * q).reshape(n, q)
-        # each character is visited once, so skip the cache: through it a
-        # sweep over every q <= 200 held 35 MB
-        coeff, pos = _closed_form_coefficients.__wrapped__(chi)
-        diff = counts.astype(np.int64)
-        nz = np.nonzero(coeff)[0]
-        diff[pos[nz], nz] -= coeff[nz]
-        red = _reduction_matrix(n).astype(np.float64)
-        prod = red @ diff.astype(np.float64)
-        if np.any(prod != 0):
+    reducing mod the n-th cyclotomic polynomial before counting: for the
+    characters of order n, R_n[:, kn[a]] summed against the count matrix
+    U[a, c] = [c - a is a unit] must equal R_n[:, pos] coeff.  The float32
+    matmul is exact while every product and partial sum, an integer of
+    size at most max|R_n| q, stays below 2^24 (CapacityError past it)."""
+    tab = _char_table.__wrapped__(q)  # each q once: past the per-q cache
+    units = np.flatnonzero(tab.kn[0] >= 0)
+    U = (tab.kn[0][(np.arange(q) - units[:, None]) % q] >= 0).astype(np.float32)
+    for n in np.unique(tab.order).tolist():
+        rows = tab.order == n
+        red = _reduction_matrix(n).astype(np.float32)
+        if np.abs(red).max() * q >= 2 ** 24:
+            raise CapacityError(f"q={q}: float32 sums would not be exact")
+        closed = np.take(red, tab.pos[rows], axis=1)
+        closed *= tab.coeff[rows].astype(np.float32)
+        brute = np.take(red, tab.kn[rows][:, units], axis=1)
+        brute = brute.reshape(-1, len(units)) @ U
+        if not np.array_equal(brute.reshape(closed.shape), closed):
             return False
     return True
 

@@ -51,7 +51,8 @@ from .explicit import landau_gonek
 from .goldbach import build_class_convolution, floor_x
 from .lfunc import export_zeros, find_zeros, import_zeros
 from .numtheory import build_sieve, euler_phi
-from .singular import compute_c2, j_average, j_weight_table, singular_series
+from .singular import (check_j_inputs, compute_c2, j_average, j_weight_table,
+                       singular_series)
 
 JSON_SCHEMA = "gz_report_v1"
 
@@ -92,17 +93,17 @@ class RunConfig:
         return default_cache_dir()
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
+def _formatter(v):
+    """The cell format of a column whose first value is v."""
     if isinstance(v, complex):
-        return f"{v.real!r}{'+' if v.imag >= 0 else '-'}{abs(v.imag)!r}j"
-    return str(v)
+        return lambda z: f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}j"
+    return repr if isinstance(v, float) else str
 
 
-def _emit_csv(path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+def _emit_csv(path, header, columns):
+    """Write equal-length columns as CSV, one formatter per column."""
+    cells = [list(map(_formatter(col[0]), col)) for col in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     text = "\n".join(lines) + "\n"
     if path:
         Path(path).write_text(text)
@@ -134,7 +135,8 @@ def _cmd_characters(args, cfg) -> int:
         (c.label, c.order, c.conductor, c.parity, int(c.is_principal))
         for c in build_group(args.q)
     ]
-    _emit_csv(args.out, ["label", "order", "conductor", "parity", "principal"], rows)
+    _emit_csv(args.out, ["label", "order", "conductor", "parity", "principal"],
+              zip(*rows))
     return 0
 
 
@@ -165,11 +167,10 @@ def _cmd_goldbach(args, cfg) -> int:
     conv = load_or_build_convolution(
         args.q, args.a, args.b, args.x, sieve, cfg.resolved_cache_dir()
     )
-    rows = [
-        (n, float(conv.values[n]), float(conv.cumulative[n]))
-        for n in range(args.x + 1)
-    ]
-    _emit_csv(args.out, ["n", "g", "S"], rows)
+    _emit_csv(args.out, ["n", "g", "S"], [
+        range(args.x + 1), conv.values[: args.x + 1].tolist(),
+        conv.cumulative[: args.x + 1].tolist(),
+    ])
     return 0
 
 
@@ -180,13 +181,14 @@ def _cmd_singular(args, cfg) -> int:
 
 
 def _cmd_javg(args, cfg) -> int:
+    check_j_inputs(args.x, args.q)  # before C2 and the J table are built
     constants = compute_c2(10 ** 5)
     table = j_weight_table(args.x, constants)
     rows = []
     for x in floor_x(geometric_grid(100, args.x, cfg.grid_points)).tolist():
         exact, main, resid = j_average(x, args.q, args.c, constants, j_table=table)
         rows.append((x, exact, main, resid))
-    _emit_csv(args.out, ["x", "exact", "main", "residual"], rows)
+    _emit_csv(args.out, ["x", "exact", "main", "residual"], zip(*rows))
     return 0
 
 
@@ -215,7 +217,7 @@ def _cmd_verify(args, cfg) -> int:
     rows = [(r.x, r.exact, r.main, r.zero_correction.real, r.residual,
              r.truncation_bound) for r in explicit_grid(mode, params, xs)]
     _emit_csv(args.out, ["x", "exact", "main", "zero_correction", "residual",
-                         "truncation_bound"], rows)
+                         "truncation_bound"], zip(*rows))
     ok = all(abs(r[4]) <= r[5] + 5 * r[0] ** 1.5 for r in rows)
     certified = all(zs.certified for zs in params.zero_sets.values())
     if args.json:
@@ -283,7 +285,7 @@ def _cmd_fit(args, cfg) -> int:
     }
     _emit_json(args.out, payload)
     if args.csv:
-        _emit_csv(args.csv, ["x", "delta"], res)
+        _emit_csv(args.csv, ["x", "delta"], zip(*res))
     return 0
 
 

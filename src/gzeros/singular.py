@@ -150,13 +150,19 @@ def j_weight_table(x: int, constants: SingularConstants) -> np.ndarray:
 
 
 def singular_series(q: int, c: int) -> Fraction:
-    """S_q(c) = (1/phi(q)) prod_{p|q, p !| c} (p-2)/(p-1), exact.
+    """S_q(c) = (1/phi(q)) prod_{p|q, p !| c} (p-2)/(p-1), exact, for
+    any integer c standing for its class mod q (c = 0 and c = q agree).
 
     Zero exactly when 2 | q and 2 !| c (the factor p = 2 contributes 0).
     """
-    if q < 1 or c < 1:
-        raise ValueError("singular_series: q, c must be >= 1")
     return Fraction(unit_pair_count(q, c), euler_phi(q) ** 2)
+
+
+def check_j_inputs(x: int, q: int) -> None:
+    """ValueError for q < 1 or x past j_average's validated 1e7 envelope."""
+    check_modulus(q)
+    if x > 10 ** 7:
+        raise ValueError("j_average: x beyond validated envelope 1e7")
 
 
 def j_average(
@@ -169,9 +175,7 @@ def j_average(
     A precomputed j_table (from j_weight_table, length >= x+1) can be
     passed to amortize the sieve across calls.
     """
-    check_modulus(q)
-    if x > 10 ** 7:
-        raise ValueError("j_average: x beyond validated envelope 1e7")
+    check_j_inputs(x, q)
     if j_table is None:
         j_table = j_weight_table(x, constants)
     n = np.arange(x + 1)

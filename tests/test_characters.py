@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from gzeros.characters import (
     root_sum_is_zero,
     _closed_form_coefficients,
 )
-from gzeros.numtheory import euler_phi
+from gzeros.numtheory import euler_phi, factorize, moebius
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +346,67 @@ def test_char_sum_exact_oracle_small():
                     counts[v.k * (n // v.m)] += cnt
                 assert root_counts_equal(counts, n, t, zeta), (q, chi.label, c)
                 assert char_sum_closed_form(chi, c) == t * complex(zeta)
+
+
+def _closed_form_reference(chi, c):
+    """(coeff, pos) of mu(q*) chi*(c) (phi(q)/phi(q*)) prod_{p | q, p !| q* c}
+    (p-2)/(p-1), from induce_primitive and char_value, per character."""
+    star = induce_primitive(chi)
+    value = char_value(star, c)
+    if value == 0:
+        return 0, -1
+    t = Fraction(moebius(star.q) * euler_phi(chi.q), euler_phi(star.q))
+    for p in factorize(chi.q).primes:
+        if star.q % p and c % p:
+            t *= Fraction(p - 2, p - 1)
+    assert t.denominator == 1
+    return int(t), value.k * (chi.order // value.m)
+
+
+def test_character_table_matches_per_character_reference():
+    # every row of the per-modulus table against the per-character objects
+    # (exponents, order, parity, conductor) and the per-character closed
+    # form built from induce_primitive + char_value
+    from gzeros.characters import _char_table, char_exponent_table
+
+    for q in range(1, 61):
+        tab = _char_table(q)
+        for i, chi in enumerate(build_group(q)):
+            assert tuple(tab.exponents[i]) == chi.exponents
+            assert (tab.order[i], tab.parity[i], tab.conductor[i]) == (
+                chi.order, chi.parity, chi.conductor), chi.label
+            n, karr = char_exponent_table(chi)
+            for r in range(q):
+                v = char_value(chi, r)
+                assert karr[r] == (v.k * (n // v.m) if v != 0 else -1)
+                coeff, pos = _closed_form_reference(chi, r)
+                assert tab.coeff[i, r] == coeff, (chi.label, r)
+                if coeff:
+                    assert tab.pos[i, r] == pos, (chi.label, r)
+
+
+def test_char_sum_oracle_fails_on_a_planted_fault(monkeypatch):
+    # the batched oracle must still be able to say no: one closed-form
+    # entry off by one, or every c = 0 sieve count off by one
+    from gzeros import characters
+
+    real = characters._char_table.__wrapped__
+
+    def planted(q):
+        tab = real(q)
+        coeff = tab.coeff.copy()
+        coeff[-1, q // 2] += 1
+        return dataclasses.replace(tab, coeff=coeff)
+
+    with monkeypatch.context() as m:
+        m.setattr(characters._char_table, "__wrapped__", planted)
+        assert [q for q in range(1, 40) if characters.verify_char_sum_identity(q)] == []
+    assert all(characters.verify_char_sum_identity(q) for q in range(1, 40))
+
+    real_count = characters.unit_pair_count
+    monkeypatch.setattr(characters, "unit_pair_count",
+                        lambda q, c: real_count(q, c) + (np.asarray(c) == 0))
+    assert [q for q in range(1, 40) if characters.verify_char_sum_identity(q)] == []
 
 
 def test_sieve_identity_small():

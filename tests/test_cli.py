@@ -265,3 +265,51 @@ def test_javg_grid_keeps_integer_points(cache_env, tmp_path):
                      "--out", str(out)]) == 0
     xs = [int(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
     assert xs[0] == 100 and xs[-1] == 100000 and 1000 in xs
+
+
+def test_goldbach_csv_matches_per_value_format(cache_env, tmp_path):
+    # shortest round-trip repr of each float64, the integer n as str
+    from gzeros.goldbach import build_class_convolution
+
+    out = tmp_path / "g.csv"
+    assert dispatch(["goldbach", "--q", "3", "--a", "1", "--b", "2",
+                     "--x", "2000", "--out", str(out)]) == 0
+    conv = build_class_convolution(3, 1, 2, 2000, build_sieve(2000))
+    expect = ["n,g,S"] + [f"{n},{float(conv.values[n])!r},{float(conv.cumulative[n])!r}"
+                          for n in range(2001)]
+    assert out.read_text() == "\n".join(expect) + "\n"
+
+
+@pytest.mark.parametrize("x, q, message", [
+    ("20000000", "3", "beyond validated envelope 1e7"),
+    ("10000000", "0", "modulus q=0 must be >= 1"),
+], ids=["x-past-envelope", "q-0"])
+def test_javg_rejects_bad_input_before_building(x, q, message, cache_env,
+                                                monkeypatch, capsys):
+    from gzeros import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("built before the input check")
+
+    monkeypatch.setattr(cli, "j_weight_table", never)
+    monkeypatch.setattr(cli, "compute_c2", never)
+    assert dispatch(["javg", "--x", x, "--q", q, "--c", "1"]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_verify_thm14_class_zero_is_class_q(shared_cache, monkeypatch, tmp_path):
+    monkeypatch.setenv("GZ_CACHE_DIR", str(shared_cache))
+    cols = []
+    for c in ("0", "4"):
+        out = tmp_path / f"c{c}.csv"
+        assert dispatch(["verify-thm14", "--q", "4", "--c", c, "--xmin", "1000",
+                         *SMALL, "--out", str(out)]) == 0
+        cols.append([line.split(",")[1:5] for line in out.read_text().splitlines()])
+    assert cols[0] == cols[1]
+
+
+def test_verify_rejects_nonpositive_xmin(cache_env, capsys):
+    assert dispatch(["verify-thm12", "--q", "3", "--a", "1", "--b", "2",
+                     "--xmin", "0", "--xmax", "10000", "--height", "50"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: x_min must be positive")

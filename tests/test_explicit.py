@@ -150,21 +150,16 @@ def test_thm14_tracks_restricted_sum(zsets4, sieve):
         assert abs(row.residual) <= row.truncation_bound
 
 
-def test_thm14_builds_the_closed_form_once_per_character(zsets4, monkeypatch):
+def test_thm14_builds_the_closed_form_once_per_character(zsets4):
+    # the closed form is a row of the per-modulus character table: one
+    # build for q = 4, however many characters and x rows read it
     from gzeros import characters
 
-    built = []
-    real = characters.char_exponent_table
-
-    def counting(chi):
-        built.append(chi.label)
-        return real(chi)
-
-    characters._closed_form_coefficients.cache_clear()
-    monkeypatch.setattr(characters, "char_exponent_table", counting)
+    characters._char_table.cache_clear()
     for x in np.geomspace(1e3, 1e5, 25):
         thm14_rhs(float(x), 4, 2, zsets4, 200.0)
-    assert len(built) == len(set(built)) == len(build_group(4))
+    built = characters._char_table.cache_info()
+    assert built.misses == built.currsize == 1
     coeff, pos = characters._closed_form_coefficients(build_group(4)[1])
     assert not coeff.flags.writeable and not pos.flags.writeable
 
