@@ -1,20 +1,23 @@
-"""Content-addressed cache for sieves, zero sets, and convolutions.
+"""Content-addressed cache for zero sets and per-n convolutions.
 
-It is also the one provider of zero sets: load_or_build_zero_sets(q, T)
-returns the set of every character mod q, read or built once per
-primitive character through load_or_build_zeros.  The zeros of
-L(s, conj chi) are those of L(s, chi) with gamma -> -gamma, so on a miss
-a checksummed set of the conjugate character is mirrored instead of
-searched again: a conjugate pair costs one zero search.
+It is also the one provider of zero sets, and the one module that knows
+they are stored per primitive character: load_or_build_zeros(label, T)
+returns the set of the primitive chi* inducing the character, under the
+character's own label, and load_or_build_zero_sets(q, T) does so for
+every chi mod q.  The zeros of L(s, conj chi) are those of L(s, chi)
+with gamma -> -gamma, so a miss mirrors a checksummed set of the
+conjugate character: a conjugate pair costs one zero search.  Sieves
+are not cached: build_sieve takes about a third of the time that
+reading one back from disk took.
 
 Keys are sha256 digests of the input parameters plus a format version,
 so a version bump invalidates everything stale; zero-set keys also carry
 lfunc.EVALUATOR_VERSION, so sets built by an older evaluator are searched
 again.  Writes go through a temporary file and an atomic rename; every
 artifact carries a sidecar "<name>.sha256" checked on load (corruption
-means silent recompute, with a log line).  The sieve payload itself is
-the documented GZSV1 binary layout and the zero sets are the documented
-GZZEROS text format, so the cache doubles as an export directory.
+means silent recompute, with a log line).  Zero sets are stored in the
+documented GZZEROS text format, so the cache doubles as an export
+directory.
 """
 
 from __future__ import annotations
@@ -26,7 +29,10 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .characters import build_group, character_from_label, conjugate, induce_primitive
+from .goldbach import ClassConvolution, build_class_convolution
 from .lfunc import (
     EVALUATOR_VERSION,
     ZeroSet,
@@ -35,7 +41,7 @@ from .lfunc import (
     import_zeros,
     mirror_zero_set,
 )
-from .numtheory import SieveTable, build_sieve, read_sieve_cache, write_sieve_cache
+from .numtheory import SieveTable, build_sieve
 
 logger = logging.getLogger(__name__)
 
@@ -94,18 +100,12 @@ def _verify(path: Path) -> bool:
     return True
 
 
-def load_or_build_sieve(x: int, cache_dir: Path | None = None) -> SieveTable:
-    cache_dir = cache_dir or default_cache_dir()
-    key = cache_key("sieve", x=x)
-    path = cache_dir / f"sieve-{key}.gzsv"
-    if _verify(path):
-        try:
-            return read_sieve_cache(path)
-        except ValueError as exc:
-            logger.warning("sieve cache unreadable (%s); recomputing", exc)
-    sieve = build_sieve(x)
-    _store_atomic(path, lambda tmp: write_sieve_cache(sieve, tmp))
-    return sieve
+def load_or_build_sieve(x: int) -> SieveTable:
+    """build_sieve(x); nothing is read or written.  Kept only because the
+    benchmark in perfbench/ calls it by this name (child.py's fill_cache,
+    tracing.TARGETS); no code in gzeros calls it, and it goes when the
+    benchmark is next revised."""
+    return build_sieve(x)
 
 
 def _zeros_path(chi_label: str, T: float, cache_dir: Path) -> Path:
@@ -126,21 +126,22 @@ def _read_zeros(path: Path, chi_label: str) -> ZeroSet | None:
 def load_or_build_zeros(
     chi_label: str, T: float, cache_dir: Path | None = None
 ) -> ZeroSet:
-    """Zero set of one character to height T.  On a miss the cached set
-    of the conjugate character, mirrored, stands in for find_zeros."""
+    """Zero set of one character to height T, labelled chi_label.  It is
+    read or built as the set of the primitive chi* inducing it, so every
+    character induced by chi* shares one file; on a miss the cached set
+    of conj(chi*), mirrored, stands in for find_zeros."""
     cache_dir = cache_dir or default_cache_dir()
-    path = _zeros_path(chi_label, T, cache_dir)
-    zs = _read_zeros(path, chi_label)
-    if zs is not None:
-        return zs
-    chi = character_from_label(chi_label)
-    conj = conjugate(chi).label
-    base = None
-    if conj != chi_label:
-        base = _read_zeros(_zeros_path(conj, T, cache_dir), conj)
-    zs = find_zeros(chi, T) if base is None else mirror_zero_set(base, chi_label)
-    _store_atomic(path, lambda tmp: export_zeros(zs, tmp))
-    return zs
+    star = induce_primitive(character_from_label(chi_label))
+    path = _zeros_path(star.label, T, cache_dir)
+    zs = _read_zeros(path, star.label)
+    if zs is None:
+        conj = conjugate(star).label
+        base = None
+        if conj != star.label:
+            base = _read_zeros(_zeros_path(conj, T, cache_dir), conj)
+        zs = find_zeros(star, T) if base is None else mirror_zero_set(base, star.label)
+        _store_atomic(path, lambda tmp: export_zeros(zs, tmp))
+    return zs if star.label == chi_label else replace(zs, char_label=chi_label)
 
 
 def load_or_build_zero_sets(
@@ -148,11 +149,8 @@ def load_or_build_zero_sets(
 ) -> dict[str, ZeroSet]:
     """Zero sets of every character mod q to height T, keyed and labelled
     by chi.label; an imprimitive chi gets the set of its primitive chi*."""
-    out = {}
-    for chi in build_group(q):
-        base = load_or_build_zeros(induce_primitive(chi).label, T, cache_dir)
-        out[chi.label] = replace(base, char_label=chi.label)
-    return out
+    return {chi.label: load_or_build_zeros(chi.label, T, cache_dir)
+            for chi in build_group(q)}
 
 
 def sieve_hash(sieve: SieveTable) -> str:
@@ -168,10 +166,6 @@ def load_or_build_convolution(
     cache_dir: Path | None = None,
 ):
     """ClassConvolution cache keyed by (q, a, b, x, sieve hash)."""
-    import numpy as np
-
-    from .goldbach import ClassConvolution, build_class_convolution
-
     cache_dir = cache_dir or default_cache_dir()
     key = cache_key("conv", q=q, a=a, b=b, x=x, sieve=sieve_hash(sieve))
     path = cache_dir / f"conv-{key}.npy"

@@ -40,6 +40,7 @@ from .errors import CapacityError
 from .numtheory import divisors, euler_phi, factorize, moebius, unit_pair_count
 
 GROUP_CAP = 10 ** 6
+TABLE_CAP = 2 ** 22  # phi(q) * q entries per array of a modulus' table
 
 
 @dataclass(frozen=True)
@@ -616,6 +617,13 @@ class _CharTable:
 
 @lru_cache(maxsize=32)
 def _char_table(q: int) -> _CharTable:
+    """The table of the characters mod q.  Its arrays are phi(q) x q int64,
+    so it is built only while phi(q) q <= TABLE_CAP = 2^22 (q = 2003 is
+    inside); past it CapacityError, before any such array exists."""
+    size = euler_phi(q) * q
+    if size > TABLE_CAP:
+        raise CapacityError(f"character table mod {q}: phi(q) q = {size} "
+                            f"exceeds {TABLE_CAP}")
     grp = group(q)
     L = grp.exponent
     r = np.arange(q, dtype=np.int64)

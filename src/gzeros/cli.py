@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +32,8 @@ from .analysis import (
     residual_grid,
     rms,
 )
-from .cache import (
-    default_cache_dir,
-    load_or_build_sieve,
-    load_or_build_zero_sets,
-    load_or_build_zeros,
-)
+from .cache import (default_cache_dir, load_or_build_convolution,
+                    load_or_build_zero_sets, load_or_build_zeros)
 from .characters import (
     build_group,
     character_from_label,
@@ -48,9 +44,9 @@ from .characters import (
 from .circle import build_grid, decompose_check, j_chi, selberg_integral, w_mass
 from .errors import GzError
 from .explicit import landau_gonek
-from .goldbach import build_class_convolution, floor_x
+from .goldbach import build_class_convolution
 from .lfunc import export_zeros, find_zeros, import_zeros
-from .numtheory import build_sieve, euler_phi
+from .numtheory import build_sieve, euler_phi, floor_x
 from .singular import (check_j_inputs, compute_c2, j_average, j_weight_table,
                        singular_series)
 
@@ -125,7 +121,7 @@ def _emit_json(path, payload):
 
 
 def _cmd_sieve(args, cfg) -> int:
-    sieve = load_or_build_sieve(args.x, cfg.resolved_cache_dir())
+    sieve = build_sieve(args.x)
     print(f"sieve limit {sieve.limit}: psi(x) = {sieve.psi(args.x)!r}")
     return 0
 
@@ -149,9 +145,7 @@ def _cmd_zeros(args, cfg) -> int:
         zs = import_zeros(args.import_path, label)
         print(f"imported {zs.count()} zeros, certified={zs.certified}")
     else:
-        star = induce_primitive(chi).label  # the file verify/fit read
-        zs = load_or_build_zeros(star, args.height, cfg.resolved_cache_dir())
-        zs = replace(zs, char_label=label)
+        zs = load_or_build_zeros(label, args.height, cfg.resolved_cache_dir())
         print(f"{label}: {zs.count()} zeros to height {args.height}, "
               f"certified={zs.certified}")
     if args.export_path:
@@ -161,9 +155,7 @@ def _cmd_zeros(args, cfg) -> int:
 
 
 def _cmd_goldbach(args, cfg) -> int:
-    from .cache import load_or_build_convolution
-
-    sieve = load_or_build_sieve(max(args.x, 2), cfg.resolved_cache_dir())
+    sieve = build_sieve(max(args.x, 2))
     conv = load_or_build_convolution(
         args.q, args.a, args.b, args.x, sieve, cfg.resolved_cache_dir()
     )
@@ -195,7 +187,7 @@ def _cmd_javg(args, cfg) -> int:
 def _residual_params(args, cfg, mode: str) -> ResidualParams:
     """Sieve to xmax, the zero sets mod q (none for thm11) and the class
     arguments (a, b, c) the command takes."""
-    sieve = load_or_build_sieve(args.xmax, cfg.resolved_cache_dir())
+    sieve = build_sieve(args.xmax)
     zsets = {}
     if mode != "thm11":
         zsets = load_or_build_zero_sets(args.q, args.height, cfg.resolved_cache_dir())
@@ -248,7 +240,7 @@ def _cmd_landau_gonek(args, cfg) -> int:
 
 
 def _cmd_circle(args, cfg) -> int:
-    sieve = load_or_build_sieve(2 * args.x + args.h + 1, cfg.resolved_cache_dir())
+    sieve = build_sieve(2 * args.x + args.h + 1)
     grid = build_grid(args.x, args.q, sieve, 8 * args.x)
     payload = {"x": args.x, "q": args.q, "constants": {}}
     lq = math.log(2 * args.q * args.x)
@@ -374,8 +366,7 @@ def _cmd_selfcheck(args, cfg) -> int:
 
     x, h = 100, 10
     val = selberg_integral(x, h, zc, sieve)
-    w = np.cumsum(np.where(sieve.lambda_[: 2 * x + h + 2] > 0,
-                           sieve.lambda_[: 2 * x + h + 2], 0))
+    w = np.cumsum(sieve.lambda_[: 2 * x + h + 2])
     ts = np.linspace(x, 2 * x, 100001)[:-1] + 0.5 / 100000
     window = w[np.floor(ts + h).astype(int)] - w[np.floor(ts).astype(int)]
     riemann = float(np.sum(np.abs(window - h) ** 2) * (x / 100000))
@@ -404,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file")
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("sieve", help="build (and cache) a von Mangoldt table")
+    s = sub.add_parser("sieve", help="build a von Mangoldt table")
     s.add_argument("--x", type=int, required=True)
 
     s = sub.add_parser("characters", help="list the character group mod q")
@@ -505,10 +496,7 @@ def dispatch(argv) -> int:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     try:
         return _HANDLERS[args.command](args, cfg)
-    except GzError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (GzError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

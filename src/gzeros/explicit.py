@@ -222,7 +222,8 @@ def z_gamma_ratio(rho: complex, rho2: complex) -> complex:
 
 
 def z_gamma_ratio_matrix(rhos1: np.ndarray, rhos2: np.ndarray) -> np.ndarray:
-    """|Z| over the outer product of two zero arrays (vectorized)."""
+    """Z = Gamma(rho) Gamma(rho') / Gamma(1 + rho + rho') (complex, as
+    z_gamma_ratio) over the outer product of two zero arrays."""
     lg1 = loggamma(rhos1)
     lg2 = loggamma(rhos2)
     out = np.exp(lg1[:, None] + lg2[None, :]

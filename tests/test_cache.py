@@ -112,3 +112,13 @@ def test_evaluator_version_keys_the_zero_cache(tmp_path, monkeypatch):
     path = cache._zeros_path("q=1;e=", T, tmp_path)
     monkeypatch.setattr(cache, "EVALUATOR_VERSION", "old")
     assert cache._zeros_path("q=1;e=", T, tmp_path) != path
+
+
+def test_induced_and_primitive_labels_share_one_file(tmp_path, searches):
+    # the principal character mod 5 is induced by zeta: one search, one file
+    zs5 = load_or_build_zeros("q=5;e=0", T, tmp_path)
+    zs1 = load_or_build_zeros("q=1;e=", T, tmp_path)
+    assert searches == ["q=1;e="]
+    assert len(list(tmp_path.glob("zeros-*.txt"))) == 1
+    assert zs5.char_label == "q=5;e=0" and zs1.char_label == "q=1;e="
+    assert [e.gamma for e in zs5.entries] == [e.gamma for e in zs1.entries]

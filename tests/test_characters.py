@@ -31,6 +31,7 @@ from gzeros.characters import (
     root_sum_is_zero,
     _closed_form_coefficients,
 )
+from gzeros.errors import CapacityError
 from gzeros.numtheory import euler_phi, factorize, moebius
 
 
@@ -292,6 +293,21 @@ def test_orthogonality_exact_small_q():
                 assert root_counts_equal(counts, L, euler_phi(q), ONE)
             else:
                 assert root_sum_is_zero(counts, L)
+
+
+def test_character_table_envelope():
+    # phi(q) q <= 2^22: q = 2003 is inside; mod 4099 it is 16.8M entries per
+    # array, which would still fit in memory, so only the check stops it
+    from gzeros.characters import (TABLE_CAP, char_exponent_table,
+                                   verify_char_sum_identity)
+
+    assert euler_phi(2003) * 2003 <= TABLE_CAP < euler_phi(4099) * 4099
+    chi = character_from_label("q=4099;e=1")
+    for build in (lambda: char_sum_closed_form(chi, 1),
+                  lambda: char_exponent_table(chi),
+                  lambda: verify_char_sum_identity(4099)):
+        with pytest.raises(CapacityError):
+            build()
 
 
 def test_orthogonality_float_to_q500():

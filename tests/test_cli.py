@@ -4,11 +4,7 @@ import sys
 
 import pytest
 
-from gzeros.cache import (
-    cache_key,
-    load_or_build_sieve,
-    load_or_build_zeros,
-)
+from gzeros.cache import _sha256_file, cache_key, load_or_build_zeros
 from gzeros.cli import RunConfig, dispatch
 from gzeros.goldbach import goldbach_g
 from gzeros.numtheory import build_sieve
@@ -62,21 +58,43 @@ def test_zeros_roundtrip_and_cache(cache_env, tmp_path, capsys):
 
 
 def test_cache_hit_and_corruption(cache_env, tmp_path):
+    import numpy as np
+
+    from gzeros.cache import load_or_build_convolution
+
     cache_dir = tmp_path / "cache"
-    s1 = load_or_build_sieve(5000, cache_dir)
-    files = list(cache_dir.glob("sieve-*.gzsv"))
+    sieve = build_sieve(5000)
+    c1 = load_or_build_convolution(3, 1, 2, 5000, sieve, cache_dir)
+    files = list(cache_dir.glob("conv-*.npy"))
     assert len(files) == 1
     mtime = files[0].stat().st_mtime_ns
-    s2 = load_or_build_sieve(5000, cache_dir)
+    c2 = load_or_build_convolution(3, 1, 2, 5000, sieve, cache_dir)
     assert files[0].stat().st_mtime_ns == mtime  # hit, not rebuilt
-    assert s1.limit == s2.limit
+    assert np.array_equal(c1.values, c2.values)
     # corrupt the payload: checksum must catch it and recompute
     raw = files[0].read_bytes()
     files[0].write_bytes(raw[:-8] + b"\x00" * 8)
-    s3 = load_or_build_sieve(5000, cache_dir)
-    assert s3.psi(5000) == pytest.approx(s1.psi(5000))
+    c3 = load_or_build_convolution(3, 1, 2, 5000, sieve, cache_dir)
+    assert c3.s_at(5000) == pytest.approx(c1.s_at(5000))
     # rebuilt file carries a fresh valid checksum
     assert files[0].stat().st_mtime_ns != mtime
+    side = files[0].with_suffix(".npy.sha256")
+    assert side.read_text().strip() == _sha256_file(files[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-thm12", "--q", "3", "--a", "1", "--b", "2", "--xmin", "100",
+     "--xmax", "10000", "--grid", "4", "--height", "20"],
+    ["fit", "--mode", "thm11", "--q", "1", "--xmax", "100000"],
+    ["goldbach", "--q", "3", "--a", "1", "--b", "2", "--x", "500"],
+    ["circle", "--x", "300", "--q", "1", "--h", "10"],
+    ["sieve", "--x", "10000"],
+], ids=["verify-thm12", "fit", "goldbach", "circle", "sieve"])
+def test_commands_write_no_sieve_file(argv, tmp_path, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("GZ_CACHE_DIR", str(cache_dir))
+    assert dispatch(argv) == 0
+    assert not list(cache_dir.glob("sieve-*"))
 
 
 def test_cache_key_versioning():

@@ -418,6 +418,14 @@ def test_psi_chi_values(zeta_char, sieve):
     assert psi_chi(1.5, zeta_char, sieve) == 0
 
 
+def test_psi_chi_ends_at_floor_x(zeta_char, sieve):
+    # exp(log 1849) rounds just below 1849 = 43^2; the sum keeps n = 1849
+    u = math.exp(math.log(1849))
+    assert psi_chi(u, zeta_char, sieve) == psi_chi(1849, zeta_char, sieve)
+    assert psi_chi(u, zeta_char, sieve).real == pytest.approx(sieve.psi(1849),
+                                                              rel=1e-12)
+
+
 def test_psi_explicit_zeta(zeta_char, sieve, zeta_zeros):
     u, T = 10 ** 4, 500
     exact, formula, err = explicit_formula_report(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -16,10 +17,8 @@ from gzeros.numtheory import (
     moebius,
     phi2,
     primes_up_to,
-    read_sieve_cache,
     tau,
     unit_pair_count,
-    write_sieve_cache,
 )
 
 
@@ -121,10 +120,26 @@ def test_sieve_x2():
 
 def test_sieve_prime_power_flag_matches_lambda():
     sv = build_sieve(5000)
-    assert np.array_equal(sv.is_prime_power, sv.lambda_ > 0)
-    # spot-check against factorize
+    # Lambda(n) > 0 exactly at the prime powers: spot-check against factorize
     for n in range(2, 500):
-        assert sv.is_prime_power[n] == factorize(n).is_prime_power()
+        assert (sv.lambda_[n] > 0) == factorize(n).is_prime_power()
+
+
+def test_sieve_holds_only_its_limit_and_a_read_only_lambda():
+    sv = build_sieve(1000)
+    assert [f.name for f in dataclasses.fields(sv)] == ["limit", "lambda_"]
+    with pytest.raises(ValueError):
+        sv.lambda_[7] = 0.0
+    assert sv.lambda_[7] == pytest.approx(math.log(7), rel=0)
+
+
+def test_psi_ends_where_every_sum_over_n_ends():
+    # exp(log 1849) = 1848.9999999999998: floor_x keeps n = 1849 = 43^2
+    sv = build_sieve(2000)
+    u = math.exp(math.log(1849))
+    assert u < 1849
+    assert sv.psi(u) == sv.psi(1849)
+    assert sv.psi(1849) - sv.psi(1848) == pytest.approx(math.log(43), rel=1e-12)
 
 
 def test_chebyshev_identity():
@@ -152,21 +167,6 @@ def test_psi_pnt_scale():
 def test_sieve_capacity():
     with pytest.raises(CapacityError):
         build_sieve(10 ** 7, cap=10 ** 6)
-
-
-def test_sieve_cache_roundtrip(tmp_path):
-    sv = build_sieve(1234)
-    path = tmp_path / "sv.gzsv"
-    write_sieve_cache(sv, path)
-    back = read_sieve_cache(path)
-    assert back.limit == 1234
-    assert np.array_equal(back.lambda_, sv.lambda_)
-
-    # truncation is detected
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-16])
-    with pytest.raises(ValueError):
-        read_sieve_cache(path)
 
 
 def test_sieve_deterministic():
