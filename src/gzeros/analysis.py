@@ -179,7 +179,7 @@ def zero_sum_diagnostics(
 ) -> dict[str, float]:
     """Measured zero-sum statistics divided by their bound shapes.
 
-    Requires entries up to height >= max(T, |y| + 1).  Keys:
+    Requires zeros up to height >= max(T, |y| + 1).  Keys:
 
     sum_inv_rho        sum over |gamma| <= T of m/|rho|
     c_sum_inv_rho      ... divided by (log 2qT)^2
@@ -192,20 +192,19 @@ def zero_sum_diagnostics(
     """
     if zeros.height < max(T, abs(y) + 1) - 1e-9:
         raise ValueError("zero set height insufficient for diagnostics")
-    inside = [e for e in zeros.entries if abs(e.gamma) <= T]
-    tail = [e for e in zeros.entries if abs(e.gamma) > T]
-    s1 = sum(e.multiplicity / abs(e.rho) for e in inside)
-    s2 = sum(e.multiplicity / abs(e.rho) ** 2 for e in tail)
-    off = sum(e.multiplicity / (1 + abs(e.gamma - y)) for e in inside)
+    inside = np.abs(zeros.gamma) <= T
+    m, gamma, abs_rho = zeros.mult[inside], zeros.gamma[inside], np.abs(zeros.rho)
+    s1 = float(np.sum(m / abs_rho[inside]))
+    s2 = float(np.sum(zeros.mult[~inside] / abs_rho[~inside] ** 2))
+    off = float(np.sum(m / (1 + np.abs(gamma - y))))
 
-    best_count = 0
-    best_k = 0
-    k = -int(math.ceil(T))
-    while k < T:
-        cnt = sum(e.multiplicity for e in inside if k <= e.gamma < k + 1)
-        if cnt > best_count:
-            best_count, best_k = cnt, k
-        k += 1
+    # gamma lies in the unit window [k, k+1) with k = floor(gamma); windows
+    # run over -ceil(T) <= k < T, and argmax takes the smallest k on ties
+    k, k0 = np.floor(gamma).astype(np.int64), -math.ceil(T)
+    counts = np.bincount(k[k < T] - k0, weights=m[k < T])
+    best_count, best_k = 0.0, 0
+    if len(counts):
+        best_count, best_k = float(counts.max()), int(np.argmax(counts)) + k0
     l2qt = math.log(2 * q * T)
     return {
         "sum_inv_rho": s1,
@@ -214,6 +213,6 @@ def zero_sum_diagnostics(
         "c_tail_inv_rho2": s2 * T / l2qt,
         "offdiag_sum": off,
         "c_offdiag": off / math.log(q * T) ** 2,
-        "max_unit_count": float(best_count),
+        "max_unit_count": best_count,
         "c_unit_count": best_count / math.log(q * (abs(best_k) + 2)),
     }

@@ -153,21 +153,15 @@ def load_or_build_zero_sets(
             for chi in build_group(q)}
 
 
-def sieve_hash(sieve: SieveTable) -> str:
-    """Digest of the von Mangoldt payload (keys convolution caches)."""
-    h = hashlib.sha256()
-    h.update(int(sieve.limit).to_bytes(8, "little"))
-    h.update(sieve.lambda_.astype("<f8").tobytes())
-    return h.hexdigest()[:16]
-
-
 def load_or_build_convolution(
     q: int, a: int, b: int, x: int, sieve: SieveTable,
     cache_dir: Path | None = None,
 ):
-    """ClassConvolution cache keyed by (q, a, b, x, sieve hash)."""
+    """ClassConvolution cache keyed by (q, a, b, x).  Lambda(n) is a fixed
+    function and every sieve comes from build_sieve, so the key needs
+    nothing of the sieve, which only builds the table on a miss."""
     cache_dir = cache_dir or default_cache_dir()
-    key = cache_key("conv", q=q, a=a, b=b, x=x, sieve=sieve_hash(sieve))
+    key = cache_key("conv", q=q, a=a, b=b, x=x)
     path = cache_dir / f"conv-{key}.npy"
     if _verify(path):
         try:

@@ -36,6 +36,7 @@ from .cache import (default_cache_dir, load_or_build_convolution,
                     load_or_build_zero_sets, load_or_build_zeros)
 from .characters import (
     build_group,
+    char_value,
     character_from_label,
     induce_primitive,
     verify_char_sum_identity,
@@ -44,8 +45,8 @@ from .characters import (
 from .circle import build_grid, decompose_check, j_chi, selberg_integral, w_mass
 from .errors import GzError
 from .explicit import landau_gonek
-from .goldbach import build_class_convolution
-from .lfunc import export_zeros, find_zeros, import_zeros
+from .goldbach import _class_lambda, build_class_convolution, s_chi
+from .lfunc import export_zeros, find_zeros, hurwitz_zeta, import_zeros
 from .numtheory import build_sieve, euler_phi, floor_x
 from .singular import (check_j_inputs, compute_c2, j_average, j_weight_table,
                        singular_series)
@@ -136,11 +137,17 @@ def _cmd_characters(args, cfg) -> int:
     return 0
 
 
-def _cmd_zeros(args, cfg) -> int:
+def _character_label(args) -> str:
+    """The --char label, which must name a character mod --q (default:
+    the principal character mod q)."""
     label = args.char or build_group(args.q)[0].label
-    chi = character_from_label(label)
-    if chi.q != args.q:
+    if character_from_label(label).q != args.q:
         raise GzError(f"character {label} is not mod {args.q}")
+    return label
+
+
+def _cmd_zeros(args, cfg) -> int:
+    label = _character_label(args)
     if args.import_path:
         zs = import_zeros(args.import_path, label)
         print(f"imported {zs.count()} zeros, certified={zs.certified}")
@@ -224,9 +231,7 @@ def _cmd_verify(args, cfg) -> int:
 
 
 def _cmd_landau_gonek(args, cfg) -> int:
-    label = args.char or build_group(args.q)[0].label
-    chi = character_from_label(label)
-    star = induce_primitive(chi)
+    star = induce_primitive(character_from_label(_character_label(args)))
     zs = load_or_build_zeros(star.label, args.height, cfg.resolved_cache_dir())
     total, pred, budget = landau_gonek(args.x, star, zs, args.height)
     _emit_json(args.json, {
@@ -306,8 +311,6 @@ def _cmd_selfcheck(args, cfg) -> int:
     report("orthogonality decomposition (q=3, x=300, DFT vs direct)",
            worst < 1e-6, f"worst residual {worst:.2e}")
 
-    from .goldbach import _class_lambda
-
     x = 400
     ok = True
     for q, a, b in [(1, 1, 1), (3, 1, 2), (5, 2, 3)]:
@@ -318,9 +321,6 @@ def _cmd_selfcheck(args, cfg) -> int:
         if np.max(np.abs(conv.values - direct)) > 1e-6:
             ok = False
     report("FFT convolution vs direct double loop (x=400)", ok)
-
-    from .goldbach import s_chi
-    from .characters import char_value
 
     q, x = 3, 500
     chars3 = build_group(q)
@@ -350,14 +350,13 @@ def _cmd_selfcheck(args, cfg) -> int:
            1.3 < c2c.C2 < 1.33 and c2c.tail_bound < 1e-12,
            f"C2 = {c2c.C2:.12f}")
 
-    from .lfunc import hurwitz_zeta
     val = hurwitz_zeta(2.0, 1.0)
     report("Hurwitz zeta at (2, 1) vs pi^2/6",
            abs(val - math.pi ** 2 / 6) < 1e-12, f"err {abs(val - math.pi**2/6):.2e}")
 
     zc = build_group(1)[0]
     zs = find_zeros(zc, 50)
-    gamma1 = min(e.gamma for e in zs.entries if e.gamma > 0)
+    gamma1 = float(zs.gamma[zs.gamma > 0][0])
     report("zeta zeros to T=50 certified (argument principle)",
            zs.certified and zs.count() == 20,
            f"count {zs.count()}, gamma1 {gamma1:.9f}")

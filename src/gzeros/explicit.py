@@ -238,8 +238,8 @@ def _residue(rho_q: complex, q: int, weights: Weights, scale: float,
     total = 0j
     found = False
     for chi, w in weights:
-        m = sum(e.multiplicity for e in zero_sets[chi.label].entries
-                if abs(e.rho - rho_q) <= tol)
+        zs = zero_sets[chi.label]
+        m = int(zs.mult[np.abs(zs.rho - rho_q) <= tol].sum())
         if m:
             found = True
             total += w * m

@@ -37,6 +37,9 @@ accurate.  For the zeta path the s(s-1)/2 factor absorbs the poles, which is the
 correction.  A count mismatch raises CertificationFailure: it means a
 missed zero, a multiple zero, or an off-line zero.
 
+A ZeroSet is a frozen table of read-only arrays beta, gamma and mult
+sorted by gamma, with one set-level source ("computed" or "imported");
+only this module builds one, and other modules read slices and masks.
 Computed zeros store beta = 1/2 exactly; imported sets may carry other
 beta values for hypothetical-scenario replay but are never certified.
 Zero sets for a whole modulus come from cache.load_or_build_zero_sets,
@@ -52,7 +55,7 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -236,62 +239,72 @@ class ZeroEntry:
     beta: float
     gamma: float
     multiplicity: int = 1
-    source: str = "computed"  # or "imported"
-
-    @property
-    def rho(self) -> complex:
-        return complex(self.beta, self.gamma)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ZeroSet:
-    """Zeros of L(s, chi) with |gamma| <= height, both signs explicit."""
+    """Zeros of L(s, chi) with |gamma| <= height, both signs explicit, as
+    read-only arrays sorted by gamma; source is "computed" or "imported"."""
 
     char_label: str
     height: float
-    entries: list[ZeroEntry] = field(default_factory=list)
+    beta: np.ndarray
+    gamma: np.ndarray
+    mult: np.ndarray
     certified: bool = False
     diagnostics: str = ""
+    source: str = "computed"
 
     def __post_init__(self):
-        self.entries.sort(key=lambda e: e.gamma)
+        order = np.argsort(self.gamma, kind="stable")
+        for name, dtype in (("beta", float), ("gamma", float), ("mult", np.int64)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            if arr.shape != order.shape:
+                raise ValueError("beta, gamma and mult must have one length")
+            arr = arr[order]  # a copy: the caller's array stays apart
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.beta + 1j * self.gamma
+
+    @property
+    def entries(self) -> list[ZeroEntry]:
+        """One ZeroEntry per zero, in plain Python floats and ints.  Only
+        perfbench/tracing.py reads it; code in gzeros reads the arrays."""
+        return [ZeroEntry(*row) for row in zip(
+            self.beta.tolist(), self.gamma.tolist(), self.mult.tolist())]
 
     @property
     def observed_B(self) -> float:
-        return max((e.beta for e in self.entries), default=0.5)
+        return float(self.beta.max()) if len(self.beta) else 0.5
 
-    def below(self, T: float) -> list[ZeroEntry]:
+    def below(self, T: float) -> slice:
+        """The index range of the zeros with |gamma| <= T."""
         if T > self.height + 1e-9:
             raise ValueError(
                 f"requested height {T} exceeds available {self.height}"
             )
-        return [e for e in self.entries if abs(e.gamma) <= T]
+        return slice(int(np.searchsorted(self.gamma, -T, "left")),
+                     int(np.searchsorted(self.gamma, T, "right")))
 
     def count(self, T: float | None = None) -> int:
-        sel = self.entries if T is None else self.below(T)
-        return sum(e.multiplicity for e in sel)
+        sel = slice(None) if T is None else self.below(T)
+        return int(self.mult[sel].sum())
 
     def assert_on_line(self) -> None:
-        for e in self.entries:
-            if e.source == "computed" and e.beta != 0.5:
-                raise OffLineZeroError(
-                    f"computed entry with beta={e.beta} in {self.char_label}"
-                )
+        off = self.beta[self.beta != 0.5]
+        if self.source == "computed" and len(off):
+            raise OffLineZeroError(
+                f"computed entry with beta={float(off[0])} in {self.char_label}"
+            )
 
 
 def mirror_zero_set(zs: ZeroSet, label: str) -> ZeroSet:
     """Zero set of the conjugate character: gamma -> -gamma."""
-    entries = [
-        ZeroEntry(e.beta, -e.gamma, e.multiplicity, e.source)
-        for e in zs.entries
-    ]
-    return ZeroSet(
-        char_label=label,
-        height=zs.height,
-        entries=entries,
-        certified=zs.certified,
-        diagnostics=zs.diagnostics,
-    )
+    return replace(zs, char_label=label, beta=zs.beta[::-1],
+                   gamma=-zs.gamma[::-1], mult=zs.mult[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +500,9 @@ def find_zeros(chi: DirichletCharacter, T: float) -> ZeroSet:
         n_found = int(np.sum(np.abs(ordinates) <= t_count))
         if n_found == n_true:
             inside = ordinates[np.abs(ordinates) <= T]
-            return ZeroSet(
-                char_label=chi.label,
-                height=float(T),
-                entries=[ZeroEntry(0.5, float(g)) for g in inside],
-                certified=True,
-            )
+            return ZeroSet(chi.label, float(T), np.full(len(inside), 0.5),
+                           inside, np.ones(len(inside), dtype=np.int64),
+                           certified=True)
         logger.warning(
             "find_zeros %s: found %d vs argument count %d at step %.4g",
             chi.label, n_found, n_true, step,
@@ -518,13 +528,11 @@ def zero_power_sum(zeros: ZeroSet, T: float, x: float, weight=None) -> complex:
     rounds exactly, so the cancellation-heavy sums repeat bit for bit.
     x <= 0 has no zero contribution and gives 0.
     """
-    entries = zeros.below(T)
-    if not entries or x <= 0:
+    sel = zeros.below(T)
+    beta, gamma = zeros.beta[sel], zeros.gamma[sel]
+    if not len(gamma) or x <= 0:
         return 0j
-    beta = np.array([e.beta for e in entries])
-    gamma = np.array([e.gamma for e in entries])
-    mult = np.array([e.multiplicity for e in entries], dtype=np.float64)
-    terms = mult * x ** beta * np.exp(1j * gamma * math.log(x))
+    terms = zeros.mult[sel] * x ** beta * np.exp(1j * gamma * math.log(x))
     if weight is not None:
         terms = terms * weight(beta + 1j * gamma)
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
@@ -580,16 +588,17 @@ def export_zeros(zs: ZeroSet, path) -> None:
         fh.write(f"# char {zs.char_label}\n")
         fh.write(f"# height {zs.height!r}\n")
         fh.write(f"# certified {int(zs.certified)}\n")
-        for e in zs.entries:  # ZeroSet keeps them gamma-ascending
-            fh.write(f"{e.beta!r} {e.gamma!r} {e.multiplicity}\n")
+        # tolist gives plain floats: the repr of an np.float64 names its type
+        for row in zip(zs.beta.tolist(), zs.gamma.tolist(), zs.mult.tolist()):
+            fh.write("%r %r %d\n" % row)
 
 
 def import_zeros(path, char_label: str, validate: bool = True) -> ZeroSet:
     """Read a zero file written in the export_zeros format.
 
     Every file must be well formed: finite fields, 0 < beta < 1,
-    multiplicity >= 1, gamma strictly ascending (a repeated gamma is a
-    duplicate) and no |gamma| above the "# height" line.  A violation
+    1 <= multiplicity < 2^53, gamma strictly ascending (a repeated gamma
+    is a duplicate) and no |gamma| above the "# height" line.  A violation
     raises ValidationError with the offending line number.
 
     validate=True also checks each on-line entry against the evaluator,
@@ -618,7 +627,7 @@ def import_zeros(path, char_label: str, validate: bool = True) -> ZeroSet:
     height = None
     height_line = None
     certified_flag = 0
-    entries: list[tuple[int, ZeroEntry]] = []
+    rows: list[tuple[int, float, float, int]] = []  # (line, beta, gamma, mult)
     prev_gamma = -math.inf
     for ln, line in enumerate(lines[1:], start=2):
         line = line.strip()
@@ -643,16 +652,18 @@ def import_zeros(path, char_label: str, validate: bool = True) -> ZeroSet:
             raise ValidationError(f"gamma={gamma} is not finite", line_number=ln)
         if not 0 < beta < 1:
             raise ValidationError(f"beta={beta} outside (0,1)", line_number=ln)
-        if mult < 1:
-            raise ValidationError(f"multiplicity {mult} < 1", line_number=ln)
+        if not 1 <= mult < 2 ** 53:  # exact in the float64 table below
+            raise ValidationError(f"multiplicity {mult} outside [1, 2^53)",
+                                  line_number=ln)
         if gamma == prev_gamma:
             raise ValidationError(f"duplicate gamma={gamma}", line_number=ln)
         if gamma < prev_gamma:
             raise ValidationError("gamma values not ascending", line_number=ln)
         prev_gamma = gamma
-        entries.append((ln, ZeroEntry(beta, gamma, mult, source="imported")))
+        rows.append((ln, beta, gamma, mult))
 
-    top = max((abs(e.gamma) for _, e in entries), default=0.0)
+    line_no, beta, gamma, mult = np.array(rows, dtype=float).reshape(-1, 4).T
+    top = float(np.abs(gamma).max()) if rows else 0.0
     if height is None:
         height = top
     elif top > height:
@@ -661,24 +672,22 @@ def import_zeros(path, char_label: str, validate: bool = True) -> ZeroSet:
             line_number=height_line,
         )
     chi = character_from_label(char_label)
-    hypothetical = any(e.beta != 0.5 for _, e in entries)
+    hypothetical = bool(np.any(beta != 0.5))
     certified = bool(certified_flag) and not hypothetical
     diagnostics = "hypothetical (off-line entries)" if hypothetical else ""
-    if validate and entries:
-        chi_star = induce_primitive(chi)
-        on_line = [(ln, e) for ln, e in entries if e.beta == 0.5]
-        if on_line:
-            gam = np.array([e.gamma for _, e in on_line])
-            vals = np.abs(l_values_array(chi_star, 0.5 + 1j * gam))
-            bad = np.nonzero(vals >= 1e-6)[0]
-            if len(bad):
-                ln, e = on_line[int(bad[0])]
-                raise ValidationError(
-                    f"|L(1/2 + {e.gamma}i)| = {vals[bad[0]]:.3g} >= 1e-6",
-                    line_number=ln,
-                )
+    on_line = np.nonzero(beta == 0.5)[0]
+    if validate and len(on_line):
+        vals = np.abs(l_values_array(induce_primitive(chi),
+                                     0.5 + 1j * gamma[on_line]))
+        bad = np.nonzero(vals >= 1e-6)[0]
+        if len(bad):
+            i = int(on_line[bad[0]])
+            raise ValidationError(
+                f"|L(1/2 + {rows[i][2]}i)| = {vals[bad[0]]:.3g} >= 1e-6",
+                line_number=int(line_no[i]),
+            )
     if validate and certified:
-        total = sum(e.multiplicity for _, e in entries)
+        total = int(mult.sum())
         try:
             n_true = zero_count_argument(chi, height)
         except (ContourError, CapacityError, ValueError) as exc:
@@ -687,19 +696,11 @@ def import_zeros(path, char_label: str, validate: bool = True) -> ZeroSet:
             certified = False
             diagnostics = (f"multiplicity total {total} != argument count "
                            f"{n_true} at height {height}")
-    return ZeroSet(
-        char_label=char_label,
-        height=height,
-        entries=[e for _, e in entries],
-        certified=certified,
-        diagnostics=diagnostics,
-    )
+    return ZeroSet(char_label, height, beta, gamma, mult, certified,
+                   diagnostics, source="imported")
 
 
 def check_conjugate_symmetry(zs: ZeroSet, zs_conj: ZeroSet, tol: float = 1e-7) -> bool:
-    """Entries of the two sets must pair under gamma <-> -gamma."""
-    a = sorted(e.gamma for e in zs.entries)
-    b = sorted(-e.gamma for e in zs_conj.entries)
-    if len(a) != len(b):
-        return False
-    return all(abs(x - y) <= tol for x, y in zip(a, b))
+    """The zeros of the two sets must pair under gamma <-> -gamma."""
+    a, b = zs.gamma, -zs_conj.gamma[::-1]  # both ascending
+    return len(a) == len(b) and bool(np.all(np.abs(a - b) <= tol))

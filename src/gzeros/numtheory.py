@@ -239,7 +239,9 @@ class SieveTable:
     lambda_: np.ndarray  # float64, indices 0..limit; [0] and [1] are 0
 
     def psi(self, u: float) -> float:
-        """Chebyshev psi(u) = sum_{n<=u} Lambda(n)."""
+        """Chebyshev psi(u) = sum_{n<=u} Lambda(n), for u <= limit."""
+        if u > self.limit:
+            raise ValueError(f"u={u} exceeds sieve limit {self.limit}")
         n = int(floor_x(u))
         if n < 2:
             return 0.0

@@ -119,7 +119,7 @@ def test_criterion_04_zero_certification(zero_sets):
                 continue
             seen.add(star.label)
             zs = zero_sets[q][chi.label]
-            gam = np.array([e.gamma for e in zs.entries])
+            gam = zs.gamma
             s = 0.5 + 1j * gam
             lv = l_values_array(star, s)
             sk = (s + star.parity) / 2.0
@@ -141,7 +141,8 @@ def test_criterion_04_zero_certification(zero_sets):
         else:
             hi = mid
     oracle = float((lo + hi) / 2)
-    gamma1 = min(e.gamma for e in zero_sets[1]["q=1;e="].entries if e.gamma > 0)
+    gamma = zero_sets[1]["q=1;e="].gamma
+    gamma1 = float(gamma[gamma > 0].min())
     if abs(gamma1 - oracle) >= 1e-6:
         all_ok = False
         details.append(f"gamma1 {gamma1} vs oracle {oracle}")
@@ -233,7 +234,7 @@ def test_criterion_09_z_ratio_bound(zero_sets):
         for label, zs in zero_sets[q].items():
             star = induce_primitive(character_from_label(label))
             seen[star.label] = zs
-    rhos = np.concatenate([[e.rho for e in zs.entries] for zs in seen.values()])
+    rhos = np.concatenate([zs.rho for zs in seen.values()])
     absr = np.abs(rhos)
     worst = 0.0
     for i0 in range(0, len(rhos), 512):

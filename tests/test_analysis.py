@@ -207,11 +207,52 @@ def test_zero_sum_diagnostics(zeta_zeros):
     assert d["max_unit_count"] >= 1.0
     # y = 0 reduces the offdiagonal sum to the plain 1/(1+|gamma|) sum
     manual = sum(
-        e.multiplicity / (1 + abs(e.gamma))
-        for e in zeta_zeros.entries
-        if abs(e.gamma) <= 200
+        m / (1 + abs(g))
+        for g, m in zip(zeta_zeros.gamma.tolist(), zeta_zeros.mult.tolist())
+        if abs(g) <= 200
     )
     assert d["offdiag_sum"] == pytest.approx(manual, rel=1e-12)
+
+
+def _diagnostics_reference(zeros, T, y=0.0):
+    """The per-zero and per-window loops zero_sum_diagnostics replaced:
+    (sum m/|rho|, tail sum m/|rho|^2, sum m/(1+|gamma-y|), and the count
+    and k of the fullest window [k, k+1), -ceil(T) <= k < T, smallest k
+    on ties)."""
+    rows = list(zip(zeros.rho.tolist(), zeros.mult.tolist()))
+    inside = [(r, m) for r, m in rows if abs(r.imag) <= T]
+    s1 = sum(m / abs(r) for r, m in inside)
+    s2 = sum(m / abs(r) ** 2 for r, m in rows if abs(r.imag) > T)
+    off = sum(m / (1 + abs(r.imag - y)) for r, m in inside)
+    best_count, best_k = 0, 0
+    k = -int(math.ceil(T))
+    while k < T:
+        cnt = sum(m for r, m in inside if k <= r.imag < k + 1)
+        if cnt > best_count:
+            best_count, best_k = cnt, k
+        k += 1
+    return s1, s2, off, best_count, best_k
+
+
+@pytest.mark.parametrize("T", [100.0, 200.0])
+def test_zero_sum_diagnostics_matches_per_zero_loops(zeta_zeros, T):
+    d = zero_sum_diagnostics(zeta_zeros, 1, T)
+    s1, s2, off, best_count, best_k = _diagnostics_reference(zeta_zeros, T)
+    # the sums run in another order: a few ulps of the total per term
+    for key, ref in (("sum_inv_rho", s1), ("tail_inv_rho2", s2),
+                     ("offdiag_sum", off)):
+        assert d[key] == pytest.approx(ref, rel=1e-12)
+    # the window counts are exact
+    assert d["max_unit_count"] == float(best_count)
+    assert d["c_unit_count"] == best_count / math.log(abs(best_k) + 2)
+
+
+def test_unit_window_count_of_an_empty_set_is_zero():
+    from gzeros.lfunc import ZeroSet
+
+    d = zero_sum_diagnostics(ZeroSet("q=1;e=", 50.0, [], [], []), 3, 10.0)
+    assert d["max_unit_count"] == 0.0 and d["c_unit_count"] == 0.0
+    assert d["sum_inv_rho"] == 0.0
 
 
 def test_zero_sum_diagnostics_stability(zeta_zeros):

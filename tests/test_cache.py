@@ -1,6 +1,7 @@
 """The zero-set provider: one cache, conjugate pairs mirrored, one label
 per character, and the CLI reading exactly what the library reads."""
 
+import numpy as np
 import pytest
 
 from gzeros import analysis, cache, cli
@@ -28,7 +29,7 @@ def searches(monkeypatch):
 def _view(sets):
     return {
         label: (zs.char_label, zs.certified, zs.height,
-                [(e.beta, e.gamma, e.multiplicity) for e in zs.entries])
+                zs.beta.tolist(), zs.gamma.tolist(), zs.mult.tolist())
         for label, zs in sets.items()
     }
 
@@ -47,9 +48,8 @@ def test_conjugate_pairs_cost_one_search(tmp_path, searches):
         assert conjugate(chi).label in searches
         zs, direct = sets[chi.label], find_zeros(chi, T)
         assert zs.certified and zs.char_label == chi.label
-        assert len(zs.entries) == len(direct.entries) > 0
-        assert max(abs(a.gamma - b.gamma)
-                   for a, b in zip(zs.entries, direct.entries)) <= 1e-9
+        assert len(zs.gamma) == len(direct.gamma) > 0
+        assert np.max(np.abs(zs.gamma - direct.gamma)) <= 1e-9
 
     searches.clear()
     assert _view(load_or_build_zero_sets(7, T, tmp_path)) == _view(sets)
@@ -62,8 +62,7 @@ def test_imprimitive_characters_get_their_own_label(tmp_path):
         assert sets[chi.label].char_label == chi.label
     principal = build_group(8)[0]
     zeta = load_or_build_zeros("q=1;e=", T, tmp_path)
-    assert [e.gamma for e in sets[principal.label].entries] == \
-        [e.gamma for e in zeta.entries]
+    assert sets[principal.label].gamma.tolist() == zeta.gamma.tolist()
 
 
 def test_damaged_conjugate_set_is_not_mirrored(tmp_path, searches):
@@ -121,4 +120,4 @@ def test_induced_and_primitive_labels_share_one_file(tmp_path, searches):
     assert searches == ["q=1;e="]
     assert len(list(tmp_path.glob("zeros-*.txt"))) == 1
     assert zs5.char_label == "q=5;e=0" and zs1.char_label == "q=1;e="
-    assert [e.gamma for e in zs5.entries] == [e.gamma for e in zs1.entries]
+    assert zs5.gamma.tolist() == zs1.gamma.tolist()

@@ -108,7 +108,7 @@ def test_zero_cache(cache_env, tmp_path):
     cache_dir = tmp_path / "cache"
     z1 = load_or_build_zeros("q=1;e=", 20.0, cache_dir)
     z2 = load_or_build_zeros("q=1;e=", 20.0, cache_dir)
-    assert [e.gamma for e in z1.entries] == [e.gamma for e in z2.entries]
+    assert z1.gamma.tolist() == z2.gamma.tolist()
     assert z2.certified
 
 
@@ -125,10 +125,26 @@ def test_convolution_cache(cache_env, tmp_path):
     assert len(files) == 1
     c2 = load_or_build_convolution(3, 1, 2, 1500, sieve, cache_dir)
     assert np.array_equal(c1.values, c2.values)
-    # a different sieve (different limit, hence hash) misses the cache
+    # (q, a, b, x) fixes the table: a sieve to another limit hits the cache
     sieve2 = build_sieve(4000)
     load_or_build_convolution(3, 1, 2, 1500, sieve2, cache_dir)
-    assert len(list(cache_dir.glob("conv-*.npy"))) == 2
+    assert len(list(cache_dir.glob("conv-*.npy"))) == 1
+
+
+def test_cli_imports_no_test_dependency():
+    # pytest, hypothesis and mpmath are the [test] extra: `gz` must run
+    # from a plain `pip install .`
+    import subprocess
+    from pathlib import Path
+
+    import gzeros
+
+    env = dict(os.environ, PYTHONPATH=str(Path(gzeros.__file__).parents[1]))
+    code = ("import sys, gzeros.cli; "
+            "print(sorted({'pytest', 'hypothesis', 'mpmath'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_config_roundtrip(tmp_path):
@@ -183,7 +199,9 @@ def test_verify_thm12_small(cache_env, tmp_path, capsys):
     ["goldbach", "--q", "0", "--a", "1", "--b", "1", "--x", "100"],
     ["javg", "--x", "1000", "--q", "0", "--c", "1"],
     ["landau-gonek", "--x", "inf", "--q", "1", "--height", "50"],
-], ids=["verify-grid-0", "goldbach-q-0", "javg-q-0", "landau-gonek-x-inf"])
+    ["landau-gonek", "--x", "2", "--q", "3", "--char", "q=5;e=1", "--height", "20"],
+], ids=["verify-grid-0", "goldbach-q-0", "javg-q-0", "landau-gonek-x-inf",
+        "landau-gonek-char-not-mod-q"])
 def test_bad_input_exits_1_without_traceback(argv, cache_env, capsys):
     assert dispatch(argv) == 1
     err = capsys.readouterr().err

@@ -59,9 +59,7 @@ def test_h_term_x1_bounded(zeta_zeros):
     zc = build_group(1)[0]
     val = h_term(1.0, zc, zeta_zeros, 200.0)
     # |sum 1/(rho(rho+1))| <= sum 1/|rho|^2: a small absolute constant
-    bound = sum(
-        1 / abs(e.rho) ** 2 for e in zeta_zeros.entries
-    )
+    bound = float(np.sum(1 / np.abs(zeta_zeros.rho) ** 2))
     assert abs(val) <= bound
 
 
@@ -231,7 +229,7 @@ def test_z_ratio_strip_domain():
 
 
 def test_z_ratio_bound_on_zero_pairs(zeta_zeros):
-    rhos = np.array([e.rho for e in zeta_zeros.entries])
+    rhos = zeta_zeros.rho
     T = 200.0
     mat = np.abs(z_gamma_ratio_matrix(rhos, rhos))
     scale = np.abs(rhos)[:, None] * np.abs(rhos)[None, :] / math.sqrt(T)
@@ -239,7 +237,7 @@ def test_z_ratio_bound_on_zero_pairs(zeta_zeros):
 
 
 def test_z_ratio_matrix_matches_scalar(zeta_zeros):
-    rhos = np.array([e.rho for e in zeta_zeros.entries[:5]])
+    rhos = zeta_zeros.rho[:5]
     mat = z_gamma_ratio_matrix(rhos, rhos)
     for i, r1 in enumerate(rhos):
         for j, r2 in enumerate(rhos):
@@ -252,8 +250,8 @@ def test_z_ratio_matrix_matches_scalar(zeta_zeros):
 # residues
 
 def test_residue_r_first_zeta_zero(zsets1, zeta_zeros):
-    rho1 = complex(0.5, max(e.gamma for e in zeta_zeros.entries
-                            if abs(e.gamma) < 15))
+    gamma = zeta_zeros.gamma
+    rho1 = complex(0.5, float(gamma[np.abs(gamma) < 15].max()))
     r = residue_r(rho1, 1, 1, 1, zsets1)
     # -(1/phi^2) (1/rho) * (1+1) * m with m = 1
     assert r == pytest.approx(-2.0 / rho1, rel=1e-12)
@@ -263,7 +261,8 @@ def test_residue_r_vanishing_weight():
     # q=4: the nontrivial character has chi(1) + chi(3) = 0
     zsets = load_or_build_zero_sets(4, 50)
     chi4 = [c for c in build_group(4) if not c.is_principal][0]
-    gamma1 = min(e.gamma for e in zsets[chi4.label].entries if e.gamma > 0)
+    gamma = zsets[chi4.label].gamma
+    gamma1 = float(gamma[gamma > 0].min())
     rho = complex(0.5, gamma1)
     r = residue_r(rho, 4, 1, 3, zsets)
     assert r == 0
@@ -273,11 +272,13 @@ def test_residue_r1_collapses_mod4():
     # q* = 4 is not squarefree: mu(q*) = 0 kills the weight
     zsets = load_or_build_zero_sets(4, 50)
     chi4 = [c for c in build_group(4) if not c.is_principal][0]
-    gamma1 = min(e.gamma for e in zsets[chi4.label].entries if e.gamma > 0)
+    gamma = zsets[chi4.label].gamma
+    gamma1 = float(gamma[gamma > 0].min())
     r1 = residue_r1(complex(0.5, gamma1), 4, 1, zsets)
     assert r1 == 0
     # but the zeta zeros do contribute through the principal character
-    gz = min(e.gamma for e in zsets["q=4;e=0"].entries if e.gamma > 0)
+    gamma = zsets["q=4;e=0"].gamma
+    gz = float(gamma[gamma > 0].min())
     r1z = residue_r1(complex(0.5, gz), 4, 2, zsets)
     assert r1z != 0
 
@@ -361,7 +362,8 @@ def _ref_thm14(x, q, c, zero_sets, T):
 
 
 def _ref_multiplicity(zeros, rho, tol=1e-6):
-    return sum(e.multiplicity for e in zeros.entries if abs(e.rho - rho) <= tol)
+    return sum(m for r, m in zip(zeros.rho.tolist(), zeros.mult.tolist())
+               if abs(r - rho) <= tol)
 
 
 def _ref_residue_r(rho_q, q, a, b, zero_sets):
@@ -401,8 +403,8 @@ def test_shared_kernel_matches_per_theorem_loops(q):
             row = thm14_rhs(x, q, c, zsets, T)
             assert (row.main, row.zero_correction) == _ref_thm14(x, q, c, zsets, T)
     for chi in build_group(q):
-        rho = min((e.rho for e in zsets[chi.label].entries if e.gamma > 0),
-                  key=lambda r: r.imag)
+        zs = zsets[chi.label]
+        rho = min(zs.rho[zs.gamma > 0].tolist(), key=lambda r: r.imag)
         for a in units:
             for b in units:
                 assert residue_r(rho, q, a, b, zsets) == \

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +10,6 @@ from gzeros.cache import load_or_build_zero_sets
 from gzeros.characters import build_group, character_from_label, conjugate, induce_primitive
 from gzeros.errors import CapacityError, CertificationFailure, ValidationError
 from gzeros.lfunc import (
-    ZeroEntry,
     ZeroSet,
     check_conjugate_symmetry,
     completed_lambda,
@@ -256,7 +256,7 @@ def test_zero_count_shape(zeta_char):
 
 def test_find_zeros_zeta_first(zeta_char):
     zs = find_zeros(zeta_char, 15)
-    pos = [e.gamma for e in zs.entries if e.gamma > 0]
+    pos = zs.gamma[zs.gamma > 0]
     assert len(pos) == 1
     assert pos[0] == pytest.approx(14.134725141734693, abs=1e-8)
     assert zs.certified
@@ -277,7 +277,7 @@ def test_first_zero_against_mpmath_bisection_oracle(zeta_char):
             hi = mid
     oracle = float((lo + hi) / 2)
     zs = find_zeros(zeta_char, 15)
-    gamma1 = max(e.gamma for e in zs.entries)
+    gamma1 = float(zs.gamma.max())
     assert abs(gamma1 - oracle) < 1e-6
 
 
@@ -303,7 +303,7 @@ def zeta1000(zeta_char):
 def test_find_zeros_zeta_1000_against_mpmath(zeta1000):
     zs, _ = zeta1000
     assert zs.certified and zs.count() == 1298
-    pos = [e.gamma for e in zs.entries if e.gamma > 0]
+    pos = zs.gamma[zs.gamma > 0]
     for n in [1, 2, 3, 100, 649]:
         assert abs(pos[n - 1] - float(mp.zetazero(n).imag)) < 1e-9
 
@@ -318,7 +318,7 @@ def test_find_zeros_zeta_1000_point_budget(zeta1000):
 def test_find_zeros_chi4(chi4):
     zs = find_zeros(chi4, 7)
     assert zs.certified
-    gammas = [round(e.gamma, 4) for e in zs.entries]
+    gammas = [round(g, 4) for g in zs.gamma.tolist()]
     assert gammas == [-6.0209, 6.0209]
 
 
@@ -331,9 +331,9 @@ def test_find_zeros_symmetry_and_lambda_smallness():
             star = induce_primitive(chi)
             conj_set = sets[conjugate(chi).label]
             assert check_conjugate_symmetry(zs, conj_set)
-            for e in zs.entries:
-                assert e.beta == 0.5
-                assert abs(completed_lambda(0.5 + 1j * e.gamma, star)) < 1e-9
+            assert np.all(zs.beta == 0.5)
+            for g in zs.gamma.tolist():
+                assert abs(completed_lambda(0.5 + 1j * g, star)) < 1e-9
 
 
 def test_find_zeros_count_mismatch_raises(zeta_char, monkeypatch):
@@ -373,11 +373,10 @@ def test_z_line_is_real():
 def test_zero_sum_bounds_measured(zeta_zeros):
     q = 1
     T = 500
-    entries = [e for e in zeta_zeros.entries if abs(e.gamma) <= T]
-    s1 = sum(1 / abs(e.rho) for e in entries)
+    inside = np.abs(zeta_zeros.gamma) <= T
+    s1 = np.sum(1 / np.abs(zeta_zeros.rho[inside]))
     assert s1 <= 3 * math.log(2 * q * T) ** 2
-    tail = [e for e in zeta_zeros.entries if abs(e.gamma) > T]
-    s2 = sum(1 / abs(e.rho) ** 2 for e in tail)
+    s2 = np.sum(1 / np.abs(zeta_zeros.rho[~inside]) ** 2)
     assert s2 <= 3 * math.log(2 * q * T) / T
 
 
@@ -390,10 +389,11 @@ def test_zero_power_sum_matches_scalar_loop(zeta_zeros, weight):
     # of the summed term sizes
     scalar = weight or (lambda r: 1)
     for x, T in [(2.0, 600.0), (1e4, 200.0), (7.5e6, 100.0)]:
-        entries = zeta_zeros.below(T)
-        terms = [e.multiplicity * x ** e.beta
-                 * cmath.exp(1j * e.gamma * math.log(x)) * scalar(e.rho)
-                 for e in entries]
+        sel = zeta_zeros.below(T)
+        rows = zip(zeta_zeros.beta[sel].tolist(), zeta_zeros.gamma[sel].tolist(),
+                   zeta_zeros.mult[sel].tolist())
+        terms = [m * x ** b * cmath.exp(1j * g * math.log(x)) * scalar(complex(b, g))
+                 for b, g, m in rows]
         ref = complex(math.fsum(t.real for t in terms),
                       math.fsum(t.imag for t in terms))
         scale = sum(abs(t) for t in terms)
@@ -468,8 +468,8 @@ def test_zero_file_roundtrip(tmp_path, zeta_char):
     assert back.char_label == zs.char_label
     assert back.height == zs.height
     assert back.certified
-    assert [e.gamma for e in back.entries] == [e.gamma for e in zs.entries]
-    assert all(e.source == "imported" for e in back.entries)
+    assert back.gamma.tolist() == zs.gamma.tolist()
+    assert back.source == "imported"
 
 
 def test_zero_file_corrupted_gamma(tmp_path, zeta_char):
@@ -518,10 +518,74 @@ def test_recertify_imported_count(tmp_path, zeta_char):
 
 
 def test_mirror_zero_set():
-    zs = ZeroSet("q=5;e=1", 10.0, [ZeroEntry(0.5, 3.0), ZeroEntry(0.5, -7.0)], True)
+    zs = ZeroSet("q=5;e=1", 10.0, [0.5, 0.5], [3.0, -7.0], [1, 1], True)
     m = mirror_zero_set(zs, "q=5;e=3")
-    assert [e.gamma for e in m.entries] == [-3.0, 7.0]
+    assert m.gamma.tolist() == [-3.0, 7.0]
     assert m.certified
+
+
+# ---------------------------------------------------------------------------
+# the zero table: read-only arrays sorted by gamma
+
+
+def test_zero_table_is_read_only_and_sorted(zeta_zeros):
+    zs = ZeroSet("q=5;e=1", 10.0, [0.5, 0.25, 0.5], [3.0, -7.0, 1.0], [1, 2, 1])
+    assert zs.gamma.tolist() == [-7.0, 1.0, 3.0]
+    assert zs.beta.tolist() == [0.25, 0.5, 0.5]
+    assert zs.mult.tolist() == [2, 1, 1]
+    for table in (zs, zeta_zeros):
+        assert np.all(np.diff(table.gamma) > 0)
+        for arr in (table.beta, table.gamma, table.mult):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    with pytest.raises(AttributeError):
+        zs.gamma = np.zeros(3)
+    with pytest.raises(ValueError):
+        ZeroSet("q=5;e=1", 10.0, [0.5], [3.0, 4.0], [1, 1])
+
+
+def test_below_is_the_abs_gamma_mask(zeta_zeros):
+    gamma = zeta_zeros.gamma
+    on_ordinate = float(gamma[gamma > 0][10])
+    between = 0.5 * (on_ordinate + float(gamma[gamma > 0][11]))
+    for T in (on_ordinate, between, 0.0, 600.0):
+        mask = np.abs(gamma) <= T
+        sel = zeta_zeros.below(T)
+        assert np.array_equal(gamma[sel], gamma[mask])
+        assert np.array_equal(zeta_zeros.mult[sel], zeta_zeros.mult[mask])
+    assert zeta_zeros.count(on_ordinate) == 22
+
+
+def test_mirroring_twice_gives_back_the_arrays(chi4):
+    zs = find_zeros(chi4, 30)
+    back = mirror_zero_set(mirror_zero_set(zs, "q=4;e=1"), zs.char_label)
+    for name in ("beta", "gamma", "mult"):
+        assert np.array_equal(getattr(back, name), getattr(zs, name))
+    assert (back.char_label, back.height, back.certified, back.source) == \
+        (zs.char_label, zs.height, zs.certified, zs.source)
+
+
+def test_entries_are_plain_python_scalars(zeta_zeros):
+    entries = zeta_zeros.entries
+    assert len(entries) == len(zeta_zeros.gamma)
+    for e, b, g, m in zip(entries, zeta_zeros.beta, zeta_zeros.gamma,
+                          zeta_zeros.mult):
+        assert type(e.beta) is float and type(e.gamma) is float
+        assert type(e.multiplicity) is int
+        assert (e.beta, e.gamma, e.multiplicity) == (b, g, m)
+
+
+def test_exported_zero_lines_are_plain_reprs(tmp_path, zeta_char):
+    zs = find_zeros(zeta_char, 50)
+    path = tmp_path / "zeros.txt"
+    export_zeros(zs, path)
+    rows = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    assert len(rows) == len(zs.gamma)
+    number = r"-?\d+(\.\d+)?(e[-+]\d+)?"
+    for row, g in zip(rows, zs.gamma.tolist()):
+        assert re.fullmatch(f"{number} {number} \\d+", row), row
+        assert row == f"0.5 {g!r} 1"
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,14 @@ def test_psi_ends_where_every_sum_over_n_ends():
     assert sv.psi(1849) - sv.psi(1848) == pytest.approx(math.log(43), rel=1e-12)
 
 
+def test_psi_refuses_u_past_the_sieve_limit():
+    sv = build_sieve(1000)
+    assert sv.psi(1000) == pytest.approx(996.68, abs=0.01)
+    for u in (1000.5, 2000, 1e9):
+        with pytest.raises(ValueError, match="exceeds sieve limit"):
+            sv.psi(u)
+
+
 def test_chebyshev_identity():
     # sum_{d|n} Lambda(d) = log n, brute force over divisors
     sv = build_sieve(10 ** 4)
