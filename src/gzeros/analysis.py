@@ -11,8 +11,9 @@ The effective exponent parameter of the sharpened error term is
 
     b_star = min(observed_B, 1 - c1 / min(q^eps, (log x)^(4/5))),
 
-with c1 and eps configuration (the source leaves c1 unspecified; the
-default eps = 1/7 is the choice made in its own final optimization).
+with c1 and eps the fields of BStarParams, whose defaults gz fit uses
+(the source leaves c1 unspecified; eps = 1/7 is the choice made in its
+own final optimization).
 At very small x the second branch can dip to 0, which is degenerate but
 faithful; it is logged, not hidden.
 """

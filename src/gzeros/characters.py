@@ -238,15 +238,6 @@ class DirichletCharacter:
     def label(self) -> str:
         return format_label(self.q, self.exponents)
 
-    @property
-    def is_exceptional(self) -> bool:
-        """delta_1 flag: no Siegel zero exists in the computed ranges, so
-        this is identically False; off-line zeros raise instead."""
-        return False
-
-    def value(self, n: int):
-        return char_value(self, n)
-
     def __call__(self, n: int) -> complex:
         return complex(char_value(self, n))
 
@@ -358,15 +349,6 @@ def character_from_label(label: str) -> DirichletCharacter:
             f"{len(grp.orders)}"
         )
     return _make_character(grp, exps)
-
-
-def multiply(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCharacter:
-    if chi1.q != chi2.q:
-        raise ValueError("characters have different moduli")
-    grp = group(chi1.q)
-    return _make_character(
-        grp, tuple(a + b for a, b in zip(chi1.exponents, chi2.exponents))
-    )
 
 
 def conjugate(chi: DirichletCharacter) -> DirichletCharacter:

@@ -68,8 +68,7 @@ def build_grid(x: int, q: int, sieve: SieveTable, N: int) -> ExpSumGrid:
         raise ValueError(f"N={N} below exactness threshold 2x+1={2 * x + 1}")
     if x > GRID_X_CAP:
         raise CapacityError(f"x={x} beyond grid cap {GRID_X_CAP}")
-    if x > sieve.limit:
-        raise ValueError(f"x={x} exceeds sieve limit {sieve.limit}")
+    sieve.check_limit(x)
     ind = np.zeros(N, dtype=np.complex128)
     ind[1: x + 1] = 1.0
     t_vals = np.fft.ifft(ind) * N  # sum_n e(+n j/N)
@@ -167,10 +166,8 @@ def selberg_integral(
     exact (piecewise-constant integrand integrated segment by segment)."""
     if not 2 <= h <= x:
         raise ValueError(f"h={h} outside [2, x]")
-    if 2 * x + int(math.ceil(h)) > sieve.limit + 1:
-        raise ValueError("sieve too short: need 2x + h")
     hi_n = int(math.floor(2 * x + h))
-    w = twisted_lambda(chi, hi_n, sieve)
+    w = twisted_lambda(chi, hi_n, sieve)  # checks hi_n against the sieve
     cum = np.cumsum(w)
 
     def psi(t: float) -> complex:

@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +31,8 @@ from .analysis import (
     residual_grid,
     rms,
 )
-from .cache import (default_cache_dir, load_or_build_convolution,
-                    load_or_build_zero_sets, load_or_build_zeros)
+from .cache import (load_or_build_convolution, load_or_build_zero_sets,
+                    load_or_build_zeros)
 from .characters import (
     build_group,
     char_value,
@@ -52,42 +51,6 @@ from .singular import (check_j_inputs, compute_c2, j_average, j_weight_table,
                        singular_series)
 
 JSON_SCHEMA = "gz_report_v1"
-
-
-@dataclass
-class RunConfig:
-    """key=value config file; flags override file values."""
-
-    cache_dir: str = ""
-    grid_points: int = 25
-    c1: float = 1.0
-    epsilon: float = 1.0 / 7.0
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        cfg = cls()
-        for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise GzError(f"{path}:{ln}: expected key=value")
-            key, val = (t.strip() for t in line.split("=", 1))
-            if key not in {f.name for f in fields(cfg)}:
-                raise GzError(f"{path}:{ln}: unknown key {key!r}")
-            cur = getattr(cfg, key)
-            if isinstance(cur, int) and not isinstance(cur, bool):
-                setattr(cfg, key, int(val))
-            elif isinstance(cur, float):
-                setattr(cfg, key, float(val))
-            else:
-                setattr(cfg, key, val)
-        return cfg
-
-    def resolved_cache_dir(self) -> Path:
-        if self.cache_dir:
-            return Path(self.cache_dir)
-        return default_cache_dir()
 
 
 def _formatter(v):
@@ -121,13 +84,13 @@ def _emit_json(path, payload):
 # subcommands
 
 
-def _cmd_sieve(args, cfg) -> int:
+def _cmd_sieve(args) -> int:
     sieve = build_sieve(args.x)
     print(f"sieve limit {sieve.limit}: psi(x) = {sieve.psi(args.x)!r}")
     return 0
 
 
-def _cmd_characters(args, cfg) -> int:
+def _cmd_characters(args) -> int:
     rows = [
         (c.label, c.order, c.conductor, c.parity, int(c.is_principal))
         for c in build_group(args.q)
@@ -146,13 +109,14 @@ def _character_label(args) -> str:
     return label
 
 
-def _cmd_zeros(args, cfg) -> int:
+def _cmd_zeros(args) -> int:
     label = _character_label(args)
     if args.import_path:
         zs = import_zeros(args.import_path, label)
-        print(f"imported {zs.count()} zeros, certified={zs.certified}")
+        print(f"imported {zs.count()} zeros, certified={zs.certified}"
+              + (f" ({zs.diagnostics})" if zs.diagnostics else ""))
     else:
-        zs = load_or_build_zeros(label, args.height, cfg.resolved_cache_dir())
+        zs = load_or_build_zeros(label, args.height)
         print(f"{label}: {zs.count()} zeros to height {args.height}, "
               f"certified={zs.certified}")
     if args.export_path:
@@ -161,11 +125,9 @@ def _cmd_zeros(args, cfg) -> int:
     return 0
 
 
-def _cmd_goldbach(args, cfg) -> int:
+def _cmd_goldbach(args) -> int:
     sieve = build_sieve(max(args.x, 2))
-    conv = load_or_build_convolution(
-        args.q, args.a, args.b, args.x, sieve, cfg.resolved_cache_dir()
-    )
+    conv = load_or_build_convolution(args.q, args.a, args.b, args.x, sieve)
     _emit_csv(args.out, ["n", "g", "S"], [
         range(args.x + 1), conv.values[: args.x + 1].tolist(),
         conv.cumulative[: args.x + 1].tolist(),
@@ -173,31 +135,31 @@ def _cmd_goldbach(args, cfg) -> int:
     return 0
 
 
-def _cmd_singular(args, cfg) -> int:
+def _cmd_singular(args) -> int:
     val = singular_series(args.q, args.c)
     print(f"S_{args.q}({args.c}) = {val} = {float(val)!r}")
     return 0
 
 
-def _cmd_javg(args, cfg) -> int:
+def _cmd_javg(args) -> int:
     check_j_inputs(args.x, args.q)  # before C2 and the J table are built
     constants = compute_c2(10 ** 5)
     table = j_weight_table(args.x, constants)
     rows = []
-    for x in floor_x(geometric_grid(100, args.x, cfg.grid_points)).tolist():
+    for x in floor_x(geometric_grid(100, args.x)).tolist():
         exact, main, resid = j_average(x, args.q, args.c, constants, j_table=table)
         rows.append((x, exact, main, resid))
     _emit_csv(args.out, ["x", "exact", "main", "residual"], zip(*rows))
     return 0
 
 
-def _residual_params(args, cfg, mode: str) -> ResidualParams:
+def _residual_params(args, mode: str) -> ResidualParams:
     """Sieve to xmax, the zero sets mod q (none for thm11) and the class
     arguments (a, b, c) the command takes."""
     sieve = build_sieve(args.xmax)
     zsets = {}
     if mode != "thm11":
-        zsets = load_or_build_zero_sets(args.q, args.height, cfg.resolved_cache_dir())
+        zsets = load_or_build_zero_sets(args.q, args.height)
     return ResidualParams(q=args.q, T=args.height, sieve=sieve,
                           zero_sets=zsets, **_class_args(args))
 
@@ -207,12 +169,12 @@ def _class_args(args) -> dict[str, int]:
     return {k: getattr(args, k) for k in ("a", "b", "c") if hasattr(args, k)}
 
 
-def _cmd_verify(args, cfg) -> int:
+def _cmd_verify(args) -> int:
     """verify-thm12 / verify-thm14: exact sums on a grid against the
     explicit formula."""
     xs = geometric_grid(args.xmin, args.xmax, args.grid)
     mode = args.command.removeprefix("verify-")
-    params = _residual_params(args, cfg, mode)
+    params = _residual_params(args, mode)
     rows = [(r.x, r.exact, r.main, r.zero_correction.real, r.residual,
              r.truncation_bound) for r in explicit_grid(mode, params, xs)]
     _emit_csv(args.out, ["x", "exact", "main", "zero_correction", "residual",
@@ -230,9 +192,9 @@ def _cmd_verify(args, cfg) -> int:
     return 0 if ok else 1
 
 
-def _cmd_landau_gonek(args, cfg) -> int:
+def _cmd_landau_gonek(args) -> int:
     star = induce_primitive(character_from_label(_character_label(args)))
-    zs = load_or_build_zeros(star.label, args.height, cfg.resolved_cache_dir())
+    zs = load_or_build_zeros(star.label, args.height)
     total, pred, budget = landau_gonek(args.x, star, zs, args.height)
     _emit_json(args.json, {
         "x": args.x, "char": star.label, "T": args.height,
@@ -244,7 +206,7 @@ def _cmd_landau_gonek(args, cfg) -> int:
     return 0 if abs(total - pred) <= budget else 1
 
 
-def _cmd_circle(args, cfg) -> int:
+def _cmd_circle(args) -> int:
     sieve = build_sieve(2 * args.x + args.h + 1)
     grid = build_grid(args.x, args.q, sieve, 8 * args.x)
     payload = {"x": args.x, "q": args.q, "constants": {}}
@@ -265,9 +227,9 @@ def _cmd_circle(args, cfg) -> int:
     return 0
 
 
-def _cmd_fit(args, cfg) -> int:
-    params = _residual_params(args, cfg, args.mode)
-    xs = geometric_grid(args.xmin, args.xmax, cfg.grid_points)
+def _cmd_fit(args) -> int:
+    params = _residual_params(args, args.mode)
+    xs = geometric_grid(args.xmin, args.xmax)
     res = residual_grid(args.mode, params, xs)
     fit = fit_exponent(res)
     payload = {
@@ -276,9 +238,7 @@ def _cmd_fit(args, cfg) -> int:
         "fit_rms": fit.rms, "n_samples": fit.n_samples,
         "x_range": list(fit.x_range),
         "rms_residual": rms(res),
-        "b_star_at_xmax": b_star(
-            args.q, args.xmax, BStarParams(c1=cfg.c1, epsilon=cfg.epsilon)
-        ),
+        "b_star_at_xmax": b_star(args.q, args.xmax, BStarParams()),
     }
     _emit_json(args.out, payload)
     if args.csv:
@@ -286,7 +246,7 @@ def _cmd_fit(args, cfg) -> int:
     return 0
 
 
-def _cmd_selfcheck(args, cfg) -> int:
+def _cmd_selfcheck(args) -> int:
     """Small-q oracle suites, one pass/fail line per lemma."""
     failures = 0
 
@@ -391,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Goldbach averages in progressions vs Dirichlet zeros",
     )
     p.add_argument("--version", action="version", version=__version__)
-    p.add_argument("--config", help="key=value config file")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("sieve", help="build a von Mangoldt table")
@@ -492,9 +451,8 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     try:
-        return _HANDLERS[args.command](args, cfg)
+        return _HANDLERS[args.command](args)
     except (GzError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

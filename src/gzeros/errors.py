@@ -5,8 +5,8 @@ class GzError(Exception):
     """Base class for all package errors."""
 
 
-class CapacityError(GzError):
-    """An input exceeds a module's validated size envelope."""
+class CapacityError(GzError, ValueError):
+    """An input exceeds a module's validated size envelope or a sieve's limit."""
 
 
 class CertificationFailure(GzError):

@@ -60,11 +60,6 @@ def h_term(x: float, chi: DirichletCharacter, zeros: ZeroSet, T: float) -> compl
     return x * zero_power_sum(zeros, T, x, lambda rho: 1 / (rho * (rho + 1)))
 
 
-def h_term_tail_bound(x: float, q: int, T: float) -> float:
-    """Unit-constant tail budget x^2 log(qT) / T for the discarded zeros."""
-    return x * x * math.log(max(q * T, 2.0)) / T
-
-
 @dataclass
 class ExplicitRow:
     x: float

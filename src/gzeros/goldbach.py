@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import DirichletCharacter, char_values_table
-from .errors import CapacityError
 from .numtheory import SieveTable, check_modulus, floor_x
 
 logger = logging.getLogger(__name__)
@@ -57,8 +56,7 @@ def _class_lambda(q: int, a: int, x: int, sieve: SieveTable) -> np.ndarray:
 def goldbach_g(n: int, q: int, a: int, b: int, sieve: SieveTable) -> float:
     """G(n; q, a, b), the exact double-precision sum over decompositions."""
     _check_classes("goldbach_g", q, a, b)
-    if n > sieve.limit:
-        raise ValueError(f"n={n} exceeds sieve limit {sieve.limit}")
+    sieve.check_limit(n)
     if n < 4:
         return 0.0
     total = 0.0
@@ -92,8 +90,9 @@ def build_class_convolution(
 ) -> ClassConvolution:
     """G(n; q, a, b) for all n <= x via one real FFT convolution."""
     _check_classes("build_class_convolution", q, a, b)
-    if x > sieve.limit:
-        raise CapacityError(f"x={x} exceeds sieve limit {sieve.limit}")
+    if x < 0:
+        raise ValueError(f"x={x} must be >= 0")
+    sieve.check_limit(x)
     va = _class_lambda(q, a, x, sieve)
     if (a - b) % q == 0:
         vb = va
@@ -136,8 +135,7 @@ def _grid(xs, sieve: SieveTable) -> tuple[np.ndarray, int]:
     sums need (checked against the sieve)."""
     ns = np.atleast_1d(floor_x(xs))
     top = max(int(ns.max()), 0) if ns.size else 0
-    if top > sieve.limit:
-        raise CapacityError(f"x={top} exceeds sieve limit {sieve.limit}")
+    sieve.check_limit(top)
     return ns, top
 
 
@@ -175,8 +173,7 @@ def twisted_lambda(
     chi: DirichletCharacter, x: int, sieve: SieveTable
 ) -> np.ndarray:
     """Array v[0..x] with v[n] = chi(n) Lambda(n), complex128."""
-    if x > sieve.limit:
-        raise ValueError(f"x={x} exceeds sieve limit {sieve.limit}")
+    sieve.check_limit(x)
     table = char_values_table(chi)
     n = np.arange(x + 1)
     v = table[n % chi.q] * sieve.lambda_[: x + 1]

@@ -293,13 +293,6 @@ class ZeroSet:
         sel = slice(None) if T is None else self.below(T)
         return int(self.mult[sel].sum())
 
-    def assert_on_line(self) -> None:
-        off = self.beta[self.beta != 0.5]
-        if self.source == "computed" and len(off):
-            raise OffLineZeroError(
-                f"computed entry with beta={float(off[0])} in {self.char_label}"
-            )
-
 
 def mirror_zero_set(zs: ZeroSet, label: str) -> ZeroSet:
     """Zero set of the conjugate character: gamma -> -gamma."""
@@ -544,8 +537,7 @@ def zero_power_sum(zeros: ZeroSet, T: float, x: float, weight=None) -> complex:
 
 def psi_chi(u: float, chi: DirichletCharacter, sieve: SieveTable) -> complex:
     """Exact sum_{n <= u} chi(n) Lambda(n)."""
-    if u > sieve.limit:
-        raise ValueError(f"u={u} exceeds sieve limit {sieve.limit}")
+    sieve.check_limit(u)
     x = int(floor_x(u))
     if x < 2:
         return 0j
@@ -559,19 +551,6 @@ def psi_explicit(
     of the full formula is omitted and measured separately)."""
     main = u if chi.is_principal else 0.0
     return main - zero_power_sum(zeros, T, u, lambda rho: 1 / rho)
-
-
-def explicit_formula_report(
-    u: float,
-    chi: DirichletCharacter,
-    zeros: ZeroSet,
-    T: float,
-    sieve: SieveTable,
-) -> tuple[complex, complex, float]:
-    """(exact psi, truncated formula, |difference|): the measured E(u,T,chi)."""
-    exact = psi_chi(u, chi, sieve)
-    formula = psi_explicit(u, chi, zeros, T)
-    return exact, formula, abs(exact - formula)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Provides:
 - factorize(n): deterministic factorization for n < 2^63 (trial division
   plus Miller-Rabin/Pollard rho for the large cofactor)
-- euler_phi, moebius, tau, phi2: standard multiplicative functions
+- euler_phi, moebius, phi2: standard multiplicative functions
 - unit_pair_count(q, c): #{a mod q : (a(c-a), q) = 1} = phi(q)^2 S_q(c)
 - check_modulus(q): the one q >= 1 check of the entry points
 - floor_x(x): floor(x (1 + 1e-12)), the last n of every sum over n <= x
@@ -158,16 +158,6 @@ def moebius(n: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
-def tau(n: int) -> int:
-    """Number of divisors."""
-    if n < 1:
-        raise ValueError("tau: n must be >= 1")
-    out = 1
-    for _, e in factorize(n).factors:
-        out *= e + 1
-    return out
-
-
 def phi2(n: int) -> int:
     """prod_{p|n} (p-2) over odd squarefree n (the domain it is used on)."""
     if n < 1:
@@ -238,22 +228,28 @@ class SieveTable:
     limit: int
     lambda_: np.ndarray  # float64, indices 0..limit; [0] and [1] are 0
 
+    def check_limit(self, x: float) -> None:
+        """CapacityError (a ValueError) when x > limit: the one rule for a
+        sum or table that reads Lambda(n) for n up to x."""
+        if x > self.limit:
+            raise CapacityError(f"x={x} exceeds sieve limit {self.limit}")
+
     def psi(self, u: float) -> float:
         """Chebyshev psi(u) = sum_{n<=u} Lambda(n), for u <= limit."""
-        if u > self.limit:
-            raise ValueError(f"u={u} exceeds sieve limit {self.limit}")
+        self.check_limit(u)
         n = int(floor_x(u))
         if n < 2:
             return 0.0
         return float(self.lambda_[: n + 1].sum())
 
 
-def build_sieve(x: int, cap: int = SIEVE_CAP) -> SieveTable:
-    """Von Mangoldt table for n <= x.  Deterministic; segmented sieve."""
+def build_sieve(x: int) -> SieveTable:
+    """Von Mangoldt table for n <= x <= SIEVE_CAP.  Deterministic;
+    segmented sieve."""
     if x < 2:
         raise ValueError("build_sieve: x must be >= 2")
-    if x > cap:
-        raise CapacityError(f"build_sieve: x={x} exceeds cap {cap}")
+    if x > SIEVE_CAP:
+        raise CapacityError(f"build_sieve: x={x} exceeds cap {SIEVE_CAP}")
 
     lam = np.zeros(x + 1, dtype=np.float64)
     root = math.isqrt(x)

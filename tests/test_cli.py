@@ -1,12 +1,14 @@
 import json
 import os
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
 from gzeros.cache import _sha256_file, cache_key, load_or_build_zeros
-from gzeros.cli import RunConfig, dispatch
-from gzeros.goldbach import goldbach_g
+from gzeros.cli import build_parser, dispatch
+from gzeros.goldbach import build_class_convolution, goldbach_g
 from gzeros.numtheory import build_sieve
 
 
@@ -20,6 +22,20 @@ def test_usage_errors(capsys):
     assert dispatch(["no-such-command"]) == 2
     assert dispatch(["zeros", "--bogus-flag", "1"]) == 2
     assert dispatch([]) == 2
+    assert dispatch(["--config", "x", "selfcheck"]) == 2
+
+
+def test_readme_cli_lines_parse():
+    # every gz line of README's CLI block, continuation lines joined
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    lines = [ln for ln in block.replace("\\\n", " ").splitlines()
+             if ln.startswith("gz ")]
+    assert len(lines) >= 12
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert parser.parse_args(argv).command == argv[0], line
 
 
 def test_singular_command(capsys, cache_env):
@@ -54,7 +70,34 @@ def test_zeros_roundtrip_and_cache(cache_env, tmp_path, capsys):
     assert dispatch(["zeros", "--q", "1", "--height", "20",
                      "--import", str(zfile)]) == 0
     out = capsys.readouterr().out
-    assert "certified=True" in out
+    assert "certified=True\n" in out
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda rows: [r.replace("0.5 ", "0.75 ", 1) for r in rows],
+     "certified=False (hypothetical (off-line entries))"),
+    (lambda rows: rows[1:], "certified=False (multiplicity total 5 != argument count 6"),
+], ids=["off-line", "dropped-zero"])
+def test_zeros_import_prints_why_uncertified(edit, reason, cache_env, tmp_path,
+                                             capsys):
+    zfile = tmp_path / "z.txt"
+    assert dispatch(["zeros", "--q", "1", "--height", "30",
+                     "--export", str(zfile)]) == 0
+    lines = zfile.read_text().splitlines()
+    zfile.write_text("\n".join(lines[:4] + edit(lines[4:])) + "\n")
+    capsys.readouterr()
+    assert dispatch(["zeros", "--q", "1", "--import", str(zfile)]) == 0
+    assert reason in capsys.readouterr().out
+
+
+def test_goldbach_negative_x_caches_nothing(cache_env, capsys):
+    with pytest.raises(ValueError, match="x=-1"):
+        build_class_convolution(3, 1, 2, -1, build_sieve(2))
+    assert dispatch(["goldbach", "--q", "3", "--a", "1", "--b", "2",
+                     "--x", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list((cache_env / "cache").glob("conv-*"))
 
 
 def test_cache_hit_and_corruption(cache_env, tmp_path):
@@ -135,7 +178,6 @@ def test_cli_imports_no_test_dependency():
     # pytest, hypothesis and mpmath are the [test] extra: `gz` must run
     # from a plain `pip install .`
     import subprocess
-    from pathlib import Path
 
     import gzeros
 
@@ -145,37 +187,6 @@ def test_cli_imports_no_test_dependency():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
-
-
-def test_config_roundtrip(tmp_path):
-    path = tmp_path / "gz.conf"
-    path.write_text("# every live key\ncache_dir=zero-cache\ngrid_points=9\n"
-                    "c1 = 2.5\n\nepsilon=0.125\n")
-    back = RunConfig.from_file(path)
-    assert back == RunConfig(cache_dir="zero-cache", grid_points=9, c1=2.5,
-                             epsilon=0.125)
-    assert isinstance(back.grid_points, int) and isinstance(back.c1, float)
-
-
-@pytest.mark.parametrize("line", ["height=500", "sieve_limit=10", "moduli=3,4",
-                                  "output=json", "from_file=1"])
-def test_config_rejects_keys_no_command_reads(tmp_path, line):
-    # these keys were once accepted and silently ignored
-    from gzeros.errors import GzError
-
-    path = tmp_path / "gz.conf"
-    path.write_text(line + "\n")
-    with pytest.raises(GzError, match="unknown key"):
-        RunConfig.from_file(path)
-
-
-def test_config_rejects_unknown_key(tmp_path):
-    path = tmp_path / "bad.conf"
-    path.write_text("no_such_key=1\n")
-    from gzeros.errors import GzError
-
-    with pytest.raises(GzError):
-        RunConfig.from_file(path)
 
 
 def test_verify_thm12_small(cache_env, tmp_path, capsys):

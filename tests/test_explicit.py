@@ -10,7 +10,6 @@ from gzeros.explicit import (
     MissingZeroSetError,
     _nearest_pp_gap_search,
     h_term,
-    h_term_tail_bound,
     landau_gonek,
     residue_r,
     residue_r1,
@@ -319,12 +318,6 @@ def test_explicit_row_algebra():
     )
     assert row.rhs == 47.0
     assert row.residual == pytest.approx(55.0 - 50.0 + 3.0)
-
-
-def test_h_term_tail_bound_shape():
-    assert h_term_tail_bound(100.0, 1, 50.0) == pytest.approx(
-        100.0 ** 2 * math.log(50.0) / 50.0
-    )
 
 
 # ---------------------------------------------------------------------------

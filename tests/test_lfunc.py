@@ -13,7 +13,6 @@ from gzeros.lfunc import (
     ZeroSet,
     check_conjugate_symmetry,
     completed_lambda,
-    explicit_formula_report,
     export_zeros,
     find_zeros,
     functional_equation_residual,
@@ -405,7 +404,7 @@ def test_zero_power_sum_matches_scalar_loop(zeta_zeros, weight):
 
 def test_observed_B(zeta_zeros):
     assert zeta_zeros.observed_B == 0.5
-    zeta_zeros.assert_on_line()
+    assert np.all(zeta_zeros.beta == 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +427,8 @@ def test_psi_chi_ends_at_floor_x(zeta_char, sieve):
 
 def test_psi_explicit_zeta(zeta_char, sieve, zeta_zeros):
     u, T = 10 ** 4, 500
-    exact, formula, err = explicit_formula_report(
-        u, zeta_char, zeta_zeros, T, sieve
-    )
+    exact = psi_chi(u, zeta_char, sieve)
+    err = abs(exact - psi_explicit(u, zeta_char, zeta_zeros, T))
     assert exact.real == pytest.approx(sieve.psi(u), rel=1e-12)
     # measured against the error shape of the truncated formula
     assert err <= 5 * (u / T) * math.log(u) ** 2
@@ -440,8 +438,8 @@ def test_psi_explicit_improves_with_height(zeta_char, sieve, zeta_zeros):
     u = 10 ** 4
     errs = []
     for T in [50, 200, 500]:
-        _, _, err = explicit_formula_report(u, zeta_char, zeta_zeros, T, sieve)
-        errs.append(err)
+        errs.append(abs(psi_chi(u, zeta_char, sieve)
+                        - psi_explicit(u, zeta_char, zeta_zeros, T)))
     assert errs[-1] < errs[0]
 
 
