@@ -108,10 +108,10 @@ def load_or_build_sieve(x: int) -> SieveTable:
     return build_sieve(x)
 
 
-def _zeros_path(chi_label: str, T: float, cache_dir: Path) -> Path:
+def _zeros_path(chi_label: str, T: float) -> Path:
     key = cache_key("zeros", label=chi_label, T=float(T),
                     evaluator=EVALUATOR_VERSION)
-    return cache_dir / f"zeros-{key}.txt"
+    return default_cache_dir() / f"zeros-{key}.txt"
 
 
 def _read_zeros(path: Path, chi_label: str) -> ZeroSet | None:
@@ -123,46 +123,37 @@ def _read_zeros(path: Path, chi_label: str) -> ZeroSet | None:
     return None
 
 
-def load_or_build_zeros(
-    chi_label: str, T: float, cache_dir: Path | None = None
-) -> ZeroSet:
+def load_or_build_zeros(chi_label: str, T: float) -> ZeroSet:
     """Zero set of one character to height T, labelled chi_label.  It is
     read or built as the set of the primitive chi* inducing it, so every
     character induced by chi* shares one file; on a miss the cached set
     of conj(chi*), mirrored, stands in for find_zeros."""
-    cache_dir = cache_dir or default_cache_dir()
     star = induce_primitive(character_from_label(chi_label))
-    path = _zeros_path(star.label, T, cache_dir)
+    path = _zeros_path(star.label, T)
     zs = _read_zeros(path, star.label)
     if zs is None:
         conj = conjugate(star).label
         base = None
         if conj != star.label:
-            base = _read_zeros(_zeros_path(conj, T, cache_dir), conj)
+            base = _read_zeros(_zeros_path(conj, T), conj)
         zs = find_zeros(star, T) if base is None else mirror_zero_set(base, star.label)
         _store_atomic(path, lambda tmp: export_zeros(zs, tmp))
     return zs if star.label == chi_label else replace(zs, char_label=chi_label)
 
 
-def load_or_build_zero_sets(
-    q: int, T: float, cache_dir: Path | None = None
-) -> dict[str, ZeroSet]:
+def load_or_build_zero_sets(q: int, T: float) -> dict[str, ZeroSet]:
     """Zero sets of every character mod q to height T, keyed and labelled
     by chi.label; an imprimitive chi gets the set of its primitive chi*."""
-    return {chi.label: load_or_build_zeros(chi.label, T, cache_dir)
+    return {chi.label: load_or_build_zeros(chi.label, T)
             for chi in build_group(q)}
 
 
-def load_or_build_convolution(
-    q: int, a: int, b: int, x: int, sieve: SieveTable,
-    cache_dir: Path | None = None,
-):
+def load_or_build_convolution(q: int, a: int, b: int, x: int, sieve: SieveTable):
     """ClassConvolution cache keyed by (q, a, b, x).  Lambda(n) is a fixed
     function and every sieve comes from build_sieve, so the key needs
     nothing of the sieve, which only builds the table on a miss."""
-    cache_dir = cache_dir or default_cache_dir()
     key = cache_key("conv", q=q, a=a, b=b, x=x)
-    path = cache_dir / f"conv-{key}.npy"
+    path = default_cache_dir() / f"conv-{key}.npy"
     if _verify(path):
         try:
             values = np.load(path)

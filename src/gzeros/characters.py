@@ -1,11 +1,11 @@
 """Dirichlet characters mod q as exact objects.
 
 A character is stored as an exponent vector over a fixed generator basis
-of (Z/q)* obtained from the CRT splitting q = prod p^k:
-
-- odd p^k: the least primitive root of p^k (single cyclic component);
-- 2: no component; 4: the generator -1 (order 2);
-- 2^k, k >= 3: the pair (-1, 5) with orders (2, 2^{k-2}).
+of (Z/q)*, chosen by one rule on each CRT factor p^k of q: the least
+primitive root of p^k for odd p, and (-1, 5) of orders (2, 2^{k-2}) for
+2^k, cut to (-1) for 4 and to nothing for 2.  One walk over the products
+of the generators' powers fills every discrete-log table.  The basis is a
+cache-key contract: it fixes every label, and so every zero-cache file.
 
 Values chi(n) are exact roots of unity e(k/m); they stay exact through
 multiplication and conjugation and are embedded into complex doubles
@@ -16,7 +16,7 @@ across runs.
 The characters of one modulus also come as one table, in build_group
 order: the exponent matrix K (phi(q) x q), one integer product of the
 exponent vectors with the scaled discrete-log tables mod the group
-exponent, with every character's order, parity and conductor, and the
+exponent, with every character's order and conductor, and the
 closed form of the complete character sum over a with (a(c-a), q) = 1
 for every class c.  verify_char_sum_identity checks that closed form
 against a direct count with zero tolerance: both sides are integer
@@ -92,34 +92,33 @@ MINUS_ONE = RootOfUnity(1, 2)
 # group basis
 
 
-def _primitive_root_mod_p(p: int) -> int:
-    if p == 2:
-        return 1
-    fac = factorize(p - 1).primes
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // r, p) != 1 for r in fac):
-            return g
-    raise AssertionError(f"no primitive root mod {p}")
-
-
-def _primitive_root_mod_pk(p: int, k: int) -> int:
-    """Least primitive root of odd p^k."""
-    g = _primitive_root_mod_p(p)
-    if k == 1:
-        return g
-    # g or g + p is primitive mod p^2, and then mod every p^k
-    if pow(g, p - 1, p * p) == 1:
-        g += p
-    # take the least one by scanning below g as well
+def _least_primitive_root(p: int, k: int) -> int:
+    """Least g >= 2 of multiplicative order phi(p^k) mod odd p^k."""
     pk = p ** k
-    order = (p - 1) * p ** (k - 1)
+    order = pk - pk // p
     fac = factorize(order).primes
-    for cand in range(2, g + 1):
-        if cand % p == 0:
-            continue
-        if all(pow(cand, order // r, pk) != 1 for r in fac):
-            return cand
-    return g
+    for g in range(2, pk):
+        if g % p and all(pow(g, order // r, pk) != 1 for r in fac):
+            return g
+    raise AssertionError(f"no primitive root mod {pk}")
+
+
+def _dlog_tables(pk: int, gens: list[tuple[int, int]]) -> list[np.ndarray]:
+    """One table per generator (g_i, m_i) of a basis of (Z/pk)*: the table
+    of g_i maps prod_j g_j^{e_j} mod pk to e_i, for every exponent vector
+    e < (m_j), and every non-unit to -1."""
+    units = np.ones(1, dtype=np.int64)
+    for g, m in gens:
+        powers = np.ones(1, dtype=np.int64)  # g^0..g^(m-1), doubling
+        while powers.size < m:
+            powers = np.append(powers, powers * pow(g, powers.size, pk) % pk)
+        units = np.outer(units, powers[:m]).ravel() % pk
+    tables = []
+    for e in np.indices([m for _, m in gens]).reshape(len(gens), units.size):
+        dl = np.full(pk, -1, dtype=np.int64)
+        dl[units] = e
+        tables.append(dl)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -150,17 +149,12 @@ class CharacterGroup:
 
         for p, k in factorize(q).factors:
             pk = p ** k
-            if p == 2:
-                if k == 1:
-                    continue
-                if k == 2:
-                    self._add_component(p, pk, pk - 1, 2)
-                else:
-                    self._add_component(p, pk, pk - 1, 2)
-                    self._add_component(p, pk, 5, 2 ** (k - 2))
+            if p == 2:  # (-1, 5), cut to (-1) for 4 and to () for 2
+                gens = [(pk - 1, 2), (5, pk // 4)][:k - 1]
             else:
-                g = _primitive_root_mod_pk(p, k)
-                self._add_component(p, pk, g, (p - 1) * p ** (k - 1))
+                gens = [(_least_primitive_root(p, k), pk - pk // p)]
+            self._dlogs += _dlog_tables(pk, gens)
+            self.components += [_Component(p, pk, g, m) for g, m in gens]
 
         self.orders = tuple(c.order for c in self.components)
         # exponent of the group (lcm of component orders)
@@ -168,39 +162,6 @@ class CharacterGroup:
         for m in self.orders:
             L = L * m // math.gcd(L, m)
         self.exponent = L
-
-    def _add_component(self, p: int, pk: int, g: int, order: int) -> None:
-        if p == 2 and pk >= 8 and g == 5:
-            # joint table over <-1> x <5>: dlog for the 5-part
-            dl = np.full(pk, -1, dtype=np.int64)
-            v = 1
-            for j in range(order):
-                dl[v] = j
-                dl[pk - v] = j  # -v has the same 5-part exponent
-                v = v * 5 % pk
-            self.components.append(_Component(p, pk, 5, order))
-            self._dlogs.append(dl)
-        elif p == 2 and g == pk - 1:
-            # sign part: 0 if n is a power of 5 mod 2^k, else 1
-            dl = np.full(pk, -1, dtype=np.int64)
-            if pk == 4:
-                dl[1], dl[3] = 0, 1
-            else:
-                v = 1
-                for _ in range(euler_phi(pk) // 2):
-                    dl[v] = 0
-                    dl[pk - v] = 1
-                    v = v * 5 % pk
-            self.components.append(_Component(p, pk, pk - 1, order))
-            self._dlogs.append(dl)
-        else:
-            dl = np.full(pk, -1, dtype=np.int64)
-            v = 1
-            for j in range(order):
-                dl[v] = j
-                v = v * g % pk
-            self.components.append(_Component(p, pk, g, order))
-            self._dlogs.append(dl)
 
     def dlog_vector(self, n: int) -> tuple[int, ...] | None:
         """Component discrete logs of n, or None when gcd(n, q) > 1."""
@@ -237,9 +198,6 @@ class DirichletCharacter:
     @property
     def label(self) -> str:
         return format_label(self.q, self.exponents)
-
-    def __call__(self, n: int) -> complex:
-        return complex(char_value(self, n))
 
 
 def format_label(q: int, exponents: tuple[int, ...]) -> str:
@@ -371,7 +329,6 @@ def char_value(chi: DirichletCharacter, n: int):
 
 def char_values_table(chi: DirichletCharacter) -> np.ndarray:
     """chi(n) for n = 0..q-1 as complex128 (period-q lookup table)."""
-    grp = group(chi.q)
     out = np.zeros(chi.q, dtype=np.complex128)
     for n in range(chi.q):
         v = char_value(chi, n if n else chi.q)
@@ -397,7 +354,7 @@ def induce_primitive(chi: DirichletCharacter) -> DirichletCharacter:
     for comp in gs.components:
         # lift the basis generator (mod the q* component) to n' coprime
         # to q, congruent to it mod p^c and to 1 mod the rest of q
-        n1 = _crt_lift(comp.generator, comp.prime_power, chi.q)
+        n1 = _crt_lift(comp.generator, comp.prime, chi.q)
         v = char_value(chi, n1)
         assert v != 0
         # v = e(k/m); the exponent e_i satisfies e(e_i / order_i) = v
@@ -409,20 +366,14 @@ def induce_primitive(chi: DirichletCharacter) -> DirichletCharacter:
     return out
 
 
-def _crt_lift(a: int, pc: int, q: int) -> int:
-    """n = a (mod pc), n = 1 (mod q/p-part), gcd(n, q) = 1."""
-    p = factorize(pc).primes[0]
-    qp = 1
-    for pp, e in factorize(q).factors:
-        if pp == p:
-            qp = pp ** e
+def _crt_lift(a: int, p: int, q: int) -> int:
+    """n = a (mod the p-part of q), n = 1 (mod the rest of q), n in [1, q];
+    gcd(n, q) = 1 for a unit a mod p."""
+    qp = p
+    while q % (qp * p) == 0:
+        qp *= p
     rest = q // qp
-    # a mod pc lifted to mod qp keeping a mod pc (a + pc*t); any lift works
-    # for the character value since chi* has period pc on this component.
-    if rest == 1:
-        return a % q or q
-    inv = pow(qp, -1, rest)
-    n = (a + qp * ((1 - a) * inv % rest)) % q
+    n = (a + qp * ((1 - a) * pow(qp, -1, rest) % rest)) % q
     return n or q
 
 
@@ -588,9 +539,7 @@ class _CharTable:
     units), and the closed form at the class r of c is coeff e(pos/order)
     (coeff 0, pos -1 where chi*(c) = 0).  All arrays are read-only."""
 
-    exponents: np.ndarray
     order: np.ndarray
-    parity: np.ndarray
     conductor: np.ndarray
     kn: np.ndarray
     coeff: np.ndarray
@@ -637,8 +586,7 @@ def _char_table(q: int) -> _CharTable:
         pos[rows] = kn[np.ix_(rows, lift)]
         coeff[rows] = moebius(qs) * (A // qs) * unit_pair_count(q_out, r)
     coeff[pos < 0] = 0
-    tab = _CharTable(exps, order, (kn[:, q - 1] > 0).astype(np.int64), cond,
-                     kn, coeff, pos)
+    tab = _CharTable(order, cond, kn, coeff, pos)
     for arr in vars(tab).values():
         arr.flags.writeable = False
     return tab
@@ -647,12 +595,6 @@ def _char_table(q: int) -> _CharTable:
 def _row(chi: DirichletCharacter) -> int:
     """Index of chi in build_group(chi.q) and in its modulus' table."""
     return int(np.ravel_multi_index(chi.exponents, group(chi.q).orders))
-
-
-def char_exponent_table(chi: DirichletCharacter) -> tuple[int, np.ndarray]:
-    """(n, karr): chi(r) = e(karr[r]/n) for residues r = 0..q-1, with
-    karr[r] = -1 off the units.  n = ord(chi)."""
-    return chi.order, _char_table(chi.q).kn[_row(chi)]
 
 
 def _closed_form_coefficients(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:

@@ -38,8 +38,8 @@ correction.  A count mismatch raises CertificationFailure: it means a
 missed zero, a multiple zero, or an off-line zero.
 
 A ZeroSet is a frozen table of read-only arrays beta, gamma and mult
-sorted by gamma, with one set-level source ("computed" or "imported");
-only this module builds one, and other modules read slices and masks.
+sorted by gamma; only this module builds one, and other modules read
+slices and masks.
 Computed zeros store beta = 1/2 exactly; imported sets may carry other
 beta values for hypothetical-scenario replay but are never certified.
 Zero sets for a whole modulus come from cache.load_or_build_zero_sets,
@@ -244,7 +244,7 @@ class ZeroEntry:
 @dataclass(frozen=True, eq=False)
 class ZeroSet:
     """Zeros of L(s, chi) with |gamma| <= height, both signs explicit, as
-    read-only arrays sorted by gamma; source is "computed" or "imported"."""
+    read-only arrays sorted by gamma."""
 
     char_label: str
     height: float
@@ -253,7 +253,6 @@ class ZeroSet:
     mult: np.ndarray
     certified: bool = False
     diagnostics: str = ""
-    source: str = "computed"
 
     def __post_init__(self):
         order = np.argsort(self.gamma, kind="stable")
@@ -454,6 +453,8 @@ def find_zeros(chi: DirichletCharacter, T: float) -> ZeroSet:
     a count mismatch rescans at a quarter of the step (up to three times).
     Counts that still disagree raise CertificationFailure.
     """
+    if not math.isfinite(T):
+        raise ValueError(f"find_zeros: T={T} must be finite")
     if chi.q > FIND_Q_CAP or T > FIND_T_CAP:
         raise CapacityError(
             f"find_zeros envelope is q <= {FIND_Q_CAP}, T <= {FIND_T_CAP}"
@@ -536,9 +537,9 @@ def zero_power_sum(zeros: ZeroSet, T: float, x: float, weight=None) -> complex:
 
 
 def psi_chi(u: float, chi: DirichletCharacter, sieve: SieveTable) -> complex:
-    """Exact sum_{n <= u} chi(n) Lambda(n)."""
-    sieve.check_limit(u)
+    """Exact sum_{n <= u} chi(n) Lambda(n), for floor_x(u) <= sieve.limit."""
     x = int(floor_x(u))
+    sieve.check_limit(x)
     if x < 2:
         return 0j
     return complex(twisted_lambda(chi, x, sieve).sum())
@@ -675,8 +676,7 @@ def import_zeros(path, char_label: str, validate: bool = True) -> ZeroSet:
             certified = False
             diagnostics = (f"multiplicity total {total} != argument count "
                            f"{n_true} at height {height}")
-    return ZeroSet(char_label, height, beta, gamma, mult, certified,
-                   diagnostics, source="imported")
+    return ZeroSet(char_label, height, beta, gamma, mult, certified, diagnostics)
 
 
 def check_conjugate_symmetry(zs: ZeroSet, zs_conj: ZeroSet, tol: float = 1e-7) -> bool:

@@ -18,6 +18,7 @@ never cached on disk: building it is about 3x faster than reading it back.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,14 +231,15 @@ class SieveTable:
 
     def check_limit(self, x: float) -> None:
         """CapacityError (a ValueError) when x > limit: the one rule for a
-        sum or table that reads Lambda(n) for n up to x."""
+        sum or table that reads Lambda(n) for n up to the integer x (a sum
+        over n <= u passes x = floor_x(u))."""
         if x > self.limit:
             raise CapacityError(f"x={x} exceeds sieve limit {self.limit}")
 
     def psi(self, u: float) -> float:
-        """Chebyshev psi(u) = sum_{n<=u} Lambda(n), for u <= limit."""
-        self.check_limit(u)
+        """Chebyshev psi(u) = sum_{n<=u} Lambda(n), for floor_x(u) <= limit."""
         n = int(floor_x(u))
+        self.check_limit(n)
         if n < 2:
             return 0.0
         return float(self.lambda_[: n + 1].sum())
@@ -246,6 +248,8 @@ class SieveTable:
 def build_sieve(x: int) -> SieveTable:
     """Von Mangoldt table for n <= x <= SIEVE_CAP.  Deterministic;
     segmented sieve."""
+    if not isinstance(x, numbers.Integral):
+        raise ValueError(f"build_sieve: x={x!r} must be an integer")
     if x < 2:
         raise ValueError("build_sieve: x must be >= 2")
     if x > SIEVE_CAP:

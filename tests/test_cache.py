@@ -12,6 +12,13 @@ from gzeros.lfunc import find_zeros
 T = 20.0
 
 
+@pytest.fixture(autouse=True)
+def cache_env(tmp_path, monkeypatch):
+    """Every test reads and writes zero sets under its own tmp_path."""
+    monkeypatch.setenv("GZ_CACHE_DIR", str(tmp_path))
+    return tmp_path
+
+
 @pytest.fixture()
 def searches(monkeypatch):
     """Labels find_zeros ran for, in call order."""
@@ -34,8 +41,8 @@ def _view(sets):
     }
 
 
-def test_conjugate_pairs_cost_one_search(tmp_path, searches):
-    sets = load_or_build_zero_sets(7, T, tmp_path)
+def test_conjugate_pairs_cost_one_search(searches):
+    sets = load_or_build_zero_sets(7, T)
     # zeta, the quadratic character and one of each conjugate pair
     # (orders 3 and 6); the other two sets are mirrored
     assert len(searches) == 4
@@ -52,24 +59,24 @@ def test_conjugate_pairs_cost_one_search(tmp_path, searches):
         assert np.max(np.abs(zs.gamma - direct.gamma)) <= 1e-9
 
     searches.clear()
-    assert _view(load_or_build_zero_sets(7, T, tmp_path)) == _view(sets)
+    assert _view(load_or_build_zero_sets(7, T)) == _view(sets)
     assert searches == []
 
 
-def test_imprimitive_characters_get_their_own_label(tmp_path):
-    sets = load_or_build_zero_sets(8, T, tmp_path)
+def test_imprimitive_characters_get_their_own_label():
+    sets = load_or_build_zero_sets(8, T)
     for chi in build_group(8):
         assert sets[chi.label].char_label == chi.label
     principal = build_group(8)[0]
-    zeta = load_or_build_zeros("q=1;e=", T, tmp_path)
+    zeta = load_or_build_zeros("q=1;e=", T)
     assert sets[principal.label].gamma.tolist() == zeta.gamma.tolist()
 
 
 def test_damaged_conjugate_set_is_not_mirrored(tmp_path, searches):
-    load_or_build_zeros("q=5;e=1", T, tmp_path)
+    load_or_build_zeros("q=5;e=1", T)
     (path,) = tmp_path.glob("zeros-*.txt")
     path.write_text(path.read_text().replace("0.5 ", "0.25 ", 1))
-    zs = load_or_build_zeros("q=5;e=3", T, tmp_path)
+    zs = load_or_build_zeros("q=5;e=3", T)
     assert searches == ["q=5;e=1", "q=5;e=3"]
     assert zs.certified
 
@@ -83,7 +90,6 @@ def test_cli_and_library_read_the_same_sets(tmp_path, monkeypatch):
         return real(x, q, a, b, zero_sets, height, **kwargs)
 
     monkeypatch.setattr(analysis, "thm12_rhs", spy)
-    monkeypatch.setenv("GZ_CACHE_DIR", str(tmp_path))
     assert cli.dispatch([
         "verify-thm12", "--q", "7", "--a", "1", "--b", "2", "--xmin", "100",
         "--xmax", "10000", "--grid", "4", "--height", str(T),
@@ -93,11 +99,10 @@ def test_cli_and_library_read_the_same_sets(tmp_path, monkeypatch):
     assert _view(read[0]) == _view(load_or_build_zero_sets(7, T))
 
 
-def test_zeros_command_searches_the_primitive_character(tmp_path, monkeypatch,
-                                                        searches, capsys):
+def test_zeros_command_searches_the_primitive_character(tmp_path, searches,
+                                                        capsys):
     # the principal character mod 5 is induced by zeta: one search serves
     # both commands, and the export keeps the requested label
-    monkeypatch.setenv("GZ_CACHE_DIR", str(tmp_path))
     out = tmp_path / "q5.txt"
     assert cli.dispatch(["zeros", "--q", "5", "--height", str(T),
                          "--export", str(out)]) == 0
@@ -107,16 +112,16 @@ def test_zeros_command_searches_the_primitive_character(tmp_path, monkeypatch,
     assert "q=5;e=0: 2 zeros" in capsys.readouterr().out
 
 
-def test_evaluator_version_keys_the_zero_cache(tmp_path, monkeypatch):
-    path = cache._zeros_path("q=1;e=", T, tmp_path)
+def test_evaluator_version_keys_the_zero_cache(monkeypatch):
+    path = cache._zeros_path("q=1;e=", T)
     monkeypatch.setattr(cache, "EVALUATOR_VERSION", "old")
-    assert cache._zeros_path("q=1;e=", T, tmp_path) != path
+    assert cache._zeros_path("q=1;e=", T) != path
 
 
 def test_induced_and_primitive_labels_share_one_file(tmp_path, searches):
     # the principal character mod 5 is induced by zeta: one search, one file
-    zs5 = load_or_build_zeros("q=5;e=0", T, tmp_path)
-    zs1 = load_or_build_zeros("q=1;e=", T, tmp_path)
+    zs5 = load_or_build_zeros("q=5;e=0", T)
+    zs1 = load_or_build_zeros("q=1;e=", T)
     assert searches == ["q=1;e="]
     assert len(list(tmp_path.glob("zeros-*.txt"))) == 1
     assert zs5.char_label == "q=5;e=0" and zs1.char_label == "q=1;e="

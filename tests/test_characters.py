@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -88,6 +89,83 @@ def test_group_sizes_and_uniqueness():
         chars = build_group(q)
         assert len(chars) == euler_phi(q)
         assert len({c.exponents for c in chars}) == len(chars)
+
+
+def _prime_powers(q):
+    """[(p, p^k)] for the p^k exactly dividing q, by trial division."""
+    out, p = [], 2
+    while q > 1:
+        if q % p == 0:
+            pk = 1
+            while q % p == 0:
+                q, pk = q // p, pk * p
+            out.append((p, pk))
+        p += 1
+    return out
+
+
+def _mult_order(g, n):
+    o, v = 1, g % n
+    while v != 1:
+        v, o = v * g % n, o + 1
+    return o
+
+
+def test_basis_is_pinned():
+    # the basis fixes every label, so every zero-cache key: for odd p^k the
+    # least g >= 2 of order phi(p^k), for 2^k (-1, 5) cut to (-1) for 4 and
+    # to () for 2, and each dlog table inverts the products of the
+    # generators' powers (-1 off the units)
+    for q in [*range(1, 301), 2003, 4096, 6561, 10007]:
+        grp = group(q)
+        expect = []
+        for p, pk in _prime_powers(q):
+            phi = pk - pk // p
+            if p == 2:
+                expect += [(2, pk, pk - 1, 2), (2, pk, 5, pk // 4)][:pk.bit_length() - 2]
+            else:
+                g = next(g for g in range(2, pk)
+                         if g % p and _mult_order(g, pk) == phi)
+                expect.append((p, pk, g, phi))
+        assert [(c.prime, c.prime_power, c.generator, c.order)
+                for c in grp.components] == expect, q
+        for p, pk in _prime_powers(q):
+            idx = [i for i, c in enumerate(grp.components) if c.prime == p]
+            seen = np.zeros(pk, dtype=bool)
+            for e in itertools.product(*(range(grp.orders[i]) for i in idx)):
+                n = math.prod(pow(grp.components[i].generator, ei, pk)
+                              for i, ei in zip(idx, e)) % pk
+                assert [int(grp._dlogs[i][n]) for i in idx] == list(e), (q, n)
+                seen[n] = True
+            for i in idx:
+                assert grp._dlogs[i].dtype == np.int64
+                assert np.all(grp._dlogs[i][~seen] == -1)
+
+
+def test_labels_are_pinned(capsys):
+    from gzeros.cli import dispatch
+
+    assert dispatch(["characters", "--q", "24"]) == 0
+    assert capsys.readouterr().out == (
+        "label,order,conductor,parity,principal\n"
+        "q=24;e=0,0,0,1,1,0,1\n"
+        "q=24;e=0,0,1,2,3,1,0\n"
+        "q=24;e=0,1,0,2,8,0,0\n"
+        "q=24;e=0,1,1,2,24,1,0\n"
+        "q=24;e=1,0,0,2,4,1,0\n"
+        "q=24;e=1,0,1,2,12,0,0\n"
+        "q=24;e=1,1,0,2,8,1,0\n"
+        "q=24;e=1,1,1,2,24,0,0\n"
+    )
+    stars = {q: [induce_primitive(c).label for c in build_group(q)]
+             for q in (12, 40)}
+    assert stars[12] == ["q=1;e=", "q=3;e=1", "q=4;e=1", "q=12;e=1,1"]
+    assert stars[40] == [
+        "q=1;e=", "q=5;e=1", "q=5;e=2", "q=5;e=3",
+        "q=8;e=0,1", "q=40;e=0,1,1", "q=40;e=0,1,2", "q=40;e=0,1,3",
+        "q=4;e=1", "q=20;e=1,1", "q=20;e=1,2", "q=20;e=1,3",
+        "q=8;e=1,1", "q=40;e=1,1,1", "q=40;e=1,1,2", "q=40;e=1,1,3",
+    ]
 
 
 def test_group_closed_under_multiplication():
@@ -294,13 +372,12 @@ def test_orthogonality_exact_small_q():
 def test_character_table_envelope():
     # phi(q) q <= 2^22: q = 2003 is inside; mod 4099 it is 16.8M entries per
     # array, which would still fit in memory, so only the check stops it
-    from gzeros.characters import (TABLE_CAP, char_exponent_table,
-                                   verify_char_sum_identity)
+    from gzeros.characters import TABLE_CAP, _char_table, verify_char_sum_identity
 
     assert euler_phi(2003) * 2003 <= TABLE_CAP < euler_phi(4099) * 4099
     chi = character_from_label("q=4099;e=1")
     for build in (lambda: char_sum_closed_form(chi, 1),
-                  lambda: char_exponent_table(chi),
+                  lambda: _char_table(4099),
                   lambda: verify_char_sum_identity(4099)):
         with pytest.raises(CapacityError):
             build()
@@ -308,18 +385,15 @@ def test_character_table_envelope():
 
 def test_orthogonality_float_to_q500():
     # beyond the exact sweep: complex embedding, < 1e-10, every unit a
-    from gzeros.characters import char_exponent_table
+    from gzeros.characters import _char_table
 
     for q in range(61, 501, 7):
-        chars = build_group(q)
+        tab = _char_table(q)
         phi = euler_phi(q)
-        total = np.zeros(q, dtype=np.complex128)
-        for chi in chars:
-            n, karr = char_exponent_table(chi)
-            vals = np.where(
-                karr >= 0, np.exp(2j * np.pi * karr / n), 0
-            )
-            total += vals
+        vals = np.where(
+            tab.kn >= 0, np.exp(2j * np.pi * tab.kn / tab.order[:, None]), 0
+        )
+        total = vals.sum(axis=0)
         r = np.arange(q)
         expect = np.where(r % q == 1 % q, phi, 0)
         expect = expect * (np.gcd(r, q) == 1)
@@ -377,17 +451,17 @@ def _closed_form_reference(chi, c):
 
 def test_character_table_matches_per_character_reference():
     # every row of the per-modulus table against the per-character objects
-    # (exponents, order, parity, conductor) and the per-character closed
+    # (row index, order, parity, conductor) and the per-character closed
     # form built from induce_primitive + char_value
-    from gzeros.characters import _char_table, char_exponent_table
+    from gzeros.characters import _char_table, _row
 
     for q in range(1, 61):
         tab = _char_table(q)
         for i, chi in enumerate(build_group(q)):
-            assert tuple(tab.exponents[i]) == chi.exponents
-            assert (tab.order[i], tab.parity[i], tab.conductor[i]) == (
+            assert _row(chi) == i
+            n, karr = tab.order[i], tab.kn[i]
+            assert (n, int(karr[q - 1] > 0), tab.conductor[i]) == (
                 chi.order, chi.parity, chi.conductor), chi.label
-            n, karr = char_exponent_table(chi)
             for r in range(q):
                 v = char_value(chi, r)
                 assert karr[r] == (v.k * (n // v.m) if v != 0 else -1)

@@ -107,17 +107,17 @@ def test_cache_hit_and_corruption(cache_env, tmp_path):
 
     cache_dir = tmp_path / "cache"
     sieve = build_sieve(5000)
-    c1 = load_or_build_convolution(3, 1, 2, 5000, sieve, cache_dir)
+    c1 = load_or_build_convolution(3, 1, 2, 5000, sieve)
     files = list(cache_dir.glob("conv-*.npy"))
     assert len(files) == 1
     mtime = files[0].stat().st_mtime_ns
-    c2 = load_or_build_convolution(3, 1, 2, 5000, sieve, cache_dir)
+    c2 = load_or_build_convolution(3, 1, 2, 5000, sieve)
     assert files[0].stat().st_mtime_ns == mtime  # hit, not rebuilt
     assert np.array_equal(c1.values, c2.values)
     # corrupt the payload: checksum must catch it and recompute
     raw = files[0].read_bytes()
     files[0].write_bytes(raw[:-8] + b"\x00" * 8)
-    c3 = load_or_build_convolution(3, 1, 2, 5000, sieve, cache_dir)
+    c3 = load_or_build_convolution(3, 1, 2, 5000, sieve)
     assert c3.s_at(5000) == pytest.approx(c1.s_at(5000))
     # rebuilt file carries a fresh valid checksum
     assert files[0].stat().st_mtime_ns != mtime
@@ -149,8 +149,9 @@ def test_cache_key_versioning():
 
 def test_zero_cache(cache_env, tmp_path):
     cache_dir = tmp_path / "cache"
-    z1 = load_or_build_zeros("q=1;e=", 20.0, cache_dir)
-    z2 = load_or_build_zeros("q=1;e=", 20.0, cache_dir)
+    z1 = load_or_build_zeros("q=1;e=", 20.0)
+    assert len(list(cache_dir.glob("zeros-*.txt"))) == 1  # under $GZ_CACHE_DIR
+    z2 = load_or_build_zeros("q=1;e=", 20.0)
     assert z1.gamma.tolist() == z2.gamma.tolist()
     assert z2.certified
 
@@ -163,14 +164,14 @@ def test_convolution_cache(cache_env, tmp_path):
 
     cache_dir = tmp_path / "cache"
     sieve = build_sieve(2000)
-    c1 = load_or_build_convolution(3, 1, 2, 1500, sieve, cache_dir)
+    c1 = load_or_build_convolution(3, 1, 2, 1500, sieve)
     files = list(cache_dir.glob("conv-*.npy"))
     assert len(files) == 1
-    c2 = load_or_build_convolution(3, 1, 2, 1500, sieve, cache_dir)
+    c2 = load_or_build_convolution(3, 1, 2, 1500, sieve)
     assert np.array_equal(c1.values, c2.values)
     # (q, a, b, x) fixes the table: a sieve to another limit hits the cache
     sieve2 = build_sieve(4000)
-    load_or_build_convolution(3, 1, 2, 1500, sieve2, cache_dir)
+    load_or_build_convolution(3, 1, 2, 1500, sieve2)
     assert len(list(cache_dir.glob("conv-*.npy"))) == 1
 
 
@@ -218,6 +219,16 @@ def test_bad_input_exits_1_without_traceback(argv, cache_env, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-thm12", "--q", "3", "--a", "1", "--b", "2", "--xmax", "10000",
+     "--height", "nan"],
+    ["zeros", "--q", "1", "--height", "nan"],
+], ids=["verify-thm12", "zeros"])
+def test_nan_height_is_refused_by_name(argv, cache_env, capsys):
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == "error: find_zeros: T=nan must be finite\n"
 
 
 def test_landau_gonek_command(cache_env, capsys):

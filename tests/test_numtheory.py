@@ -141,11 +141,38 @@ def test_psi_ends_where_every_sum_over_n_ends():
 
 
 def test_psi_refuses_u_past_the_sieve_limit():
+    # the limit applies to floor_x(u), the last n summed: 1000.5 ends at 1000
     sv = build_sieve(1000)
     assert sv.psi(1000) == pytest.approx(996.68, abs=0.01)
-    for u in (1000.5, 2000, 1e9):
+    for u in (1001, 2000, 1e9):
         with pytest.raises(ValueError, match="exceeds sieve limit"):
             sv.psi(u)
+
+
+def test_sieve_limit_applies_to_the_last_n_summed():
+    # psi, psi_chi and s_grid all check floor_x(u): 1000.5 sums to n = 1000
+    # against a sieve to 1000, and u = 1001 needs Lambda(1001)
+    from gzeros.characters import character_from_label
+    from gzeros.goldbach import s_grid
+    from gzeros.lfunc import psi_chi
+
+    sv = build_sieve(1000)
+    zeta = character_from_label("q=1;e=")
+    assert sv.psi(1000.5) == sv.psi(1000)
+    assert psi_chi(1000.5, zeta, sv) == psi_chi(1000, zeta, sv)
+    assert psi_chi(1000, zeta, sv).real == pytest.approx(sv.psi(1000), rel=1e-12)
+    assert s_grid(1000.5, 1, 1, 1, sv) == s_grid(1000, 1, 1, 1, sv)
+    for call in (lambda: sv.psi(1001), lambda: psi_chi(1001, zeta, sv),
+                 lambda: s_grid(1001, 1, 1, 1, sv)):
+        with pytest.raises(CapacityError, match="x=1001 exceeds sieve limit 1000"):
+            call()
+
+
+def test_build_sieve_refuses_a_non_integer_x():
+    for x in (1e3, 1000.0, "1000", None):
+        with pytest.raises(ValueError, match=f"x={x!r} must be an integer"):
+            build_sieve(x)
+    assert build_sieve(np.int64(1000)).psi(1000) == build_sieve(1000).psi(1000)
 
 
 def test_chebyshev_identity():
