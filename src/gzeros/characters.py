@@ -328,14 +328,28 @@ def char_value(chi: DirichletCharacter, n: int):
 
 
 def char_values_table(chi: DirichletCharacter) -> np.ndarray:
-    """chi(n) for n = 0..q-1 as complex128 (period-q lookup table)."""
+    """chi(n) for n = 0..q-1 as complex128 (period-q lookup table).
+
+    chi(n) = e(K/L), L the group exponent, with K from the dlog tables as in
+    one row of _char_table; e(K/L) is rounded as complex(RootOfUnity) rounds
+    it, so the values equal complex(char_value(chi, n)) bit for bit."""
+    grp = group(chi.q)
+    L = grp.exponent
+    r = np.arange(chi.q, dtype=np.int64)
+    K = np.zeros(chi.q, dtype=np.int64)
+    for e, c, dl in zip(chi.exponents, grp.components, grp._dlogs):
+        K = (K + e * (L // c.order) * dl[r % c.prime_power]) % L
+    unit = np.gcd(r, chi.q) == 1
     out = np.zeros(chi.q, dtype=np.complex128)
-    for n in range(chi.q):
-        v = char_value(chi, n if n else chi.q)
-        if v:
-            out[n] = complex(v)
-    if chi.q == 1:
-        out[0] = 1.0
+    out[unit] = _roots_of_unity(chi.order)[K[unit] // (L // chi.order)]
+    return out
+
+
+@lru_cache(maxsize=64)
+def _roots_of_unity(m: int) -> np.ndarray:
+    """complex(RootOfUnity.make(k, m)) for k = 0..m-1, read-only."""
+    out = np.array([complex(RootOfUnity.make(k, m)) for k in range(m)])
+    out.flags.writeable = False
     return out
 
 

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
 
 from .characters import (
     DirichletCharacter,
@@ -41,7 +40,7 @@ from .characters import (
     char_value,
 )
 from .errors import GzError
-from .lfunc import ZeroSet, zero_power_sum
+from .lfunc import ZeroSet, _loggamma, zero_power_sum
 from .numtheory import euler_phi, factorize
 from .singular import singular_series
 
@@ -209,21 +208,17 @@ def z_gamma_ratio(rho: complex, rho2: complex) -> complex:
         if not 0 < r.real < 1:
             raise ValueError(f"{r} outside the open critical strip")
     # strip membership puts 1 + rho + rho' in Re > 1: no Gamma pole can occur
-    s = rho + rho2
-    return cmath.exp(
-        complex(loggamma(rho)) + complex(loggamma(rho2))
-        - complex(loggamma(1 + s))
-    )
+    lg = _loggamma(np.array([rho, rho2, 1 + rho + rho2]))
+    return cmath.exp(complex(lg[0] + lg[1] - lg[2]))
 
 
 def z_gamma_ratio_matrix(rhos1: np.ndarray, rhos2: np.ndarray) -> np.ndarray:
     """Z = Gamma(rho) Gamma(rho') / Gamma(1 + rho + rho') (complex, as
     z_gamma_ratio) over the outer product of two zero arrays."""
-    lg1 = loggamma(rhos1)
-    lg2 = loggamma(rhos2)
-    out = np.exp(lg1[:, None] + lg2[None, :]
-                 - loggamma(1 + rhos1[:, None] + rhos2[None, :]))
-    return out
+    lg1 = _loggamma(rhos1)
+    lg2 = _loggamma(rhos2)
+    return np.exp(lg1[:, None] + lg2[None, :]
+                  - _loggamma(1 + rhos1[:, None] + rhos2[None, :]))
 
 
 def _residue(rho_q: complex, q: int, weights: Weights, scale: float,

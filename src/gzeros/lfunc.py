@@ -14,6 +14,12 @@ Lambda(s, chi) = G(s, chi) L(s, chi) for primitive chi:
 
     log G(s, chi) = ((s + kappa)/2) log(q/pi) + log Gamma((s + kappa)/2).
 
+log Gamma is numpy code, _loggamma (the recurrence up to |z| >= 10, then
+Stirling's series), which explicit.py's Gamma ratios use too.  L(1, chi)
+needs no digamma: by Gauss's theorem psi(a/q) = -gamma_E - log 2q
+- (pi/2) cot(pi a/q) + 2 sum_{0<n<q/2} cos(2 pi n a/q) log sin(pi n/q),
+and the constants cancel against sum_a chi(a) = 0.
+
 completed_lambda takes its exp, the argument-principle count its
 imaginary part, and the zero scan its imaginary part on the critical line:
 
@@ -59,7 +65,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import digamma, loggamma
 
 from .characters import (
     DirichletCharacter,
@@ -84,7 +89,7 @@ logger = logging.getLogger(__name__)
 
 # Part of every zero-cache key: bump it whenever the evaluator or the finder
 # changes, so that cached sets built by the old code are not reused.
-EVALUATOR_VERSION = "2"
+EVALUATOR_VERSION = "3"
 IM_CAP = 10 ** 4        # validated envelope for the Euler-Maclaurin backend
 FIND_Q_CAP = 100
 FIND_T_CAP = 1000
@@ -101,6 +106,8 @@ _B2K = [
 _B_OVER_FACT = [
     float(b / math.factorial(2 * (r + 1))) for r, b in enumerate(_B2K)
 ]
+# B_{2r} / (2r (2r - 1)), the coefficients of Stirling's series
+_STIRLING = [float(b / (2 * r * (2 * r - 1))) for r, b in enumerate(_B2K, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +175,8 @@ def hurwitz_zeta(s: complex, alpha: float) -> complex:
 def l_values_array(chi: DirichletCharacter, s) -> np.ndarray:
     """L(s, chi) = q^-s sum_a chi(a) zeta(s, a/q) over an s array.
 
-    At s = 1 the Hurwitz poles cancel for non-principal chi; that point
-    is evaluated through the digamma formula L(1, chi) =
-    -q^-1 sum_a chi(a) psi(a/q).
+    At s = 1 the Hurwitz poles cancel for non-principal chi, and
+    L(1, chi) = -q^-1 sum_a chi(a) psi(a/q) by Gauss's digamma theorem.
     """
     s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     q = chi.q
@@ -182,12 +188,12 @@ def l_values_array(chi: DirichletCharacter, s) -> np.ndarray:
     if at_pole.any():
         if chi.is_principal:
             raise ValueError("pole of L(s, chi_0) at s = 1")
-        val1 = -sum(
-            table[a % q] * float(digamma(a / q))
-            for a in range(1, q + 1)
-            if table[a % q] != 0
-        ) / q
-        out[at_pole] = val1
+        a = np.arange(1, q)
+        n = np.arange(1, (q + 1) // 2)
+        cos_na = np.cos(2 * math.pi * (np.outer(a, n) % q) / q)
+        psi = (-0.5 * math.pi / np.tan(math.pi * a / q)  # + gamma_E + log 2q
+               + 2 * cos_na @ np.log(np.sin(math.pi * n / q)))
+        out[at_pole] = -(table[1:] @ psi) / q
     rest = ~at_pole
     if rest.any():
         acc = np.zeros(int(rest.sum()), dtype=np.complex128)
@@ -207,12 +213,33 @@ def l_value(s: complex, chi: DirichletCharacter) -> complex:
     return complex(l_values_array(chi, np.array([s]))[0])
 
 
+def _loggamma(z) -> np.ndarray:
+    """log Gamma(z) over a complex array, on the branch analytic off z <= 0
+    and real on z > 0, for Re z >= -1/2 away from the poles: points with
+    |z| < 10 move to w = z + 10 by log Gamma(z) = log Gamma(z + 10) -
+    sum_{k<10} log(z + k), then Stirling's series in 12 terms, whose
+    first omitted term at |w| >= 9.5 is below 1e-21."""
+    z = np.asarray(z, dtype=np.complex128)
+    w = z.ravel().copy()
+    small = np.nonzero(np.abs(w) < 10)[0]
+    zs = w[small]
+    w[small] = zs + 10
+    inv = 1 / w
+    inv2 = inv * inv
+    series = np.zeros_like(w)
+    for c in reversed(_STIRLING):  # Horner in 1/w^2
+        series = series * inv2 + c
+    out = (w - 0.5) * np.log(w) - w + 0.5 * math.log(2 * math.pi) + series * inv
+    out[small] -= np.log(zs[:, None] + np.arange(10)).sum(axis=1)
+    return out.reshape(z.shape)
+
+
 def _log_gamma_factor(chi_star: DirichletCharacter, s) -> np.ndarray:
     """log G(s, chi) = ((s+kappa)/2) log(q/pi) + log Gamma((s+kappa)/2),
     the gamma factor of Lambda(s, chi) = G(s, chi) L(s, chi), over an s
     array (chi primitive)."""
     sk = (np.asarray(s, dtype=np.complex128) + chi_star.parity) / 2.0
-    return sk * math.log(chi_star.q / math.pi) + loggamma(sk)
+    return sk * math.log(chi_star.q / math.pi) + _loggamma(sk)
 
 
 def completed_lambda(s: complex, chi: DirichletCharacter) -> complex:

@@ -214,8 +214,12 @@ def primes_up_to(limit: int) -> np.ndarray:
 def floor_x(x):
     """floor(x (1 + 1e-12)), the last n of a sum over n <= x (scalar or
     array), so a grid point that is an integer in exact arithmetic but
-    rounds just below it still counts n = x."""
-    return np.floor(np.asarray(x, dtype=np.float64) * (1 + 1e-12)).astype(np.int64)
+    rounds just below it still counts n = x.  A non-finite x raises
+    ValueError: its cast to int64 would be meaningless."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x={x[~np.isfinite(x)][0]} must be finite")
+    return np.floor(x * (1 + 1e-12)).astype(np.int64)
 
 
 @dataclass(frozen=True)

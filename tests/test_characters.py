@@ -224,6 +224,20 @@ def test_char_value_zero_off_units():
         assert char_value(chi, 3) == 0
 
 
+def test_char_values_table_matches_char_value():
+    # the vectorized table equals complex(char_value) bit for bit, also for
+    # a modulus past the per-modulus table's cap (phi(q) q > 2^22 at 2053)
+    from gzeros.characters import _char_table, char_values_table
+
+    with pytest.raises(CapacityError):
+        _char_table(2053)
+    chars = [chi for q in range(1, 61) for chi in build_group(q)]
+    for chi in chars + [character_from_label("q=2053;e=5")]:
+        ref = np.array([complex(char_value(chi, n or chi.q)) for n in range(chi.q)])
+        table = char_values_table(chi)
+        assert np.array_equal(table.view(np.int64), ref.view(np.int64)), chi.label
+
+
 def test_char_order4_mod5_at_2():
     chars = [c for c in build_group(5) if c.order == 4]
     for chi in chars:

@@ -176,15 +176,15 @@ def test_convolution_cache(cache_env, tmp_path):
 
 
 def test_cli_imports_no_test_dependency():
-    # pytest, hypothesis and mpmath are the [test] extra: `gz` must run
-    # from a plain `pip install .`
+    # pytest, hypothesis, mpmath and scipy are the [test] extra: `gz` must
+    # run from a plain `pip install .`
     import subprocess
 
     import gzeros
 
     env = dict(os.environ, PYTHONPATH=str(Path(gzeros.__file__).parents[1]))
     code = ("import sys, gzeros.cli; "
-            "print(sorted({'pytest', 'hypothesis', 'mpmath'} & set(sys.modules)))")
+            "print(sorted({'pytest', 'hypothesis', 'mpmath', 'scipy'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -157,6 +157,53 @@ def test_l_value_chi4_leibniz(chi4):
     assert val.real == pytest.approx(leibniz, rel=1e-6)
 
 
+def test_l_value_at_one_matches_mpmath():
+    # L(1, chi) = -q^-1 sum_a chi(a) psi(a/q), with mpmath's digamma
+    for q in range(2, 31):
+        for chi in build_group(q):
+            if chi.is_principal:
+                continue
+            ref = -mp.fsum(complex(char_value(chi, a)) * mp.digamma(mp.mpf(a) / q)
+                           for a in range(1, q)) / q
+            assert abs(l_value(1, chi) - complex(ref)) <= 1e-12, chi.label
+
+
+def _mod_2pi_i(d):
+    """|d| with Im d reduced into [-pi, pi): log-gamma branches agree mod 2 pi i."""
+    return np.abs(d.real + 1j * ((d.imag + math.pi) % (2 * math.pi) - math.pi))
+
+
+def test_loggamma_matches_scipy():
+    from scipy.special import loggamma
+
+    from gzeros.lfunc import _loggamma
+
+    rng = np.random.default_rng(12)
+    t = np.linspace(-1000, 1000, 4001)
+    sigma, height = rng.uniform(-0.5, 1.5, 4000), rng.uniform(-1e4, 1e4, 4000)
+    g1, g2 = rng.uniform(-1000, 1000, (2, 60))
+    domains = {
+        "z_line": np.concatenate([(0.5 + kappa + 1j * t) / 2 for kappa in (0, 1)]),
+        "count contour": np.concatenate(
+            [(sigma + kappa + 1j * height) / 2 for kappa in (0, 1)]),
+        "small |z|": (rng.uniform(0.05, 10, 2000)
+                      * np.exp(1j * rng.uniform(-1.5, 1.5, 2000))),
+        "pair 1 + rho + rho'": 1 + (0.5 + 1j * g1)[:, None] + (0.5 + 1j * g2)[None, :],
+    }
+    for name, z in domains.items():
+        assert np.max(_mod_2pi_i(_loggamma(z) - loggamma(z))) <= 1e-11, name
+
+
+def test_loggamma_matches_mpmath_at_small_z():
+    from gzeros.lfunc import _loggamma
+
+    z = np.array([1e-3, 0.5, 1, 2, 0.1 + 0.1j, 0.25 + 1e-3j, 0.75 + 3j, 3.3 - 2j,
+                  9.99 + 0.1j, 10.01 - 0.1j, -0.25 + 0.5j, 0.3 - 9j])
+    ref = np.array([complex(mp.loggamma(complex(v))) for v in z])
+    assert np.max(np.abs(_loggamma(z) - ref)) <= 1e-13
+    assert _loggamma(0.5 + 0j).shape == ()
+
+
 def test_l_value_euler_factor_consistency():
     s = 2 + 3j
     for chi in build_group(12):

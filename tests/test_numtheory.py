@@ -168,6 +168,22 @@ def test_sieve_limit_applies_to_the_last_n_summed():
             call()
 
 
+@pytest.mark.parametrize("u", [math.nan, math.inf])
+def test_non_finite_bound_is_refused_by_name(u):
+    # floor_x would cast a non-finite u to the int64 minimum, which passes
+    # check_limit and sums to nothing
+    from gzeros.characters import character_from_label
+    from gzeros.goldbach import s_grid
+    from gzeros.lfunc import psi_chi
+
+    sv = build_sieve(1000)
+    zeta = character_from_label("q=1;e=")
+    for call in (lambda: sv.psi(u), lambda: psi_chi(u, zeta, sv),
+                 lambda: s_grid(u, 1, 1, 1, sv)):
+        with pytest.raises(ValueError, match=f"x={u} must be finite"):
+            call()
+
+
 def test_build_sieve_refuses_a_non_integer_x():
     for x in (1e3, 1000.0, "1000", None):
         with pytest.raises(ValueError, match=f"x={x!r} must be an integer"):
