@@ -18,7 +18,7 @@ The headline objects:
 
 from .cache import load_or_build_zero_sets
 from .characters import build_group, char_value, character_from_label
-from .explicit import h_term, landau_gonek, thm12_rhs, thm14_rhs, z_gamma_ratio
+from .explicit import h_term, landau_gonek, thm12_rhs, thm14_rhs
 from .goldbach import (build_class_convolution, goldbach_g, restricted_sum,
                        s_chi, s_grid)
 from .lfunc import (
@@ -63,7 +63,6 @@ __all__ = [
     "singular_series",
     "thm12_rhs",
     "thm14_rhs",
-    "z_gamma_ratio",
     "zero_count_argument",
     "zero_power_sum",
 ]

@@ -9,13 +9,13 @@ single points.
 
 The effective exponent parameter of the sharpened error term is
 
-    b_star = min(observed_B, 1 - c1 / min(q^eps, (log x)^(4/5))),
+    b_star = min(B, 1 - c1 / min(q^eps, (log x)^(4/5))),
 
-with c1 and eps the fields of BStarParams, whose defaults gz fit uses
-(the source leaves c1 unspecified; eps = 1/7 is the choice made in its
-own final optimization).
-At very small x the second branch can dip to 0, which is degenerate but
-faithful; it is logged, not hidden.
+with three constants: c1 = 1 (the source leaves c1 unspecified), eps =
+1/7 (the choice made in its own final optimization) and B = 1/2, the
+largest real part of a zero, since every zero computed in the validated
+envelope has beta = 1/2.  At very small x the second branch can dip to
+0, which is degenerate but faithful; it is logged, not hidden.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GzError
 from .explicit import ExplicitRow, thm12_rhs, thm14_rhs
 from .goldbach import restricted_sum, s_grid
 from .lfunc import ZeroSet
@@ -34,17 +33,9 @@ from .numtheory import SieveTable, euler_phi
 
 logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class BStarParams:
-    c1: float = 1.0
-    epsilon: float = 1.0 / 7.0
-
-    def __post_init__(self):
-        if self.c1 <= 0:
-            raise ValueError("c1 must be positive")
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must lie in (0, 1)")
+B_STAR_C1 = 1.0
+B_STAR_EPSILON = 1.0 / 7.0
+B_STAR_B = 0.5  # every computed zero in the envelope has beta = 1/2
 
 
 @dataclass(frozen=True)
@@ -75,11 +66,11 @@ class ResidualParams:
     """Everything explicit_grid and residual_grid need beyond the x grid."""
 
     q: int
+    sieve: SieveTable
     a: int = 1
     b: int = 1
     c: int = 1
     T: float = 200.0
-    sieve: SieveTable | None = None
     zero_sets: dict[str, ZeroSet] = field(default_factory=dict)
 
 
@@ -95,8 +86,6 @@ def explicit_grid(
     if mode not in ("thm11", "thm12", "thm14"):
         raise ValueError(f"unknown mode {mode!r}")
     p = params
-    if p.sieve is None:
-        raise GzError("explicit_grid needs a sieve covering max x")
     xs = np.asarray(xs, dtype=np.float64)
     if mode == "thm14":
         exact = restricted_sum(xs, p.q, p.c, p.sieve)
@@ -150,27 +139,25 @@ def fit_exponent(residuals: list[tuple[float, float]]) -> FitResult:
     )
 
 
-def b_star(
-    q: int, x: float, params: BStarParams, observed_b: float = 0.5
-) -> float:
-    """min(observed_B, 1 - c1/min(q^eps, (log x)^(4/5))).
+def b_star(q: int, x: float) -> float:
+    """min(B, 1 - c1/min(q^eps, (log x)^(4/5))) with the module's
+    constants B_STAR_B, B_STAR_C1 and B_STAR_EPSILON.
 
-    observed_b comes from certified zero sets (1/2 throughout the
-    validated envelope).  Degenerate at small x (the bound can fall to
-    or below 0); logged and returned as-is.
+    Degenerate at small x (the bound can fall to or below 0); logged and
+    returned as-is.
     """
     if x <= 1:
         raise ValueError("x must exceed 1")
     lx = math.log(x)
-    denom = min(q ** params.epsilon, lx ** 0.8) if lx > 0 else 0.0
+    denom = min(q ** B_STAR_EPSILON, lx ** 0.8) if lx > 0 else 0.0
     if denom <= 0:
         raise ValueError("degenerate: log x <= 0")
-    eta = params.c1 / denom
-    val = min(observed_b, 1.0 - eta)
-    if val < observed_b:
+    eta = B_STAR_C1 / denom
+    val = min(B_STAR_B, 1.0 - eta)
+    if val < B_STAR_B:
         logger.warning(
-            "b_star degenerate at small x: 1 - eta = %.4f < observed B = %.4f",
-            1.0 - eta, observed_b,
+            "b_star degenerate at small x: 1 - eta = %.4f < B = %.4f",
+            1.0 - eta, B_STAR_B,
         )
     return val
 

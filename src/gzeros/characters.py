@@ -281,21 +281,8 @@ def build_group(q: int) -> list[DirichletCharacter]:
     """All phi(q) characters mod q, principal first, deterministic order
     (lexicographic in the exponent vectors over the fixed basis)."""
     grp = group(q)
-    chars = []
-    exps = [0] * len(grp.orders)
-    while True:
-        chars.append(_make_character(grp, tuple(exps)))
-        i = len(exps) - 1
-        while i >= 0:
-            exps[i] += 1
-            if exps[i] < grp.orders[i]:
-                break
-            exps[i] = 0
-            i -= 1
-        if i < 0:
-            break
-    assert len(chars) == grp.phi
-    return chars
+    return [_make_character(grp, exps)
+            for exps in itertools.product(*map(range, grp.orders))]
 
 
 def character_from_label(label: str) -> DirichletCharacter:
@@ -413,19 +400,6 @@ def root_number(chi: DirichletCharacter) -> complex:
         raise ValueError("root_number requires a primitive character")
     eps = gauss_sum(chi) / (1j ** chi.parity * math.sqrt(chi.q))
     return complex(eps)
-
-
-def pair_weight_nonzero(q: int, a: int, b: int) -> bool:
-    """Whether chi(a) + chi(b) != 0 for every character mod q (the
-    hypothesis of the reverse implication; exposed, not interpreted)."""
-    for chi in build_group(q):
-        va, vb = char_value(chi, a), char_value(chi, b)
-        if va == 0 and vb == 0:
-            return False
-        if isinstance(va, RootOfUnity) and isinstance(vb, RootOfUnity):
-            if va * vb.conjugate() == MINUS_ONE:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,14 @@ controlled trapezoid approximation instead; callers refine its grid
 (N = 8x in the verification suite).
 
 The Selberg-type integral over [x, 2x] of |sum_{t<n<=t+h} chi(n)
-Lambda(n) - delta_0 h|^2 dt is computed exactly: the inner sum is a step
-function of t with breakpoints at n and n-h, so the integrand is
-piecewise constant and the integral is a finite weighted sum.
+Lambda(n) - delta_0 h|^2 dt is a finite sum over integer t: for integer
+x and h the window sum is constant on each [k, k+1), so the integral is
+sum_{k=x}^{2x-1} |psi_chi(k+h) - psi_chi(k) - delta_0 h|^2, exactly.
 """
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,15 +44,6 @@ class ExpSumGrid:
     N: int
     t_vals: np.ndarray                      # T(alpha_j), complex128
     s_vals: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return np.arange(self.N) / self.N
-
-    def signed_alphas(self) -> np.ndarray:
-        """alpha_j mapped to (-1/2, 1/2]."""
-        a = self.alphas
-        return np.where(a > 0.5, a - 1.0, a)
 
     def w_vals(self, chi: DirichletCharacter) -> np.ndarray:
         """W(alpha_j, chi) = S - delta_0(chi) T."""
@@ -80,15 +71,9 @@ def build_grid(x: int, q: int, sieve: SieveTable, N: int) -> ExpSumGrid:
     return grid
 
 
-def _check_exact(grid: ExpSumGrid) -> None:
-    if grid.N < 2 * grid.x + 1:
-        raise ValueError("grid is not exact: N < 2x+1")
-
-
 def quadrature_s(grid: ExpSumGrid, chi1: DirichletCharacter,
                  chi2: DirichletCharacter) -> complex:
     """(1/N) sum_j S(a_j,chi1) S(a_j,chi2) T(-a_j): exact for N >= 2x+1."""
-    _check_exact(grid)
     s1 = grid.s_vals[chi1.label]
     s2 = grid.s_vals[chi2.label]
     return complex(np.sum(s1 * s2 * np.conj(grid.t_vals)) / grid.N)
@@ -117,7 +102,6 @@ def r_term(
 ) -> complex:
     """R(x; chi1, chi2) = int_0^1 W(a,chi1) W(a,chi2) T(-a) da on the
     exact grid."""
-    _check_exact(grid)
     w1 = grid.w_vals(chi1)
     w2 = grid.w_vals(chi2)
     return complex(np.sum(w1 * w2 * np.conj(grid.t_vals)) / grid.N)
@@ -138,7 +122,8 @@ def w_mass(xi: float, chi: DirichletCharacter, grid: ExpSumGrid) -> float:
     with interpolated endpoint values at +-xi.  Requires 1/x <= xi <= 1/2."""
     if not (1.0 / grid.x <= xi <= 0.5):
         raise ValueError(f"xi={xi} outside [1/x, 1/2]")
-    a = grid.signed_alphas()
+    a = np.arange(grid.N) / grid.N
+    a = np.where(a > 0.5, a - 1.0, a)  # alpha_j mapped to (-1/2, 1/2]
     order = np.argsort(a)
     a = a[order]
     w2 = np.abs(grid.w_vals(chi)[order]) ** 2
@@ -160,35 +145,22 @@ def w_mass(xi: float, chi: DirichletCharacter, grid: ExpSumGrid) -> float:
 
 
 def selberg_integral(
-    x: int, h: float, chi: DirichletCharacter, sieve: SieveTable
+    x: int, h: int, chi: DirichletCharacter, sieve: SieveTable
 ) -> float:
-    """int_x^{2x} |sum_{t<n<=t+h} chi(n) Lambda(n) - delta_0(chi) h|^2 dt,
-    exact (piecewise-constant integrand integrated segment by segment)."""
+    """int_x^{2x} |sum_{t<n<=t+h} chi(n) Lambda(n) - delta_0(chi) h|^2 dt
+    for integers 2 <= h <= x, as the finite sum
+
+        sum_{k=x}^{2x-1} |psi_chi(k+h) - psi_chi(k) - delta_0(chi) h|^2.
+
+    It is exact: for t in [k, k+1) the window t < n <= t+h holds exactly
+    the integers k < n <= k+h, so the integrand is constant there.  The
+    sieve must reach 2x+h-1."""
+    for name, v in (("x", x), ("h", h)):
+        if not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name}={v!r} must be an integer")
     if not 2 <= h <= x:
         raise ValueError(f"h={h} outside [2, x]")
-    hi_n = int(math.floor(2 * x + h))
-    w = twisted_lambda(chi, hi_n, sieve)  # checks hi_n against the sieve
-    cum = np.cumsum(w)
-
-    def psi(t: float) -> complex:
-        i = int(math.floor(t))
-        return complex(cum[min(i, hi_n)]) if i >= 1 else 0j
-
-    # events inside (x, 2x): +w[n] when the window reaches n (t = n-h),
-    # -w[n] when n drops out (t = n)
-    enters = np.arange(int(math.floor(x + h)) + 1, int(math.floor(2 * x + h)) + 1)
-    enters = enters[(enters - h > x) & (enters - h < 2 * x)]
-    exits = np.arange(int(math.floor(x)) + 1, 2 * x)
-    exits = exits[exits > x]
-    times = np.concatenate([enters - h, exits.astype(np.float64)])
-    deltas = np.concatenate([w[enters], -w[exits]])
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    deltas = deltas[order]
-
-    bounds = np.concatenate([[float(x)], times, [float(2 * x)]])
-    a0 = psi(x + h) - psi(x)
-    values = a0 + np.concatenate([[0j], np.cumsum(deltas)])
+    psi = np.cumsum(twisted_lambda(chi, 2 * x + h - 1, sieve))
+    k = np.arange(x, 2 * x)
     target = h if chi.is_principal else 0.0
-    seg = np.diff(bounds)
-    return float(np.sum(np.abs(values - target) ** 2 * seg))
+    return float(np.sum(np.abs(psi[k + h] - psi[k] - target) ** 2))

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    BStarParams,
     ResidualParams,
     b_star,
     explicit_grid,
@@ -238,7 +237,7 @@ def _cmd_fit(args) -> int:
         "fit_rms": fit.rms, "n_samples": fit.n_samples,
         "x_range": list(fit.x_range),
         "rms_residual": rms(res),
-        "b_star_at_xmax": b_star(args.q, args.xmax, BStarParams()),
+        "b_star_at_xmax": b_star(args.q, args.xmax),
     }
     _emit_json(args.out, payload)
     if args.csv:

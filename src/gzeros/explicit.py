@@ -27,7 +27,6 @@ zero-pair term with its T^(1/2) bound.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -201,20 +200,10 @@ def _nearest_pp_gap_search(x: float) -> float:
     return best
 
 
-def z_gamma_ratio(rho: complex, rho2: complex) -> complex:
-    """Gamma(rho) Gamma(rho') / Gamma(1 + rho + rho') via log-gamma
-    differences (no overflow for |gamma| <= 1e4)."""
-    for r in (rho, rho2):
-        if not 0 < r.real < 1:
-            raise ValueError(f"{r} outside the open critical strip")
-    # strip membership puts 1 + rho + rho' in Re > 1: no Gamma pole can occur
-    lg = _loggamma(np.array([rho, rho2, 1 + rho + rho2]))
-    return cmath.exp(complex(lg[0] + lg[1] - lg[2]))
-
-
 def z_gamma_ratio_matrix(rhos1: np.ndarray, rhos2: np.ndarray) -> np.ndarray:
-    """Z = Gamma(rho) Gamma(rho') / Gamma(1 + rho + rho') (complex, as
-    z_gamma_ratio) over the outer product of two zero arrays."""
+    """Z = Gamma(rho) Gamma(rho') / Gamma(1 + rho + rho') over the outer
+    product of two zero arrays, by log-gamma differences (no overflow for
+    |gamma| <= 1e4)."""
     lg1 = _loggamma(rhos1)
     lg2 = _loggamma(rhos2)
     return np.exp(lg1[:, None] + lg2[None, :]

@@ -7,6 +7,10 @@ Bernoulli corrections; each correction is about (|s|/(2 pi N))^2 < 1/pi^2
 times the one before, and against mpmath the relative error is below
 5e-11 for |Im s| <= 5000 and -1/2 <= Re s <= 3/2 (Rubinstein,
 Computational methods and experiments in analytic number theory, 2005).
+The evaluator's domain is Re s >= -1/2, |Im s| <= IM_CAP = 1e4: past
+Re s = 3/2 the corrections only shrink (singular._prime_zeta reads real s
+up to about 50), while below -1/2 they grow with |s| and the result is
+garbage, so hurwitz_zeta_array raises CapacityError there.
 Then L(s, chi) = q^-s sum_a chi(a) zeta(s, a/q).
 
 One gamma factor serves every use of the completed function
@@ -139,7 +143,8 @@ def _hurwitz_fixed(s: np.ndarray, alpha: float, N: int) -> np.ndarray:
 
 
 def hurwitz_zeta_array(s, alpha: float) -> np.ndarray:
-    """zeta(s, alpha) for a complex array s, banded by |Im s|."""
+    """zeta(s, alpha) for a complex array s with Re s >= -1/2 and
+    |Im s| <= IM_CAP, banded by |Im s|."""
     s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     if not 0 < alpha:
         raise ValueError("alpha must be positive")
@@ -149,6 +154,8 @@ def hurwitz_zeta_array(s, alpha: float) -> np.ndarray:
     tmax = float(t.max()) if len(t) else 0.0
     if tmax > IM_CAP:
         raise CapacityError(f"|Im s| = {tmax} beyond validated envelope {IM_CAP}")
+    if len(s) and s.real.min() < -0.5:
+        raise CapacityError(f"Re s = {s.real.min()} below validated envelope -1/2")
     if np.any(s == 1):
         raise ValueError("pole at s = 1")
     out = np.empty(s.shape, dtype=np.complex128)
@@ -301,10 +308,6 @@ class ZeroSet:
         perfbench/tracing.py reads it; code in gzeros reads the arrays."""
         return [ZeroEntry(*row) for row in zip(
             self.beta.tolist(), self.gamma.tolist(), self.mult.tolist())]
-
-    @property
-    def observed_B(self) -> float:
-        return float(self.beta.max()) if len(self.beta) else 0.5
 
     def below(self, T: float) -> slice:
         """The index range of the zeros with |gamma| <= T."""

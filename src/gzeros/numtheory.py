@@ -3,7 +3,7 @@
 Provides:
 - factorize(n): deterministic factorization for n < 2^63 (trial division
   plus Miller-Rabin/Pollard rho for the large cofactor)
-- euler_phi, moebius, phi2: standard multiplicative functions
+- euler_phi, moebius: standard multiplicative functions
 - unit_pair_count(q, c): #{a mod q : (a(c-a), q) = 1} = phi(q)^2 S_q(c)
 - check_modulus(q): the one q >= 1 check of the entry points
 - floor_x(x): floor(x (1 + 1e-12)), the last n of every sum over n <= x
@@ -157,21 +157,6 @@ def moebius(n: int) -> int:
     if any(e > 1 for _, e in fac):
         return 0
     return -1 if len(fac) % 2 else 1
-
-
-def phi2(n: int) -> int:
-    """prod_{p|n} (p-2) over odd squarefree n (the domain it is used on)."""
-    if n < 1:
-        raise ValueError("phi2: n must be >= 1")
-    if n % 2 == 0:
-        raise ValueError(f"phi2: n={n} is even")
-    fac = factorize(n).factors
-    if any(e > 1 for _, e in fac):
-        raise ValueError(f"phi2: n={n} has a square factor")
-    out = 1
-    for p, _ in fac:
-        out *= p - 2
-    return out
 
 
 def check_modulus(q: int) -> None:

@@ -112,13 +112,6 @@ def compute_c2(prime_cutoff: int = 10 ** 6) -> SingularConstants:
     )
 
 
-def c2_partial_product(prime_cutoff: int) -> float:
-    """Bare partial product 2 prod_{2<p<=P} (1 - (p-1)^-2), no tail."""
-    primes = primes_up_to(prime_cutoff)
-    odd = primes[primes > 2].astype(np.float64)
-    return 2.0 * float(np.prod(1.0 - (odd - 1.0) ** -2))
-
-
 def j_weight(n: int, constants: SingularConstants) -> float:
     """J(n): 0 for odd n, n C2 prod_{p|n, p>2} (p-1)/(p-2) for even n."""
     if n < 1:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gzeros.analysis import (
-    BStarParams,
     ResidualParams,
     b_star,
     fit_exponent,
@@ -174,29 +173,18 @@ def test_restricted_g_minus_j_band():
 
 
 def test_b_star_values():
-    p = BStarParams()
-    # large q, large x: observed B dominates (q^eps ~ 7.2 > 2)
-    assert b_star(10 ** 6, 1e12, p) == pytest.approx(0.5)
+    # large q, large x: B = 1/2 dominates (q^eps ~ 7.2 > 2)
+    assert b_star(10 ** 6, 1e12) == pytest.approx(0.5)
     # x = e: 1 - eta = 0, degenerate, returned as-is with a warning
-    assert b_star(1, math.e, p) == pytest.approx(0.0, abs=1e-12)
-    # with the default c1 = 1, q = 1 stays pinned at 0 (q^eps = 1): the
-    # source's c1 is "small" but unspecified, so this is configuration
-    assert b_star(1, 1e12, p) == pytest.approx(0.0, abs=1e-12)
-    # smaller c1 restores the observed-B branch for small moduli
-    assert b_star(1, 1e12, BStarParams(c1=0.25)) == pytest.approx(0.5)
+    assert b_star(1, math.e) == pytest.approx(0.0, abs=1e-12)
+    # with c1 = 1, q = 1 stays pinned at 0 (q^eps = 1)
+    assert b_star(1, 1e12) == pytest.approx(0.0, abs=1e-12)
     # q large: q^eps governs at moderate x
-    v = b_star(10 ** 6, 1e4, p)
+    v = b_star(10 ** 6, 1e4)
     expect = min(0.5, 1 - 1 / min((10 ** 6) ** (1 / 7), math.log(1e4) ** 0.8))
     assert v == pytest.approx(expect)
-
-
-def test_b_star_params_validation():
     with pytest.raises(ValueError):
-        BStarParams(c1=-1.0)
-    with pytest.raises(ValueError):
-        BStarParams(epsilon=2.0)
-    with pytest.raises(ValueError):
-        b_star(1, 1.0, BStarParams())
+        b_star(1, 1.0)
 
 
 def test_zero_sum_diagnostics(zeta_zeros):

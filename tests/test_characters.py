@@ -24,7 +24,6 @@ from gzeros.characters import (
     group,
     induce_primitive,
     is_primitive,
-    pair_weight_nonzero,
     parse_label,
     root_counts_equal,
     root_number,
@@ -524,13 +523,6 @@ def test_sieve_identity_small():
             expect = Fraction(phi * phi) * singular_series(q, c)
             assert expect.denominator == 1
             assert count == expect
-
-
-def test_pair_weight_predicate():
-    # chi(1) + chi(1) = 2 chi(1) never vanishes
-    assert pair_weight_nonzero(5, 1, 1)
-    # mod 4: chi(1) + chi(3) = 1 - 1 = 0 for the nontrivial character
-    assert not pair_weight_nonzero(4, 1, 3)
 
 
 def test_conjugate_character():

@@ -228,3 +228,22 @@ def test_selberg_domain(sieve):
         selberg_integral(100, 200, chi0, sieve)
     with pytest.raises(ValueError):
         selberg_integral(10 ** 4, 10, chi0, sieve)
+
+
+def test_selberg_refuses_non_integer_inputs(sieve):
+    chi0 = build_group(1)[0]
+    with pytest.raises(ValueError, match="h=10.5"):
+        selberg_integral(100, 10.5, chi0, sieve)
+    with pytest.raises(ValueError, match="x=100.5"):
+        selberg_integral(100.5, 10, chi0, sieve)
+
+
+def test_selberg_sieve_limit_is_2x_plus_h_minus_1():
+    # the last window is (2x-1, 2x-1+h]: a sieve ending there suffices
+    x, h = 100, 10
+    chi0 = build_group(1)[0]
+    exact_fit = build_sieve(2 * x + h - 1)
+    assert (selberg_integral(x, h, chi0, exact_fit)
+            == selberg_integral(x, h, chi0, build_sieve(10 ** 4)))
+    with pytest.raises(ValueError):
+        selberg_integral(x, h, chi0, build_sieve(2 * x + h - 2))

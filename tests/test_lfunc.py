@@ -5,6 +5,8 @@ import re
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gzeros.cache import load_or_build_zero_sets
 from gzeros.characters import (
@@ -136,6 +138,43 @@ def test_hurwitz_zeta_rejects_nan():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@given(st.floats(-30, 30), st.floats(-1000, 1000), st.floats(0.05, 1))
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_hurwitz_zeta_property_against_mpmath(sigma, t, alpha):
+    # the evaluator's domain is Re s >= -1/2: there it agrees with mpmath,
+    # below it raises instead of returning an Euler-Maclaurin blow-up
+    import signal
+
+    s = complex(sigma, t)
+    assume(abs(s - 1) >= 1e-3)
+
+    def hung(signum, frame):
+        raise TimeoutError(f"hurwitz_zeta_array({s}, {alpha}) did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        if sigma < -0.5:
+            with pytest.raises(ValueError, match="Re s"):
+                hurwitz_zeta_array(s, alpha)
+            return
+        mine = complex(hurwitz_zeta_array(s, alpha)[0])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    mp.mp.dps = 30
+    ref = complex(mp.zeta(mp.mpc(s), alpha))
+    assert abs(mine - ref) <= 1e-10 * abs(ref)
+
+
+def test_functional_equation_residual_refuses_re_s_past_the_envelope():
+    # Lambda(1 - s) at s = 25 + i needs zeta(-24 - i, a): refused, where
+    # the unchecked evaluator returned a residual of 5.4e12
+    chi = character_from_label("q=5;e=1")
+    with pytest.raises(CapacityError, match="Re s = -24"):
+        functional_equation_residual(25 + 1j, chi)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +491,7 @@ def test_zero_power_sum_matches_scalar_loop(zeta_zeros, weight):
 
 
 def test_observed_B(zeta_zeros):
-    assert zeta_zeros.observed_B == 0.5
+    assert zeta_zeros.beta.max() == 0.5
     assert np.all(zeta_zeros.beta == 0.5)
 
 
@@ -551,7 +590,7 @@ def test_zero_file_hypothetical_not_certified(tmp_path):
     )
     zs = import_zeros(path, "q=1;e=")
     assert not zs.certified
-    assert zs.observed_B == 0.75
+    assert zs.beta.max() == 0.75
     assert "hypothetical" in zs.diagnostics
 
 

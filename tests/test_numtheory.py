@@ -16,7 +16,6 @@ from gzeros.numtheory import (
     factorize,
     is_prime,
     moebius,
-    phi2,
     primes_up_to,
     unit_pair_count,
 )
@@ -71,15 +70,6 @@ def test_multiplicative_values():
     assert moebius(12) == 0
     assert moebius(30) == -1
     assert moebius(1) == 1
-    assert phi2(15) == (3 - 2) * (5 - 2)
-    assert phi2(1) == 1
-
-
-def test_phi2_domain():
-    with pytest.raises(ValueError):
-        phi2(6)
-    with pytest.raises(ValueError):
-        phi2(9)
 
 
 @given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))

@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from gzeros.numtheory import euler_phi, factorize, moebius, phi2
+from gzeros.numtheory import euler_phi, factorize, moebius
 from gzeros.singular import (
-    c2_partial_product,
     compute_c2,
     j_average,
     j_weight,
@@ -19,12 +18,6 @@ def constants():
     return compute_c2(10 ** 5)
 
 
-def test_c2_partial_small():
-    # single factor p = 3: 2 * (1 - 1/4)
-    assert c2_partial_product(3) == pytest.approx(1.5, abs=0)
-    assert c2_partial_product(4) == pytest.approx(1.5, abs=0)
-
-
 def test_c2_value_and_stability(constants):
     assert 1.3 < constants.C2 < 1.33
     assert 0.66 < constants.C2 / 2 < 0.6602
@@ -33,12 +26,6 @@ def test_c2_value_and_stability(constants):
     assert abs(constants.C2 - c2_hi.C2) < 1e-10
     # partial product decreases monotonically toward the limit
     assert constants.partial_product > c2_hi.partial_product > c2_hi.C2 - 1e-12
-
-
-def test_c2_brute_force_convergence(constants):
-    # direct partial products must straddle down toward C2
-    vals = [c2_partial_product(P) for P in (10 ** 3, 10 ** 4, 10 ** 5)]
-    assert vals[0] > vals[1] > vals[2] > constants.C2 - 1e-9
 
 
 def test_c2_rejects_small_cutoff():
@@ -86,14 +73,14 @@ def test_j_weight_kernel_property(constants):
 
 
 def test_j_expansion_identity(constants):
-    # J(2N) = 2 C2 N sum_{d|N, d odd} mu(d)^2/phi2(d)
+    # J(2N) = 2 C2 N sum_{d|N, d odd} mu(d)^2/phi2(d), phi2(d) = prod (p-2)
     from gzeros.numtheory import divisors
 
     for N in [1, 2, 9, 15, 24, 105]:
         total = 0.0
         for d in divisors(N):
             if d % 2 == 1 and moebius(d) != 0:
-                total += 1 / phi2(d)
+                total += 1 / math.prod(p - 2 for p in factorize(d).primes)
         assert j_weight(2 * N, constants) == pytest.approx(
             2 * constants.C2 * N * total, rel=1e-12
         )
