@@ -3,7 +3,7 @@ Dirichlet L-function zeros, and explicit-formula verification.
 
 The headline objects:
 
-    build_sieve(x)             von Mangoldt table Lambda(n), n <= x
+    build_sieve(x)             the prime powers n <= x and Lambda(n)
     build_group(q)             the phi(q) Dirichlet characters mod q
     s_grid(xs, q, a, b, sieve) S(x; q, a, b) on an x grid (prefix sums)
     restricted_sum(xs, q, c, sieve)  sum_{n<=x, n=c (q)} G(n) on a grid

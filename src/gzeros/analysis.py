@@ -14,8 +14,11 @@ The effective exponent parameter of the sharpened error term is
 with three constants: c1 = 1 (the source leaves c1 unspecified), eps =
 1/7 (the choice made in its own final optimization) and B = 1/2, the
 largest real part of a zero, since every zero computed in the validated
-envelope has beta = 1/2.  At very small x the second branch can dip to
-0, which is degenerate but faithful; it is logged, not hidden.
+envelope has beta = 1/2.  b_star < B is the formula at work (for q < 128
+it is below 1/2 at every x, since q^eps < 2), and is not logged.  Either
+branch can take it to 0 or below: q^eps for q = 1, (log x)^(4/5) for
+x <= e.  That degenerate value is returned as-is and logged with the
+branch that set it.
 """
 
 from __future__ import annotations
@@ -143,8 +146,8 @@ def b_star(q: int, x: float) -> float:
     """min(B, 1 - c1/min(q^eps, (log x)^(4/5))) with the module's
     constants B_STAR_B, B_STAR_C1 and B_STAR_EPSILON.
 
-    Degenerate at small x (the bound can fall to or below 0); logged and
-    returned as-is.
+    A value <= 0 is degenerate: it is logged, naming the branch of the
+    inner min that set it, and returned as-is.
     """
     if x <= 1:
         raise ValueError("x must exceed 1")
@@ -154,10 +157,11 @@ def b_star(q: int, x: float) -> float:
         raise ValueError("degenerate: log x <= 0")
     eta = B_STAR_C1 / denom
     val = min(B_STAR_B, 1.0 - eta)
-    if val < B_STAR_B:
+    if val <= 0:
+        branch = "q^eps" if denom == q ** B_STAR_EPSILON else "(log x)^(4/5)"
         logger.warning(
-            "b_star degenerate at small x: 1 - eta = %.4f < B = %.4f",
-            1.0 - eta, B_STAR_B,
+            "b_star degenerate: 1 - c1/%s = %.4f <= 0 at q=%d, x=%g",
+            branch, val, q, x,
         )
     return val
 

@@ -43,7 +43,8 @@ from .characters import (
 from .circle import build_grid, decompose_check, j_chi, selberg_integral, w_mass
 from .errors import GzError
 from .explicit import landau_gonek
-from .goldbach import _class_lambda, build_class_convolution, s_chi
+from .goldbach import (_class_lambda, build_class_convolution,
+                       check_conv_limit, s_chi)
 from .lfunc import export_zeros, find_zeros, hurwitz_zeta, import_zeros
 from .numtheory import build_sieve, euler_phi, floor_x
 from .singular import (check_j_inputs, compute_c2, j_average, j_weight_table,
@@ -125,6 +126,7 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_goldbach(args) -> int:
+    check_conv_limit(args.x)  # before the sieve is built
     sieve = build_sieve(max(args.x, 2))
     conv = load_or_build_convolution(args.q, args.a, args.b, args.x, sieve)
     _emit_csv(args.out, ["n", "g", "S"], [
@@ -324,7 +326,7 @@ def _cmd_selfcheck(args) -> int:
 
     x, h = 100, 10
     val = selberg_integral(x, h, zc, sieve)
-    w = np.cumsum(sieve.lambda_[: 2 * x + h + 2])
+    w = np.cumsum(sieve.dense(2 * x + h + 1))
     ts = np.linspace(x, 2 * x, 100001)[:-1] + 0.5 / 100000
     window = w[np.floor(ts + h).astype(int)] - w[np.floor(ts).astype(int)]
     riemann = float(np.sum(np.abs(window - h) ** 2) * (x / 100000))

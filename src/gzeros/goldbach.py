@@ -4,19 +4,26 @@ G(n; q, a, b) = sum_{l+m=n, l=a, m=b (mod q)} Lambda(l) Lambda(m), its
 summatory S(x; q, a, b), the character-twisted S(x; chi1, chi2), and
 congruence-restricted sums sum_{n<=x, n=c (q)} G(n), G(n) = G(n; 1, 1, 1).
 
-Every summatory value comes from one prefix-sum kernel,
-sum_{l+m<=n} u[l] v[m] = sum_{l<n} u[l] V[n-l] with V = cumsum(v): O(x)
-memory whatever q is, no FFT, and a pairwise np.sum (not a BLAS dot), so
-results do not depend on the thread count.  A sum over n <= x ends at
-floor_x(x) = floor(x (1 + 1e-12)), so grid points that are integers in
-exact arithmetic but round just below keep n = x.
+Every summatory value comes from one sparse prefix-sum kernel over the
+sieve's prime powers: sum_{l+m<=n} u(l) v(m) = sum_{l<n} u(l) V(n-l), l
+over the prime powers where u is nonzero, and V(n-l) = C[j] with j the
+number of v's prime powers <= n-l (one searchsorted) and C their running
+sum from a leading 0.  The terms and their order are those of the dense
+sum over length-x arrays u, v and V = cumsum(v), whose zeros add exact
+zeros, so the results are bit-identical to it.  Memory is O(x/log x)
+whatever q is: S(1e6; 3, 1, 2) peaks at 2.2 MB of allocations (the dense
+arrays took 25 MB), and a 25-point grid to x = 1e8 at 330 MB RSS with its
+sieve (3.2 GB dense).  There is no FFT, and the sum is a pairwise np.sum
+(not a BLAS dot), so results do not depend on the thread count.  A sum
+over n <= x ends at floor_x(x) = floor(x (1 + 1e-12)), so grid points
+that are integers in exact arithmetic but round just below keep n = x.
 
 Per-n arrays (build_class_convolution) come from one real FFT
-convolution of the two class-restricted Lambda arrays (size = next power
-of two >= 2x+1), which is exact to ~1e-7 absolute per coefficient at
-x = 1e7: the rounding budget is about eps * ||a||_2 ||b||_2 * log2(N)
-~ 2e-16 * (x log x) * 24.  Prime powers stay in (the definition uses
-Lambda, never primes only).
+convolution of the two dense class-restricted Lambda arrays (size = next
+power of two >= 2x+1, x <= CONV_X_CAP), which is exact to ~1e-7 absolute
+per coefficient at x = 1e7: the rounding budget is about
+eps * ||a||_2 ||b||_2 * log2(N) ~ 2e-16 * (x log x) * 24.  Prime powers
+stay in (the definition uses Lambda, never primes only).
 
 gcd(ab, q) > 1 inputs are legal but logged: the main theorems assume
 (ab, q) = 1, and computing anyway aids debugging.
@@ -31,9 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import DirichletCharacter, char_values_table
+from .errors import CapacityError
 from .numtheory import SieveTable, check_modulus, floor_x
 
 logger = logging.getLogger(__name__)
+
+# the per-n FFT's envelope: at x = 1e7 its transform length is 2^25 and
+# build_class_convolution peaks at 1.7 GB RSS, so SIEVE_CAP = 1e8 would
+# need some 17 GB
+CONV_X_CAP = 10 ** 7
 
 
 def _check_classes(caller: str, q: int, a: int, b: int) -> None:
@@ -43,29 +56,35 @@ def _check_classes(caller: str, q: int, a: int, b: int) -> None:
         logger.warning("%s: gcd(ab, q) > 1 (q=%d a=%d b=%d)", caller, q, a, b)
 
 
+def _class_entries(q: int, a: int, x: int, sieve: SieveTable):
+    """The prime powers l <= x with l = a (mod q), and Lambda(l)."""
+    pos, lam = sieve.entries(x)
+    keep = pos % q == a % q
+    return pos[keep], lam[keep]
+
+
 def _class_lambda(q: int, a: int, x: int, sieve: SieveTable) -> np.ndarray:
     """Array v[0..x] with v[l] = Lambda(l) [l = a mod q]."""
+    pos, lam = _class_entries(q, a, x, sieve)
     v = np.zeros(x + 1, dtype=np.float64)
-    lo = a % q
-    if lo == 0:
-        lo = q
-    v[lo:: q] = sieve.lambda_[lo: x + 1: q]
+    v[pos] = lam
     return v
 
 
 def goldbach_g(n: int, q: int, a: int, b: int, sieve: SieveTable) -> float:
-    """G(n; q, a, b), the exact double-precision sum over decompositions."""
+    """G(n; q, a, b), the exact double-precision sum over decompositions,
+    added one term at a time in ascending l."""
     _check_classes("goldbach_g", q, a, b)
     sieve.check_limit(n)
     if n < 4:
         return 0.0
-    total = 0.0
-    for l in range(a % q if a % q else q, n, q):
-        if sieve.lambda_[l] > 0.0:
-            m = n - l
-            if m >= 1 and m % q == b % q and sieve.lambda_[m] > 0.0:
-                total += sieve.lambda_[l] * sieve.lambda_[m]
-    return total
+    l, lam_l = _class_entries(q, a, n - 1, sieve)
+    m = n - l
+    i = np.minimum(np.searchsorted(sieve.positions, m), len(sieve.positions) - 1)
+    hit = (sieve.positions[i] == m) & (m % q == b % q)
+    terms = lam_l[hit] * sieve.lam[i[hit]]
+    # a sequential running sum, not np.sum's pairwise one
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 @dataclass
@@ -85,6 +104,13 @@ class ClassConvolution:
         return float(self.cumulative[i]) if i >= 0 else 0.0
 
 
+def check_conv_limit(x: int) -> None:
+    """CapacityError when a per-n table to x would pass CONV_X_CAP."""
+    if x > CONV_X_CAP:
+        raise CapacityError(
+            f"x={x} exceeds the per-n convolution cap {CONV_X_CAP}")
+
+
 def build_class_convolution(
     q: int, a: int, b: int, x: int, sieve: SieveTable
 ) -> ClassConvolution:
@@ -92,6 +118,7 @@ def build_class_convolution(
     _check_classes("build_class_convolution", q, a, b)
     if x < 0:
         raise ValueError(f"x={x} must be >= 0")
+    check_conv_limit(x)
     sieve.check_limit(x)
     va = _class_lambda(q, a, x, sieve)
     if (a - b) % q == 0:
@@ -114,19 +141,20 @@ def build_class_convolution(
     )
 
 
-def _pair_sums(u: np.ndarray, v: np.ndarray, ns: np.ndarray) -> np.ndarray:
-    """sum_{l<n} u[l] V[n-l] with V = cumsum(v), for every n in ns.
+def _pair_sums(l: np.ndarray, w: np.ndarray, m: np.ndarray, v: np.ndarray,
+               ns: np.ndarray) -> np.ndarray:
+    """sum_{l<n} w(l) V(n-l) with V(k) = sum_{m<=k} v(m), for every n in ns:
+    sum_{l+m<=n} w(l) v(m) for weights w at the ascending positions l >= 1
+    and v at the ascending positions m >= 1 (all int64).
 
-    With u[0] = v[0] = 0 this is sum_{l+m<=n} u[l] v[m].  u and v cover
-    0..max(ns).
+    C is v's prefix sum with a leading 0, summed from that 0 as a dense
+    cumsum is, so V(k) = C[#{m <= k}] is the dense V[k] to the bit.
     """
-    V = np.cumsum(v)
-    l = np.flatnonzero(u)
-    w = u[l]
-    out = np.zeros(len(ns), dtype=np.result_type(u, v))
+    C = np.cumsum(np.concatenate((np.zeros(1, dtype=v.dtype), v)))
+    out = np.zeros(len(ns), dtype=np.result_type(w, v))
     for i, n in enumerate(ns):
         k = int(np.searchsorted(l, n))
-        out[i] = np.sum(w[:k] * V[n - l[:k]])
+        out[i] = np.sum(w[:k] * C[np.searchsorted(m, n - l[:k], side="right")])
     return out
 
 
@@ -140,9 +168,9 @@ def _grid(xs, sieve: SieveTable) -> tuple[np.ndarray, int]:
 
 
 def _class_sums(ns, top: int, q: int, a: int, b: int, sieve: SieveTable):
-    u = _class_lambda(q, a, top, sieve)
-    v = u if (a - b) % q == 0 else _class_lambda(q, b, top, sieve)
-    return _pair_sums(u, v, ns)
+    l, u = _class_entries(q, a, top, sieve)
+    m, v = (l, u) if (a - b) % q == 0 else _class_entries(q, b, top, sieve)
+    return _pair_sums(l, u, m, v, ns)
 
 
 def _like(xs, values: np.ndarray):
@@ -164,19 +192,19 @@ def s_chi(xs, chi1: DirichletCharacter, chi2: DirichletCharacter,
     if chi1.q != chi2.q:
         raise ValueError("characters must share a modulus")
     ns, top = _grid(xs, sieve)
-    c1 = twisted_lambda(chi1, top, sieve)
-    c2 = c1 if chi2 == chi1 else twisted_lambda(chi2, top, sieve)
-    return _like(xs, _pair_sums(c1, c2, ns))
+    pos, lam = sieve.entries(top)
+    c1 = char_values_table(chi1)[pos % chi1.q] * lam
+    c2 = c1 if chi2 == chi1 else char_values_table(chi2)[pos % chi2.q] * lam
+    l = np.flatnonzero(c1)  # chi1(l) = 0 weights drop out
+    return _like(xs, _pair_sums(pos[l], c1[l], pos, c2, ns))
 
 
 def twisted_lambda(
     chi: DirichletCharacter, x: int, sieve: SieveTable
 ) -> np.ndarray:
     """Array v[0..x] with v[n] = chi(n) Lambda(n), complex128."""
-    sieve.check_limit(x)
-    table = char_values_table(chi)
-    n = np.arange(x + 1)
-    v = table[n % chi.q] * sieve.lambda_[: x + 1]
+    lam = sieve.dense(x)
+    v = char_values_table(chi)[np.arange(x + 1) % chi.q] * lam
     v[:2] = 0
     return v
 

@@ -7,12 +7,15 @@ Provides:
 - unit_pair_count(q, c): #{a mod q : (a(c-a), q) = 1} = phi(q)^2 S_q(c)
 - check_modulus(q): the one q >= 1 check of the entry points
 - floor_x(x): floor(x (1 + 1e-12)), the last n of every sum over n <= x
-- build_sieve(x): von Mangoldt table Lambda(n) for n <= x as float64 logs,
-  with Lambda(n) = log p exactly when n = p^k and 0 otherwise
+- build_sieve(x): the prime powers n = p^k <= x and Lambda(n) = log p at
+  each, as a compact SieveTable
 
 The sieve is segmented (2^20-element blocks) so construction stays cache
-resident; the resulting SieveTable is read-only and safe to share.  It is
-never cached on disk: building it is about 3x faster than reading it back.
+resident; the resulting SieveTable is read-only and safe to share.  It
+holds only the ~x/log x prime powers, 16 bytes each (1.3 MB at x = 10^6,
+against 8 MB for a dense float64 Lambda array); SieveTable.dense(x)
+scatters a fresh dense array for the callers that need one.  It is never
+cached on disk: building it is about 3x faster than reading it back.
 """
 
 from __future__ import annotations
@@ -209,14 +212,16 @@ def floor_x(x):
 
 @dataclass(frozen=True)
 class SieveTable:
-    """Lambda(n) for 1 <= n <= limit.
+    """The prime powers 2 <= n <= limit and Lambda(n) at each.
 
-    lambda_[n] = log p exactly when n is a power of the prime p, else 0;
-    the array is read-only.
+    positions is ascending int64; lam[i] = log p for positions[i] = p^k,
+    computed as np.log(p) at a prime and math.log(p) at a proper power.
+    Every other n has Lambda(n) = 0.  Both arrays are read-only.
     """
 
     limit: int
-    lambda_: np.ndarray  # float64, indices 0..limit; [0] and [1] are 0
+    positions: np.ndarray  # int64, ascending
+    lam: np.ndarray        # float64, Lambda(positions)
 
     def check_limit(self, x: float) -> None:
         """CapacityError (a ValueError) when x > limit: the one rule for a
@@ -225,50 +230,70 @@ class SieveTable:
         if x > self.limit:
             raise CapacityError(f"x={x} exceeds sieve limit {self.limit}")
 
+    def entries(self, x: int) -> tuple[np.ndarray, np.ndarray]:
+        """The prime powers n <= x and their Lambda (read-only views)."""
+        self.check_limit(x)
+        k = int(np.searchsorted(self.positions, x, side="right"))
+        return self.positions[:k], self.lam[:k]
+
+    def dense(self, x: int) -> np.ndarray:
+        """A fresh float64 array v[0..x] with v[n] = Lambda(n)."""
+        pos, lam = self.entries(x)
+        v = np.zeros(x + 1, dtype=np.float64)
+        v[pos] = lam
+        return v
+
     def psi(self, u: float) -> float:
-        """Chebyshev psi(u) = sum_{n<=u} Lambda(n), for floor_x(u) <= limit."""
+        """Chebyshev psi(u) = sum_{n<=u} Lambda(n), for floor_x(u) <= limit.
+        The pairwise sum runs over dense(n), zeros included, so it rounds
+        as a sum over every n <= u does."""
         n = int(floor_x(u))
         self.check_limit(n)
         if n < 2:
             return 0.0
-        return float(self.lambda_[: n + 1].sum())
+        return float(self.dense(n).sum())
 
 
 def build_sieve(x: int) -> SieveTable:
-    """Von Mangoldt table for n <= x <= SIEVE_CAP.  Deterministic;
-    segmented sieve."""
+    """The compact von Mangoldt table for n <= x <= SIEVE_CAP.
+    Deterministic; segmented sieve.  At x = SIEVE_CAP it holds 5.76e6
+    prime powers, 92 MB against 800 MB for a dense float64 array."""
     if not isinstance(x, numbers.Integral):
         raise ValueError(f"build_sieve: x={x!r} must be an integer")
     if x < 2:
         raise ValueError("build_sieve: x must be >= 2")
     if x > SIEVE_CAP:
         raise CapacityError(f"build_sieve: x={x} exceeds cap {SIEVE_CAP}")
+    base = primes_up_to(math.isqrt(x))
 
-    lam = np.zeros(x + 1, dtype=np.float64)
-    root = math.isqrt(x)
-    base = primes_up_to(root)
+    # proper prime powers p^k, k >= 2: only p <= sqrt(x) contribute
+    powers = []
+    for p in base.tolist():
+        pk = p * p
+        while pk <= x:
+            powers.append((pk, math.log(p)))
+            pk *= p
+    powers.sort()
+    pw = np.array([n for n, _ in powers], dtype=np.int64)
+    pw_lam = np.array([v for _, v in powers], dtype=np.float64)
 
-    # primes: segment-by-segment composite marking, log at the survivors
+    # primes: segment-by-segment composite marking, log at the survivors,
+    # and the segment's proper powers merged in
+    positions, lam = [], []
     for lo in range(2, x + 1, SEGMENT):
         hi = min(lo + SEGMENT, x + 1)
         mask = np.ones(hi - lo, dtype=bool)
-        for p in base:
-            p = int(p)
+        for p in base.tolist():
             start = max(p * p, (lo + p - 1) // p * p)
             if start < hi:
                 mask[start - lo:: p] = False
-        idx = np.nonzero(mask)[0] + lo
-        idx = idx[idx >= 2]
-        lam[idx] = np.log(idx.astype(np.float64))
-
-    # proper prime powers p^k, k >= 2: only p <= sqrt(x) contribute
-    for p in base:
-        p = int(p)
-        logp = math.log(p)
-        pk = p * p
-        while pk <= x:
-            lam[pk] = logp
-            pk *= p
-
+        idx = np.nonzero(mask)[0].astype(np.int64) + lo
+        i, j = np.searchsorted(pw, [lo, hi])
+        at = np.searchsorted(idx, pw[i:j])
+        positions.append(np.insert(idx, at, pw[i:j]))
+        lam.append(np.insert(np.log(idx.astype(np.float64)), at, pw_lam[i:j]))
+    positions = np.concatenate(positions)  # frees the chunks before lam's
+    lam = np.concatenate(lam)
+    positions.flags.writeable = False
     lam.flags.writeable = False
-    return SieveTable(limit=x, lambda_=lam)
+    return SieveTable(limit=x, positions=positions, lam=lam)

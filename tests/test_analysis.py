@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -185,6 +186,21 @@ def test_b_star_values():
     assert v == pytest.approx(expect)
     with pytest.raises(ValueError):
         b_star(1, 1.0)
+
+
+def test_b_star_logs_only_a_degenerate_value(caplog):
+    # b* = 0.1452 < B for q = 3 is the q^eps branch at work: no record
+    caplog.set_level(logging.WARNING, logger="gzeros.analysis")
+    assert b_star(3, 1e6) == pytest.approx(1 - 3 ** (-1 / 7))
+    assert not caplog.records
+    # b* = 0 at x = e: one record, naming the branch of the inner min
+    assert b_star(1, math.e) == pytest.approx(0.0, abs=1e-12)
+    assert len(caplog.records) == 1
+    assert "q^eps" in caplog.records[0].getMessage()
+    caplog.clear()
+    assert b_star(10 ** 6, 2.0) < 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "b_star degenerate: 1 - c1/(log x)^(4/5) = -0.3407 <= 0 at q=1000000, x=2"]
 
 
 def test_zero_sum_diagnostics(zeta_zeros):

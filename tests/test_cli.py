@@ -100,6 +100,21 @@ def test_goldbach_negative_x_caches_nothing(cache_env, capsys):
     assert not list((cache_env / "cache").glob("conv-*"))
 
 
+def test_goldbach_past_the_convolution_cap_builds_no_sieve(cache_env, capsys,
+                                                          monkeypatch):
+    # gz goldbach --x 1e8 passes SIEVE_CAP: the per-n cap refuses it first
+    import gzeros.cli
+
+    def no_sieve(x):
+        raise AssertionError("sieve built")
+
+    monkeypatch.setattr(gzeros.cli, "build_sieve", no_sieve)
+    assert dispatch(["goldbach", "--q", "3", "--a", "1", "--b", "2",
+                     "--x", "100000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: x=100000000 exceeds the per-n convolution cap")
+
+
 def test_cache_hit_and_corruption(cache_env, tmp_path):
     import numpy as np
 

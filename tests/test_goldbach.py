@@ -1,12 +1,17 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gzeros.analysis import geometric_grid
 from gzeros.characters import build_group, char_value
+from gzeros.errors import CapacityError
 from gzeros.goldbach import (
+    CONV_X_CAP,
     build_class_convolution,
     floor_x,
     goldbach_g,
@@ -24,11 +29,12 @@ def sieve():
 
 
 def brute_g(n, q, a, b, sieve):
+    lam = sieve.dense(n)
     total = 0.0
     for l in range(1, n):
         m = n - l
         if l % q == a % q and m % q == b % q:
-            total += sieve.lambda_[l] * sieve.lambda_[m]
+            total += lam[l] * lam[m]
     return total
 
 
@@ -289,3 +295,118 @@ def test_entry_points_reject_modulus_below_one(sieve, q):
         goldbach_g(100, q, 1, 1, sieve)
     with pytest.raises(ValueError):
         build_class_convolution(q, 1, 1, 100, sieve)
+
+
+@pytest.fixture(scope="module")
+def sieve2000():
+    return build_sieve(2000)
+
+
+@given(q=st.integers(1, 12),
+       xs=st.lists(st.floats(0, 2000), min_size=1, max_size=4))
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_engine_property_against_all_pairs(q, xs, sieve2000):
+    # s_grid, restricted_sum and s_chi for every class and character pair
+    # mod q against brute force over the matrix of all prime-power pairs
+    # (l, m) with l + m <= x, summed by class with np.bincount
+    logging.disable(logging.WARNING)  # non-unit classes log gcd warnings
+    try:
+        pos, lam = sieve2000.positions, sieve2000.lam
+        chars = build_group(q)
+        twisted = {c.label: np.array([complex(char_value(c, n)) for n in pos.tolist()])
+                   * lam for c in chars}
+        pair_class = (pos % q)[:, None] * q + (pos % q)[None, :]
+        arr = np.array(xs)
+        inside = [pos[:, None] + pos[None, :] <= n for n in floor_x(arr).tolist()]
+        by_class = [np.bincount(pair_class[m], minlength=q * q,
+                                weights=np.outer(lam, lam)[m]).reshape(q, q)
+                    for m in inside]
+
+        def close(want):
+            return pytest.approx(np.array(want), rel=1e-12, abs=1e-12)
+
+        for a in range(1, q + 1):
+            for b in range(1, q + 1):
+                want = [t[a % q, b % q] for t in by_class]
+                assert s_grid(arr, q, a, b, sieve2000) == close(want)
+        r = np.arange(q)
+        for c in range(1, q + 1):
+            want = [t[r, (c - r) % q].sum() for t in by_class]
+            assert restricted_sum(arr, q, c, sieve2000) == close(want)
+        for c1 in chars:
+            for c2 in chars:
+                pairs = np.outer(twisted[c1.label], twisted[c2.label])
+                want = [pairs[m].sum() for m in inside]
+                assert s_chi(arr, c1, c2, sieve2000) == close(want)
+    finally:
+        logging.disable(logging.NOTSET)
+
+
+def _dense_pair_sums(u, v, ns):
+    # the dense engine the sparse kernel replaced: u, v and V = cumsum(v)
+    # are length-(max(ns) + 1) arrays
+    V = np.cumsum(v)
+    l = np.flatnonzero(u)
+    w = u[l]
+    out = np.zeros(len(ns), dtype=np.result_type(u, v))
+    for i, n in enumerate(ns):
+        k = int(np.searchsorted(l, n))
+        out[i] = np.sum(w[:k] * V[n - l[:k]])
+    return out
+
+
+def _dense_class(q, a, x, sieve):
+    lam = sieve.dense(x)
+    v = np.zeros(x + 1)
+    lo = a % q or q
+    v[lo:: q] = lam[lo:: q]
+    return v
+
+
+def test_engine_is_bit_identical_to_the_dense_engine(sieve6):
+    xs = geometric_grid(1e3, 1e6, 25)
+    ns = floor_x(xs)
+    top = int(ns.max())
+    for q, a, b in [(1, 1, 1), (3, 1, 2), (4, 3, 3), (5, 2, 4)]:
+        ref = _dense_pair_sums(_dense_class(q, a, top, sieve6),
+                               _dense_class(q, b, top, sieve6), ns)
+        assert np.array_equal(s_grid(xs, q, a, b, sieve6), ref), (q, a, b)
+    for c in range(1, 5):
+        ref = np.zeros(len(ns))
+        for a in range(1, 5):
+            ref += _dense_pair_sums(_dense_class(4, a, top, sieve6),
+                                    _dense_class(4, c - a, top, sieve6), ns)
+        assert np.array_equal(restricted_sum(xs, 4, c, sieve6), ref), c
+    chars = build_group(5)
+    for c1, c2 in [(chars[0], chars[0]), (chars[1], chars[2]), (chars[3], chars[1])]:
+        ref = _dense_pair_sums(twisted_lambda(c1, top, sieve6),
+                               twisted_lambda(c2, top, sieve6), ns)
+        got = s_chi(xs, c1, c2, sieve6)
+        # bit for bit, the sign of a zero included
+        assert got.tobytes() == ref.tobytes(), (c1.label, c2.label)
+
+
+def test_s_grid_peak_memory_is_below_one_dense_array(sieve6):
+    # the sparse engine reads only the prime powers: at x = 1e6 its peak
+    # stays below one float64 array of length x + 1
+    tracemalloc.start()
+    try:
+        s_grid(1e6, 3, 1, 2, sieve6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (10 ** 6 + 1)
+
+
+def test_convolution_cap_refuses_before_allocating(sieve):
+    # x past CONV_X_CAP is refused by that cap, before the sieve limit is
+    # read and before any array is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="per-n convolution cap"):
+            build_class_convolution(3, 1, 2, CONV_X_CAP + 1, sieve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 5
+    assert CONV_X_CAP == 10 ** 7

@@ -92,8 +92,11 @@ def test_sieve_small_values():
     # prime powers <= 10: 2,3,4,5,7,8,9
     expect = {2: math.log(2), 3: math.log(3), 4: math.log(2),
               5: math.log(5), 7: math.log(7), 8: math.log(2), 9: math.log(3)}
+    assert sv.positions.tolist() == sorted(expect)
+    assert sv.lam.tolist() == [expect[n] for n in sorted(expect)]
+    lam = sv.dense(10)
     for n in range(11):
-        assert sv.lambda_[n] == pytest.approx(expect.get(n, 0.0), abs=0)
+        assert lam[n] == pytest.approx(expect.get(n, 0.0), abs=0)
     # hand enumeration: 3log2 + 2log3 + log5 + log7
     assert sv.psi(10) == pytest.approx(
         3 * math.log(2) + 2 * math.log(3) + math.log(5) + math.log(7), rel=1e-12
@@ -102,23 +105,31 @@ def test_sieve_small_values():
 
 def test_sieve_x2():
     sv = build_sieve(2)
-    assert sv.lambda_[1] == 0.0
-    assert sv.lambda_[2] == pytest.approx(math.log(2), rel=0)
+    assert sv.positions.tolist() == [2]
+    assert sv.dense(2).tolist() == [0.0, 0.0, math.log(2)]
 
 
 def test_sieve_prime_power_flag_matches_lambda():
     sv = build_sieve(5000)
     # Lambda(n) > 0 exactly at the prime powers: spot-check against factorize
+    lam = sv.dense(500)
     for n in range(2, 500):
-        assert (sv.lambda_[n] > 0) == factorize(n).is_prime_power()
+        assert (lam[n] > 0) == factorize(n).is_prime_power()
 
 
 def test_sieve_holds_only_its_limit_and_a_read_only_lambda():
     sv = build_sieve(1000)
-    assert [f.name for f in dataclasses.fields(sv)] == ["limit", "lambda_"]
-    with pytest.raises(ValueError):
-        sv.lambda_[7] = 0.0
-    assert sv.lambda_[7] == pytest.approx(math.log(7), rel=0)
+    assert [f.name for f in dataclasses.fields(sv)] == ["limit", "positions", "lam"]
+    assert sv.positions.dtype == np.int64 and sv.lam.dtype == np.float64
+    for arr in (sv.positions, sv.lam):
+        with pytest.raises(ValueError):
+            arr[3] = 0
+    assert sv.positions[4] == 7
+    assert sv.lam[4] == pytest.approx(math.log(7), rel=0)
+    # dense(x) is a fresh array: writing to it leaves the table alone
+    lam = sv.dense(10)
+    lam[7] = 0.0
+    assert sv.dense(10)[7] == pytest.approx(math.log(7), rel=0)
 
 
 def test_psi_ends_where_every_sum_over_n_ends():
@@ -186,8 +197,9 @@ def test_chebyshev_identity():
     sv = build_sieve(10 ** 4)
     rng = random.Random(3)
     ns = list(range(2, 200)) + [rng.randrange(200, 10 ** 4) for _ in range(300)]
+    lam = sv.dense(10 ** 4)
     for n in ns:
-        total = sum(sv.lambda_[d] for d in divisors(n))
+        total = sum(lam[d] for d in divisors(n))
         assert abs(total - math.log(n)) < 1e-9
 
 
@@ -212,7 +224,42 @@ def test_sieve_capacity(monkeypatch):
 def test_sieve_deterministic():
     a = build_sieve(50000)
     b = build_sieve(50000)
-    assert np.array_equal(a.lambda_, b.lambda_)
+    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a.lam, b.lam)
+
+
+def _dense_sieve(x):
+    # the dense von Mangoldt array that build_sieve returned before it
+    # kept only the prime powers: the reference for the compact table
+    lam = np.zeros(x + 1, dtype=np.float64)
+    base = primes_up_to(math.isqrt(x))
+    for lo in range(2, x + 1, numtheory.SEGMENT):
+        hi = min(lo + numtheory.SEGMENT, x + 1)
+        mask = np.ones(hi - lo, dtype=bool)
+        for p in base.tolist():
+            start = max(p * p, (lo + p - 1) // p * p)
+            if start < hi:
+                mask[start - lo:: p] = False
+        idx = np.nonzero(mask)[0] + lo
+        lam[idx] = np.log(idx.astype(np.float64))
+    for p in base.tolist():
+        pk = p * p
+        while pk <= x:
+            lam[pk] = math.log(p)
+            pk *= p
+    return lam
+
+
+def test_compact_sieve_matches_the_dense_table_bit_for_bit():
+    # three segments, so the merge of primes and proper powers crosses
+    # segment boundaries
+    x = 3 * numtheory.SEGMENT + 12345
+    ref = _dense_sieve(x)
+    sv = build_sieve(x)
+    assert np.array_equal(sv.positions, np.flatnonzero(ref))
+    assert np.array_equal(sv.lam, ref[sv.positions])
+    assert np.array_equal(sv.dense(x), ref)
+    assert sv.psi(x) == float(ref.sum())
 
 
 def test_unit_pair_count_matches_direct_count():
