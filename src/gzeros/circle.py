@@ -18,6 +18,10 @@ The Selberg-type integral over [x, 2x] of |sum_{t<n<=t+h} chi(n)
 Lambda(n) - delta_0 h|^2 dt is a finite sum over integer t: for integer
 x and h the window sum is constant on each [k, k+1), so the integral is
 sum_{k=x}^{2x-1} |psi_chi(k+h) - psi_chi(k) - delta_0 h|^2, exactly.
+
+Both read chi(n) Lambda(n) at the prime powers from
+goldbach.twisted_entries: build_grid scatters them into its FFT input,
+and selberg_integral takes psi_chi from their running sum.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .characters import DirichletCharacter, build_group
 from .errors import CapacityError
-from .goldbach import s_chi, twisted_lambda
+from .goldbach import s_chi, twisted_entries
 from .numtheory import SieveTable
 
 GRID_X_CAP = 10 ** 6
@@ -65,8 +69,9 @@ def build_grid(x: int, q: int, sieve: SieveTable, N: int) -> ExpSumGrid:
     t_vals = np.fft.ifft(ind) * N  # sum_n e(+n j/N)
     grid = ExpSumGrid(x=x, q=q, N=N, t_vals=t_vals)
     for chi in build_group(q):
+        pos, vals = twisted_entries(chi, x, sieve)
         coeff = np.zeros(N, dtype=np.complex128)
-        coeff[: x + 1] = twisted_lambda(chi, x, sieve)
+        coeff[pos] = vals
         grid.s_vals[chi.label] = np.fft.ifft(coeff) * N
     return grid
 
@@ -160,7 +165,9 @@ def selberg_integral(
             raise ValueError(f"{name}={v!r} must be an integer")
     if not 2 <= h <= x:
         raise ValueError(f"h={h} outside [2, x]")
-    psi = np.cumsum(twisted_lambda(chi, 2 * x + h - 1, sieve))
-    k = np.arange(x, 2 * x)
+    pos, vals = twisted_entries(chi, 2 * x + h - 1, sieve)
+    run = np.cumsum(np.concatenate((np.zeros(1, dtype=vals.dtype), vals)))
+    # psi_chi(n) for n = x, ..., 2x+h-1
+    psi = run[np.searchsorted(pos, np.arange(x, 2 * x + h), side="right")]
     target = h if chi.is_principal else 0.0
-    return float(np.sum(np.abs(psi[k + h] - psi[k] - target) ** 2))
+    return float(np.sum(np.abs(psi[h:] - psi[:x] - target) ** 2))

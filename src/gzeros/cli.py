@@ -326,7 +326,7 @@ def _cmd_selfcheck(args) -> int:
 
     x, h = 100, 10
     val = selberg_integral(x, h, zc, sieve)
-    w = np.cumsum(sieve.dense(2 * x + h + 1))
+    w = np.cumsum(_class_lambda(1, 1, 2 * x + h + 1, sieve))
     ts = np.linspace(x, 2 * x, 100001)[:-1] + 0.5 / 100000
     window = w[np.floor(ts + h).astype(int)] - w[np.floor(ts).astype(int)]
     riemann = float(np.sum(np.abs(window - h) ** 2) * (x / 100000))

@@ -18,12 +18,18 @@ sieve (3.2 GB dense).  There is no FFT, and the sum is a pairwise np.sum
 over n <= x ends at floor_x(x) = floor(x (1 + 1e-12)), so grid points
 that are integers in exact arithmetic but round just below keep n = x.
 
+The character twist chi(n) Lambda(n) is sparse too: twisted_entries
+returns the prime powers n <= x with chi(n) != 0 and their values, and
+every twisted sum (s_chi, lfunc.psi_chi, circle.build_grid,
+circle.selberg_integral) reads that one result.
+
 Per-n arrays (build_class_convolution) come from one real FFT
 convolution of the two dense class-restricted Lambda arrays (size = next
 power of two >= 2x+1, x <= CONV_X_CAP), which is exact to ~1e-7 absolute
 per coefficient at x = 1e7: the rounding budget is about
 eps * ||a||_2 ||b||_2 * log2(N) ~ 2e-16 * (x log x) * 24.  Prime powers
-stay in (the definition uses Lambda, never primes only).
+stay in (the definition uses Lambda, never primes only).  _class_lambda,
+which builds the FFT input, is the one dense scatter of Lambda.
 
 gcd(ab, q) > 1 inputs are legal but logged: the main theorems assume
 (ab, q) = 1, and computing anyway aids debugging.
@@ -133,8 +139,9 @@ def build_class_convolution(
     conv = np.fft.irfft(fa * fb, size)[: x + 1]
     conv[conv < 0] = 0.0
     # congruence obstruction is exact: zero out n != a+b (mod q)
-    n = np.arange(x + 1)
-    conv[n % q != (a + b) % q] = 0.0
+    for r in range(q):
+        if r != (a + b) % q:
+            conv[r::q] = 0.0
     conv[:4] = 0.0
     return ClassConvolution(
         q=q, a=a, b=b, x=x, values=conv, cumulative=np.cumsum(conv)
@@ -192,21 +199,19 @@ def s_chi(xs, chi1: DirichletCharacter, chi2: DirichletCharacter,
     if chi1.q != chi2.q:
         raise ValueError("characters must share a modulus")
     ns, top = _grid(xs, sieve)
-    pos, lam = sieve.entries(top)
-    c1 = char_values_table(chi1)[pos % chi1.q] * lam
-    c2 = c1 if chi2 == chi1 else char_values_table(chi2)[pos % chi2.q] * lam
-    l = np.flatnonzero(c1)  # chi1(l) = 0 weights drop out
-    return _like(xs, _pair_sums(pos[l], c1[l], pos, c2, ns))
+    l, u = twisted_entries(chi1, top, sieve)
+    m, v = (l, u) if chi2 == chi1 else twisted_entries(chi2, top, sieve)
+    return _like(xs, _pair_sums(l, u, m, v, ns))
 
 
-def twisted_lambda(
-    chi: DirichletCharacter, x: int, sieve: SieveTable
-) -> np.ndarray:
-    """Array v[0..x] with v[n] = chi(n) Lambda(n), complex128."""
-    lam = sieve.dense(x)
-    v = char_values_table(chi)[np.arange(x + 1) % chi.q] * lam
-    v[:2] = 0
-    return v
+def twisted_entries(chi: DirichletCharacter, x: int,
+                    sieve: SieveTable) -> tuple[np.ndarray, np.ndarray]:
+    """The prime powers n <= x with chi(n) != 0, and chi(n) Lambda(n) at
+    each (complex128)."""
+    pos, lam = sieve.entries(x)
+    vals = char_values_table(chi)[pos % chi.q] * lam
+    keep = vals != 0
+    return pos[keep], vals[keep]
 
 
 def restricted_sum(xs, q: int, c: int, sieve: SieveTable):

@@ -86,7 +86,7 @@ from .errors import (
     OffLineZeroError,
     ValidationError,
 )
-from .goldbach import twisted_lambda
+from .goldbach import twisted_entries
 from .numtheory import SieveTable, floor_x
 
 logger = logging.getLogger(__name__)
@@ -567,12 +567,10 @@ def zero_power_sum(zeros: ZeroSet, T: float, x: float, weight=None) -> complex:
 
 
 def psi_chi(u: float, chi: DirichletCharacter, sieve: SieveTable) -> complex:
-    """Exact sum_{n <= u} chi(n) Lambda(n), for floor_x(u) <= sieve.limit."""
-    x = int(floor_x(u))
-    sieve.check_limit(x)
-    if x < 2:
-        return 0j
-    return complex(twisted_lambda(chi, x, sieve).sum())
+    """Exact sum_{n <= u} chi(n) Lambda(n), for floor_x(u) <= sieve.limit,
+    with the real and imaginary parts rounded exactly by math.fsum."""
+    vals = twisted_entries(chi, int(floor_x(u)), sieve)[1]
+    return complex(math.fsum(vals.real), math.fsum(vals.imag))
 
 
 def psi_explicit(

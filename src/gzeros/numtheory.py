@@ -13,9 +13,9 @@ Provides:
 The sieve is segmented (2^20-element blocks) so construction stays cache
 resident; the resulting SieveTable is read-only and safe to share.  It
 holds only the ~x/log x prime powers, 16 bytes each (1.3 MB at x = 10^6,
-against 8 MB for a dense float64 Lambda array); SieveTable.dense(x)
-scatters a fresh dense array for the callers that need one.  It is never
-cached on disk: building it is about 3x faster than reading it back.
+against 8 MB for a dense float64 Lambda array), and it is the only form
+of Lambda: every sum reads SieveTable.entries(x).  It is never cached on
+disk: building it is about 3x faster than reading it back.
 """
 
 from __future__ import annotations
@@ -236,22 +236,10 @@ class SieveTable:
         k = int(np.searchsorted(self.positions, x, side="right"))
         return self.positions[:k], self.lam[:k]
 
-    def dense(self, x: int) -> np.ndarray:
-        """A fresh float64 array v[0..x] with v[n] = Lambda(n)."""
-        pos, lam = self.entries(x)
-        v = np.zeros(x + 1, dtype=np.float64)
-        v[pos] = lam
-        return v
-
     def psi(self, u: float) -> float:
-        """Chebyshev psi(u) = sum_{n<=u} Lambda(n), for floor_x(u) <= limit.
-        The pairwise sum runs over dense(n), zeros included, so it rounds
-        as a sum over every n <= u does."""
-        n = int(floor_x(u))
-        self.check_limit(n)
-        if n < 2:
-            return 0.0
-        return float(self.dense(n).sum())
+        """Chebyshev psi(u) = sum_{n<=u} Lambda(n), for floor_x(u) <= limit,
+        rounded exactly by math.fsum."""
+        return math.fsum(self.entries(int(floor_x(u)))[1])
 
 
 def build_sieve(x: int) -> SieveTable:

@@ -171,8 +171,6 @@ def j_average(
     check_j_inputs(x, q)
     if j_table is None:
         j_table = j_weight_table(x, constants)
-    n = np.arange(x + 1)
-    mask = n % q == c % q
-    exact = float(j_table[: x + 1][mask[: x + 1]].sum())
+    exact = float(j_table[c % q: x + 1: q].sum())
     main = float(singular_series(q, c)) * x * x / 2.0
     return exact, main, exact - main

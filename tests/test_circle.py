@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dense_reference import dense_lambda
 from gzeros.characters import build_group
 from gzeros.circle import (
     build_grid,
@@ -13,7 +14,7 @@ from gzeros.circle import (
     selberg_integral,
     w_mass,
 )
-from gzeros.goldbach import s_chi, twisted_lambda
+from gzeros.goldbach import s_chi
 from gzeros.lfunc import find_zeros
 from gzeros.explicit import h_term
 from gzeros.numtheory import build_sieve
@@ -62,7 +63,7 @@ def test_grid_t_against_direct(sieve):
 def test_grid_s_against_direct(sieve):
     g = build_grid(60, 5, sieve, 160)
     for chi in build_group(5):
-        w = twisted_lambda(chi, 60, sieve)
+        w = dense_lambda(sieve, 60, chi)
         for j in [1, 13]:
             alpha = j / 160
             direct = sum(
@@ -142,7 +143,7 @@ def test_w_mass_full_interval_is_parseval(sieve):
     x = 200
     grid = build_grid(x, 3, sieve, 2 * x + 1)
     for chi in build_group(3):
-        w = twisted_lambda(chi, x, sieve).astype(np.complex128)
+        w = dense_lambda(sieve, x, chi).astype(np.complex128)
         w[1: x + 1] -= 1.0 if chi.is_principal else 0.0
         expect = float(np.sum(np.abs(w[1: x + 1]) ** 2))
         assert w_mass(0.5, chi, grid) == pytest.approx(expect, rel=1e-9)
@@ -183,7 +184,7 @@ def test_selberg_exact_vs_brute(sieve):
     x, h = 100, 10
     for chi in [build_group(1)[0]] + build_group(3)[1:]:
         val = selberg_integral(x, h, chi, sieve)
-        w = twisted_lambda(chi, 2 * x + h + 1, sieve)
+        w = dense_lambda(sieve, 2 * x + h + 1, chi)
         bounds = sorted(
             {float(x), float(2 * x)}
             | {float(n) for n in range(x + 1, 2 * x)}
@@ -204,7 +205,7 @@ def test_selberg_riemann_sum_oracle(sieve):
     x, h = 100, 10
     chi0 = build_group(1)[0]
     val = selberg_integral(x, h, chi0, sieve)
-    w = twisted_lambda(chi0, 2 * x + h + 1, sieve)
+    w = dense_lambda(sieve, 2 * x + h + 1, chi0)
     cum = np.cumsum(w)
     ts = np.linspace(x, 2 * x, 200001)[:-1] + 0.5 / 200000
     window = cum[np.floor(ts + h).astype(int)] - cum[np.floor(ts).astype(int)]

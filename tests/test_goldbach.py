@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import dense_lambda
 from gzeros.analysis import geometric_grid
 from gzeros.characters import build_group, char_value
+from gzeros.circle import build_grid, selberg_integral
 from gzeros.errors import CapacityError
 from gzeros.goldbach import (
     CONV_X_CAP,
@@ -18,8 +20,9 @@ from gzeros.goldbach import (
     restricted_sum,
     s_chi,
     s_grid,
-    twisted_lambda,
+    twisted_entries,
 )
+from gzeros.lfunc import psi_chi
 from gzeros.numtheory import build_sieve, euler_phi
 
 
@@ -29,7 +32,7 @@ def sieve():
 
 
 def brute_g(n, q, a, b, sieve):
-    lam = sieve.dense(n)
+    lam = dense_lambda(sieve, n)
     total = 0.0
     for l in range(1, n):
         m = n - l
@@ -185,13 +188,16 @@ def test_s_chi_modulus_mismatch(sieve):
         s_chi(100, build_group(3)[0], build_group(5)[0], sieve)
 
 
-def test_twisted_lambda_values(sieve):
+def test_twisted_entries_values(sieve):
     chi = [c for c in build_group(4) if not c.is_principal][0]
-    v = twisted_lambda(chi, 20, sieve)
-    assert v[2] == 0  # gcd(2,4) > 1
+    pos, vals = twisted_entries(chi, 20, sieve)
+    v = dict(zip(pos.tolist(), vals.tolist()))
+    # chi(n) = 0 drops the powers of 2 (gcd(2,4) > 1)
+    assert sorted(v) == [3, 5, 7, 9, 11, 13, 17, 19]
     assert v[3] == pytest.approx(-math.log(3))
     assert v[5] == pytest.approx(math.log(5))
     assert v[7] == pytest.approx(-math.log(7))
+    assert v[9] == pytest.approx(math.log(3))
 
 
 def test_restricted_sum_partition(sieve):
@@ -308,7 +314,9 @@ def sieve2000():
 def test_engine_property_against_all_pairs(q, xs, sieve2000):
     # s_grid, restricted_sum and s_chi for every class and character pair
     # mod q against brute force over the matrix of all prime-power pairs
-    # (l, m) with l + m <= x, summed by class with np.bincount
+    # (l, m) with l + m <= x, summed by class with np.bincount; psi_chi,
+    # selberg_integral and build_grid's s_vals for every character against
+    # the dense reference: psi exactly (fsum), the others bit for bit
     logging.disable(logging.WARNING)  # non-unit classes log gcd warnings
     try:
         pos, lam = sieve2000.positions, sieve2000.lam
@@ -338,6 +346,24 @@ def test_engine_property_against_all_pairs(q, xs, sieve2000):
                 pairs = np.outer(twisted[c1.label], twisted[c2.label])
                 want = [pairs[m].sum() for m in inside]
                 assert s_chi(arr, c1, c2, sieve2000) == close(want)
+        top = int(floor_x(arr.max()))
+        sx = max(top // 3, 2)  # the Selberg sum reads n <= 2 sx + h - 1
+        h = max(sx // 7, 2)
+        grid = build_grid(top, q, sieve2000, 2 * top + 1)
+        for chi in chars:
+            for u in xs:
+                ref = dense_lambda(sieve2000, int(floor_x(u)), chi)
+                want = complex(math.fsum(ref.real), math.fsum(ref.imag))
+                assert psi_chi(u, chi, sieve2000) == want
+            run = np.cumsum(dense_lambda(sieve2000, 2 * sx + h - 1, chi))
+            k = np.arange(sx, 2 * sx)
+            target = h if chi.is_principal else 0.0
+            want = float(np.sum(np.abs(run[k + h] - run[k] - target) ** 2))
+            assert selberg_integral(sx, h, chi, sieve2000) == want
+            coeff = np.zeros(grid.N, dtype=np.complex128)
+            coeff[: top + 1] = dense_lambda(sieve2000, top, chi)
+            want = np.fft.ifft(coeff) * grid.N
+            assert grid.s_vals[chi.label].tobytes() == want.tobytes()
     finally:
         logging.disable(logging.NOTSET)
 
@@ -356,7 +382,7 @@ def _dense_pair_sums(u, v, ns):
 
 
 def _dense_class(q, a, x, sieve):
-    lam = sieve.dense(x)
+    lam = dense_lambda(sieve, x)
     v = np.zeros(x + 1)
     lo = a % q or q
     v[lo:: q] = lam[lo:: q]
@@ -379,8 +405,8 @@ def test_engine_is_bit_identical_to_the_dense_engine(sieve6):
         assert np.array_equal(restricted_sum(xs, 4, c, sieve6), ref), c
     chars = build_group(5)
     for c1, c2 in [(chars[0], chars[0]), (chars[1], chars[2]), (chars[3], chars[1])]:
-        ref = _dense_pair_sums(twisted_lambda(c1, top, sieve6),
-                               twisted_lambda(c2, top, sieve6), ns)
+        ref = _dense_pair_sums(dense_lambda(sieve6, top, c1),
+                               dense_lambda(sieve6, top, c2), ns)
         got = s_chi(xs, c1, c2, sieve6)
         # bit for bit, the sign of a zero included
         assert got.tobytes() == ref.tobytes(), (c1.label, c2.label)
@@ -396,6 +422,19 @@ def test_s_grid_peak_memory_is_below_one_dense_array(sieve6):
     finally:
         tracemalloc.stop()
     assert peak < 8 * (10 ** 6 + 1)
+
+
+def test_psi_peak_memory_is_below_one_dense_array(sieve6):
+    # psi_chi and SieveTable.psi read only the prime powers too
+    chi = build_group(3)[1]
+    for psi in (lambda: psi_chi(1e6, chi, sieve6), lambda: sieve6.psi(1e6)):
+        tracemalloc.start()
+        try:
+            psi()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (10 ** 6 + 1)
 
 
 def test_convolution_cap_refuses_before_allocating(sieve):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import dense_lambda
 from gzeros import numtheory
 from gzeros.errors import CapacityError
 from gzeros.numtheory import (
@@ -94,7 +95,7 @@ def test_sieve_small_values():
               5: math.log(5), 7: math.log(7), 8: math.log(2), 9: math.log(3)}
     assert sv.positions.tolist() == sorted(expect)
     assert sv.lam.tolist() == [expect[n] for n in sorted(expect)]
-    lam = sv.dense(10)
+    lam = dense_lambda(sv, 10)
     for n in range(11):
         assert lam[n] == pytest.approx(expect.get(n, 0.0), abs=0)
     # hand enumeration: 3log2 + 2log3 + log5 + log7
@@ -106,13 +107,13 @@ def test_sieve_small_values():
 def test_sieve_x2():
     sv = build_sieve(2)
     assert sv.positions.tolist() == [2]
-    assert sv.dense(2).tolist() == [0.0, 0.0, math.log(2)]
+    assert dense_lambda(sv, 2).tolist() == [0.0, 0.0, math.log(2)]
 
 
 def test_sieve_prime_power_flag_matches_lambda():
     sv = build_sieve(5000)
     # Lambda(n) > 0 exactly at the prime powers: spot-check against factorize
-    lam = sv.dense(500)
+    lam = dense_lambda(sv, 500)
     for n in range(2, 500):
         assert (lam[n] > 0) == factorize(n).is_prime_power()
 
@@ -126,10 +127,10 @@ def test_sieve_holds_only_its_limit_and_a_read_only_lambda():
             arr[3] = 0
     assert sv.positions[4] == 7
     assert sv.lam[4] == pytest.approx(math.log(7), rel=0)
-    # dense(x) is a fresh array: writing to it leaves the table alone
-    lam = sv.dense(10)
-    lam[7] = 0.0
-    assert sv.dense(10)[7] == pytest.approx(math.log(7), rel=0)
+    # entries(x) are read-only views of the table
+    for arr in sv.entries(10):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_psi_ends_where_every_sum_over_n_ends():
@@ -197,7 +198,7 @@ def test_chebyshev_identity():
     sv = build_sieve(10 ** 4)
     rng = random.Random(3)
     ns = list(range(2, 200)) + [rng.randrange(200, 10 ** 4) for _ in range(300)]
-    lam = sv.dense(10 ** 4)
+    lam = dense_lambda(sv, 10 ** 4)
     for n in ns:
         total = sum(lam[d] for d in divisors(n))
         assert abs(total - math.log(n)) < 1e-9
@@ -258,8 +259,8 @@ def test_compact_sieve_matches_the_dense_table_bit_for_bit():
     sv = build_sieve(x)
     assert np.array_equal(sv.positions, np.flatnonzero(ref))
     assert np.array_equal(sv.lam, ref[sv.positions])
-    assert np.array_equal(sv.dense(x), ref)
-    assert sv.psi(x) == float(ref.sum())
+    assert np.array_equal(dense_lambda(sv, x), ref)
+    assert sv.psi(x) == math.fsum(ref)
 
 
 def test_unit_pair_count_matches_direct_count():
