@@ -7,7 +7,7 @@ The headline objects:
     build_group(q)             the phi(q) Dirichlet characters mod q
     s_grid(xs, q, a, b, sieve) S(x; q, a, b) on an x grid (prefix sums)
     restricted_sum(xs, q, c, sieve)  sum_{n<=x, n=c (q)} G(n) on a grid
-    build_class_convolution    G(n; q, a, b) for every n <= x (one FFT)
+    build_class_convolution    G(n; q, a, b) for every n <= x (lattice FFT)
     find_zeros(chi, T)         certified zeros of L(s, chi), |gamma| <= T
     load_or_build_zero_sets(q, T)  zero sets of every chi mod q, cached,
                                one zero search per conjugate pair

@@ -1,4 +1,4 @@
-"""Content-addressed cache for zero sets and per-n convolutions.
+"""Content-addressed cache for zero sets.
 
 It is also the one provider of zero sets, and the one module that knows
 they are stored per primitive character: load_or_build_zeros(label, T)
@@ -6,18 +6,22 @@ returns the set of the primitive chi* inducing the character, under the
 character's own label, and load_or_build_zero_sets(q, T) does so for
 every chi mod q.  The zeros of L(s, conj chi) are those of L(s, chi)
 with gamma -> -gamma, so a miss mirrors a checksummed set of the
-conjugate character: a conjugate pair costs one zero search.  Sieves
-are not cached: build_sieve takes about a third of the time that
-reading one back from disk took.
+conjugate character: a conjugate pair costs one zero search.
 
-Keys are sha256 digests of the input parameters plus a format version,
-so a version bump invalidates everything stale; zero-set keys also carry
-lfunc.EVALUATOR_VERSION, so sets built by an older evaluator are searched
-again.  Writes go through a temporary file and an atomic rename; every
-artifact carries a sidecar "<name>.sha256" checked on load (corruption
-means silent recompute, with a log line).  Zero sets are stored in the
-documented GZZEROS text format, so the cache doubles as an export
-directory.
+Zero sets are all it holds.  Sieves are not cached: build_sieve takes
+about a third of the time that reading one back from disk took.  Nor
+are per-n convolutions: on its class lattice the (3, 1, 2) table to 4e5
+builds in under 0.1 s on a 2-CPU VM.  load_or_build_sieve and
+load_or_build_convolution only call those builders.
+
+Keys are sha256 digests of the input parameters plus a format version
+and lfunc.EVALUATOR_VERSION, so a version bump invalidates everything
+stale and sets built by an older evaluator are searched again.  Writes
+go through a temporary file and an atomic rename; every file carries a
+sidecar "<name>.sha256" checked on load (a corrupted payload or a
+missing sidecar means a silent recompute, with a log line).  Zero sets
+are stored in the documented GZZEROS text format, so the cache doubles
+as an export directory.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ import os
 import tempfile
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .characters import build_group, character_from_label, conjugate, induce_primitive
 from .goldbach import ClassConvolution, build_class_convolution
@@ -104,7 +106,7 @@ def load_or_build_sieve(x: int) -> SieveTable:
     """build_sieve(x); nothing is read or written.  Kept only because the
     benchmark in perfbench/ calls it by this name (child.py's fill_cache,
     tracing.TARGETS); no code in gzeros calls it, and it goes when the
-    benchmark is next revised."""
+    benchmark is next revised (ROADMAP item 5)."""
     return build_sieve(x)
 
 
@@ -148,28 +150,10 @@ def load_or_build_zero_sets(q: int, T: float) -> dict[str, ZeroSet]:
             for chi in build_group(q)}
 
 
-def load_or_build_convolution(q: int, a: int, b: int, x: int, sieve: SieveTable):
-    """ClassConvolution cache keyed by (q, a, b, x).  Lambda(n) is a fixed
-    function and every sieve comes from build_sieve, so the key needs
-    nothing of the sieve, which only builds the table on a miss."""
-    key = cache_key("conv", q=q, a=a, b=b, x=x)
-    path = default_cache_dir() / f"conv-{key}.npy"
-    if _verify(path):
-        try:
-            values = np.load(path)
-            if len(values) == x + 1:
-                return ClassConvolution(
-                    q=q, a=a, b=b, x=x,
-                    values=values, cumulative=np.cumsum(values),
-                )
-            logger.warning("convolution cache has wrong length; recomputing")
-        except Exception as exc:
-            logger.warning("convolution cache unreadable (%s); recomputing", exc)
-    conv = build_class_convolution(q, a, b, x, sieve)
-
-    def _write(tmp):
-        with open(tmp, "wb") as fh:  # file object: np.save adds no suffix
-            np.save(fh, conv.values, allow_pickle=False)
-
-    _store_atomic(path, _write)
-    return conv
+def load_or_build_convolution(q: int, a: int, b: int, x: int,
+                              sieve: SieveTable) -> ClassConvolution:
+    """build_class_convolution(q, a, b, x, sieve); nothing is read or
+    written.  Kept only because the benchmark in perfbench/ times it by
+    this name (tracing.TARGETS); no code in gzeros calls it, and it goes
+    with load_or_build_sieve (ROADMAP item 5)."""
+    return build_class_convolution(q, a, b, x, sieve)

@@ -30,8 +30,7 @@ from .analysis import (
     residual_grid,
     rms,
 )
-from .cache import (load_or_build_convolution, load_or_build_zero_sets,
-                    load_or_build_zeros)
+from .cache import load_or_build_zero_sets, load_or_build_zeros
 from .characters import (
     build_group,
     char_value,
@@ -42,7 +41,7 @@ from .characters import (
 )
 from .circle import build_grid, decompose_check, j_chi, selberg_integral, w_mass
 from .errors import GzError
-from .explicit import landau_gonek
+from .explicit import check_thm12_classes, landau_gonek
 from .goldbach import (_class_lambda, build_class_convolution,
                        check_conv_limit, s_chi)
 from .lfunc import export_zeros, find_zeros, hurwitz_zeta, import_zeros
@@ -128,7 +127,7 @@ def _cmd_zeros(args) -> int:
 def _cmd_goldbach(args) -> int:
     check_conv_limit(args.x)  # before the sieve is built
     sieve = build_sieve(max(args.x, 2))
-    conv = load_or_build_convolution(args.q, args.a, args.b, args.x, sieve)
+    conv = build_class_convolution(args.q, args.a, args.b, args.x, sieve)
     _emit_csv(args.out, ["n", "g", "S"], [
         range(args.x + 1), conv.values[: args.x + 1].tolist(),
         conv.cumulative[: args.x + 1].tolist(),
@@ -157,6 +156,8 @@ def _cmd_javg(args) -> int:
 def _residual_params(args, mode: str) -> ResidualParams:
     """Sieve to xmax, the zero sets mod q (none for thm11) and the class
     arguments (a, b, c) the command takes."""
+    if mode == "thm12":  # refuse (ab, q) > 1 before anything is built
+        check_thm12_classes(args.q, args.a, args.b)
     sieve = build_sieve(args.xmax)
     zsets = {}
     if mode != "thm11":

@@ -121,11 +121,16 @@ def _explicit_row(x: float, q: int, weights: Weights, scale: float, main: float,
     return ExplicitRow(x, exact, main, corr, truncation_bound(x, q, T))
 
 
+def check_thm12_classes(q: int, a: int, b: int) -> None:
+    """ValueError unless (ab, q) = 1, which Thm 1.2 assumes."""
+    if math.gcd(a * b, q) != 1:
+        raise ValueError("thm12_rhs requires (ab, q) = 1")
+
+
 def thm12_rhs(x: float, q: int, a: int, b: int, zero_sets: dict[str, ZeroSet],
               T: float, exact: float = math.nan) -> ExplicitRow:
     """Main term minus zero correction for S(x; q, a, b)."""
-    if math.gcd(a * b, q) != 1:
-        raise ValueError("thm12_rhs requires (ab, q) = 1")
+    check_thm12_classes(q, a, b)
     weights = _thm12_weights(q, a, b, zero_sets)
     main = x * x / (2 * euler_phi(q) ** 2)
     return _explicit_row(x, q, weights, 1.0, main, zero_sets, T, exact)

@@ -24,12 +24,13 @@ every twisted sum (s_chi, lfunc.psi_chi, circle.build_grid,
 circle.selberg_integral) reads that one result.
 
 Per-n arrays (build_class_convolution) come from one real FFT
-convolution of the two dense class-restricted Lambda arrays (size = next
-power of two >= 2x+1, x <= CONV_X_CAP), which is exact to ~1e-7 absolute
-per coefficient at x = 1e7: the rounding budget is about
-eps * ||a||_2 ||b||_2 * log2(N) ~ 2e-16 * (x log x) * 24.  Prime powers
-stay in (the definition uses Lambda, never primes only).  _class_lambda,
-which builds the FFT input, is the one dense scatter of Lambda.
+convolution on the class lattice: G(a0 + b0 + q k) = sum_i u[i] v[k - i]
+with u[i] = Lambda(a0 + q i) and v[j] = Lambda(b0 + q j), both of length
+floor((x - a0)/q) + 1 (x <= CONV_X_CAP), and G is an exact 0 off the
+class a + b.  Rounding is ~1e-7 absolute per value at x = 1e7:
+eps * ||u||_2 ||v||_2 * log2(N) ~ 2e-16 * (x log x / q) * 24.  Prime
+powers stay in (the definition uses Lambda, never primes only).
+_class_lambda, a dense scatter over 0..x, is only selfcheck's oracle.
 
 gcd(ab, q) > 1 inputs are legal but logged: the main theorems assume
 (ab, q) = 1, and computing anyway aids debugging.
@@ -49,9 +50,9 @@ from .numtheory import SieveTable, check_modulus, floor_x
 
 logger = logging.getLogger(__name__)
 
-# the per-n FFT's envelope: at x = 1e7 its transform length is 2^25 and
-# build_class_convolution peaks at 1.7 GB RSS, so SIEVE_CAP = 1e8 would
-# need some 17 GB
+# the per-n table's envelope: values and cumulative take 16 bytes per n
+# whatever q is; at x = 1e7 the build peaks at 0.5 GB RSS for q = 3 and
+# at 1.4 GB for q = 1 (a 2^25 transform)
 CONV_X_CAP = 10 ** 7
 
 
@@ -75,6 +76,14 @@ def _class_lambda(q: int, a: int, x: int, sieve: SieveTable) -> np.ndarray:
     v = np.zeros(x + 1, dtype=np.float64)
     v[pos] = lam
     return v
+
+
+def _lattice_lambda(q: int, a0: int, x: int, sieve: SieveTable) -> np.ndarray:
+    """Array u with u[i] = Lambda(a0 + q i) for a0 + q i <= x, 0 <= a0 < q."""
+    pos, lam = _class_entries(q, a0, x, sieve)
+    u = np.zeros((x - a0) // q + 1, dtype=np.float64)
+    u[(pos - a0) // q] = lam
+    return u
 
 
 def goldbach_g(n: int, q: int, a: int, b: int, sieve: SieveTable) -> float:
@@ -120,31 +129,28 @@ def check_conv_limit(x: int) -> None:
 def build_class_convolution(
     q: int, a: int, b: int, x: int, sieve: SieveTable
 ) -> ClassConvolution:
-    """G(n; q, a, b) for all n <= x via one real FFT convolution."""
+    """G(n; q, a, b) for all n <= x via one FFT on the class lattice."""
     _check_classes("build_class_convolution", q, a, b)
     if x < 0:
         raise ValueError(f"x={x} must be >= 0")
     check_conv_limit(x)
     sieve.check_limit(x)
-    va = _class_lambda(q, a, x, sieve)
-    if (a - b) % q == 0:
-        vb = va
-    else:
-        vb = _class_lambda(q, b, x, sieve)
+    a0, b0 = a % q, b % q
+    u = _lattice_lambda(q, a0, x, sieve)
+    v = u if a0 == b0 else _lattice_lambda(q, b0, x, sieve)
     size = 1
-    while size < 2 * x + 2:
+    while size < len(u) + len(v):
         size *= 2
-    fa = np.fft.rfft(va, size)
-    fb = fa if vb is va else np.fft.rfft(vb, size)
-    conv = np.fft.irfft(fa * fb, size)[: x + 1]
-    conv[conv < 0] = 0.0
-    # congruence obstruction is exact: zero out n != a+b (mod q)
-    for r in range(q):
-        if r != (a + b) % q:
-            conv[r::q] = 0.0
-    conv[:4] = 0.0
+    fu = np.fft.rfft(u, size)
+    fv = fu if v is u else np.fft.rfft(v, size)
+    values = np.zeros(x + 1, dtype=np.float64)
+    on_class = values[a0 + b0::q]
+    # a copy out of the inverse transform, which is then freed
+    on_class[:] = np.fft.irfft(fu * fv, size)[: len(on_class)]
+    values[values < 0] = 0.0
+    values[:4] = 0.0
     return ClassConvolution(
-        q=q, a=a, b=b, x=x, values=conv, cumulative=np.cumsum(conv)
+        q=q, a=a, b=b, x=x, values=values, cumulative=np.cumsum(values)
     )
 
 

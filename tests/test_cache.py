@@ -1,11 +1,12 @@
 """The zero-set provider: one cache, conjugate pairs mirrored, one label
-per character, and the CLI reading exactly what the library reads."""
+per character, checksummed files, and the CLI reading exactly what the
+library reads."""
 
 import numpy as np
 import pytest
 
 from gzeros import analysis, cache, cli
-from gzeros.cache import load_or_build_zero_sets, load_or_build_zeros
+from gzeros.cache import _sha256_file, load_or_build_zero_sets, load_or_build_zeros
 from gzeros.characters import build_group, conjugate
 from gzeros.lfunc import find_zeros
 
@@ -126,3 +127,25 @@ def test_induced_and_primitive_labels_share_one_file(tmp_path, searches):
     assert len(list(tmp_path.glob("zeros-*.txt"))) == 1
     assert zs5.char_label == "q=5;e=0" and zs1.char_label == "q=1;e="
     assert zs5.gamma.tolist() == zs1.gamma.tolist()
+
+
+def test_checksum_failures_are_searched_again(tmp_path, searches):
+    zs = load_or_build_zeros("q=1;e=", T)
+    (path,) = tmp_path.glob("zeros-*.txt")
+    side = path.with_suffix(".txt.sha256")
+    raw = path.read_bytes()
+    load_or_build_zeros("q=1;e=", T)
+    assert searches == ["q=1;e="]  # a hit
+    # a corrupted payload fails its checksum: searched again and rewritten
+    # with a fresh sidecar
+    path.write_bytes(raw[:-8] + b"\x00" * 8)
+    again = load_or_build_zeros("q=1;e=", T)
+    assert searches == ["q=1;e="] * 2
+    assert again.gamma.tolist() == zs.gamma.tolist()
+    assert path.read_bytes() == raw
+    assert side.read_text().strip() == _sha256_file(path)
+    # a file without its sidecar is not trusted either
+    side.unlink()
+    load_or_build_zeros("q=1;e=", T)
+    assert searches == ["q=1;e="] * 3
+    assert side.read_text().strip() == _sha256_file(path)

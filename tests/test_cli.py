@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gzeros.cache import _sha256_file, cache_key, load_or_build_zeros
+from gzeros.cache import cache_key, load_or_build_zeros
 from gzeros.cli import build_parser, dispatch
 from gzeros.goldbach import build_class_convolution, goldbach_g
 from gzeros.numtheory import build_sieve
@@ -97,7 +97,26 @@ def test_goldbach_negative_x_caches_nothing(cache_env, capsys):
                      "--x", "-1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    assert not list((cache_env / "cache").glob("conv-*"))
+    assert not list((cache_env / "cache").glob("*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-thm12", "--q", "3", "--a", "3", "--b", "2", "--xmax", "10000",
+     "--height", "20"],
+    ["fit", "--mode", "thm12", "--q", "4", "--a", "1", "--b", "2",
+     "--xmax", "10000", "--height", "20"],
+], ids=["verify-thm12", "fit-thm12"])
+def test_thm12_refuses_non_unit_classes_before_building(argv, cache_env, capsys,
+                                                        monkeypatch):
+    import gzeros.cli
+
+    def never(*args):
+        raise AssertionError("built before the (ab, q) check")
+
+    monkeypatch.setattr(gzeros.cli, "build_sieve", never)
+    monkeypatch.setattr(gzeros.cli, "load_or_build_zero_sets", never)
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == "error: thm12_rhs requires (ab, q) = 1\n"
 
 
 def test_goldbach_past_the_convolution_cap_builds_no_sieve(cache_env, capsys,
@@ -115,31 +134,6 @@ def test_goldbach_past_the_convolution_cap_builds_no_sieve(cache_env, capsys,
     assert err.startswith("error: x=100000000 exceeds the per-n convolution cap")
 
 
-def test_cache_hit_and_corruption(cache_env, tmp_path):
-    import numpy as np
-
-    from gzeros.cache import load_or_build_convolution
-
-    cache_dir = tmp_path / "cache"
-    sieve = build_sieve(5000)
-    c1 = load_or_build_convolution(3, 1, 2, 5000, sieve)
-    files = list(cache_dir.glob("conv-*.npy"))
-    assert len(files) == 1
-    mtime = files[0].stat().st_mtime_ns
-    c2 = load_or_build_convolution(3, 1, 2, 5000, sieve)
-    assert files[0].stat().st_mtime_ns == mtime  # hit, not rebuilt
-    assert np.array_equal(c1.values, c2.values)
-    # corrupt the payload: checksum must catch it and recompute
-    raw = files[0].read_bytes()
-    files[0].write_bytes(raw[:-8] + b"\x00" * 8)
-    c3 = load_or_build_convolution(3, 1, 2, 5000, sieve)
-    assert c3.s_at(5000) == pytest.approx(c1.s_at(5000))
-    # rebuilt file carries a fresh valid checksum
-    assert files[0].stat().st_mtime_ns != mtime
-    side = files[0].with_suffix(".npy.sha256")
-    assert side.read_text().strip() == _sha256_file(files[0])
-
-
 @pytest.mark.parametrize("argv", [
     ["verify-thm12", "--q", "3", "--a", "1", "--b", "2", "--xmin", "100",
      "--xmax", "10000", "--grid", "4", "--height", "20"],
@@ -153,6 +147,12 @@ def test_commands_write_no_sieve_file(argv, tmp_path, monkeypatch):
     monkeypatch.setenv("GZ_CACHE_DIR", str(cache_dir))
     assert dispatch(argv) == 0
     assert not list(cache_dir.glob("sieve-*"))
+    # zero sets are all the cache holds: the commands that read none
+    # leave GZ_CACHE_DIR empty
+    written = [p.name for p in cache_dir.glob("*")]
+    if argv[0] == "verify-thm12":
+        written = [n for n in written if not n.startswith("zeros-")]
+    assert written == []
 
 
 def test_cache_key_versioning():
@@ -169,25 +169,6 @@ def test_zero_cache(cache_env, tmp_path):
     z2 = load_or_build_zeros("q=1;e=", 20.0)
     assert z1.gamma.tolist() == z2.gamma.tolist()
     assert z2.certified
-
-
-def test_convolution_cache(cache_env, tmp_path):
-    import numpy as np
-
-    from gzeros.cache import load_or_build_convolution
-    from gzeros.numtheory import build_sieve
-
-    cache_dir = tmp_path / "cache"
-    sieve = build_sieve(2000)
-    c1 = load_or_build_convolution(3, 1, 2, 1500, sieve)
-    files = list(cache_dir.glob("conv-*.npy"))
-    assert len(files) == 1
-    c2 = load_or_build_convolution(3, 1, 2, 1500, sieve)
-    assert np.array_equal(c1.values, c2.values)
-    # (q, a, b, x) fixes the table: a sieve to another limit hits the cache
-    sieve2 = build_sieve(4000)
-    load_or_build_convolution(3, 1, 2, 1500, sieve2)
-    assert len(list(cache_dir.glob("conv-*.npy"))) == 1
 
 
 def test_cli_imports_no_test_dependency():

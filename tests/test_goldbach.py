@@ -66,22 +66,22 @@ def test_g_out_of_range(sieve):
 
 
 def test_convolution_matches_direct_double_loop(sieve):
-    # FFT vs direct O(x^2) summation (np.convolve), every n <= 2000,
-    # all residue pairs for the small moduli; plus a pure-python spot
-    # check of the oracle itself
-    x = 2000
+    # FFT vs direct O(x^2) summation (np.convolve), every n <= x, every
+    # class pair for the small moduli (non-units, a = 0 and a = b too, and
+    # x small enough to leave a lattice or the class a + b empty); plus a
+    # pure-python spot check of the oracle itself
     from gzeros.goldbach import _class_lambda
 
-    for q in [1, 3, 4, 5, 8]:
-        units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
-        for a in units:
-            for b in units:
-                conv = build_class_convolution(q, a, b, x, sieve)
-                va = _class_lambda(q, a, x, sieve)
-                vb = _class_lambda(q, b, x, sieve)
-                direct = np.convolve(va, vb)[: x + 1]
-                ref = np.maximum(1.0, np.abs(direct))
-                assert np.max(np.abs(conv.values - direct) / ref) < 1e-6
+    for x in (0, 1, 3, 7, 2000):
+        for q in [1, 3, 4, 5, 8]:
+            for a in range(1, q + 1):
+                for b in range(1, q + 1):
+                    conv = build_class_convolution(q, a, b, x, sieve)
+                    va = _class_lambda(q, a, x, sieve)
+                    vb = _class_lambda(q, b, x, sieve)
+                    direct = np.convolve(va, vb)[: x + 1]
+                    ref = np.maximum(1.0, np.abs(direct))
+                    assert np.max(np.abs(conv.values - direct) / ref) < 1e-6
     for n in (12, 97, 500):
         assert brute_g(n, 3, 1, 2, sieve) == pytest.approx(
             float(np.convolve(
@@ -92,6 +92,8 @@ def test_convolution_matches_direct_double_loop(sieve):
 
 def test_convolution_invariants(sieve):
     conv = build_class_convolution(3, 1, 2, 5000, sieve)
+    # the table owns its array: no view pins the transform buffer
+    assert conv.values.base is None
     assert np.all(conv.values >= 0)
     assert np.all(np.diff(conv.cumulative) >= 0)
     n = np.arange(5001)
