@@ -37,7 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError
-from .numtheory import divisors, euler_phi, factorize, moebius, unit_pair_count
+from .numtheory import (check_modulus, divisors, euler_phi, factorize, moebius,
+                        unit_pair_count)
 
 GROUP_CAP = 10 ** 6
 TABLE_CAP = 2 ** 22  # phi(q) * q entries per array of a modulus' table
@@ -138,8 +139,7 @@ class CharacterGroup:
     """
 
     def __init__(self, q: int):
-        if q < 1:
-            raise ValueError("modulus must be positive")
+        check_modulus(q)
         if q > GROUP_CAP:
             raise CapacityError(f"character group cap is {GROUP_CAP}, got {q}")
         self.q = q

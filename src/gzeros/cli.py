@@ -45,7 +45,7 @@ from .explicit import check_thm12_classes, landau_gonek
 from .goldbach import (_class_lambda, build_class_convolution,
                        check_conv_limit, s_chi)
 from .lfunc import export_zeros, find_zeros, hurwitz_zeta, import_zeros
-from .numtheory import build_sieve, euler_phi, floor_x
+from .numtheory import build_sieve, check_modulus, euler_phi, floor_x
 from .singular import (check_j_inputs, compute_c2, j_average, j_weight_table,
                        singular_series)
 
@@ -125,13 +125,12 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_goldbach(args) -> int:
-    check_conv_limit(args.x)  # before the sieve is built
+    check_modulus(args.q)  # both before the sieve is built
+    check_conv_limit(args.x)
     sieve = build_sieve(max(args.x, 2))
-    conv = build_class_convolution(args.q, args.a, args.b, args.x, sieve)
-    _emit_csv(args.out, ["n", "g", "S"], [
-        range(args.x + 1), conv.values[: args.x + 1].tolist(),
-        conv.cumulative[: args.x + 1].tolist(),
-    ])
+    g = build_class_convolution(args.q, args.a, args.b, args.x, sieve).values
+    _emit_csv(args.out, ["n", "g", "S"],
+              [range(args.x + 1), g.tolist(), np.cumsum(g).tolist()])
     return 0
 
 
@@ -156,7 +155,8 @@ def _cmd_javg(args) -> int:
 def _residual_params(args, mode: str) -> ResidualParams:
     """Sieve to xmax, the zero sets mod q (none for thm11) and the class
     arguments (a, b, c) the command takes."""
-    if mode == "thm12":  # refuse (ab, q) > 1 before anything is built
+    check_modulus(args.q)  # refuse q < 1 and (ab, q) > 1 before building
+    if mode == "thm12":
         check_thm12_classes(args.q, args.a, args.b)
     sieve = build_sieve(args.xmax)
     zsets = {}
@@ -230,8 +230,8 @@ def _cmd_circle(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    params = _residual_params(args, args.mode)
     xs = geometric_grid(args.xmin, args.xmax)
+    params = _residual_params(args, args.mode)
     res = residual_grid(args.mode, params, xs)
     fit = fit_exponent(res)
     payload = {
@@ -302,7 +302,7 @@ def _cmd_selfcheck(args) -> int:
                 for c1 in chars3
                 for c2 in chars3
             ) / phi3 ** 2
-            ref = build_class_convolution(q, a, b, x, sieve).s_at(x)
+            ref = np.cumsum(build_class_convolution(q, a, b, x, sieve).values)[x]
             worst = max(worst, abs(total - ref))
     report("character orthogonality reconstructs S(x;q,a,b) (q=3)",
            worst < 1e-7, f"worst dev {worst:.2e}")

@@ -30,7 +30,10 @@ floor((x - a0)/q) + 1 (x <= CONV_X_CAP), and G is an exact 0 off the
 class a + b.  Rounding is ~1e-7 absolute per value at x = 1e7:
 eps * ||u||_2 ||v||_2 * log2(N) ~ 2e-16 * (x log x / q) * 24.  Prime
 powers stay in (the definition uses Lambda, never primes only).
-_class_lambda, a dense scatter over 0..x, is only selfcheck's oracle.
+The table holds G only, 8 bytes per n: a reader that wants its running
+sum (the S column of gz goldbach) takes np.cumsum(values), which carries
+the FFT's rounding; s_grid is the exact S(x).  _class_lambda, a dense
+scatter over 0..x, is only selfcheck's oracle.
 
 gcd(ab, q) > 1 inputs are legal but logged: the main theorems assume
 (ab, q) = 1, and computing anyway aids debugging.
@@ -50,9 +53,9 @@ from .numtheory import SieveTable, check_modulus, floor_x
 
 logger = logging.getLogger(__name__)
 
-# the per-n table's envelope: values and cumulative take 16 bytes per n
-# whatever q is; at x = 1e7 the build peaks at 0.5 GB RSS for q = 3 and
-# at 1.4 GB for q = 1 (a 2^25 transform)
+# the per-n table's envelope: values take 8 bytes per n whatever q is;
+# at x = 1e7 the build peaks at 0.5 GB RSS for q = 3 and at 1.4 GB for
+# q = 1 (a 2^25 transform)
 CONV_X_CAP = 10 ** 7
 
 
@@ -104,19 +107,13 @@ def goldbach_g(n: int, q: int, a: int, b: int, sieve: SieveTable) -> float:
 
 @dataclass
 class ClassConvolution:
-    """g[n] = G(n; q, a, b) for n <= x, plus the running sum S."""
+    """g[n] = G(n; q, a, b) for n <= x (s_grid gives the exact S(x))."""
 
     q: int
     a: int
     b: int
     x: int
-    values: np.ndarray      # g[0..x]
-    cumulative: np.ndarray  # S[0..x], S[n] = sum_{m<=n} g[m]
-
-    def s_at(self, x: float) -> float:
-        """S(x; q, a, b) for any real x <= the table limit."""
-        i = min(int(floor_x(x)), self.x)
-        return float(self.cumulative[i]) if i >= 0 else 0.0
+    values: np.ndarray  # g[0..x]
 
 
 def check_conv_limit(x: int) -> None:
@@ -149,9 +146,7 @@ def build_class_convolution(
     on_class[:] = np.fft.irfft(fu * fv, size)[: len(on_class)]
     values[values < 0] = 0.0
     values[:4] = 0.0
-    return ClassConvolution(
-        q=q, a=a, b=b, x=x, values=values, cumulative=np.cumsum(values)
-    )
+    return ClassConvolution(q=q, a=a, b=b, x=x, values=values)
 
 
 def _pair_sums(l: np.ndarray, w: np.ndarray, m: np.ndarray, v: np.ndarray,

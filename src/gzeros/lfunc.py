@@ -606,8 +606,9 @@ def import_zeros(path, char_label: str, validate: bool = True) -> ZeroSet:
 
     Every file must be well formed: finite fields, 0 < beta < 1,
     1 <= multiplicity < 2^53, gamma strictly ascending (a repeated gamma
-    is a duplicate) and no |gamma| above the "# height" line.  A violation
-    raises ValidationError with the offending line number.
+    is a duplicate), no |gamma| above the "# height" line and a
+    "# certified" flag of 0 or 1.  A violation raises ValidationError
+    with the offending line number.
 
     validate=True also checks each on-line entry against the evaluator,
     |L(1/2 + i gamma, chi)| < 1e-6, and keeps the file's "# certified 1"
@@ -648,6 +649,8 @@ def import_zeros(path, char_label: str, validate: bool = True) -> ZeroSet:
                     raise ValueError(f"height {height} is not a finite T >= 0")
             elif line.startswith("# certified"):
                 certified_flag = int(line.split()[-1])
+                if certified_flag not in (0, 1):
+                    raise ValueError(f"certified flag {certified_flag} is not 0 or 1")
             if line.startswith("#"):
                 continue
             parts = line.split()

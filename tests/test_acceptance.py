@@ -24,7 +24,7 @@ from gzeros.characters import (
 )
 from gzeros.circle import build_grid, decompose_check, j_chi, selberg_integral
 from gzeros.explicit import landau_gonek, z_gamma_ratio_matrix
-from gzeros.goldbach import build_class_convolution
+from gzeros.goldbach import s_grid
 from gzeros.lfunc import find_zeros, l_values_array, zero_count_argument
 from gzeros.numtheory import build_sieve, euler_phi
 from gzeros.singular import compute_c2, j_weight_table, singular_series
@@ -163,9 +163,8 @@ def test_criterion_05_main_term_band(sieve):
         units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
         for i, a in enumerate(units):
             for b in units[i:]:  # S is symmetric in (a, b)
-                conv = build_class_convolution(q, a, b, 10 ** 6, sieve)
-                for x in xs:
-                    d = abs(conv.s_at(float(x)) - x * x / (2 * phi * phi))
+                for x, s in zip(xs, s_grid(xs, q, a, b, sieve)):
+                    d = abs(s - x * x / (2 * phi * phi))
                     ratio = d / x ** 1.5
                     if ratio > worst:
                         worst, worst_at = ratio, f"q={q},a={a},b={b},x={x:.0f}"

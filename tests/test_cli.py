@@ -4,6 +4,7 @@ import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gzeros.cache import cache_key, load_or_build_zeros
@@ -117,6 +118,37 @@ def test_thm12_refuses_non_unit_classes_before_building(argv, cache_env, capsys,
     monkeypatch.setattr(gzeros.cli, "load_or_build_zero_sets", never)
     assert dispatch(argv) == 1
     assert capsys.readouterr().err == "error: thm12_rhs requires (ab, q) = 1\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["goldbach", "--q", "0", "--a", "1", "--b", "1", "--x", "10000000"],
+     "modulus q=0 must be >= 1"),
+    (["verify-thm12", "--q", "0", "--a", "1", "--b", "1", "--xmax", "10000000"],
+     "modulus q=0 must be >= 1"),
+    (["verify-thm14", "--q", "0", "--c", "1", "--xmax", "10000000"],
+     "modulus q=0 must be >= 1"),
+    (["fit", "--mode", "thm11", "--q", "0", "--xmax", "10000000"],
+     "modulus q=0 must be >= 1"),
+    (["fit", "--mode", "thm14", "--q", "-2", "--xmax", "10000000"],
+     "modulus q=-2 must be >= 1"),
+    (["fit", "--mode", "thm14", "--q", "3", "--xmin", "1e6", "--xmax", "1000"],
+     "need x_min < x_max"),
+    (["characters", "--q", "0"], "modulus q=0 must be >= 1"),
+], ids=["goldbach", "verify-thm12", "verify-thm14", "fit-thm11", "fit-thm14",
+        "fit-empty-grid", "characters"])
+def test_bad_modulus_or_grid_is_refused_before_building(argv, message, cache_env,
+                                                        capsys, monkeypatch):
+    # one message for q < 1, and no sieve, zero set or per-n table first
+    import gzeros.cli
+
+    def never(*args):
+        raise AssertionError("built before the input check")
+
+    for name in ("build_sieve", "load_or_build_zero_sets",
+                 "build_class_convolution"):
+        monkeypatch.setattr(gzeros.cli, name, never)
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_goldbach_past_the_convolution_cap_builds_no_sieve(cache_env, capsys,
@@ -328,9 +360,9 @@ def test_goldbach_csv_matches_per_value_format(cache_env, tmp_path):
     out = tmp_path / "g.csv"
     assert dispatch(["goldbach", "--q", "3", "--a", "1", "--b", "2",
                      "--x", "2000", "--out", str(out)]) == 0
-    conv = build_class_convolution(3, 1, 2, 2000, build_sieve(2000))
-    expect = ["n,g,S"] + [f"{n},{float(conv.values[n])!r},{float(conv.cumulative[n])!r}"
-                          for n in range(2001)]
+    g = build_class_convolution(3, 1, 2, 2000, build_sieve(2000)).values
+    expect = ["n,g,S"] + [f"{n},{float(g[n])!r},{float(s)!r}"
+                          for n, s in enumerate(np.cumsum(g))]
     assert out.read_text() == "\n".join(expect) + "\n"
 
 

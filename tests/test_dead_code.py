@@ -33,8 +33,8 @@ ALLOWED = {
     "psi_explicit": "psi(x, chi) from the zeros, the other side",
     # building blocks of open ROADMAP items
     "z_gamma_ratio_matrix": "Gamma ratio of the zero-pair term (ROADMAP item 1)",
-    "residue_r": "residue of the Thm 1.2 series at rho + 1 (ROADMAP item 3)",
-    "residue_r1": "residue of the Thm 1.4 series at rho + 1 (ROADMAP item 3)",
+    "residue_r": "residue of the Thm 1.2 series at rho + 1 (ROADMAP item 4)",
+    "residue_r1": "residue of the Thm 1.4 series at rho + 1 (ROADMAP item 4)",
 }
 
 

@@ -18,7 +18,7 @@ from gzeros.explicit import (
     truncation_bound,
     z_gamma_ratio_matrix,
 )
-from gzeros.goldbach import build_class_convolution, restricted_sum
+from gzeros.goldbach import restricted_sum, s_grid
 from gzeros.lfunc import find_zeros
 from gzeros.numtheory import build_sieve, euler_phi
 
@@ -88,18 +88,17 @@ def test_thm12_against_exact_small_x(zsets3, sieve):
     # x = 10 sits far below the asymptotic regime: the residual carries
     # the formula's lower-order terms.  Measured once and frozen: the
     # residual stays within truncation_bound + 8 (measured E ~ 6.9).
-    conv = build_class_convolution(3, 1, 1, 100, sieve)
     x = 10.0
-    exact = conv.s_at(x)
+    exact = s_grid(x, 3, 1, 1, sieve)
     row = thm12_rhs(x, 3, 1, 1, zsets3, 200.0, exact=exact)
     assert abs(row.residual) <= row.truncation_bound + 8.0
 
 
 def test_thm12_exact_tracking(zsets3, sieve):
     # residual within the unit-constant truncation budget at desk scale
-    conv = build_class_convolution(3, 1, 1, 10 ** 5, sieve)
     for x in [10 ** 3, 10 ** 4, 10 ** 5]:
-        row = thm12_rhs(float(x), 3, 1, 1, zsets3, 200.0, exact=conv.s_at(x))
+        row = thm12_rhs(float(x), 3, 1, 1, zsets3, 200.0,
+                        exact=s_grid(x, 3, 1, 1, sieve))
         assert abs(row.residual) <= row.truncation_bound
 
 
@@ -280,13 +279,13 @@ def test_residue_unknown_zero(zsets1):
 def test_monotone_truncation(zsets1, sieve):
     # raising T from 50 to 200 must not raise the RMS residual by more
     # than the truncation-bound improvement allows
-    conv = build_class_convolution(1, 1, 1, 10 ** 5, sieve)
     xs = [10 ** 3, 10 ** 4, 10 ** 5]
+    exact = s_grid(xs, 1, 1, 1, sieve)
 
     def rms_at(T):
         rs = [
-            thm12_rhs(float(x), 1, 1, 1, zsets1, T, exact=conv.s_at(x)).residual
-            for x in xs
+            thm12_rhs(float(x), 1, 1, 1, zsets1, T, exact=e).residual
+            for x, e in zip(xs, exact)
         ]
         return math.sqrt(sum(r * r for r in rs) / len(rs))
 

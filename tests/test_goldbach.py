@@ -95,27 +95,27 @@ def test_convolution_invariants(sieve):
     # the table owns its array: no view pins the transform buffer
     assert conv.values.base is None
     assert np.all(conv.values >= 0)
-    assert np.all(np.diff(conv.cumulative) >= 0)
+    running = np.cumsum(conv.values)
+    assert np.all(np.diff(running) >= 0)
     n = np.arange(5001)
     assert np.all(conv.values[n % 3 != 0] == 0)
     # S(3) = 0
-    assert conv.s_at(3) == 0.0
+    assert running[3] == 0.0
 
 
 def test_s_symmetry(sieve):
     # S(x; q, a, b) = S(x; q, b, a)
     for q, a, b in [(5, 2, 3), (8, 3, 5), (3, 1, 2)]:
-        c1 = build_class_convolution(q, a, b, 4000, sieve)
-        c2 = build_class_convolution(q, b, a, 4000, sieve)
-        assert c1.s_at(4000) == pytest.approx(c2.s_at(4000), rel=1e-12)
+        assert s_grid(4000, q, a, b, sieve) == pytest.approx(
+            s_grid(4000, q, b, a, sieve), rel=1e-12)
 
 
 def test_s_grid_matches_convolution(sieve):
     for q, a, b in [(1, 1, 1), (3, 1, 2), (5, 2, 3)]:
-        conv = build_class_convolution(q, a, b, 10 ** 4, sieve)
+        running = np.cumsum(build_class_convolution(q, a, b, 10 ** 4, sieve).values)
         for x in [10, 100, 999, 10 ** 4]:
             assert s_grid(x, q, a, b, sieve) == pytest.approx(
-                conv.s_at(x), rel=1e-9, abs=1e-9
+                running[x], rel=1e-9, abs=1e-9
             )
 
 
@@ -123,17 +123,17 @@ def test_s_brute_small(sieve):
     # S(20) by direct double loop
     brute = sum(brute_g(n, 1, 1, 1, sieve) for n in range(4, 21))
     conv = build_class_convolution(1, 1, 1, 20, sieve)
-    assert conv.s_at(20) == pytest.approx(brute, rel=1e-10)
+    assert np.cumsum(conv.values)[20] == pytest.approx(brute, rel=1e-10)
     assert s_grid(20, 1, 1, 1, sieve) == pytest.approx(brute, rel=1e-10)
 
 
 def test_class_decomposition_covers_total(sieve):
     # sum over coprime pairs (a,b) misses only gcd>1 boundary terms
     x, q = 10 ** 4, 6
-    total = build_class_convolution(1, 1, 1, x, sieve).s_at(x)
+    total = s_grid(x, 1, 1, 1, sieve)
     units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
     parts = sum(
-        build_class_convolution(q, a, b, x, sieve).s_at(x)
+        s_grid(x, q, a, b, sieve)
         for a in units
         for b in units
     )
@@ -144,7 +144,8 @@ def test_class_decomposition_covers_total(sieve):
 def test_s_chi_principal_mod1(sieve):
     chi0 = build_group(1)[0]
     x = 3000
-    ref = build_class_convolution(1, 1, 1, x, sieve).s_at(x)
+    # the FFT table's running sum: s_grid shares s_chi's kernel
+    ref = np.cumsum(build_class_convolution(1, 1, 1, x, sieve).values)[x]
     val = s_chi(x, chi0, chi0, sieve)
     assert val.imag == pytest.approx(0, abs=1e-9)
     assert val.real == pytest.approx(ref, rel=1e-10)
@@ -172,7 +173,7 @@ def test_s_chi_orthogonality_reconstruction(sieve):
                     )
                     total += w * svals[(c1.label, c2.label)]
             total /= phi * phi
-            ref = build_class_convolution(q, a, b, x, sieve).s_at(x)
+            ref = np.cumsum(build_class_convolution(q, a, b, x, sieve).values)[x]
             assert total.imag == pytest.approx(0, abs=1e-8)
             assert total.real == pytest.approx(ref, rel=1e-8, abs=1e-8)
 
@@ -204,7 +205,7 @@ def test_twisted_entries_values(sieve):
 
 def test_restricted_sum_partition(sieve):
     x = 5000
-    total = build_class_convolution(1, 1, 1, x, sieve).s_at(x)
+    total = np.cumsum(build_class_convolution(1, 1, 1, x, sieve).values)[x]
     for q in [1, 2, 3, 7]:
         parts = sum(restricted_sum(x, q, c, sieve) for c in range(1, q + 1))
         assert parts == pytest.approx(total, rel=1e-12)
@@ -224,7 +225,7 @@ def test_leading_behavior_band():
     sieve6 = build_sieve(10 ** 6)
     x = 10 ** 6
     for q, a, b in [(1, 1, 1), (2, 1, 1), (3, 1, 2), (4, 1, 3), (5, 2, 3)]:
-        s = build_class_convolution(q, a, b, x, sieve6).s_at(x)
+        s = s_grid(x, q, a, b, sieve6)
         ratio = s * 2 * euler_phi(q) ** 2 / x ** 2
         assert 0.8 <= ratio <= 1.2, (q, a, b, ratio)
 
@@ -261,7 +262,7 @@ def test_engine_matches_fft_and_brute_force(q, a, b, sieve, sieve6, plain_g, cap
         engine = lambda xs, sv: s_grid(xs, q, a, b, sv)
         g = [goldbach_g(n, q, a, b, sieve) for n in range(2001)]
     xs = geometric_grid(1e3, 1e6, 25)
-    table = sum(build_class_convolution(q, r, t, 10 ** 6, sieve6).cumulative
+    table = sum(np.cumsum(build_class_convolution(q, r, t, 10 ** 6, sieve6).values)
                 for r, t in pairs)
     ref = table[floor_x(xs)]
     assert np.max(np.abs(engine(xs, sieve6) - ref) / ref) <= 1e-12
@@ -279,8 +280,8 @@ def test_floor_rule_keeps_integer_endpoints(sieve):
     assert int(floor_x(x)) == 1000
     assert s_grid(x, 1, 1, 1, sieve) == s_grid(1000, 1, 1, 1, sieve)
     assert s_grid(x, 1, 1, 1, sieve) > s_grid(999, 1, 1, 1, sieve)
-    assert build_class_convolution(1, 1, 1, 2000, sieve).s_at(x) == pytest.approx(
-        s_grid(1000, 1, 1, 1, sieve), rel=1e-12)
+    running = np.cumsum(build_class_convolution(1, 1, 1, 2000, sieve).values)
+    assert running[1000] == pytest.approx(s_grid(1000, 1, 1, 1, sieve), rel=1e-12)
 
 
 def test_engine_grid_beyond_sieve(sieve):

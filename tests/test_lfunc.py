@@ -5,14 +5,15 @@ import re
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gzeros.cache import load_or_build_zero_sets
 from gzeros.characters import (
     build_group, char_value, character_from_label, conjugate, induce_primitive,
 )
-from gzeros.errors import CapacityError, CertificationFailure, ValidationError
+from gzeros.errors import (CapacityError, CertificationFailure, GzError,
+                           ValidationError)
 from gzeros.lfunc import (
     ZeroSet,
     check_conjugate_symmetry,
@@ -747,3 +748,69 @@ def test_import_uncountable_height_stays_uncertified(tmp_path, zeta40_lines,
     zs = _import_lines(tmp_path, zeta40_lines)
     assert zs.count() == 12
     assert not zs.certified
+
+
+# a drawn token for one field: non-finite, out of range, empty, or a
+# 5,000-digit integer (past int()'s default digit limit)
+_BAD_TOKENS = ["nan", "inf", "-1", "0", "1e400", "", "9" * 5000]
+
+
+# (operation, line, second line, field, token); the four header lines are
+# drawn as often as the twelve zero lines, and indices wrap
+_MUTATION = st.tuples(
+    st.sampled_from(["drop", "repeat", "swap", "field"]),
+    st.one_of(st.integers(0, 3), st.integers(0, 15)),
+    st.integers(0, 15), st.integers(0, 2), st.sampled_from(_BAD_TOKENS))
+
+
+def _mutate(lines, mutations):
+    """Drop, repeat or swap lines, or replace one field of a line."""
+    lines = list(lines)
+    for op, i, j, k, token in mutations:
+        i, j = i % len(lines), j % len(lines)
+        if op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "field":
+            fields = lines[i].split() or [""]
+            fields[k % len(fields)] = token
+            lines[i] = " ".join(fields)
+    return lines
+
+
+@given(st.lists(_MUTATION, min_size=1, max_size=3))
+@example([("field", 3, 0, 2, "-1")])  # "# certified -1"
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_import_property_on_malformed_files(zeta40_lines, tmp_path_factory,
+                                            mutations):
+    # every import of a mangled file raises a typed error or returns finite
+    # arrays, and a set comes back certified only from an on-line file
+    # whose flag reads 1
+    import signal
+
+    lines = _mutate(zeta40_lines, mutations)
+    path = tmp_path_factory.getbasetemp() / "mutated-zeros.txt"
+    path.write_text("\n".join(lines) + "\n")
+
+    def hung(signum, frame):
+        raise TimeoutError(f"import_zeros did not return on {lines!r}")
+
+    for validate in (True, False):
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(5)
+        try:
+            zs = import_zeros(path, "q=1;e=", validate=validate)
+        except (GzError, ValueError):
+            continue
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert math.isfinite(zs.height)
+        for arr in (zs.beta, zs.gamma, zs.mult):
+            assert np.all(np.isfinite(arr))
+        if zs.certified:
+            assert np.all(zs.beta == 0.5)
+            assert "# certified 1" in lines
