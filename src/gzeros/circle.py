@@ -57,12 +57,33 @@ class ExpSumGrid:
         return s
 
 
-def build_grid(x: int, q: int, sieve: SieveTable, N: int) -> ExpSumGrid:
-    """Exponential sums for every character mod q via one FFT each."""
+def check_grid(x: int, N: int) -> None:
+    """ValueError when N < 2x+1 (so x >= 1 when N = 8x), CapacityError
+    when x > GRID_X_CAP."""
     if N < 2 * x + 1:
         raise ValueError(f"N={N} below exactness threshold 2x+1={2 * x + 1}")
     if x > GRID_X_CAP:
         raise CapacityError(f"x={x} beyond grid cap {GRID_X_CAP}")
+
+
+def check_xi(xi: float, x: int) -> None:
+    """ValueError unless 1/x <= xi <= 1/2 (x >= 1)."""
+    if not (1.0 / x <= xi <= 0.5):
+        raise ValueError(f"xi={xi} outside [1/x, 1/2]")
+
+
+def check_window(x: int, h: int) -> None:
+    """ValueError unless x and h are integers with 2 <= h <= x."""
+    for name, v in (("x", x), ("h", h)):
+        if not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name}={v!r} must be an integer")
+    if not 2 <= h <= x:
+        raise ValueError(f"h={h} outside [2, x]")
+
+
+def build_grid(x: int, q: int, sieve: SieveTable, N: int) -> ExpSumGrid:
+    """Exponential sums for every character mod q via one FFT each."""
+    check_grid(x, N)
     sieve.check_limit(x)
     ind = np.zeros(N, dtype=np.complex128)
     ind[1: x + 1] = 1.0
@@ -125,8 +146,7 @@ def j_chi(chi: DirichletCharacter, grid: ExpSumGrid) -> float:
 def w_mass(xi: float, chi: DirichletCharacter, grid: ExpSumGrid) -> float:
     """int_{-xi}^{xi} |W(alpha, chi)|^2 dalpha by trapezoid on the grid,
     with interpolated endpoint values at +-xi.  Requires 1/x <= xi <= 1/2."""
-    if not (1.0 / grid.x <= xi <= 0.5):
-        raise ValueError(f"xi={xi} outside [1/x, 1/2]")
+    check_xi(xi, grid.x)
     a = np.arange(grid.N) / grid.N
     a = np.where(a > 0.5, a - 1.0, a)  # alpha_j mapped to (-1/2, 1/2]
     order = np.argsort(a)
@@ -160,11 +180,7 @@ def selberg_integral(
     It is exact: for t in [k, k+1) the window t < n <= t+h holds exactly
     the integers k < n <= k+h, so the integrand is constant there.  The
     sieve must reach 2x+h-1."""
-    for name, v in (("x", x), ("h", h)):
-        if not isinstance(v, numbers.Integral):
-            raise ValueError(f"{name}={v!r} must be an integer")
-    if not 2 <= h <= x:
-        raise ValueError(f"h={h} outside [2, x]")
+    check_window(x, h)
     pos, vals = twisted_entries(chi, 2 * x + h - 1, sieve)
     run = np.cumsum(np.concatenate((np.zeros(1, dtype=vals.dtype), vals)))
     # psi_chi(n) for n = x, ..., 2x+h-1

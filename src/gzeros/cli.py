@@ -13,6 +13,7 @@ platform.  JSON summaries carry the schema tag "gz_report_v1".
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -39,9 +40,10 @@ from .characters import (
     verify_char_sum_identity,
     verify_sieve_identity,
 )
-from .circle import build_grid, decompose_check, j_chi, selberg_integral, w_mass
+from .circle import (build_grid, check_grid, check_window, check_xi,
+                     decompose_check, j_chi, selberg_integral, w_mass)
 from .errors import GzError
-from .explicit import check_thm12_classes, landau_gonek
+from .explicit import check_landau_gonek_x, check_thm12_classes, landau_gonek
 from .goldbach import (_class_lambda, build_class_convolution,
                        check_conv_limit, s_chi)
 from .lfunc import export_zeros, find_zeros, hurwitz_zeta, import_zeros
@@ -52,22 +54,41 @@ from .singular import (check_j_inputs, compute_c2, j_average, j_weight_table,
 JSON_SCHEMA = "gz_report_v1"
 
 
-def _formatter(v):
-    """The cell format of a column whose first value is v."""
-    if isinstance(v, complex):
-        return lambda z: f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}j"
-    return repr if isinstance(v, float) else str
+# rows formatted and written at a time: gz goldbach's writer holds one
+# block of cells beside its O(x) value and running-sum arrays
+CSV_BLOCK_ROWS = 1 << 14
+
+
+def _cells(column) -> list[str]:
+    """The CSV cells of one block of a column: the shortest round-trip
+    repr of each float64 of an ndarray, str of anything else (Python
+    floats print as their repr).
+
+    A float64 block is keyed on its bit patterns, not its values, because
+    0.0 == -0.0 while their reprs differ: each distinct pattern is
+    formatted once and gathered back, so runs of exact zeros and the
+    repeated running sums off the class cost one repr each.
+    """
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            bits, where = np.unique(column.view(np.int64), return_inverse=True)
+            text = np.array([repr(v) for v in bits.view(np.float64).tolist()],
+                            dtype=object)
+            return text[where].tolist()
+        column = column.tolist()
+    return list(map(str, column))
 
 
 def _emit_csv(path, header, columns):
-    """Write equal-length columns as CSV, one formatter per column."""
-    cells = [list(map(_formatter(col[0]), col)) for col in columns]
-    lines = [",".join(header), *map(",".join, zip(*cells))]
-    text = "\n".join(lines) + "\n"
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
+    """Write equal-length columns (sequences or ndarrays) as CSV to path
+    or stdout, CSV_BLOCK_ROWS rows at a time."""
+    rows = len(columns[0]) if columns else 0
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as out:
+        out.write(",".join(header) + "\n")
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            cells = [_cells(col[block]) for col in columns]
+            out.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _emit_json(path, payload):
@@ -95,7 +116,7 @@ def _cmd_characters(args) -> int:
         for c in build_group(args.q)
     ]
     _emit_csv(args.out, ["label", "order", "conductor", "parity", "principal"],
-              zip(*rows))
+              list(zip(*rows)))
     return 0
 
 
@@ -129,8 +150,7 @@ def _cmd_goldbach(args) -> int:
     check_conv_limit(args.x)
     sieve = build_sieve(max(args.x, 2))
     g = build_class_convolution(args.q, args.a, args.b, args.x, sieve).values
-    _emit_csv(args.out, ["n", "g", "S"],
-              [range(args.x + 1), g.tolist(), np.cumsum(g).tolist()])
+    _emit_csv(args.out, ["n", "g", "S"], [range(args.x + 1), g, np.cumsum(g)])
     return 0
 
 
@@ -148,7 +168,7 @@ def _cmd_javg(args) -> int:
     for x in floor_x(geometric_grid(100, args.x)).tolist():
         exact, main, resid = j_average(x, args.q, args.c, constants, j_table=table)
         rows.append((x, exact, main, resid))
-    _emit_csv(args.out, ["x", "exact", "main", "residual"], zip(*rows))
+    _emit_csv(args.out, ["x", "exact", "main", "residual"], list(zip(*rows)))
     return 0
 
 
@@ -180,7 +200,7 @@ def _cmd_verify(args) -> int:
     rows = [(r.x, r.exact, r.main, r.zero_correction.real, r.residual,
              r.truncation_bound) for r in explicit_grid(mode, params, xs)]
     _emit_csv(args.out, ["x", "exact", "main", "zero_correction", "residual",
-                         "truncation_bound"], zip(*rows))
+                         "truncation_bound"], list(zip(*rows)))
     ok = all(abs(r[4]) <= r[5] + 5 * r[0] ** 1.5 for r in rows)
     certified = all(zs.certified for zs in params.zero_sets.values())
     if args.json:
@@ -195,6 +215,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_landau_gonek(args) -> int:
+    check_landau_gonek_x(args.x)  # before the zero set is loaded or built
     star = induce_primitive(character_from_label(_character_label(args)))
     zs = load_or_build_zeros(star.label, args.height)
     total, pred, budget = landau_gonek(args.x, star, zs, args.height)
@@ -209,6 +230,13 @@ def _cmd_landau_gonek(args) -> int:
 
 
 def _cmd_circle(args) -> int:
+    # every input rule before the sieve and the grid are built
+    check_modulus(args.q)
+    check_grid(args.x, 8 * args.x)
+    if args.h:
+        check_window(args.x, args.h)
+    if args.xi is not None:
+        check_xi(args.xi, args.x)
     sieve = build_sieve(2 * args.x + args.h + 1)
     grid = build_grid(args.x, args.q, sieve, 8 * args.x)
     payload = {"x": args.x, "q": args.q, "constants": {}}
@@ -244,7 +272,7 @@ def _cmd_fit(args) -> int:
     }
     _emit_json(args.out, payload)
     if args.csv:
-        _emit_csv(args.csv, ["x", "delta"], zip(*res))
+        _emit_csv(args.csv, ["x", "delta"], list(zip(*res)))
     return 0
 
 

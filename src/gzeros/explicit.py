@@ -145,6 +145,12 @@ def thm14_rhs(x: float, q: int, c: int, zero_sets: dict[str, ZeroSet],
     return _explicit_row(x, q, weights, 2.0, main, zero_sets, T, exact)
 
 
+def check_landau_gonek_x(x: float) -> None:
+    """ValueError unless 1 < x < inf."""
+    if not (1 < x < math.inf):
+        raise ValueError(f"x must be finite and exceed 1, got {x}")
+
+
 def landau_gonek(
     x: float,
     chi: DirichletCharacter,
@@ -158,8 +164,7 @@ def landau_gonek(
     constants, one of them through the distance <x> from x to the
     nearest other prime power.
     """
-    if not (1 < x < math.inf):
-        raise ValueError(f"x must be finite and exceed 1, got {x}")
+    check_landau_gonek_x(x)
     total = zero_power_sum(zeros, T, x)
     lx = math.log(x)
 

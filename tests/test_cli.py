@@ -2,13 +2,14 @@ import json
 import os
 import shlex
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gzeros.cache import cache_key, load_or_build_zeros
-from gzeros.cli import build_parser, dispatch
+from gzeros.cli import CSV_BLOCK_ROWS, _emit_csv, build_parser, dispatch
 from gzeros.goldbach import build_class_convolution, goldbach_g
 from gzeros.numtheory import build_sieve
 
@@ -134,18 +135,26 @@ def test_thm12_refuses_non_unit_classes_before_building(argv, cache_env, capsys,
     (["fit", "--mode", "thm14", "--q", "3", "--xmin", "1e6", "--xmax", "1000"],
      "need x_min < x_max"),
     (["characters", "--q", "0"], "modulus q=0 must be >= 1"),
+    (["circle", "--x", "2000000"], "x=2000000 beyond grid cap 1000000"),
+    (["circle", "--x", "300", "--h", "-5"], "h=-5 outside [2, x]"),
+    (["circle", "--x", "300", "--xi", "5"], "xi=5.0 outside [1/x, 1/2]"),
+    (["circle", "--x", "300", "--q", "0"], "modulus q=0 must be >= 1"),
+    (["landau-gonek", "--x", "inf"], "x must be finite and exceed 1, got inf"),
+    (["landau-gonek", "--x", "1"], "x must be finite and exceed 1, got 1.0"),
 ], ids=["goldbach", "verify-thm12", "verify-thm14", "fit-thm11", "fit-thm14",
-        "fit-empty-grid", "characters"])
+        "fit-empty-grid", "characters", "circle-x-past-cap", "circle-h",
+        "circle-xi", "circle-q-0", "landau-gonek-x-inf", "landau-gonek-x-1"])
 def test_bad_modulus_or_grid_is_refused_before_building(argv, message, cache_env,
                                                         capsys, monkeypatch):
-    # one message for q < 1, and no sieve, zero set or per-n table first
+    # one message per rule, and no sieve, zero set, per-n table or
+    # exponential-sum grid first
     import gzeros.cli
 
     def never(*args):
         raise AssertionError("built before the input check")
 
-    for name in ("build_sieve", "load_or_build_zero_sets",
-                 "build_class_convolution"):
+    for name in ("build_sieve", "load_or_build_zero_sets", "load_or_build_zeros",
+                 "build_class_convolution", "build_grid"):
         monkeypatch.setattr(gzeros.cli, name, never)
     assert dispatch(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -353,17 +362,49 @@ def test_javg_grid_keeps_integer_points(cache_env, tmp_path):
     assert xs[0] == 100 and xs[-1] == 100000 and 1000 in xs
 
 
-def test_goldbach_csv_matches_per_value_format(cache_env, tmp_path):
-    # shortest round-trip repr of each float64, the integer n as str
-    from gzeros.goldbach import build_class_convolution
-
+@pytest.mark.parametrize("q, a, b, x, to_file", [
+    (3, 1, 2, 2000, True),
+    (3, 2, 1, 2 * CSV_BLOCK_ROWS + 123, True),
+    (1, 1, 1, 3000, True),
+    (5, 2, 3, 3000, False),
+    (3, 1, 2, 1, False),
+], ids=["q3", "three-blocks", "q1", "stdout", "x-1"])
+def test_goldbach_csv_matches_per_value_format(q, a, b, x, to_file, cache_env,
+                                               tmp_path, capsys):
+    # shortest round-trip repr of each float64, the integer n as str,
+    # across block boundaries and to a file or stdout
     out = tmp_path / "g.csv"
-    assert dispatch(["goldbach", "--q", "3", "--a", "1", "--b", "2",
-                     "--x", "2000", "--out", str(out)]) == 0
-    g = build_class_convolution(3, 1, 2, 2000, build_sieve(2000)).values
+    argv = ["goldbach", "--q", str(q), "--a", str(a), "--b", str(b),
+            "--x", str(x)]
+    assert dispatch(argv + (["--out", str(out)] if to_file else [])) == 0
+    text = out.read_text() if to_file else capsys.readouterr().out
+    g = build_class_convolution(q, a, b, x, build_sieve(max(x, 2))).values
     expect = ["n,g,S"] + [f"{n},{float(g[n])!r},{float(s)!r}"
                           for n, s in enumerate(np.cumsum(g))]
-    assert out.read_text() == "\n".join(expect) + "\n"
+    assert text == "\n".join(expect) + "\n"
+
+
+def test_csv_cells_are_keyed_on_float_bit_patterns(tmp_path):
+    # 0.0 == -0.0 but their reprs differ, so the per-block formatting must
+    # not merge equal values with different bits
+    values = [0.0, -0.0, 5e-324, 1e-7, 1e17, -0.0, 0.0, 1e17]
+    out = tmp_path / "v.csv"
+    _emit_csv(str(out), ["v", "n"], [np.array(values), range(len(values))])
+    assert out.read_text() == "".join(
+        f"{row}\n" for row in ["v,n", *(f"{v!r},{n}" for n, v in enumerate(values))])
+
+
+def test_goldbach_csv_memory_is_one_block_of_rows(cache_env, tmp_path):
+    # the table, its running sum and one block of cells: a writer that
+    # formats every row before writing peaks at about 86 MB here
+    tracemalloc.start()
+    try:
+        assert dispatch(["goldbach", "--q", "3", "--a", "1", "--b", "2",
+                         "--x", "200000", "--out", str(tmp_path / "g.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 @pytest.mark.parametrize("x, q, message", [
