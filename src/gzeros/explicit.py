@@ -146,9 +146,12 @@ def thm14_rhs(x: float, q: int, c: int, zero_sets: dict[str, ZeroSet],
 
 
 def check_landau_gonek_x(x: float) -> None:
-    """ValueError unless 1 < x < inf."""
+    """ValueError unless 1 < x < 2^63, the domain of factorize, which
+    reads chi(x) Lambda(x) at an integer x."""
     if not (1 < x < math.inf):
         raise ValueError(f"x must be finite and exceed 1, got {x}")
+    if x >= 2 ** 63:
+        raise ValueError(f"x={x:g} must be below 2^63")
 
 
 def landau_gonek(

@@ -1,17 +1,37 @@
 """Dirichlet L-functions in the critical strip and their zeros.
 
-Evaluation backend: Euler-Maclaurin for the Hurwitz zeta with frozen
-parameters, vectorized over s and banded by |Im s| so line scans stay
-fast.  A band with top h uses N = max(20, ceil(h/2)) direct terms and 12
-Bernoulli corrections; each correction is about (|s|/(2 pi N))^2 < 1/pi^2
-times the one before, and against mpmath the relative error is below
-5e-11 for |Im s| <= 5000 and -1/2 <= Re s <= 3/2 (Rubinstein,
-Computational methods and experiments in analytic number theory, 2005).
-The evaluator's domain is Re s >= -1/2, |Im s| <= IM_CAP = 1e4: past
-Re s = 3/2 the corrections only shrink (singular._prime_zeta reads real s
-up to about 50), while below -1/2 they grow with |s| and the result is
-garbage, so hurwitz_zeta_array raises CapacityError there.
-Then L(s, chi) = q^-s sum_a chi(a) zeta(s, a/q).
+Evaluation backend: Euler-Maclaurin, vectorized over s and banded by
+|Im s| so line scans stay fast.  A band with top h uses N = max(20,
+ceil(h/2)) head terms per residue and 12 Bernoulli corrections; each
+correction is about (|s|/(2 pi N))^2 < 1/pi^2 times the one before, and
+against mpmath the relative error is below 5e-11 for |Im s| <= 5000 and
+-1/2 <= Re s <= 3/2 (Rubinstein, Computational methods and experiments in
+analytic number theory, 2005).  The evaluator's domain is Re s >= -1/2,
+|Im s| <= IM_CAP = 1e4: past Re s = 3/2 the corrections only shrink
+(singular._prime_zeta reads real s up to about 50), while below -1/2 they
+grow with |s| and the result is garbage, so both evaluators raise
+CapacityError there.
+
+Since q^-s (j + a/q)^-s = (qj + a)^-s, L(s, chi) = q^-s sum_a chi(a)
+zeta(s, a/q) is one integer Dirichlet polynomial and one tail:
+
+    L(s, chi) = sum_{n <= qN} chi(n) n^-s
+                + sum_{a=1..q} chi(a) (qN + a)^-s [(N + a/q)/(s - 1) + 1/2
+                  + sum_{r=1..12} B_2r/(2r)! (s)_{2r-1} (N + a/q)^(1-2r)].
+
+l_values_array takes every n^-s with n <= q(N + 1) and (n, q) = 1 from
+one table: a complex exp at each prime, and n^-s = spf(n)^-s (n/spf(n))^-s,
+one complex multiply, at every other n, in layers by Omega(n) (the plan,
+cached per (q, N)).  At T = 1000, 118 of zeta's 650 bases are primes,
+and on that scan a point costs 5-8 us, against 20 us for one exp per
+term (2-CPU x86, numpy 2.4).  The Pochhammer products are formed once per point, and
+the sums are real einsums: no BLAS, so no dependence on the thread count.
+The table is filled for blocks of EM_BLOCK_TERMS = 2^16 entries (1 MiB)
+at a time, and q(N + 1) is capped at L_TERMS_CAP = 1e6 (q <= FIND_Q_CAP
+at |Im s| <= IM_CAP needs 739,100); past the cap l_values_array raises
+CapacityError before it allocates anything of that size.
+hurwitz_zeta_array, whose bases j + alpha are not integers, takes one exp
+per term and shares the tail (_em_sum).
 
 One gamma factor serves every use of the completed function
 Lambda(s, chi) = G(s, chi) L(s, chi) for primitive chi:
@@ -67,6 +87,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,17 +108,21 @@ from .errors import (
     ValidationError,
 )
 from .goldbach import twisted_entries
-from .numtheory import SieveTable, floor_x
+from .numtheory import SieveTable, floor_x, primes_up_to
 
 logger = logging.getLogger(__name__)
 
 # Part of every zero-cache key: bump it whenever the evaluator or the finder
-# changes, so that cached sets built by the old code are not reused.
-EVALUATOR_VERSION = "3"
+# changes, so that cached sets built by the old code are not reused.  "4":
+# L(s, chi) became one Dirichlet polynomial with its n^-s built from the
+# primes, which moves the values in their last bits (ordinates by < 3e-10).
+EVALUATOR_VERSION = "4"
 IM_CAP = 10 ** 4        # validated envelope for the Euler-Maclaurin backend
 FIND_Q_CAP = 100
 FIND_T_CAP = 1000
 EM_BERNOULLI_TERMS = 12
+EM_BLOCK_TERMS = 1 << 16  # table entries per block of points: 1 MiB of complex128
+L_TERMS_CAP = 10 ** 6     # largest q(N + 1), the top base of L's Dirichlet polynomial
 REFINE_TOL = 2.5e-10    # width of a refined bracket around each ordinate
 
 # B_{2r} / (2r)! for r = 1..12, from the exact Bernoulli numbers
@@ -115,39 +140,12 @@ _STIRLING = [float(b / (2 * r * (2 * r - 1))) for r, b in enumerate(_B2K, 1)]
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz zeta (Euler-Maclaurin, vectorized)
+# Euler-Maclaurin: Hurwitz zeta and the Dirichlet polynomial of L(s, chi)
 
 
-def _hurwitz_fixed(s: np.ndarray, alpha: float, N: int) -> np.ndarray:
-    """E-M evaluation with a fixed truncation N (s: 1-D complex array)."""
-    out = np.empty(s.shape, dtype=np.complex128)
-    j = np.arange(N, dtype=np.float64) + alpha
-    logj = np.log(j)
-    Na = N + alpha
-    logNa = math.log(Na)
-    chunk = max(16, 4_000_000 // max(N, 1))
-    for i0 in range(0, len(s), chunk):
-        sv = s[i0: i0 + chunk]
-        head = np.exp(-sv[:, None] * logj[None, :]).sum(axis=1)
-        tailpow = np.exp(-sv * logNa)  # (N+alpha)^-s
-        total = head + tailpow * (Na / (sv - 1.0) + 0.5)
-        poch = sv.copy()               # (s)_1
-        powfac = tailpow / Na          # (N+alpha)^{-s-1}
-        for r in range(1, EM_BERNOULLI_TERMS + 1):
-            total = total + _B_OVER_FACT[r - 1] * poch * powfac
-            if r < EM_BERNOULLI_TERMS:
-                poch = poch * (sv + (2 * r - 1)) * (sv + 2 * r)
-                powfac = powfac / (Na * Na)
-        out[i0: i0 + chunk] = total
-    return out
-
-
-def hurwitz_zeta_array(s, alpha: float) -> np.ndarray:
-    """zeta(s, alpha) for a complex array s with Re s >= -1/2 and
-    |Im s| <= IM_CAP, banded by |Im s|."""
-    s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
-    if not 0 < alpha:
-        raise ValueError("alpha must be positive")
+def _em_bands(s: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """(indices, N) for each |Im s| band of s, after the domain checks:
+    Re s >= -1/2, |Im s| <= IM_CAP, finite s, s != 1."""
     if not np.all(np.isfinite(s)):
         raise ValueError("s must be finite")  # NaN would never finish a band
     t = np.abs(s.imag)
@@ -158,18 +156,63 @@ def hurwitz_zeta_array(s, alpha: float) -> np.ndarray:
         raise CapacityError(f"Re s = {s.real.min()} below validated envelope -1/2")
     if np.any(s == 1):
         raise ValueError("pole at s = 1")
-    out = np.empty(s.shape, dtype=np.complex128)
+    bands = []
     lo = 0.0
     hi = 10.0
     while True:
-        mask = (t > lo) & (t <= hi) if lo else (t <= hi)
-        if mask.any():
-            N = max(20, int(math.ceil(hi / 2)))
-            out[mask] = _hurwitz_fixed(s[mask], alpha, N)
+        idx = np.nonzero((t > lo) & (t <= hi) if lo else (t <= hi))[0]
+        if len(idx):
+            bands.append((idx, max(20, int(math.ceil(hi / 2)))))
         if hi >= tmax:
-            break
+            return bands
         lo, hi = hi, hi * 1.5
+
+
+def _tail_weights(coef: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Rows 1/2, base and B_2r/(2r)! base^(1-2r) for r = 1..12, times coef:
+    the weights of the tail powers (q base)^-s, whose sums _em_sum takes."""
+    rows = [np.full(len(base), 0.5), base]
+    rows += [c * base ** (1 - 2 * r) for r, c in enumerate(_B_OVER_FACT, 1)]
+    return np.array(rows) * coef
+
+
+def _em_sum(s: np.ndarray, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """head + T_0 + T_1/(s - 1) + sum_r (s)_{2r-1} T_{r+1} for one block of
+    points, with the Pochhammer products taken once per point."""
+    factors = np.ones((EM_BERNOULLI_TERMS, len(s)), dtype=np.complex128)
+    r = np.arange(1, EM_BERNOULLI_TERMS)[:, None]
+    factors[1:] = (s + (2 * r - 1)) * (s + 2 * r)
+    poch = np.cumprod(factors, axis=0) * s
+    return (head + tail[0] + tail[1] / (s - 1.0)
+            + np.einsum("rb,rb->b", poch, tail[2:]))
+
+
+def _hurwitz_fixed(s: np.ndarray, alpha: float, N: int) -> np.ndarray:
+    """zeta(s, alpha) with N head terms: one complex exp per base j + alpha,
+    j = 0..N (the last is the tail's)."""
+    out = np.empty(s.shape, dtype=np.complex128)
+    logj = np.log(np.arange(N + 1, dtype=np.float64) + alpha)
+    weights = _tail_weights(np.ones(1), np.array([N + alpha], dtype=np.float64))
+    step = max(1, EM_BLOCK_TERMS // (N + 1))
+    for i0 in range(0, len(s), step):
+        sv = s[i0: i0 + step]
+        powers = np.exp(np.multiply.outer(-logj, sv))
+        out[i0: i0 + step] = _em_sum(sv, powers[:N].sum(axis=0),
+                                     np.einsum("km,mb->kb", weights, powers[N:]))
     return out
+
+
+def hurwitz_zeta_array(s, alpha: float) -> np.ndarray:
+    """zeta(s, alpha) for a complex array s with Re s >= -1/2 and
+    |Im s| <= IM_CAP, banded by |Im s|."""
+    s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
+    if not 0 < alpha:
+        raise ValueError("alpha must be positive")
+    flat = s.ravel()
+    out = np.empty(flat.shape, dtype=np.complex128)
+    for idx, N in _em_bands(flat):
+        out[idx] = _hurwitz_fixed(flat[idx], alpha, N)
+    return out.reshape(s.shape)
 
 
 def hurwitz_zeta(s: complex, alpha: float) -> complex:
@@ -179,38 +222,145 @@ def hurwitz_zeta(s: complex, alpha: float) -> complex:
     return complex(hurwitz_zeta_array(np.array([s]), alpha)[0])
 
 
+@dataclass(frozen=True)
+class _PowerPlan:
+    """How to fill n^-s for the n <= M prime to q, one row per n.
+
+    Rows are ordered by (n > M - q, Omega(n), n), so each run of rows in
+    `layers` is one kind: n = 1, primes (one exp each), or n = spf(n) *
+    n/spf(n), the product of the earlier rows `left` and `right`.  Rows
+    with n > M - q are the Euler-Maclaurin tail; no row is built from
+    them, since 2 (M - q) >= M."""
+
+    n: np.ndarray
+    logn: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    layers: tuple[tuple[int, int, int], ...]  # (start, stop, Omega)
+    head: int                                 # rows with n <= M - q
+    widest: int                               # rows in the largest layer
+
+
+@lru_cache(maxsize=64)
+def _power_plan(q: int, M: int) -> _PowerPlan:
+    n = np.arange(M + 1, dtype=np.int64)
+    spf = n.copy()  # smallest prime factor; n itself for primes (and 0, 1)
+    for p in primes_up_to(math.isqrt(M)).tolist():
+        view = spf[p * p:: p]
+        view[view == n[p * p:: p]] = p
+    cofactor = n // np.maximum(spf, 1)
+    omega = np.zeros(M + 1, dtype=np.int64)
+    while True:  # Omega(n) = Omega(n/spf(n)) + 1, one layer more per pass
+        nxt = omega[cofactor] + 1
+        nxt[:2] = 0
+        if np.array_equal(nxt, omega):
+            break
+        omega = nxt
+    keep = np.gcd(n, q) == 1
+    keep[0] = False
+    tail = n > M - q
+    key = (tail * 64 + omega)[keep]  # (tail, Omega) in one sort key; Omega < 64
+    order = np.argsort(key, kind="stable")
+    cols = n[keep][order]
+    key = key[order]
+    row = np.zeros(M + 1, dtype=np.int64)
+    row[cols] = np.arange(len(cols))
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    stops = np.append(starts[1:], len(cols))
+    arrays = [cols, np.log(cols.astype(np.float64)), row[spf[cols]],
+              row[cofactor[cols]]]
+    for arr in arrays:
+        arr.flags.writeable = False  # the cache hands the same plan to every call
+    return _PowerPlan(*arrays,
+                      tuple(zip(starts.tolist(), stops.tolist(),
+                                (key[starts] % 64).tolist())),
+                      int(np.count_nonzero(~tail[cols])),
+                      int((stops - starts).max()))
+
+
+def _fill_powers(plan: _PowerPlan, s: np.ndarray, out: np.ndarray,
+                 buf: np.ndarray) -> None:
+    """out[i, b] = plan.n[i] ** -s[b]: an exp at each prime, one complex
+    multiply at every other n (buf: two scratch arrays for the factors)."""
+    for start, stop, omega in plan.layers:
+        if omega == 0:
+            out[start:stop] = 1.0
+        elif omega == 1:
+            np.exp(np.multiply.outer(-plan.logn[start:stop], s), out=out[start:stop])
+        else:
+            # take into separate buffers: mode="raise", or an out= that
+            # overlaps the source, would copy through a temporary
+            a, b = buf[0, :stop - start], buf[1, :stop - start]
+            np.take(out, plan.left[start:stop], axis=0, out=a, mode="clip")
+            np.take(out, plan.right[start:stop], axis=0, out=b, mode="clip")
+            np.multiply(a, b, out=out[start:stop])
+
+
+def _dot(w: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """sum_m w[m] powers[m, :] by real einsums on the float view: no BLAS,
+    so the sum does not depend on the thread count, and about twice as
+    fast as a complex einsum."""
+    flat = powers.view(np.float64)
+    out = np.einsum("m,mb->b", w.real, flat).view(np.complex128)
+    if w.imag.any():
+        out = out + 1j * np.einsum("m,mb->b", w.imag, flat).view(np.complex128)
+    return out
+
+
+def _l_band(table: np.ndarray, s: np.ndarray, N: int) -> np.ndarray:
+    """L(s, chi) for one |Im s| band: sum_{n <= qN} chi(n) n^-s plus the
+    Euler-Maclaurin tail at the bases qN + a (table: chi(n) for n mod q)."""
+    q = len(table)
+    plan = _power_plan(q, q * (N + 1))
+    chi_n = table[plan.n % q]
+    head_w = chi_n[:plan.head]
+    tail_w = _tail_weights(chi_n[plan.head:], plan.n[plan.head:] / q)
+    step = max(1, EM_BLOCK_TERMS // len(plan.n))
+    out = np.empty(len(s), dtype=np.complex128)
+    for i0 in range(0, len(s), step):
+        sv = s[i0: i0 + step]
+        powers = np.empty((len(plan.n), len(sv)), dtype=np.complex128)
+        _fill_powers(plan, sv, powers,
+                     np.empty((2, plan.widest, len(sv)), dtype=np.complex128))
+        out[i0: i0 + step] = _em_sum(
+            sv, _dot(head_w, powers[:plan.head]),
+            np.einsum("km,mb->kb", tail_w, powers[plan.head:]))
+    return out
+
+
 def l_values_array(chi: DirichletCharacter, s) -> np.ndarray:
-    """L(s, chi) = q^-s sum_a chi(a) zeta(s, a/q) over an s array.
+    """L(s, chi) over an s array, by Euler-Maclaurin on the Dirichlet
+    polynomial sum_{n <= qN} chi(n) n^-s (see the module docstring).
 
     At s = 1 the Hurwitz poles cancel for non-principal chi, and
     L(1, chi) = -q^-1 sum_a chi(a) psi(a/q) by Gauss's digamma theorem.
     """
     s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
+    shape, s = s.shape, s.ravel()
     q = chi.q
-    if q == 1:
-        return hurwitz_zeta_array(s, 1.0)
+    # zeta's pole stays in the band points, where _em_bands refuses it
+    at_pole = (s == 1) if q > 1 else np.zeros(s.shape, dtype=bool)
+    if at_pole.any() and chi.is_principal:
+        raise ValueError("pole of L(s, chi_0) at s = 1")
+    rest = np.nonzero(~at_pole)[0]
+    bands = _em_bands(s[rest])
+    top = max((N for _, N in bands), default=0)
+    if q * (top + 1) > L_TERMS_CAP:
+        raise CapacityError(
+            f"L(s, chi) mod {q} at |Im s| = {np.abs(s.imag).max()} needs "
+            f"q(N + 1) = {q * (top + 1)} terms, past the cap {L_TERMS_CAP}")
     table = char_values_table(chi)
-    at_pole = s == 1
-    out = np.zeros(s.shape, dtype=np.complex128)
+    out = np.empty(s.shape, dtype=np.complex128)
     if at_pole.any():
-        if chi.is_principal:
-            raise ValueError("pole of L(s, chi_0) at s = 1")
         a = np.arange(1, q)
         n = np.arange(1, (q + 1) // 2)
         cos_na = np.cos(2 * math.pi * (np.outer(a, n) % q) / q)
         psi = (-0.5 * math.pi / np.tan(math.pi * a / q)  # + gamma_E + log 2q
                + 2 * cos_na @ np.log(np.sin(math.pi * n / q)))
         out[at_pole] = -(table[1:] @ psi) / q
-    rest = ~at_pole
-    if rest.any():
-        acc = np.zeros(int(rest.sum()), dtype=np.complex128)
-        srest = s[rest]
-        for a in range(1, q + 1):
-            w = table[a % q]
-            if w != 0:
-                acc += w * hurwitz_zeta_array(srest, a / q)
-        out[rest] = np.exp(-srest * math.log(q)) * acc
-    return out
+    for idx, N in bands:
+        out[rest[idx]] = _l_band(table, s[rest[idx]], N)
+    return out.reshape(shape)
 
 
 def l_value(s: complex, chi: DirichletCharacter) -> complex:

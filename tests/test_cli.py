@@ -141,9 +141,11 @@ def test_thm12_refuses_non_unit_classes_before_building(argv, cache_env, capsys,
     (["circle", "--x", "300", "--q", "0"], "modulus q=0 must be >= 1"),
     (["landau-gonek", "--x", "inf"], "x must be finite and exceed 1, got inf"),
     (["landau-gonek", "--x", "1"], "x must be finite and exceed 1, got 1.0"),
+    (["landau-gonek", "--x", "1e300"], "x=1e+300 must be below 2^63"),
 ], ids=["goldbach", "verify-thm12", "verify-thm14", "fit-thm11", "fit-thm14",
         "fit-empty-grid", "characters", "circle-x-past-cap", "circle-h",
-        "circle-xi", "circle-q-0", "landau-gonek-x-inf", "landau-gonek-x-1"])
+        "circle-xi", "circle-q-0", "landau-gonek-x-inf", "landau-gonek-x-1",
+        "landau-gonek-x-past-factorize"])
 def test_bad_modulus_or_grid_is_refused_before_building(argv, message, cache_env,
                                                         capsys, monkeypatch):
     # one message per rule, and no sieve, zero set, per-n table or

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -25,6 +26,7 @@ from gzeros.lfunc import (
     hurwitz_zeta_array,
     import_zeros,
     l_value,
+    l_values_array,
     mirror_zero_set,
     psi_chi,
     psi_explicit,
@@ -208,6 +210,40 @@ def test_l_value_at_one_matches_mpmath():
             assert abs(l_value(1, chi) - complex(ref)) <= 1e-12, chi.label
 
 
+_PRIMITIVE = [chi for q in (1, 3, 4, 5, 7, 8, 12) for chi in build_group(q)
+              if chi.conductor == q]
+
+
+@given(st.sampled_from(_PRIMITIVE), st.floats(-0.5, 1.5), st.floats(-1000, 1000))
+@settings(derandomize=True, max_examples=50, deadline=None)
+def test_l_values_property_against_mpmath(chi, sigma, t):
+    # the Dirichlet-polynomial evaluator against q^-s sum_a chi(a) zeta(s, a/q)
+    import signal
+
+    s = complex(sigma, t)
+    assume(abs(s - 1) >= 1e-3)
+
+    def hung(signum, frame):
+        raise TimeoutError(f"l_values_array({chi.label}, {s}) did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        mine = complex(l_values_array(chi, s)[0])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # mpmath's zeta(s, a) at Re s < 0 reflects to zeta(1 - s, .), which
+    # loses about -log10 |s| digits near s = 0: work with that many more
+    digits = 20 + (max(0, math.ceil(-math.log10(abs(s)))) if s else 0)
+    q, ms = chi.q, mp.mpc(s)
+    with mp.workdps(digits):
+        ref = complex(mp.power(q, -ms) * mp.fsum(
+            complex(char_value(chi, a)) * mp.zeta(ms, Fraction(a, q))
+            for a in range(1, q + 1) if math.gcd(a, q) == 1))
+    assert abs(mine - ref) <= 5e-11 * max(1.0, abs(ref)), chi.label
+
+
 def _mod_2pi_i(d):
     """|d| with Im d reduced into [-pi, pi): log-gamma branches agree mod 2 pi i."""
     return np.abs(d.real + 1j * ((d.imag + math.pi) % (2 * math.pi) - math.pi))
@@ -315,20 +351,21 @@ def test_zero_count_matches_full_rectangle(zeta_char):
 
 def test_zero_count_point_budget(zeta_char, monkeypatch):
     # one long side of 8,002 points plus two short ones of 9; all four
-    # sides would take 16,024
+    # sides would take 16,024.  Every L value passes through the per-band
+    # kernel, so the counter there sees each point once.
     from gzeros import lfunc
 
     points = []
-    real = lfunc.hurwitz_zeta_array
+    real = lfunc._l_band
 
-    def counting(s, alpha):
-        values = real(s, alpha)
+    def counting(table, s, N):
+        values = real(table, s, N)
         points.append(values.size)
         return values
 
-    monkeypatch.setattr(lfunc, "hurwitz_zeta_array", counting)
+    monkeypatch.setattr(lfunc, "_l_band", counting)
     assert zero_count_argument(zeta_char, 1000) == 1298
-    assert sum(points) <= 8_500
+    assert 8_002 <= sum(points) <= 8_500
 
 
 def test_zero_count_shape(zeta_char):
@@ -371,7 +408,10 @@ def test_first_zero_against_mpmath_bisection_oracle(zeta_char):
 
 @pytest.fixture(scope="module")
 def zeta1000(zeta_char):
-    """find_zeros(zeta, 1000) and the number of points z_line evaluated."""
+    """find_zeros(zeta, 1000), the number of points z_line evaluated and
+    the search's tracemalloc peak in bytes."""
+    import tracemalloc
+
     from gzeros import lfunc
 
     points = []
@@ -384,12 +424,17 @@ def zeta1000(zeta_char):
 
     with pytest.MonkeyPatch.context() as mpatch:
         mpatch.setattr(lfunc, "z_line", counting)
-        zs = find_zeros(zeta_char, 1000)
-    return zs, sum(points)
+        tracemalloc.start()
+        try:
+            zs = find_zeros(zeta_char, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return zs, sum(points), peak
 
 
 def test_find_zeros_zeta_1000_against_mpmath(zeta1000):
-    zs, _ = zeta1000
+    zs, _, _ = zeta1000
     assert zs.certified and zs.count() == 1298
     pos = zs.gamma[zs.gamma > 0]
     for n in [1, 2, 3, 100, 649]:
@@ -399,8 +444,46 @@ def test_find_zeros_zeta_1000_against_mpmath(zeta1000):
 def test_find_zeros_zeta_1000_point_budget(zeta1000):
     # a scan at a tenth of the mean spacing (about 8,100 points) plus a
     # few Illinois steps for each of the 649 brackets
-    _, points = zeta1000
+    _, points, _ = zeta1000
     assert points <= 15_000
+
+
+def test_find_zeros_zeta_1000_memory(zeta1000):
+    # the power table is filled a block of EM_BLOCK_TERMS entries at a
+    # time; an evaluator with 4M-term chunks peaked at 31 MiB here
+    _, _, peak = zeta1000
+    assert peak < 8 << 20
+
+
+def test_l_values_past_the_term_cap_refuse_before_allocating():
+    # q(N + 1) = 211 * 7391 terms at |Im s| = 9999: refused by name, with
+    # nothing of that size built first
+    import tracemalloc
+
+    chi = character_from_label("q=211;e=1")
+    s = np.array([0.5 + 9999j])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="past the cap"):
+            l_values_array(chi, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_l_values_at_the_envelope_corner_match_the_hurwitz_sum():
+    # q = FIND_Q_CAP at |Im s| near IM_CAP fits under the term cap; the
+    # table path agrees with q^-s sum_a chi(a) zeta(s, a/q), one exp per term
+    from gzeros.characters import char_values_table
+
+    chi = character_from_label("q=100;e=1,1")
+    s = np.array([0.5 + 9999.5j, 1.5 - 9000j])
+    mine = l_values_array(chi, s)
+    table = char_values_table(chi)
+    ref = sum(table[a] * hurwitz_zeta_array(s, a / 100) for a in range(1, 100)
+              if table[a] != 0) * np.exp(-s * math.log(100))
+    assert np.all(np.abs(mine - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_find_zeros_chi4(chi4):
