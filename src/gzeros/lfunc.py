@@ -42,7 +42,8 @@ log Gamma is numpy code, _loggamma (the recurrence up to |z| >= 10, then
 Stirling's series), which explicit.py's Gamma ratios use too.  L(1, chi)
 needs no digamma: by Gauss's theorem psi(a/q) = -gamma_E - log 2q
 - (pi/2) cot(pi a/q) + 2 sum_{0<n<q/2} cos(2 pi n a/q) log sin(pi n/q),
-and the constants cancel against sum_a chi(a) = 0.
+and the constants cancel against sum_a chi(a) = 0.  The cosine sum over a
+is one FFT of chi's table, so L(1, chi) takes O(q) memory.
 
 completed_lambda takes its exp, the argument-principle count its
 imaginary part, and the zero scan its imaginary part on the critical line:
@@ -352,12 +353,13 @@ def l_values_array(chi: DirichletCharacter, s) -> np.ndarray:
     table = char_values_table(chi)
     out = np.empty(s.shape, dtype=np.complex128)
     if at_pole.any():
+        # sum_a chi(a) 2 cos(2 pi n a/q) = F[n] + F[q - n] with F = fft(chi)
+        f = np.fft.fft(table)
         a = np.arange(1, q)
         n = np.arange(1, (q + 1) // 2)
-        cos_na = np.cos(2 * math.pi * (np.outer(a, n) % q) / q)
-        psi = (-0.5 * math.pi / np.tan(math.pi * a / q)  # + gamma_E + log 2q
-               + 2 * cos_na @ np.log(np.sin(math.pi * n / q)))
-        out[at_pole] = -(table[1:] @ psi) / q
+        total = (-0.5 * math.pi * table[1:] @ (1 / np.tan(math.pi * a / q))
+                 + (f[n] + f[q - n]) @ np.log(np.sin(math.pi * n / q)))
+        out[at_pole] = -total / q
     for idx, N in bands:
         out[rest[idx]] = _l_band(table, s[rest[idx]], N)
     return out.reshape(shape)

@@ -131,10 +131,9 @@ def j_weight_table(x: int, constants: SingularConstants) -> np.ndarray:
     if x < 2:
         return out
     factor = np.ones(x + 1, dtype=np.float64)
-    for p in primes_up_to(x):
-        p = int(p)
-        if p == 2:
-            continue
+    # the odd primes p <= x/2: only even n are read, and their odd prime
+    # factors are at most x/2
+    for p in primes_up_to(x // 2)[1:].tolist():
         factor[p::p] *= (p - 1) / (p - 2)
     n = np.arange(0, x + 1, 2)
     out[n] = n * constants.C2 * factor[n]

@@ -210,6 +210,21 @@ def test_l_value_at_one_matches_mpmath():
             assert abs(l_value(1, chi) - complex(ref)) <= 1e-12, chi.label
 
 
+def test_l_value_at_one_takes_memory_linear_in_q():
+    # the cosine sum over a is one FFT of chi's table; a (q - 1) x (q - 1)/2
+    # cosine matrix peaked at 30.7 MiB at this q
+    import tracemalloc
+
+    chi = character_from_label("q=2003;e=1")
+    tracemalloc.start()
+    try:
+        l_value(1, chi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 _PRIMITIVE = [chi for q in (1, 3, 4, 5, 7, 8, 12) for chi in build_group(q)
               if chi.conductor == q]
 

@@ -88,6 +88,24 @@ def test_is_prime_matches_sieve():
         assert is_prime(n) == (n in primes)
 
 
+def test_primes_up_to_matches_miller_rabin():
+    # is_prime shares no code with the sieve; the windows straddle the
+    # segment boundaries 2 + k SEGMENT, and the limits k SEGMENT + 1 and
+    # + 2 end the sieve on a full segment and on a one-number segment
+    for limit in range(201):
+        assert primes_up_to(limit).tolist() == [n for n in range(limit + 1)
+                                                if is_prime(n)]
+    for k in (1, 2, 3):
+        mid = k * numtheory.SEGMENT
+        expect = [n for n in range(mid - 64, mid + 65) if is_prime(n)]
+        for limit in (mid - 64, mid + 1, mid + 2, mid + 64):
+            primes = primes_up_to(limit)
+            assert primes[primes >= mid - 64].tolist() == [n for n in expect
+                                                           if n <= limit]
+    assert len(primes_up_to(10 ** 6)) == 78498
+    assert len(primes_up_to(10 ** 7)) == 664579
+
+
 def test_sieve_small_values():
     sv = build_sieve(10)
     # prime powers <= 10: 2,3,4,5,7,8,9
@@ -205,7 +223,8 @@ def test_chebyshev_identity():
 
 
 def test_psi_pnt_scale():
-    # PNT at desk height, cross-checked against an independent prime list
+    # PNT at desk height; theta(x) comes from primes_up_to, the sieve that
+    # build_sieve reads, so this checks the proper prime powers' share
     sv = build_sieve(10 ** 6)
     total = sv.psi(10 ** 6)
     assert 0.99 <= total / 10 ** 6 <= 1.01
