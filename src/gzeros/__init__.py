@@ -17,22 +17,18 @@ The headline objects:
 """
 
 from .cache import load_or_build_zero_sets
-from .characters import build_group, char_value, character_from_label
+from .characters import build_group, character_from_label
 from .explicit import h_term, landau_gonek, thm12_rhs, thm14_rhs
 from .goldbach import (build_class_convolution, goldbach_g, restricted_sum,
                        s_chi, s_grid)
 from .lfunc import (
-    completed_lambda,
     find_zeros,
     hurwitz_zeta,
-    l_value,
-    psi_chi,
-    psi_explicit,
     zero_count_argument,
     zero_power_sum,
 )
 from .numtheory import build_sieve, euler_phi, factorize, moebius
-from .singular import compute_c2, j_weight, singular_series
+from .singular import compute_c2, singular_series
 
 __version__ = "0.1.0"
 
@@ -40,9 +36,7 @@ __all__ = [
     "build_group",
     "build_class_convolution",
     "build_sieve",
-    "char_value",
     "character_from_label",
-    "completed_lambda",
     "compute_c2",
     "euler_phi",
     "factorize",
@@ -50,13 +44,9 @@ __all__ = [
     "goldbach_g",
     "h_term",
     "hurwitz_zeta",
-    "j_weight",
-    "l_value",
     "landau_gonek",
     "load_or_build_zero_sets",
     "moebius",
-    "psi_chi",
-    "psi_explicit",
     "restricted_sum",
     "s_chi",
     "s_grid",

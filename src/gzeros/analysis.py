@@ -164,47 +164,3 @@ def b_star(q: int, x: float) -> float:
             branch, val, q, x,
         )
     return val
-
-
-def zero_sum_diagnostics(
-    zeros: ZeroSet, q: int, T: float, y: float = 0.0
-) -> dict[str, float]:
-    """Measured zero-sum statistics divided by their bound shapes.
-
-    Requires zeros up to height >= max(T, |y| + 1).  Keys:
-
-    sum_inv_rho        sum over |gamma| <= T of m/|rho|
-    c_sum_inv_rho      ... divided by (log 2qT)^2
-    tail_inv_rho2      sum over T < |gamma| <= height of m/|rho|^2
-    c_tail_inv_rho2    ... divided by (log 2qT)/T
-    offdiag_sum        sum over |gamma| <= T of m/(1 + |gamma - y|)
-    c_offdiag          ... divided by (log qT)^2
-    max_unit_count     max over unit windows [k, k+1) of the zero count
-    c_unit_count       ... divided by log(q (|k|+2)) at the argmax
-    """
-    if zeros.height < max(T, abs(y) + 1) - 1e-9:
-        raise ValueError("zero set height insufficient for diagnostics")
-    inside = np.abs(zeros.gamma) <= T
-    m, gamma, abs_rho = zeros.mult[inside], zeros.gamma[inside], np.abs(zeros.rho)
-    s1 = float(np.sum(m / abs_rho[inside]))
-    s2 = float(np.sum(zeros.mult[~inside] / abs_rho[~inside] ** 2))
-    off = float(np.sum(m / (1 + np.abs(gamma - y))))
-
-    # gamma lies in the unit window [k, k+1) with k = floor(gamma); windows
-    # run over -ceil(T) <= k < T, and argmax takes the smallest k on ties
-    k, k0 = np.floor(gamma).astype(np.int64), -math.ceil(T)
-    counts = np.bincount(k[k < T] - k0, weights=m[k < T])
-    best_count, best_k = 0.0, 0
-    if len(counts):
-        best_count, best_k = float(counts.max()), int(np.argmax(counts)) + k0
-    l2qt = math.log(2 * q * T)
-    return {
-        "sum_inv_rho": s1,
-        "c_sum_inv_rho": s1 / l2qt ** 2,
-        "tail_inv_rho2": s2,
-        "c_tail_inv_rho2": s2 * T / l2qt,
-        "offdiag_sum": off,
-        "c_offdiag": off / math.log(q * T) ** 2,
-        "max_unit_count": best_count,
-        "c_unit_count": best_count / math.log(q * (abs(best_k) + 2)),
-    }

@@ -7,11 +7,15 @@ primitive root of p^k for odd p, and (-1, 5) of orders (2, 2^{k-2}) for
 of the generators' powers fills every discrete-log table.  The basis is a
 cache-key contract: it fixes every label, and so every zero-cache file.
 
-Values chi(n) are exact roots of unity e(k/m); they stay exact through
-multiplication and conjugation and are embedded into complex doubles
-only at evaluation boundaries.  Character labels "q=<q>;e=<v1,v2,...>"
-are the exponent vectors in this fixed basis, so they are deterministic
-across runs.
+A value is chi(n) = e(K/order) with an integer K, the exponent vector
+times the discrete logs of n; every exponent computation, the primitive
+character of induce_primitive included, stays in integers.  A complex
+value comes from one rounding rule (_unit_root): e(k/m) with k/m reduced
+is exactly 1 at 0 and -1 at 1/2, else cos + i sin of 2.0 * pi * k / m.
+Exact RootOfUnity arithmetic lives only in the tests' oracle
+(tests/oracles.py), which the tables match bit for bit.  Character labels
+"q=<q>;e=<v1,v2,...>" are the exponent vectors in this fixed basis, so
+they are deterministic across runs.
 
 The characters of one modulus also come as one table, in build_group
 order: the exponent matrix K (phi(q) x q), one integer product of the
@@ -31,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -42,51 +45,6 @@ from .numtheory import (check_modulus, divisors, euler_phi, factorize, moebius,
 
 GROUP_CAP = 10 ** 6
 TABLE_CAP = 2 ** 22  # phi(q) * q entries per array of a modulus' table
-
-
-@dataclass(frozen=True)
-class RootOfUnity:
-    """Exact e(k/m) = exp(2*pi*i*k/m) with 0 <= k < m and gcd(k, m) = 1
-    (or k = 0, m = 1 for the value 1)."""
-
-    k: int
-    m: int
-
-    @staticmethod
-    def make(k: int, m: int) -> "RootOfUnity":
-        if m <= 0:
-            raise ValueError("denominator must be positive")
-        k %= m
-        g = math.gcd(k, m)
-        if k == 0:
-            return RootOfUnity(0, 1)
-        return RootOfUnity(k // g, m // g)
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity.make(self.k * other.m + other.k * self.m,
-                                self.m * other.m)
-
-    def __pow__(self, e: int) -> "RootOfUnity":
-        return RootOfUnity.make(self.k * e, self.m)
-
-    def conjugate(self) -> "RootOfUnity":
-        return RootOfUnity.make(-self.k, self.m)
-
-    def __complex__(self) -> complex:
-        if self.m == 1:
-            return 1 + 0j
-        if 2 * self.k == self.m:
-            return -1 + 0j
-        a = 2.0 * math.pi * self.k / self.m
-        return complex(math.cos(a), math.sin(a))
-
-    @property
-    def order(self) -> int:
-        return self.m
-
-
-ONE = RootOfUnity(0, 1)
-MINUS_ONE = RootOfUnity(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +121,6 @@ class CharacterGroup:
             L = L * m // math.gcd(L, m)
         self.exponent = L
 
-    def dlog_vector(self, n: int) -> tuple[int, ...] | None:
-        """Component discrete logs of n, or None when gcd(n, q) > 1."""
-        if self.q == 1:
-            return ()
-        if math.gcd(n % self.q, self.q) != 1:
-            return None
-        out = []
-        for comp, dl in zip(self.components, self._dlogs):
-            out.append(int(dl[n % comp.prime_power]))
-        return tuple(out)
-
 
 @lru_cache(maxsize=None)
 def group(q: int) -> CharacterGroup:
@@ -223,13 +170,22 @@ def _char_order(grp: CharacterGroup, exps: tuple[int, ...]) -> int:
     return n
 
 
+def _exponent(grp: CharacterGroup, exps: tuple[int, ...], n: int) -> int | None:
+    """K with chi(n) = e(K/L), L the group exponent, for the character with
+    exponent vector exps; None off the units."""
+    if math.gcd(n % grp.q, grp.q) != 1:
+        return None
+    L = grp.exponent
+    return sum(e * int(dl[n % c.prime_power]) * (L // c.order)
+               for e, c, dl in zip(exps, grp.components, grp._dlogs)) % L
+
+
 def _char_parity(grp: CharacterGroup, exps: tuple[int, ...]) -> int:
     if grp.q <= 2:
         return 0
     # chi(-1) = e(t / L) with L the group exponent, so t is 0 or L/2
     L = grp.exponent
-    dv = grp.dlog_vector(grp.q - 1)  # -1 mod q
-    t = sum(e * d * (L // m) for e, d, m in zip(exps, dv, grp.orders)) % L
+    t = _exponent(grp, exps, grp.q - 1)
     if 2 * t % L:
         raise AssertionError("chi(-1) not +-1")
     return 2 * t // L
@@ -301,25 +257,11 @@ def conjugate(chi: DirichletCharacter) -> DirichletCharacter:
     return _make_character(grp, tuple(-e for e in chi.exponents))
 
 
-def char_value(chi: DirichletCharacter, n: int):
-    """chi(n) as an exact RootOfUnity, or the integer 0 off the units."""
-    grp = group(chi.q)
-    dv = grp.dlog_vector(n)
-    if dv is None:
-        return 0
-    num = Fraction(0)
-    for e, d, m in zip(chi.exponents, dv, grp.orders):
-        num += Fraction(e * d, m)
-    num -= int(num)
-    return RootOfUnity.make(num.numerator, num.denominator)
-
-
 def char_values_table(chi: DirichletCharacter) -> np.ndarray:
     """chi(n) for n = 0..q-1 as complex128 (period-q lookup table).
 
     chi(n) = e(K/L), L the group exponent, with K from the dlog tables as in
-    one row of _char_table; e(K/L) is rounded as complex(RootOfUnity) rounds
-    it, so the values equal complex(char_value(chi, n)) bit for bit."""
+    one row of _char_table, and each e(K/L) rounded by _unit_root."""
     grp = group(chi.q)
     L = grp.exponent
     r = np.arange(chi.q, dtype=np.int64)
@@ -332,10 +274,25 @@ def char_values_table(chi: DirichletCharacter) -> np.ndarray:
     return out
 
 
+def _unit_root(k: int, m: int) -> complex:
+    """e(k/m) as a complex double, by the one rounding rule: with k/m
+    reduced, exactly 1 at 0 and -1 at 1/2, else the cos and sin of
+    2.0 * pi * k / m, multiplied in that order."""
+    k %= m
+    g = math.gcd(k, m)
+    k, m = k // g, m // g
+    if k == 0:
+        return 1 + 0j
+    if 2 * k == m:
+        return -1 + 0j
+    a = 2.0 * math.pi * k / m
+    return complex(math.cos(a), math.sin(a))
+
+
 @lru_cache(maxsize=64)
 def _roots_of_unity(m: int) -> np.ndarray:
-    """complex(RootOfUnity.make(k, m)) for k = 0..m-1, read-only."""
-    out = np.array([complex(RootOfUnity.make(k, m)) for k in range(m)])
+    """_unit_root(k, m) for k = 0..m-1, read-only."""
+    out = np.array([_unit_root(k, m) for k in range(m)])
     out.flags.writeable = False
     return out
 
@@ -350,18 +307,18 @@ def induce_primitive(chi: DirichletCharacter) -> DirichletCharacter:
     qs = chi.conductor
     if qs == chi.q:
         return chi
-    gs = group(qs)
+    grp, gs = group(chi.q), group(qs)
+    L = grp.exponent
     exps = []
     for comp in gs.components:
         # lift the basis generator (mod the q* component) to n' coprime
         # to q, congruent to it mod p^c and to 1 mod the rest of q
         n1 = _crt_lift(comp.generator, comp.prime, chi.q)
-        v = char_value(chi, n1)
-        assert v != 0
-        # v = e(k/m); the exponent e_i satisfies e(e_i / order_i) = v
-        e_i = Fraction(v.k, v.m) * comp.order
-        assert e_i.denominator == 1, "induced value incompatible with basis"
-        exps.append(int(e_i) % comp.order)
+        K = _exponent(grp, chi.exponents, n1)
+        # chi(n') = e(K/L) = e(e_i/order_i), so e_i = K order_i / L
+        assert K is not None and K * comp.order % L == 0, \
+            "induced value incompatible with basis"
+        exps.append(K * comp.order // L % comp.order)
     out = _make_character(gs, tuple(exps))
     assert out.conductor == qs, "induced character is not primitive"
     return out
@@ -414,28 +371,7 @@ def char_sum_closed_form(chi: DirichletCharacter, c: int) -> complex:
     coeff, pos = _closed_form_coefficients(chi)
     r = c % chi.q
     t = int(coeff[r])
-    return t * complex(RootOfUnity.make(int(pos[r]), chi.order)) if t else 0j
-
-
-def char_sum_brute(chi: DirichletCharacter, c: int) -> complex:
-    """Direct sum over a = 1..q with (a(c-a), q) = 1 of chi(a)."""
-    q = chi.q
-    total = 0 + 0j
-    for a in range(1, q + 1):
-        if math.gcd(a, q) == 1 and math.gcd((c - a) % q if q > 1 else 1, q) == 1:
-            total += complex(char_value(chi, a))
-    return total
-
-
-def char_sum_brute_exact(chi: DirichletCharacter, c: int) -> dict[RootOfUnity, int]:
-    """Brute-force sum as exact multiset {root of unity: count}."""
-    q = chi.q
-    counts: dict[RootOfUnity, int] = {}
-    for a in range(1, q + 1):
-        if math.gcd(a, q) == 1 and math.gcd((c - a) % q if q > 1 else 1, q) == 1:
-            v = char_value(chi, a)
-            counts[v] = counts.get(v, 0) + 1
-    return counts
+    return t * _unit_root(int(pos[r]), chi.order) if t else 0j
 
 
 # ---------------------------------------------------------------------------
@@ -495,25 +431,6 @@ def _reduction_matrix(n: int) -> np.ndarray:
             nxt -= lead * np.array(phi[:-1], dtype=np.int64)
         cur = nxt
     return cols
-
-
-def root_sum_is_zero(counts: np.ndarray, n: int) -> bool:
-    """Exact test: is sum_k counts[k] * e(k/n) equal to 0?"""
-    red = _reduction_matrix(n)
-    return bool(np.all(red @ counts.astype(np.int64) == 0))
-
-
-def root_counts_equal(counts: np.ndarray, n: int, t: int, zeta: RootOfUnity) -> bool:
-    """Exact test: does sum_k counts[k] e(k/n) equal t * zeta?
-
-    zeta must have order dividing n.
-    """
-    v = counts.astype(np.int64).copy()
-    if t != 0:
-        if n % zeta.m != 0:
-            raise ValueError("root order does not divide n")
-        v[zeta.k * (n // zeta.m)] -= t
-    return root_sum_is_zero(v, n)
 
 
 # ---------------------------------------------------------------------------

@@ -120,19 +120,6 @@ def decompose_check(
     return abs(quad - direct)
 
 
-def r_term(
-    x: int,
-    chi1: DirichletCharacter,
-    chi2: DirichletCharacter,
-    grid: ExpSumGrid,
-) -> complex:
-    """R(x; chi1, chi2) = int_0^1 W(a,chi1) W(a,chi2) T(-a) da on the
-    exact grid."""
-    w1 = grid.w_vals(chi1)
-    w2 = grid.w_vals(chi2)
-    return complex(np.sum(w1 * w2 * np.conj(grid.t_vals)) / grid.N)
-
-
 def j_chi(chi: DirichletCharacter, grid: ExpSumGrid) -> float:
     """J(chi) = int |W|^2 |T| da, trapezoid on the (periodic) grid.
 

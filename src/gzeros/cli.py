@@ -34,7 +34,7 @@ from .analysis import (
 from .cache import load_or_build_zero_sets, load_or_build_zeros
 from .characters import (
     build_group,
-    char_value,
+    char_values_table,
     character_from_label,
     induce_primitive,
     verify_char_sum_identity,
@@ -320,12 +320,13 @@ def _cmd_selfcheck(args) -> int:
         for c1 in chars3
         for c2 in chars3
     }
+    conj = {c.label: char_values_table(c).conjugate() for c in chars3}
     worst = 0.0
     for a in (1, 2):
         for b in (1, 2):
             total = sum(
-                complex(char_value(c1, a)).conjugate()
-                * complex(char_value(c2, b)).conjugate()
+                complex(conj[c1.label][a])
+                * complex(conj[c2.label][b])
                 * svals[(c1.label, c2.label)]
                 for c1 in chars3
                 for c2 in chars3

@@ -36,7 +36,7 @@ from .characters import (
     DirichletCharacter,
     build_group,
     char_sum_closed_form,
-    char_value,
+    char_values_table,
 )
 from .errors import GzError
 from .lfunc import ZeroSet, _loggamma, zero_power_sum
@@ -86,11 +86,11 @@ def _require_sets(q: int, zero_sets: dict[str, ZeroSet]) -> list[DirichletCharac
 
 def _thm12_weights(q: int, a: int, b: int, zero_sets: dict[str, ZeroSet]) -> Weights:
     """(chi, conj chi(a) + conj chi(b)) for every chi mod q."""
-    return [
-        (chi, complex(char_value(chi, a)).conjugate()
-         + complex(char_value(chi, b)).conjugate())
-        for chi in _require_sets(q, zero_sets)
-    ]
+    out = []
+    for chi in _require_sets(q, zero_sets):
+        conj = char_values_table(chi).conjugate()
+        out.append((chi, complex(conj[a % q] + conj[b % q])))
+    return out
 
 
 def _thm14_weights(q: int, c: int, zero_sets: dict[str, ZeroSet]) -> Weights:
@@ -178,7 +178,7 @@ def landau_gonek(
         fac = factorize(xi)
         if fac.is_prime_power():
             lam = fac.von_mangoldt()
-        chival = complex(char_value(chi, xi))
+        chival = complex(char_values_table(chi)[xi % chi.q])
     prediction = -(T / math.pi) * chival * lam
 
     nearest_gap = _nearest_pp_gap_search(x)
@@ -256,4 +256,3 @@ def residue_r1(rho_q: complex, q: int, c: int,
     character weight collapses through the closed-form character sum."""
     return _residue(rho_q, q, _thm14_weights(q, c, zero_sets), 2.0,
                     zero_sets, tol)
-

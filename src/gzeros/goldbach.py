@@ -20,8 +20,8 @@ that are integers in exact arithmetic but round just below keep n = x.
 
 The character twist chi(n) Lambda(n) is sparse too: twisted_entries
 returns the prime powers n <= x with chi(n) != 0 and their values, and
-every twisted sum (s_chi, lfunc.psi_chi, circle.build_grid,
-circle.selberg_integral) reads that one result.
+every twisted sum (s_chi, circle.build_grid, circle.selberg_integral)
+reads that one result.
 
 Per-n arrays (build_class_convolution) come from one real FFT
 convolution on the class lattice: G(a0 + b0 + q k) = sum_i u[i] v[k - i]

@@ -45,8 +45,8 @@ needs no digamma: by Gauss's theorem psi(a/q) = -gamma_E - log 2q
 and the constants cancel against sum_a chi(a) = 0.  The cosine sum over a
 is one FFT of chi's table, so L(1, chi) takes O(q) memory.
 
-completed_lambda takes its exp, the argument-principle count its
-imaginary part, and the zero scan its imaginary part on the critical line:
+The argument-principle count takes the imaginary part of log G, and the
+zero scan its imaginary part on the critical line:
 
     Z_chi(t) = Re[ e^{i theta_chi(t)} L(1/2 + it, chi) ],
     theta_chi(t) = Im log G(1/2 + it, chi) - arg(epsilon(chi)) / 2,
@@ -77,8 +77,8 @@ Zero sets for a whole modulus come from cache.load_or_build_zero_sets,
 which searches once per conjugate pair and mirrors the other set.
 
 Every sum over zeros, sum_{|gamma| <= T} m x^rho weight(rho), goes
-through the one kernel zero_power_sum (psi_explicit here, h_term and
-landau_gonek in explicit.py).
+through the one kernel zero_power_sum (h_term and landau_gonek in
+explicit.py).
 """
 
 from __future__ import annotations
@@ -96,9 +96,7 @@ from .characters import (
     DirichletCharacter,
     char_values_table,
     character_from_label,
-    conjugate,
     induce_primitive,
-    is_primitive,
     root_number,
 )
 from .errors import (
@@ -108,8 +106,7 @@ from .errors import (
     OffLineZeroError,
     ValidationError,
 )
-from .goldbach import twisted_entries
-from .numtheory import SieveTable, floor_x, primes_up_to
+from .numtheory import primes_up_to
 
 logger = logging.getLogger(__name__)
 
@@ -365,13 +362,6 @@ def l_values_array(chi: DirichletCharacter, s) -> np.ndarray:
     return out.reshape(shape)
 
 
-def l_value(s: complex, chi: DirichletCharacter) -> complex:
-    """L(s, chi); principal characters have the pole at s = 1."""
-    if chi.is_principal and s == 1:
-        raise ValueError("pole of L(s, chi_0) at s = 1")
-    return complex(l_values_array(chi, np.array([s]))[0])
-
-
 def _loggamma(z) -> np.ndarray:
     """log Gamma(z) over a complex array, on the branch analytic off z <= 0
     and real on z > 0, for Re z >= -1/2 away from the poles: points with
@@ -399,21 +389,6 @@ def _log_gamma_factor(chi_star: DirichletCharacter, s) -> np.ndarray:
     array (chi primitive)."""
     sk = (np.asarray(s, dtype=np.complex128) + chi_star.parity) / 2.0
     return sk * math.log(chi_star.q / math.pi) + _loggamma(sk)
-
-
-def completed_lambda(s: complex, chi: DirichletCharacter) -> complex:
-    """Lambda(s, chi) = (q/pi)^((s+kappa)/2) Gamma((s+kappa)/2) L(s, chi),
-    for primitive chi."""
-    if not is_primitive(chi):
-        raise ValueError("completed_lambda requires a primitive character")
-    return complex(np.exp(_log_gamma_factor(chi, s))) * l_value(s, chi)
-
-
-def functional_equation_residual(s: complex, chi: DirichletCharacter) -> float:
-    """|Lambda(s,chi) - eps(chi) Lambda(1-s, conj chi)| / |Lambda(s,chi)|."""
-    lhs = completed_lambda(s, chi)
-    rhs = root_number(chi) * completed_lambda(1 - s, conjugate(chi))
-    return abs(lhs - rhs) / max(abs(lhs), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +533,10 @@ def zero_count_argument(chi: DirichletCharacter, T: float) -> int:
 
     Imprimitive characters count the zeros of the inducing primitive one
     (the Euler factors only vanish on Re s = 0 boundary lines, which are
-    excluded from the non-trivial strip).
+    excluded from the non-trivial strip).  T must be finite and >= 0.
     """
+    if not 0 <= T < math.inf:
+        raise ValueError(f"zero_count_argument: T={T} must be finite and >= 0")
     chi_star = induce_primitive(chi)
     w = _winding(chi_star, T)
     n = round(w)
@@ -715,26 +692,6 @@ def zero_power_sum(zeros: ZeroSet, T: float, x: float, weight=None) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# psi sums and the truncated explicit formula
-
-
-def psi_chi(u: float, chi: DirichletCharacter, sieve: SieveTable) -> complex:
-    """Exact sum_{n <= u} chi(n) Lambda(n), for floor_x(u) <= sieve.limit,
-    with the real and imaginary parts rounded exactly by math.fsum."""
-    vals = twisted_entries(chi, int(floor_x(u)), sieve)[1]
-    return complex(math.fsum(vals.real), math.fsum(vals.imag))
-
-
-def psi_explicit(
-    u: float, chi: DirichletCharacter, zeros: ZeroSet, T: float
-) -> complex:
-    """delta_0(chi) u - sum_{|gamma| <= T} u^rho / rho (the constant term
-    of the full formula is omitted and measured separately)."""
-    main = u if chi.is_principal else 0.0
-    return main - zero_power_sum(zeros, T, u, lambda rho: 1 / rho)
-
-
-# ---------------------------------------------------------------------------
 # zero file I/O
 
 ZEROS_MAGIC = "# GZZEROS v1"
@@ -860,9 +817,3 @@ def import_zeros(path, char_label: str, validate: bool = True) -> ZeroSet:
             diagnostics = (f"multiplicity total {total} != argument count "
                            f"{n_true} at height {height}")
     return ZeroSet(char_label, height, beta, gamma, mult, certified, diagnostics)
-
-
-def check_conjugate_symmetry(zs: ZeroSet, zs_conj: ZeroSet, tol: float = 1e-7) -> bool:
-    """The zeros of the two sets must pair under gamma <-> -gamma."""
-    a, b = zs.gamma, -zs_conj.gamma[::-1]  # both ascending
-    return len(a) == len(b) and bool(np.all(np.abs(a - b) <= tol))

@@ -12,8 +12,8 @@ Provides:
 - build_sieve(x): the prime powers n = p^k <= x and Lambda(n) = log p at
   each, as a compact SieveTable
 
-primes_up_to is segmented (2^20-element blocks) so construction stays
-cache resident; build_sieve merges the proper prime powers into its
+primes_up_to marks odd numbers only, in blocks of 2^20, so construction
+stays cache resident; build_sieve merges the proper prime powers into its
 primes once.  The resulting SieveTable is read-only and safe to share.
 It holds only the ~x/log x prime powers, 16 bytes each (1.3 MB at
 x = 10^6, against 8 MB for a dense float64 Lambda array), and it is the
@@ -191,20 +191,26 @@ def divisors(n: int) -> list[int]:
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """Primes <= limit (int64 array): composites are marked SEGMENT
-    numbers at a time, with the base primes primes_up_to(isqrt(limit))."""
+    """Primes <= limit (int64 array).  Only odd numbers are marked: index i
+    stands for 2i + 1, each block holds SEGMENT of them, and every odd base
+    prime p of primes_up_to(isqrt(limit)) marks its odd multiples from p^2,
+    which sit p indices apart; 2 is prepended."""
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
-    base = primes_up_to(math.isqrt(limit)).tolist()
-    chunks = []
-    for lo in range(2, limit + 1, SEGMENT):
-        hi = min(lo + SEGMENT, limit + 1)
+    base = primes_up_to(math.isqrt(limit))[1:].tolist()
+    n_odd = (limit + 1) // 2  # the odd numbers 1, 3, ..., <= limit
+    chunks = [np.array([2], dtype=np.int64)]
+    for lo in range(0, n_odd, SEGMENT):
+        hi = min(lo + SEGMENT, n_odd)
         mask = np.ones(hi - lo, dtype=bool)
+        if lo == 0:
+            mask[0] = False  # 1 is not prime
         for p in base:
-            start = max(p * p, (lo + p - 1) // p * p)
+            # the odd multiples of p sit at i = (p - 1)/2 (mod p)
+            start = max((p * p) // 2, lo + ((p - 1) // 2 - lo) % p)
             if start < hi:
                 mask[start - lo:: p] = False
-        chunks.append(np.flatnonzero(mask) + lo)
+        chunks.append(2 * (np.flatnonzero(mask) + lo) + 1)
     return np.concatenate(chunks)
 
 

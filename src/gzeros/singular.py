@@ -36,8 +36,8 @@ from fractions import Fraction
 import numpy as np
 
 from .lfunc import hurwitz_zeta_array
-from .numtheory import (check_modulus, euler_phi, factorize, moebius,
-                        primes_up_to, unit_pair_count)
+from .numtheory import (check_modulus, euler_phi, moebius, primes_up_to,
+                        unit_pair_count)
 
 _C2_SERIES_TERMS = 120
 
@@ -112,31 +112,29 @@ def compute_c2(prime_cutoff: int = 10 ** 6) -> SingularConstants:
     )
 
 
-def j_weight(n: int, constants: SingularConstants) -> float:
-    """J(n): 0 for odd n, n C2 prod_{p|n, p>2} (p-1)/(p-2) for even n."""
-    if n < 1:
-        raise ValueError("j_weight: n must be >= 1")
-    if n % 2 == 1:
-        return 0.0
-    out = n * constants.C2
-    for p, _ in factorize(n).factors:
-        if p > 2:
-            out *= (p - 1) / (p - 2)
-    return out
-
-
 def j_weight_table(x: int, constants: SingularConstants) -> np.ndarray:
-    """J(n) for n = 0..x as a float64 array (vectorized sieve)."""
+    """J(n) for n = 0..x as a float64 array, from a table f over m = n/2
+    of prod_{p | m, p > 2} (p-1)/(p-2), multiplied in ascending p: one
+    strided multiply for each odd p <= sqrt(M), M = x // 2, then one
+    gather-multiply per cofactor k <= M/(isqrt(M) + 1) over the primes
+    p > sqrt(M) with kp <= M.  Each m has at most one prime factor past
+    sqrt(M), and it is its largest, so it is still multiplied last."""
     out = np.zeros(x + 1, dtype=np.float64)
     if x < 2:
         return out
-    factor = np.ones(x + 1, dtype=np.float64)
-    # the odd primes p <= x/2: only even n are read, and their odd prime
-    # factors are at most x/2
-    for p in primes_up_to(x // 2)[1:].tolist():
-        factor[p::p] *= (p - 1) / (p - 2)
+    M = x // 2
+    primes = primes_up_to(M)[1:]
+    small = primes[: np.searchsorted(primes, math.isqrt(M), side="right")]
+    large = primes[len(small):]
+    ratio = (large - 1) / (large - 2)
+    f = np.ones(M + 1, dtype=np.float64)
+    for p in small.tolist():
+        f[p::p] *= (p - 1) / (p - 2)
+    for k in range(1, M // (math.isqrt(M) + 1) + 1):
+        n = np.searchsorted(large, M // k, side="right")
+        f[k * large[:n]] *= ratio[:n]
     n = np.arange(0, x + 1, 2)
-    out[n] = n * constants.C2 * factor[n]
+    out[n] = n * constants.C2 * f
     out[0] = 0.0
     return out
 
@@ -150,11 +148,19 @@ def singular_series(q: int, c: int) -> Fraction:
     return Fraction(unit_pair_count(q, c), euler_phi(q) ** 2)
 
 
-def check_j_inputs(x: int, q: int) -> None:
+def _check_j_envelope(x: int, q: int) -> None:
     """ValueError for q < 1 or x past j_average's validated 1e7 envelope."""
     check_modulus(q)
     if x > 10 ** 7:
         raise ValueError("j_average: x beyond validated envelope 1e7")
+
+
+def check_j_inputs(x: int, q: int) -> None:
+    """gz javg's input check, made before C2 or a table is built:
+    j_average's envelope, and x > 100, where javg's grid starts."""
+    if x <= 100:
+        raise ValueError(f"javg: x={x} must exceed 100, where its grid starts")
+    _check_j_envelope(x, q)
 
 
 def j_average(
@@ -167,7 +173,7 @@ def j_average(
     A precomputed j_table (from j_weight_table, length >= x+1) can be
     passed to amortize the sieve across calls.
     """
-    check_j_inputs(x, q)
+    _check_j_envelope(x, q)
     if j_table is None:
         j_table = j_weight_table(x, constants)
     exact = float(j_table[c % q: x + 1: q].sum())

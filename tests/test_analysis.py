@@ -11,12 +11,12 @@ from gzeros.analysis import (
     geometric_grid,
     residual_grid,
     rms,
-    zero_sum_diagnostics,
 )
 from gzeros.cache import load_or_build_zero_sets
 from gzeros.characters import build_group
 from gzeros.lfunc import find_zeros
 from gzeros.numtheory import build_sieve
+from oracles import zero_sum_diagnostics
 
 
 @pytest.fixture(scope="module")

@@ -9,14 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gzeros.characters import (
-    MINUS_ONE,
-    ONE,
-    RootOfUnity,
     build_group,
-    char_sum_brute,
-    char_sum_brute_exact,
     char_sum_closed_form,
-    char_value,
     character_from_label,
     conjugate,
     format_label,
@@ -25,13 +19,21 @@ from gzeros.characters import (
     induce_primitive,
     is_primitive,
     parse_label,
-    root_counts_equal,
     root_number,
-    root_sum_is_zero,
     _closed_form_coefficients,
 )
 from gzeros.errors import CapacityError
 from gzeros.numtheory import euler_phi, factorize, moebius
+from oracles import (
+    MINUS_ONE,
+    ONE,
+    RootOfUnity,
+    char_sum_brute,
+    char_sum_brute_exact,
+    char_value,
+    root_counts_equal,
+    root_sum_is_zero,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +226,15 @@ def test_char_value_zero_off_units():
 
 
 def test_char_values_table_matches_char_value():
-    # the vectorized table equals complex(char_value) bit for bit, also for
-    # a modulus past the per-modulus table's cap (phi(q) q > 2^22 at 2053)
+    # the vectorized table equals the exact oracle's complex(char_value) bit
+    # for bit, for every character mod q <= 100 at every residue (203,085
+    # values), and for a modulus past the per-modulus table's cap
+    # (phi(q) q > 2^22 at 2053)
     from gzeros.characters import _char_table, char_values_table
 
     with pytest.raises(CapacityError):
         _char_table(2053)
-    chars = [chi for q in range(1, 61) for chi in build_group(q)]
+    chars = [chi for q in range(1, 101) for chi in build_group(q)]
     for chi in chars + [character_from_label("q=2053;e=5")]:
         ref = np.array([complex(char_value(chi, n or chi.q)) for n in range(chi.q)])
         table = char_values_table(chi)
@@ -323,14 +327,21 @@ def test_induce_primitive():
         for n in range(1, 40):
             if math.gcd(n, 12) == 1:
                 assert char_value(chi, n) == char_value(star, n)
-    # idempotence
-    for q in [8, 12, 45, 40]:
+    # idempotence, and for every q <= 200 chi* agrees with chi on the units
+    # mod q: the primitive character that does is unique, so its label, and
+    # with it every zero-cache key, is fixed
+    from gzeros.characters import char_values_table
+
+    for q in range(1, 201):
+        unit = np.gcd(np.arange(q), q) == 1
         for chi in build_group(q):
             star = induce_primitive(chi)
             assert induce_primitive(star) == star
-            assert star.conductor == chi.conductor
+            assert star.conductor == chi.conductor == star.q
             assert star.order == chi.order
             assert star.parity == chi.parity
+            assert np.array_equal(char_values_table(star)[np.arange(q) % star.q][unit],
+                                  char_values_table(chi)[unit]), chi.label
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dense_reference import dense_lambda
 from gzeros.characters import build_group
 from gzeros.circle import (
     build_grid,
     decompose_check,
     j_chi,
     quadrature_s,
-    r_term,
     selberg_integral,
     w_mass,
 )
@@ -18,6 +16,7 @@ from gzeros.goldbach import s_chi
 from gzeros.lfunc import find_zeros
 from gzeros.explicit import h_term
 from gzeros.numtheory import build_sieve
+from oracles import dense_lambda, r_term
 
 
 @pytest.fixture(scope="module")

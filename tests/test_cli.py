@@ -412,7 +412,9 @@ def test_goldbach_csv_memory_is_one_block_of_rows(cache_env, tmp_path):
 @pytest.mark.parametrize("x, q, message", [
     ("20000000", "3", "beyond validated envelope 1e7"),
     ("10000000", "0", "modulus q=0 must be >= 1"),
-], ids=["x-past-envelope", "q-0"])
+    ("-5", "3", "x=-5 must exceed 100"),
+    ("100", "3", "x=100 must exceed 100"),
+], ids=["x-past-envelope", "q-0", "x-negative", "x-at-grid-start"])
 def test_javg_rejects_bad_input_before_building(x, q, message, cache_env,
                                                 monkeypatch, capsys):
     from gzeros import cli

@@ -5,11 +5,14 @@ A name counts as read when code in src/gzeros outside its own definition
 refers to it (a re-export in __init__.py does not count), or when
 perfbench/ names it, as code or as a string such as the entries of
 tracing.TARGETS.  Names that only tests read must be on ALLOWED, with the
-reason they stay.  Names are matched as text, so a method counts as read
-wherever any attribute of the same name is.
+open ROADMAP item they stay for; oracles that only tests need live in
+tests/oracles.py, which reads no private gzeros name.  Names are matched
+as text, so a method counts as read wherever any attribute of the same
+name is.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -17,20 +20,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gzeros"
 
 ALLOWED = {
-    # reference oracles that tests compare against
-    "char_sum_brute": "float brute-force oracle of the closed-form character sum",
-    "char_sum_brute_exact": "exact brute-force oracle of the character sum",
-    "root_sum_is_zero": "exact cyclotomic zero test that tests check sums with",
-    "root_counts_equal": "exact cyclotomic equality test that tests check sums with",
-    "goldbach_g": "pointwise Goldbach count, the oracle of the FFT convolution",
-    "j_weight": "pointwise J(n), the oracle of j_weight_table",
-    "functional_equation_residual": "checks Lambda(s) = eps Lambda(1 - s)",
-    "check_conjugate_symmetry": "checks that conjugate zero sets pair up",
-    # paper quantities whose tests reproduce the paper's identities
-    "r_term": "R of S = x^2/2 - 2H + R, with |R| <= sqrt(J(chi1) J(chi2))",
-    "zero_sum_diagnostics": "the zero-sum bounds measured against their shapes",
-    "psi_chi": "psi(x, chi), the exact side of the explicit formula",
-    "psi_explicit": "psi(x, chi) from the zeros, the other side",
     # building blocks of open ROADMAP items
     "z_gamma_ratio_matrix": "Gamma ratio of the zero-pair term (ROADMAP item 1)",
     "residue_r": "residue of the Thm 1.2 series at rho + 1 (ROADMAP item 4)",
@@ -87,3 +76,33 @@ def test_every_name_has_a_reader():
 def test_allowed_names_exist():
     defined = {node.name for _, node in _definitions()[0]}
     assert not sorted(set(ALLOWED) - defined)
+
+
+def test_allowed_names_cite_an_open_roadmap_item():
+    headings = (ROOT / "ROADMAP.md").read_text()
+    for name, reason in ALLOWED.items():
+        item = re.search(r"ROADMAP item (\d+)", reason)
+        assert item, f"{name}: the reason names no ROADMAP item"
+        assert re.search(rf"^### {item.group(1)}\.", headings, re.M), (
+            f"{name}: ROADMAP.md has no heading for item {item.group(1)}")
+
+
+def test_oracles_read_no_private_gzeros_name():
+    # the oracles stay independent of the kernels they check: they may
+    # call public gzeros functions only
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    bound, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            aliases = node.names if (node.module or "").startswith("gzeros") else []
+        elif isinstance(node, ast.Import):
+            aliases = [a for a in node.names if a.name.startswith("gzeros")]
+        else:
+            continue
+        private += [a.name for a in aliases
+                    if any(part.startswith("_") for part in a.name.split("."))]
+        bound |= {a.asname or a.name.split(".")[0] for a in aliases}
+    private += [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in bound]
+    assert not private, f"oracles read private gzeros names: {private}"

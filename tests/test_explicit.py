@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gzeros.cache import load_or_build_zero_sets
-from gzeros.characters import build_group, char_sum_closed_form, char_value
+from gzeros.characters import build_group, char_sum_closed_form
 from gzeros.explicit import (
     ExplicitRow,
     MissingZeroSetError,
@@ -21,6 +21,7 @@ from gzeros.explicit import (
 from gzeros.goldbach import restricted_sum, s_grid
 from gzeros.lfunc import find_zeros
 from gzeros.numtheory import build_sieve, euler_phi
+from oracles import char_value
 
 
 @pytest.fixture(scope="module")

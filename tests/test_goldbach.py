@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import dense_lambda
 from gzeros.analysis import geometric_grid
-from gzeros.characters import build_group, char_value
+from gzeros.characters import build_group
 from gzeros.circle import build_grid, selberg_integral
 from gzeros.errors import CapacityError
 from gzeros.goldbach import (
@@ -22,8 +21,8 @@ from gzeros.goldbach import (
     s_grid,
     twisted_entries,
 )
-from gzeros.lfunc import psi_chi
 from gzeros.numtheory import build_sieve, euler_phi
+from oracles import char_value, dense_lambda, psi_chi
 
 
 @pytest.fixture(scope="module")

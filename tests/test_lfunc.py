@@ -11,29 +11,31 @@ from hypothesis import strategies as st
 
 from gzeros.cache import load_or_build_zero_sets
 from gzeros.characters import (
-    build_group, char_value, character_from_label, conjugate, induce_primitive,
+    build_group, character_from_label, conjugate, induce_primitive,
 )
 from gzeros.errors import (CapacityError, CertificationFailure, GzError,
                            ValidationError)
 from gzeros.lfunc import (
     ZeroSet,
-    check_conjugate_symmetry,
-    completed_lambda,
     export_zeros,
     find_zeros,
-    functional_equation_residual,
     hurwitz_zeta,
     hurwitz_zeta_array,
     import_zeros,
-    l_value,
     l_values_array,
     mirror_zero_set,
-    psi_chi,
-    psi_explicit,
     zero_count_argument,
     zero_power_sum,
 )
 from gzeros.numtheory import build_sieve
+from oracles import (
+    char_value,
+    check_conjugate_symmetry,
+    completed_lambda,
+    functional_equation_residual,
+    psi_chi,
+    psi_explicit,
+)
 
 
 @pytest.fixture(scope="module")
@@ -184,16 +186,17 @@ def test_functional_equation_residual_refuses_re_s_past_the_envelope():
 # L-values
 
 def test_l_value_zeta(zeta_char):
-    assert l_value(2, zeta_char).real == pytest.approx(math.pi ** 2 / 6, rel=1e-13)
+    assert l_values_array(zeta_char, 2)[0].real == pytest.approx(
+        math.pi ** 2 / 6, rel=1e-13)
     with pytest.raises(ValueError):
-        l_value(1, zeta_char)
+        l_values_array(zeta_char, 1)
 
 
 def test_l_value_chi4_leibniz(chi4):
     # alternating series oracle sum (-1)^k/(2k+1)
     k = np.arange(2 * 10 ** 6)
     leibniz = float(np.sum((-1.0) ** (k % 2) / (2 * k + 1)))
-    val = l_value(1, chi4)
+    val = l_values_array(chi4, 1)[0]
     assert val.imag == pytest.approx(0, abs=1e-14)
     assert val.real == pytest.approx(math.pi / 4, rel=1e-12)
     assert val.real == pytest.approx(leibniz, rel=1e-6)
@@ -207,7 +210,7 @@ def test_l_value_at_one_matches_mpmath():
                 continue
             ref = -mp.fsum(complex(char_value(chi, a)) * mp.digamma(mp.mpf(a) / q)
                            for a in range(1, q)) / q
-            assert abs(l_value(1, chi) - complex(ref)) <= 1e-12, chi.label
+            assert abs(l_values_array(chi, 1)[0] - complex(ref)) <= 1e-12, chi.label
 
 
 def test_l_value_at_one_takes_memory_linear_in_q():
@@ -218,7 +221,7 @@ def test_l_value_at_one_takes_memory_linear_in_q():
     chi = character_from_label("q=2003;e=1")
     tracemalloc.start()
     try:
-        l_value(1, chi)
+        l_values_array(chi, 1)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -299,10 +302,10 @@ def test_l_value_euler_factor_consistency():
     s = 2 + 3j
     for chi in build_group(12):
         star = induce_primitive(chi)
-        rhs = l_value(s, star)
+        rhs = l_values_array(star, s)[0]
         for p in (2, 3):
             rhs *= 1 - complex(char_value(star, p)) * p ** -s
-        assert l_value(s, chi) == pytest.approx(rhs, rel=1e-12)
+        assert l_values_array(chi, s)[0] == pytest.approx(rhs, rel=1e-12)
 
 
 def test_completed_lambda_functional_equation(chi4, zeta_char):
@@ -912,3 +915,47 @@ def test_import_property_on_malformed_files(zeta40_lines, tmp_path_factory,
         if zs.certified:
             assert np.all(zs.beta == 0.5)
             assert "# certified 1" in lines
+
+
+_LABELS_TO_12 = [chi.label for q in range(1, 13) for chi in build_group(q)]
+_HEIGHTS = st.one_of(
+    st.floats(0.5, 60),
+    st.sampled_from([-3.0, -math.inf, 0.0, 1e-300, 0.49, 1000.5, 1e5,
+                     math.inf, math.nan]),
+)
+
+
+@given(st.sampled_from(_LABELS_TO_12), _HEIGHTS)
+@example("q=11;e=3", -3.0)  # a negative T counted -1 zeros
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_zero_search_property(label, T):
+    # at any T, find_zeros returns a certified set of finite ordinates as
+    # large as the argument count, and zero_count_argument a count >= 0;
+    # otherwise each raises a typed error or a ValueError, and neither hangs
+    import signal
+
+    chi = character_from_label(label)
+
+    def hung(signum, frame):
+        raise TimeoutError(f"zero search for {label} at T={T} did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        try:
+            count = zero_count_argument(chi, T)
+        except (GzError, ValueError):
+            count = None
+        try:
+            zs = find_zeros(chi, T)
+        except (GzError, ValueError):
+            zs = None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    if count is not None:
+        assert isinstance(count, int) and count >= 0
+    if zs is not None:
+        assert zs.certified and np.all(np.isfinite(zs.gamma))
+        assert np.all(np.abs(zs.gamma) <= T)
+        assert int(zs.mult.sum()) == count

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import dense_lambda
 from gzeros import numtheory
 from gzeros.errors import CapacityError
 from gzeros.numtheory import (
@@ -20,6 +19,7 @@ from gzeros.numtheory import (
     primes_up_to,
     unit_pair_count,
 )
+from oracles import dense_lambda
 
 
 def test_factorize_basics():
@@ -174,7 +174,7 @@ def test_sieve_limit_applies_to_the_last_n_summed():
     # against a sieve to 1000, and u = 1001 needs Lambda(1001)
     from gzeros.characters import character_from_label
     from gzeros.goldbach import s_grid
-    from gzeros.lfunc import psi_chi
+    from oracles import psi_chi
 
     sv = build_sieve(1000)
     zeta = character_from_label("q=1;e=")
@@ -194,7 +194,7 @@ def test_non_finite_bound_is_refused_by_name(u):
     # check_limit and sums to nothing
     from gzeros.characters import character_from_label
     from gzeros.goldbach import s_grid
-    from gzeros.lfunc import psi_chi
+    from oracles import psi_chi
 
     sv = build_sieve(1000)
     zeta = character_from_label("q=1;e=")

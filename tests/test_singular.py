@@ -7,10 +7,10 @@ from gzeros.numtheory import euler_phi, factorize, moebius
 from gzeros.singular import (
     compute_c2,
     j_average,
-    j_weight,
     j_weight_table,
     singular_series,
 )
+from oracles import j_weight
 
 
 @pytest.fixture(scope="module")
