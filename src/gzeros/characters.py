@@ -480,7 +480,7 @@ def _char_table(q: int) -> _CharTable:
         cond[np.all(kn[:, unit & (r % d == 1 % d)] == 0, axis=1)] = d
     coeff = np.zeros_like(kn)
     pos = np.empty_like(kn)
-    for qs in np.unique(cond).tolist():
+    for qs in sorted(set(cond.tolist())):  # np.unique imports numpy.ma (~14 ms)
         # q = A * q_out with q_out prime to q*: chi*(c) = chi(c') for the lift
         # c' = c (mod A), 1 (mod q_out); the primes of q_out give the sieve
         # factors of unit_pair_count, and A / q* the rest of phi(q)/phi(q*)
@@ -522,7 +522,7 @@ def verify_char_sum_identity(q: int) -> bool:
     tab = _char_table.__wrapped__(q)  # each q once: past the per-q cache
     units = np.flatnonzero(tab.kn[0] >= 0)
     U = (tab.kn[0][(np.arange(q) - units[:, None]) % q] >= 0).astype(np.float32)
-    for n in np.unique(tab.order).tolist():
+    for n in sorted(set(tab.order.tolist())):  # not np.unique: see _char_table
         rows = tab.order == n
         red = _reduction_matrix(n).astype(np.float32)
         if np.abs(red).max() * q >= 2 ** 24:

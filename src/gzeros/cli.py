@@ -416,7 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out")
 
     for name in ("verify-thm12", "verify-thm14"):
-        s = sub.add_parser(name, help=f"explicit-formula check ({name[-5:]})")
+        s = sub.add_parser(name, help=f"explicit-formula check ({name[-5:]})",
+                           description=None if name.endswith("12") else (
+                               "Its q class sums on a 25-point grid to --xmax 1e8 "
+                               "take about 0.45 s for q = 4 or 12, 0.6 s for q = 30 "
+                               "(2 CPUs)."))
         s.add_argument("--q", type=int, required=True)
         if name.endswith("12"):
             s.add_argument("--a", type=int, required=True)

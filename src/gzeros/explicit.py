@@ -39,8 +39,8 @@ from .characters import (
     char_values_table,
 )
 from .errors import GzError
-from .lfunc import ZeroSet, _loggamma, zero_power_sum
-from .numtheory import euler_phi, factorize
+from .lfunc import REFINE_TOL, ZeroSet, _loggamma, zero_power_sum
+from .numtheory import SIEVE_CAP, euler_phi, factorize
 from .singular import singular_series
 
 
@@ -109,7 +109,9 @@ def _explicit_row(x: float, q: int, weights: Weights, scale: float, main: float,
                   exact: float) -> ExplicitRow:
     """main - (scale/phi^2) sum of w H_T(x, chi) over the nonzero weights.
     The imaginary part of the correction cancels by conjugate pairing;
-    it is checked and discarded."""
+    it is checked and discarded.  x and T are bounded so x^2/T stays finite."""
+    if not (0 < x <= SIEVE_CAP and REFINE_TOL <= T < math.inf):
+        raise ValueError(f"need 0 < x={x} <= SIEVE_CAP and REFINE_TOL <= T={T} < inf")
     terms = [w * h_term(x, chi, zero_sets[chi.label], T)
              for chi, w in weights if w != 0]
     total = complex(math.fsum(t.real for t in terms),

@@ -10,13 +10,16 @@ over the prime powers where u is nonzero, and V(n-l) = C[j] with j the
 number of v's prime powers <= n-l (one searchsorted) and C their running
 sum from a leading 0.  The terms and their order are those of the dense
 sum over length-x arrays u, v and V = cumsum(v), whose zeros add exact
-zeros, so the results are bit-identical to it.  Memory is O(x/log x)
-whatever q is: S(1e6; 3, 1, 2) peaks at 2.2 MB of allocations (the dense
-arrays took 25 MB), and a 25-point grid to x = 1e8 at 330 MB RSS with its
-sieve (3.2 GB dense).  There is no FFT, and the sum is a pairwise np.sum
-(not a BLAS dot), so results do not depend on the thread count.  A sum
-over n <= x ends at floor_x(x) = floor(x (1 + 1e-12)), so grid points
-that are integers in exact arithmetic but round just below keep n = x.
+zeros, so the results are bit-identical to it.  Leaves of PAIR_LEAF terms,
+joined where np.sum's pairwise split joins them (_tree_sum; the split is
+pinned by test_tree_sum_is_numpy_sum_bit_for_bit), keep its bits with
+leaf-sized temporaries.  Memory is O(x/log x) whatever q is: S(1e6; 3, 1, 2)
+peaks at 1.7 MB of allocations (the dense arrays took 25 MB), a 25-point
+grid to x = 1e8 at 104 MB, 222 MB RSS with its sieve.  There is no FFT,
+and the sum is a pairwise np.sum (not a BLAS dot), so results do not
+depend on the thread count.  A sum over n <= x ends at floor_x(x) =
+floor(x (1 + 1e-12)), so grid points that are integers in exact
+arithmetic but round just below keep n = x.
 
 The character twist chi(n) Lambda(n) is sparse too: twisted_entries
 returns the prime powers n <= x with chi(n) != 0 and their values, and
@@ -60,6 +63,7 @@ logger = logging.getLogger(__name__)
 # q = 1 (a 2^25 transform), and gz goldbach, which writes its CSV a
 # block of rows at a time, peaks at the build's 335 MB for q = 3
 CONV_X_CAP = 10 ** 7
+PAIR_LEAF = 1 << 15  # terms per leaf of each grid point's pair sum (_tree_sum)
 
 
 def _check_classes(caller: str, q: int, a: int, b: int) -> None:
@@ -157,20 +161,30 @@ def build_class_convolution(
     return ClassConvolution(q=q, a=a, b=b, x=x, values=values)
 
 
-def _pair_sums(l: np.ndarray, w: np.ndarray, m: np.ndarray, v: np.ndarray,
+def _tree_sum(l, w, m, C, n, lo: int, hi: int, cplx: bool):
+    """np.sum(w[lo:hi] * C[#{m <= n - l}]) over l[lo:hi] to the bit, split as
+    numpy's pairwise sum splits (the half rounded down to its 8-way unroll of
+    floats) to PAIR_LEAF-term leaves.  A closure would pin the arrays in a cycle."""
+    k = hi - lo
+    if k <= PAIR_LEAF:
+        return np.sum(w[lo:hi] * C[np.searchsorted(m, n - l[lo:hi], side="right")])
+    h = lo + ((k - k % 8) // 2 if cplx else k // 2 - (k // 2) % 8)
+    return _tree_sum(l, w, m, C, n, lo, h, cplx) + _tree_sum(l, w, m, C, n, h, hi, cplx)
+
+
+def _pair_sums(l: np.ndarray, w: np.ndarray, m: np.ndarray, C: np.ndarray,
                ns: np.ndarray) -> np.ndarray:
     """sum_{l<n} w(l) V(n-l) with V(k) = sum_{m<=k} v(m), for every n in ns:
     sum_{l+m<=n} w(l) v(m) for weights w at the ascending positions l >= 1
     and v at the ascending positions m >= 1 (all int64).
 
-    C is v's prefix sum with a leading 0, summed from that 0 as a dense
-    cumsum is, so V(k) = C[#{m <= k}] is the dense V[k] to the bit.
+    C is v's prefix sum with a leading 0, summed in place from that 0 as a
+    dense cumsum is, so V(k) = C[#{m <= k}] is the dense V[k] to the bit.
     """
-    C = np.cumsum(np.concatenate((np.zeros(1, dtype=v.dtype), v)))
-    out = np.zeros(len(ns), dtype=np.result_type(w, v))
+    out = np.zeros(len(ns), dtype=np.result_type(w, C))
     for i, n in enumerate(ns):
-        k = int(np.searchsorted(l, n))
-        out[i] = np.sum(w[:k] * C[np.searchsorted(m, n - l[:k], side="right")])
+        out[i] = _tree_sum(l, w, m, C, n, 0, int(np.searchsorted(l, n)),
+                           out.dtype.kind == "c")
     return out
 
 
@@ -183,10 +197,25 @@ def _grid(xs, sieve: SieveTable) -> tuple[np.ndarray, int]:
     return ns, top
 
 
-def _class_sums(ns, top: int, q: int, a: int, b: int, sieve: SieveTable):
-    l, u = _class_entries(q, a, top, sieve)
-    m, v = (l, u) if (a - b) % q == 0 else _class_entries(q, b, top, sieve)
-    return _pair_sums(l, u, m, v, ns)
+def _residues(q: int, top: int, sieve: SieveTable) -> np.ndarray:
+    """The prime powers <= top mod q in int8 (int32 past 127), no int64 copy."""
+    pos = sieve.entries(top)[0]
+    r = np.empty(len(pos), np.int8 if q <= 127 else np.int32)
+    return np.remainder(pos, q, out=r, casting="unsafe")
+
+
+def _class_sums(ns, top: int, q: int, a: int, b: int, sieve: SieveTable, r):
+    pos, lam = sieve.entries(top)
+    i = np.flatnonzero(r == b % q)
+    m, C = pos[i], np.zeros(len(i) + 1)
+    np.take(lam, i, out=C[1:], mode="clip")  # "raise" would take via a copy
+    if (a - b) % q:
+        i = np.flatnonzero(r == a % q)
+    u = lam[i]
+    # l overwrites its own indices, each read before its slot is written
+    l = np.take(pos, i, out=i, mode="clip") if (a - b) % q else m
+    del i
+    return _pair_sums(l, u, m, np.cumsum(C, out=C), ns)
 
 
 def _like(xs, values: np.ndarray):
@@ -198,7 +227,7 @@ def s_grid(xs, q: int, a: int, b: int, sieve: SieveTable):
     """S(x; q, a, b) for every x in xs (a float for scalar x)."""
     _check_classes("s_grid", q, a, b)
     ns, top = _grid(xs, sieve)
-    return _like(xs, _class_sums(ns, top, q, a, b, sieve))
+    return _like(xs, _class_sums(ns, top, q, a, b, sieve, _residues(q, top, sieve)))
 
 
 def s_chi(xs, chi1: DirichletCharacter, chi2: DirichletCharacter,
@@ -210,7 +239,10 @@ def s_chi(xs, chi1: DirichletCharacter, chi2: DirichletCharacter,
     ns, top = _grid(xs, sieve)
     l, u = twisted_entries(chi1, top, sieve)
     m, v = (l, u) if chi2 == chi1 else twisted_entries(chi2, top, sieve)
-    return _like(xs, _pair_sums(l, u, m, v, ns))
+    C = np.zeros(len(v) + 1, dtype=v.dtype)
+    C[1:] = v
+    del v
+    return _like(xs, _pair_sums(l, u, m, np.cumsum(C, out=C), ns))
 
 
 def twisted_entries(chi: DirichletCharacter, x: int,
@@ -232,7 +264,8 @@ def restricted_sum(xs, q: int, c: int, sieve: SieveTable):
     """
     check_modulus(q)
     ns, top = _grid(xs, sieve)
+    r = _residues(q, top, sieve)
     total = np.zeros(len(ns))
     for a in range(1, q + 1):
-        total += _class_sums(ns, top, q, a, c - a, sieve)
+        total += _class_sums(ns, top, q, a, c - a, sieve, r)
     return _like(xs, total)

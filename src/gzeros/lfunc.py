@@ -533,10 +533,11 @@ def zero_count_argument(chi: DirichletCharacter, T: float) -> int:
 
     Imprimitive characters count the zeros of the inducing primitive one
     (the Euler factors only vanish on Re s = 0 boundary lines, which are
-    excluded from the non-trivial strip).  T must be finite and >= 0.
-    """
-    if not 0 <= T < math.inf:
-        raise ValueError(f"zero_count_argument: T={T} must be finite and >= 0")
+    excluded from the non-trivial strip).  T must be finite and >= REFINE_TOL
+    for every chi: below, the sides pass so near s = 1 that T_1/(s - 1) loses
+    every digit (chi mod 11 at T = 1e-30), and T = 0 reads 0 off a segment."""
+    if not REFINE_TOL <= T < math.inf:
+        raise ValueError(f"zero_count_argument: T={T} must be finite and >= REFINE_TOL")
     chi_star = induce_primitive(chi)
     w = _winding(chi_star, T)
     n = round(w)

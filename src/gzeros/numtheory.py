@@ -175,7 +175,7 @@ def unit_pair_count(q: int, c):
     """#{a mod q : (a(c-a), q) = 1} = phi(q)^2 S_q(c) for the class c (or an
     array of classes): prod_{p^k || q} (p-1 if p | c, else p-2) p^(k-1)."""
     check_modulus(q)
-    cvals = np.asarray(c, dtype=np.int64)
+    cvals = np.asarray(c % q, dtype=np.int64)  # any integer c, past int64 too
     out = np.ones(cvals.shape, dtype=np.int64)
     for p, k in factorize(q).factors:
         out *= np.where(cvals % p == 0, p - 1, p - 2) * p ** (k - 1)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gzeros.cache import load_or_build_zero_sets
 from gzeros.characters import build_group, char_sum_closed_form
@@ -18,6 +20,7 @@ from gzeros.explicit import (
     truncation_bound,
     z_gamma_ratio_matrix,
 )
+from gzeros.errors import GzError
 from gzeros.goldbach import restricted_sum, s_grid
 from gzeros.lfunc import find_zeros
 from gzeros.numtheory import build_sieve, euler_phi
@@ -391,3 +394,53 @@ def test_shared_kernel_matches_per_theorem_loops(q):
                     _ref_residue_r(rho, q, a, b, zsets)
         for c in range(1, q + 1):
             assert residue_r1(rho, q, c, zsets) == _ref_residue_r1(rho, q, c, zsets)
+
+
+@pytest.fixture(scope="module")
+def zsets_to_5():
+    sets = {}
+    for q in (1, 3, 4, 5):
+        sets.update(load_or_build_zero_sets(q, 20.0))
+    return sets
+
+
+_RHS_X = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -1.0, 1e-300, 0.5, 1e3, 1e8, 1e8 + 1, 1e154, 1e300, math.inf, math.nan]))
+_RHS_T = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -3.0, 1e-300, 1e-12, 0.5, 20.0, 1e6, math.inf, math.nan]))
+_CLASS = st.one_of(st.integers(-20, 20), st.integers(-10 ** 30, 10 ** 30))
+
+
+@given(st.sampled_from([-1, 0, 1, 2, 3, 4, 5]), _CLASS, _CLASS, _CLASS, _RHS_X,
+       _RHS_T, st.one_of(st.just(math.nan), st.floats(-1e18, 1e18)))
+@example(4, 1, 1, 10 ** 30, 1e3, 20.0, 0.0)  # c past int64 overflowed
+@example(3, 1, 2, 1, math.inf, 20.0, 0.0)    # x = inf gave NaN rows
+@example(3, 1, 2, 1, 1e3, 0.0, 0.0)          # T = 0 divided by zero
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_rhs_property(zsets_to_5, q, a, b, c, x, T, exact):
+    # thm12_rhs and thm14_rhs return a finite row or raise a typed error or
+    # a ValueError, and neither hangs
+    import signal
+
+    def hung(signum, frame):
+        raise TimeoutError(f"rhs at q={q} x={x} T={T} did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        rows = []
+        for rhs in (lambda: thm12_rhs(x, q, a, b, zsets_to_5, T, exact=exact),
+                    lambda: thm14_rhs(x, q, c, zsets_to_5, T, exact=exact)):
+            try:
+                rows.append(rhs())
+            except (GzError, ValueError):
+                pass
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    for row in rows:
+        values = [row.main, row.zero_correction.real, row.zero_correction.imag,
+                  row.truncation_bound, row.rhs]
+        if math.isfinite(exact):
+            values.append(row.residual)
+        assert all(math.isfinite(v) for v in values), (row, q, a, b, c)

@@ -1,3 +1,4 @@
+import gc
 import logging
 import math
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from gzeros.analysis import geometric_grid
 from gzeros.characters import build_group
 from gzeros.circle import build_grid, selberg_integral
+from gzeros import goldbach
 from gzeros.errors import CapacityError
 from gzeros.goldbach import (
     CONV_X_CAP,
@@ -451,3 +453,61 @@ def test_convolution_cap_refuses_before_allocating(sieve):
         tracemalloc.stop()
     assert peak < 10 ** 5
     assert CONV_X_CAP == 10 ** 7
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_tree_sum_is_numpy_sum_bit_for_bit(dtype, monkeypatch):
+    # each grid point's pair sum is added a leaf at a time and the leaves
+    # joined where np.sum's pairwise split joins them: this pins that split,
+    # and with it every S(x) bit, to the installed numpy.  With C = [1] and
+    # no m, every term is w itself; terms spread over 16 decades make the
+    # sum depend on its order (the sequential sum differs below).
+    rng = np.random.default_rng(24)
+    fixed = [1, 127, 128, 129, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 2 ** 16 + 7]
+    drawn = rng.integers(2 ** 16, 3 * 10 ** 6, 3).tolist()
+    cplx = dtype is np.complex128
+    order_matters = 0
+    for leaf, lengths in [(128, fixed + drawn[:1]), (goldbach.PAIR_LEAF, fixed + drawn)]:
+        monkeypatch.setattr(goldbach, "PAIR_LEAF", leaf)
+        for k in lengths:
+            w = rng.standard_normal(k) * 10.0 ** rng.uniform(-8, 8, k)
+            if cplx:
+                w = w + 1j * rng.standard_normal(k) * 10.0 ** rng.uniform(-8, 8, k)
+            got = goldbach._tree_sum(np.arange(1, k + 1), w, np.zeros(0, np.int64),
+                                     np.ones(1, dtype), k + 1, 0, k, cplx)
+            assert got.tobytes() == np.sum(w).tobytes(), (leaf, k)
+            order_matters += np.cumsum(w)[-1] != np.sum(w)
+    assert order_matters > 0
+
+
+def test_s_grid_peak_memory_holds_leaves_not_classes():
+    # a 25-point grid to 8e6, q = 3: four class-length temporaries per grid
+    # point and an int64 pos % q peaked at 14.4 MiB; leaf-length ones, one
+    # byte per residue and l's positions taken into its own index array,
+    # 9.3 MiB
+    sieve8 = build_sieve(8 * 10 ** 6)
+    xs = geometric_grid(1e3, 8e6, 25)
+    tracemalloc.start()
+    try:
+        s_grid(xs, 3, 1, 2, sieve8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * 2 ** 20
+
+
+def test_restricted_sum_frees_its_classes_without_the_collector(sieve6):
+    # a recursive closure over the class arrays would keep every class pair
+    # alive in a reference cycle until the cyclic collector ran
+    xs = geometric_grid(1e3, 1e6, 25)
+    gc.disable()
+    try:
+        restricted_sum(xs, 4, 1, sieve6)
+        tracemalloc.start()
+        for _ in range(3):
+            restricted_sum(xs, 4, 1, sieve6)
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert grown < 2 ** 16

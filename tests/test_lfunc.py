@@ -959,3 +959,17 @@ def test_zero_search_property(label, T):
         assert zs.certified and np.all(np.isfinite(zs.gamma))
         assert np.all(np.abs(zs.gamma) <= T)
         assert int(zs.mult.sum()) == count
+
+
+@pytest.mark.parametrize("label", ["q=1;e=", "q=11;e=3"])
+def test_zero_count_refuses_heights_below_refine_tol(label):
+    # one rule for every chi: at T = 1e-300 the contour passed within
+    # rounding of s = 1 (ContourError for chi mod 11, 0 for zeta), and at
+    # T = 0 zeta hit its pole while chi mod 11 read 0 off a segment
+    from gzeros.lfunc import REFINE_TOL
+
+    chi = character_from_label(label)
+    for T in (0.0, 1e-300, 1e-12):
+        with pytest.raises(ValueError, match=f"T={T} must be finite and >= REFINE_TOL"):
+            zero_count_argument(chi, T)
+    assert zero_count_argument(chi, REFINE_TOL) == 0
