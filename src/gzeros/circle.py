@@ -171,6 +171,7 @@ def selberg_integral(
     pos, vals = twisted_entries(chi, 2 * x + h - 1, sieve)
     run = np.cumsum(np.concatenate((np.zeros(1, dtype=vals.dtype), vals)))
     # psi_chi(n) for n = x, ..., 2x+h-1
-    psi = run[np.searchsorted(pos, np.arange(x, 2 * x + h), side="right")]
+    psi = run[np.searchsorted(pos, np.arange(x, 2 * x + h, dtype=pos.dtype),
+                              side="right")]
     target = h if chi.is_principal else 0.0
     return float(np.sum(np.abs(psi[h:] - psi[:x] - target) ** 2))

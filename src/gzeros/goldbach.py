@@ -14,12 +14,11 @@ zeros, so the results are bit-identical to it.  Leaves of PAIR_LEAF terms,
 joined where np.sum's pairwise split joins them (_tree_sum; the split is
 pinned by test_tree_sum_is_numpy_sum_bit_for_bit), keep its bits with
 leaf-sized temporaries.  Memory is O(x/log x) whatever q is: S(1e6; 3, 1, 2)
-peaks at 1.7 MB of allocations (the dense arrays took 25 MB), a 25-point
-grid to x = 1e8 at 104 MB, 222 MB RSS with its sieve.  There is no FFT,
-and the sum is a pairwise np.sum (not a BLAS dot), so results do not
-depend on the thread count.  A sum over n <= x ends at floor_x(x) =
-floor(x (1 + 1e-12)), so grid points that are integers in exact
-arithmetic but round just below keep n = x.
+peaks at 1.7 MB of allocations (dense arrays: 25 MB), a 25-point grid to 1e8
+at 63 MB (168 MB RSS with its sieve), to 1e9 at 1.15 GB RSS.  No FFT: the sum
+is a pairwise np.sum (not a BLAS dot), so it does not depend on the threads.
+A sum over n <= x ends at floor_x(x) = floor(x (1 + 1e-12)), so grid points
+that are integers in exact arithmetic but round just below keep n = x.
 
 The character twist chi(n) Lambda(n) is sparse too: twisted_entries
 returns the prime powers n <= x with chi(n) != 0 and their values, and
@@ -64,6 +63,7 @@ logger = logging.getLogger(__name__)
 # block of rows at a time, peaks at the build's 335 MB for q = 3
 CONV_X_CAP = 10 ** 7
 PAIR_LEAF = 1 << 15  # terms per leaf of each grid point's pair sum (_tree_sum)
+PAIR_BLOCK = 1 << 16  # terms of l gathered at once for every grid point
 
 
 def _check_classes(caller: str, q: int, a: int, b: int) -> None:
@@ -76,7 +76,7 @@ def _check_classes(caller: str, q: int, a: int, b: int) -> None:
 def _class_entries(q: int, a: int, x: int, sieve: SieveTable):
     """The prime powers l <= x with l = a (mod q), and Lambda(l)."""
     pos, lam = sieve.entries(x)
-    keep = pos % q == a % q
+    keep = np.remainder(pos, q, dtype=np.int64) == a % q  # any q, past int32
     return pos[keep], lam[keep]
 
 
@@ -104,9 +104,9 @@ def goldbach_g(n: int, q: int, a: int, b: int, sieve: SieveTable) -> float:
     if n < 4:
         return 0.0
     l, lam_l = _class_entries(q, a, n - 1, sieve)
-    m = n - l
+    m = np.int32(n) - l  # int32 keys, as the positions are
     i = np.minimum(np.searchsorted(sieve.positions, m), len(sieve.positions) - 1)
-    hit = (sieve.positions[i] == m) & (m % q == b % q)
+    hit = (sieve.positions[i] == m) & (np.remainder(m, q, dtype=np.int64) == b % q)
     terms = lam_l[hit] * sieve.lam[i[hit]]
     # a sequential running sum, not np.sum's pairwise one
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
@@ -161,30 +161,50 @@ def build_class_convolution(
     return ClassConvolution(q=q, a=a, b=b, x=x, values=values)
 
 
-def _tree_sum(l, w, m, C, n, lo: int, hi: int, cplx: bool):
-    """np.sum(w[lo:hi] * C[#{m <= n - l}]) over l[lo:hi] to the bit, split as
-    numpy's pairwise sum splits (the half rounded down to its 8-way unroll of
-    floats) to PAIR_LEAF-term leaves.  A closure would pin the arrays in a cycle."""
+def _tree(lo: int, hi: int, cplx: bool, leaf):
+    """leaf(lo', hi') over the PAIR_LEAF-term leaves of lo:hi, added where np.sum
+    splits a float64 (complex128 if cplx) run: its half, rounded down to 8 floats."""
     k = hi - lo
     if k <= PAIR_LEAF:
-        return np.sum(w[lo:hi] * C[np.searchsorted(m, n - l[lo:hi], side="right")])
+        return leaf(lo, hi)
     h = lo + ((k - k % 8) // 2 if cplx else k // 2 - (k // 2) % 8)
-    return _tree_sum(l, w, m, C, n, lo, h, cplx) + _tree_sum(l, w, m, C, n, h, hi, cplx)
+    return _tree(lo, h, cplx, leaf) + _tree(h, hi, cplx, leaf)
+
+
+def _tree_sum(l, w, m, C, n, lo: int, hi: int, cplx: bool):
+    """np.sum(w[lo:hi] * C[#{m <= n - l}]) over l[lo:hi], lo < hi, to the bit."""
+    def leaf(a, b):
+        key = n - l[a:b]  # descending: it reaches only m[s:e], searched in cache
+        s, e = np.searchsorted(m, key[[-1, 0]], side="right")
+        return np.sum(w[a:b] * C[s + np.searchsorted(m[s:e], key, side="right")])
+    return _tree(lo, hi, cplx, leaf)
 
 
 def _pair_sums(l: np.ndarray, w: np.ndarray, m: np.ndarray, C: np.ndarray,
-               ns: np.ndarray) -> np.ndarray:
+               ns: np.ndarray, idx=None) -> np.ndarray:
     """sum_{l<n} w(l) V(n-l) with V(k) = sum_{m<=k} v(m), for every n in ns:
     sum_{l+m<=n} w(l) v(m) for weights w at the ascending positions l >= 1
-    and v at the ascending positions m >= 1 (all int64).
+    (only at the indices idx, if given) and v at the ascending positions
+    m >= 1, all in the dtype of the keys n - l (searchsorted casts m to any other).
 
     C is v's prefix sum with a leading 0, summed in place from that 0 as a
     dense cumsum is, so V(k) = C[#{m <= k}] is the dense V[k] to the bit.
+    All points' leaves are summed PAIR_BLOCK terms of l at a time, gathered once.
     """
     out = np.zeros(len(ns), dtype=np.result_type(w, C))
-    for i, n in enumerate(ns):
-        out[i] = _tree_sum(l, w, m, C, n, 0, int(np.searchsorted(l, n)),
-                           out.dtype.kind == "c")
+    cplx = out.dtype.kind == "c"
+    ks = np.searchsorted(l, ns := np.maximum(ns, 0).astype(l.dtype))  # n <= 0: none
+    ks = (ks if idx is None else np.searchsorted(idx, ks.astype(idx.dtype))).tolist()
+    sums, end, lb, wb = {}, 0, None, None
+    for lo, hi, i in sorted((lo, hi, i) for i, k in enumerate(ks) if k
+                            for lo, hi in _tree(0, k, cplx, lambda a, b: [(a, b)])):
+        if lo >= end:  # the leaves from lo to end end before end + PAIR_LEAF
+            start, end, j = lo, lo + PAIR_BLOCK, slice(lo, lo + PAIR_BLOCK + PAIR_LEAF)
+            del lb, wb  # before the next block is gathered
+            lb, wb = (l[j], w[j]) if idx is None else (l.take(idx[j]), w.take(idx[j]))
+        sums[i, lo] = _tree_sum(lb, wb, m, C, ns[i], lo - start, hi - start, cplx)
+    for i, k in enumerate(ks):
+        out[i] = _tree(0, k, cplx, lambda a, b: sums[i, a]) if k else 0.0
     return out
 
 
@@ -197,25 +217,32 @@ def _grid(xs, sieve: SieveTable) -> tuple[np.ndarray, int]:
     return ns, top
 
 
-def _residues(q: int, top: int, sieve: SieveTable) -> np.ndarray:
-    """The prime powers <= top mod q in int8 (int32 past 127), no int64 copy."""
+def _residues(q: int, top: int, sieve: SieveTable):
+    """The prime powers <= top mod q in int8 (int32 past 127); None at q = 1."""
+    if q == 1:
+        return None
     pos = sieve.entries(top)[0]
     r = np.empty(len(pos), np.int8 if q <= 127 else np.int32)
-    return np.remainder(pos, q, out=r, casting="unsafe")
+    # pos % (limit + 1) is pos % q for q > limit, and an int32 modulus
+    return np.remainder(pos, min(q, sieve.limit + 1), out=r, casting="unsafe")
 
 
 def _class_sums(ns, top: int, q: int, a: int, b: int, sieve: SieveTable, r):
     pos, lam = sieve.entries(top)
-    i = np.flatnonzero(r == b % q)
-    m, C = pos[i], np.zeros(len(i) + 1)
-    np.take(lam, i, out=C[1:], mode="clip")  # "raise" would take via a copy
-    if (a - b) % q:
-        i = np.flatnonzero(r == a % q)
-    u = lam[i]
-    # l overwrites its own indices, each read before its slot is written
-    l = np.take(pos, i, out=i, mode="clip") if (a - b) % q else m
-    del i
-    return _pair_sums(l, u, m, np.cumsum(C, out=C), ns)
+    if r is None:  # q = 1: the sieve itself is both classes
+        m, i, C = pos, None, np.concatenate(([0.0], lam))
+    else:
+        i = np.flatnonzero(r == b % q)  # intp: np.take copies int32 ones to intp
+        if not i.size:  # every term is Lambda(l) * 0.0 = +0.0
+            return np.zeros(len(ns))
+        m, C = pos[i], np.zeros(len(i) + 1)
+        np.take(lam, i, out=C[1:], mode="clip")  # "raise" would take via a copy
+        del i  # before class a's indices, taken a block of r at a time in int32
+        i = np.concatenate([np.zeros(0, np.int32)] + [
+            np.flatnonzero(r[s:s + PAIR_BLOCK] == a % q).astype(np.int32) + s
+            for s in range(0, len(r), PAIR_BLOCK)])
+        del r  # s_grid's residues are freed here
+    return _pair_sums(pos, lam, m, np.cumsum(C, out=C), ns, i)
 
 
 def _like(xs, values: np.ndarray):
@@ -247,8 +274,8 @@ def s_chi(xs, chi1: DirichletCharacter, chi2: DirichletCharacter,
 
 def twisted_entries(chi: DirichletCharacter, x: int,
                     sieve: SieveTable) -> tuple[np.ndarray, np.ndarray]:
-    """The prime powers n <= x with chi(n) != 0, and chi(n) Lambda(n) at
-    each (complex128)."""
+    """The prime powers n <= x with chi(n) != 0 (int32, as the sieve holds
+    them), and chi(n) Lambda(n) at each (complex128)."""
     pos, lam = sieve.entries(x)
     vals = char_values_table(chi)[pos % chi.q] * lam
     keep = vals != 0

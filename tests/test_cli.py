@@ -27,6 +27,23 @@ def test_usage_errors(capsys):
     assert dispatch(["--config", "x", "selfcheck"]) == 2
 
 
+@pytest.mark.parametrize("text, value", [
+    ("1e9", 10 ** 9), ("25e3", 25000), ("100000", 100000), ("2.5e5", 250000)])
+def test_x_takes_exact_integers_in_scientific_notation(text, value):
+    parser = build_parser()
+    assert parser.parse_args(["sieve", "--x", text]).x == value
+    argv = ["verify-thm12", "--q", "3", "--a", "1", "--b", "2", "--xmax", text]
+    assert parser.parse_args(argv).xmax == value
+
+
+@pytest.mark.parametrize("text", ["1.5", "inf", "nan", "1e400",
+                                  "9007199254740993e0", "1e", "abc"])
+def test_x_refuses_what_is_not_an_exact_integer(text, capsys):
+    # argparse's usage error: exit 2 and "invalid ... value", no traceback
+    assert dispatch(["sieve", "--x", text]) == 2
+    assert f"invalid integer value: '{text}'" in capsys.readouterr().err
+
+
 def test_readme_cli_lines_parse():
     # every gz line of README's CLI block, continuation lines joined
     text = (Path(__file__).parents[1] / "README.md").read_text()
@@ -164,17 +181,19 @@ def test_bad_modulus_or_grid_is_refused_before_building(argv, message, cache_env
 
 def test_goldbach_past_the_convolution_cap_builds_no_sieve(cache_env, capsys,
                                                           monkeypatch):
-    # gz goldbach --x 1e8 passes SIEVE_CAP: the per-n cap refuses it first
+    # gz goldbach --x 1e8 is within SIEVE_CAP and --x 2e9 past it: the
+    # per-n cap refuses both first
     import gzeros.cli
 
     def no_sieve(x):
         raise AssertionError("sieve built")
 
     monkeypatch.setattr(gzeros.cli, "build_sieve", no_sieve)
-    assert dispatch(["goldbach", "--q", "3", "--a", "1", "--b", "2",
-                     "--x", "100000000"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: x=100000000 exceeds the per-n convolution cap")
+    for x in ("100000000", "2000000000"):
+        assert dispatch(["goldbach", "--q", "3", "--a", "1", "--b", "2",
+                         "--x", x]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: x={x} exceeds the per-n convolution cap")
 
 
 @pytest.mark.parametrize("argv", [

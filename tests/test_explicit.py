@@ -405,7 +405,8 @@ def zsets_to_5():
 
 
 _RHS_X = st.one_of(st.floats(), st.sampled_from(
-    [0.0, -1.0, 1e-300, 0.5, 1e3, 1e8, 1e8 + 1, 1e154, 1e300, math.inf, math.nan]))
+    [0.0, -1.0, 1e-300, 0.5, 1e3, 1e8, 1e8 + 1, 1e9, 1e9 + 1, 1e154, 1e300,
+     math.inf, math.nan]))
 _RHS_T = st.one_of(st.floats(), st.sampled_from(
     [0.0, -3.0, 1e-300, 1e-12, 0.5, 20.0, 1e6, math.inf, math.nan]))
 _CLASS = st.one_of(st.integers(-20, 20), st.integers(-10 ** 30, 10 ** 30))

@@ -496,6 +496,65 @@ def test_s_grid_peak_memory_holds_leaves_not_classes():
     assert peak < 11 * 2 ** 20
 
 
+def test_sieve_and_s_grid_peak_memory_with_int32_positions():
+    # build_sieve(8e6) and a 25-point s_grid (q = 3) under one trace: int64
+    # positions and class copies of l and Lambda(l) peaked at 17.5 MiB;
+    # int32 positions, and class a read through int32 sieve indices a
+    # block at a time, 12.2 MiB
+    xs = geometric_grid(1e3, 8e6, 25)
+    tracemalloc.start()
+    try:
+        s_grid(xs, 3, 1, 2, build_sieve(8 * 10 ** 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * 2 ** 20
+
+
+def test_s_grid_at_q1_reads_the_sieve_in_place():
+    # at q = 1 both classes are the whole sieve: only the running sum C is
+    # new, so q = 1 peaks no higher than q = 3 (17.0 MiB against 9.3 MiB
+    # when q = 1 took a residue pass and copied pos and Lambda)
+    sieve8 = build_sieve(8 * 10 ** 6)
+    xs = geometric_grid(1e3, 8e6, 25)
+    peaks = {}
+    for q, b in [(1, 1), (3, 2)]:
+        tracemalloc.start()
+        try:
+            s_grid(xs, q, 1, b, sieve8)
+            peaks[q] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[3]
+
+
+def _python_pair_sums(l, w, m, v, ns):
+    # sum_{l + m <= n} w(l) v(m) with Python ints and exact float sums
+    return [math.fsum(wi * vj for li, wi in zip(l, w) for mj, vj in zip(m, v)
+                      if li + mj <= n) for n in ns]
+
+
+def test_pair_sums_near_the_int32_limit():
+    # int32 positions whose sums reach 2^31 - 1: every key n - l stays an
+    # exact int32, with and without the index-read class a; integer
+    # weights make each sum exact, so it must equal the reference
+    top = 2 ** 31 - 1
+    l = np.array([1, 2, 3, 5, 7, 2 ** 30, top - 9, top - 3, top - 1], np.int32)
+    m = np.array([2, 3, 4, top - 8, top - 5, top - 2], np.int32)
+    rng = np.random.default_rng(26)
+    w = rng.integers(1, 100, len(l)).astype(np.float64)
+    v = rng.integers(1, 100, len(m)).astype(np.float64)
+    ns = np.array([0, 5, top - 7, top - 3, top - 2, top - 1, top], np.int64)
+    C = np.concatenate(([0.0], np.cumsum(v)))
+    want = _python_pair_sums(l.tolist(), w.tolist(), m.tolist(), v.tolist(),
+                             ns.tolist())
+    assert goldbach._pair_sums(l, w, m, C, ns).tolist() == want
+    idx = np.array([0, 3, 5, 6, 8], np.int32)
+    want = _python_pair_sums(l[idx].tolist(), w[idx].tolist(), m.tolist(),
+                             v.tolist(), ns.tolist())
+    assert goldbach._pair_sums(l, w, m, C, ns, idx).tolist() == want
+
+
 def test_restricted_sum_frees_its_classes_without_the_collector(sieve6):
     # a recursive closure over the class arrays would keep every class pair
     # alive in a reference cycle until the cyclic collector ran

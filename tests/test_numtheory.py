@@ -139,7 +139,8 @@ def test_sieve_prime_power_flag_matches_lambda():
 def test_sieve_holds_only_its_limit_and_a_read_only_lambda():
     sv = build_sieve(1000)
     assert [f.name for f in dataclasses.fields(sv)] == ["limit", "positions", "lam"]
-    assert sv.positions.dtype == np.int64 and sv.lam.dtype == np.float64
+    # int32 positions are exact: every position is <= SIEVE_CAP < 2^31
+    assert sv.positions.dtype == np.int32 and sv.lam.dtype == np.float64
     for arr in (sv.positions, sv.lam):
         with pytest.raises(ValueError):
             arr[3] = 0
@@ -236,9 +237,20 @@ def test_psi_pnt_scale():
 
 
 def test_sieve_capacity(monkeypatch):
+    with pytest.raises(CapacityError, match="exceeds cap 1000000000"):
+        build_sieve(numtheory.SIEVE_CAP + 1)
     monkeypatch.setattr(numtheory, "SIEVE_CAP", 10 ** 6)
     with pytest.raises(CapacityError):
         build_sieve(10 ** 7)
+
+
+def test_sieve_cap_keeps_every_position_an_exact_int32():
+    # x = 1e9 is the declared envelope; int32 positions and primes_up_to's
+    # int32 output hold every integer up to it, and nothing past 2^31 - 1
+    assert numtheory.SIEVE_CAP == 10 ** 9 < 2 ** 31
+    assert primes_up_to(100).dtype == np.int32
+    with pytest.raises(ValueError, match="below 2"):
+        primes_up_to(2 ** 31)
 
 
 def test_sieve_deterministic():
