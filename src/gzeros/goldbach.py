@@ -15,7 +15,7 @@ joined where np.sum's pairwise split joins them (_tree_sum; the split is
 pinned by test_tree_sum_is_numpy_sum_bit_for_bit), keep its bits with
 leaf-sized temporaries.  Memory is O(x/log x) whatever q is: S(1e6; 3, 1, 2)
 peaks at 1.7 MB of allocations (dense arrays: 25 MB), a 25-point grid to 1e8
-at 63 MB (168 MB RSS with its sieve), to 1e9 at 1.15 GB RSS.  No FFT: the sum
+at 64 MB (119 MB RSS with its sieve), to 1e9 at 764 MB RSS.  No FFT: the sum
 is a pairwise np.sum (not a BLAS dot), so it does not depend on the threads.
 A sum over n <= x ends at floor_x(x) = floor(x (1 + 1e-12)), so grid points
 that are integers in exact arithmetic but round just below keep n = x.
@@ -75,9 +75,9 @@ def _check_classes(caller: str, q: int, a: int, b: int) -> None:
 
 def _class_entries(q: int, a: int, x: int, sieve: SieveTable):
     """The prime powers l <= x with l = a (mod q), and Lambda(l)."""
-    pos, lam = sieve.entries(x)
-    keep = np.remainder(pos, q, dtype=np.int64) == a % q  # any q, past int32
-    return pos[keep], lam[keep]
+    pos = sieve.prime_powers(x)
+    i = np.flatnonzero(np.remainder(pos, q, dtype=np.int64) == a % q)  # any q, past int32
+    return pos[i], sieve.lam(i)
 
 
 def _class_lambda(q: int, a: int, x: int, sieve: SieveTable) -> np.ndarray:
@@ -107,7 +107,7 @@ def goldbach_g(n: int, q: int, a: int, b: int, sieve: SieveTable) -> float:
     m = np.int32(n) - l  # int32 keys, as the positions are
     i = np.minimum(np.searchsorted(sieve.positions, m), len(sieve.positions) - 1)
     hit = (sieve.positions[i] == m) & (np.remainder(m, q, dtype=np.int64) == b % q)
-    terms = lam_l[hit] * sieve.lam[i[hit]]
+    terms = lam_l[hit] * sieve.lam(i[hit])  # descending indices
     # a sequential running sum, not np.sum's pairwise one
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
@@ -180,28 +180,32 @@ def _tree_sum(l, w, m, C, n, lo: int, hi: int, cplx: bool):
     return _tree(lo, hi, cplx, leaf)
 
 
-def _pair_sums(l: np.ndarray, w: np.ndarray, m: np.ndarray, C: np.ndarray,
+def _pair_sums(l: np.ndarray, w, m: np.ndarray, C: np.ndarray,
                ns: np.ndarray, idx=None) -> np.ndarray:
     """sum_{l<n} w(l) V(n-l) with V(k) = sum_{m<=k} v(m), for every n in ns:
     sum_{l+m<=n} w(l) v(m) for weights w at the ascending positions l >= 1
     (only at the indices idx, if given) and v at the ascending positions
     m >= 1, all in the dtype of the keys n - l (searchsorted casts m to any other).
+    w is an array or, like SieveTable.lam, a function of a slice or an
+    index array.
 
     C is v's prefix sum with a leading 0, summed in place from that 0 as a
     dense cumsum is, so V(k) = C[#{m <= k}] is the dense V[k] to the bit.
     All points' leaves are summed PAIR_BLOCK terms of l at a time, gathered once.
     """
-    out = np.zeros(len(ns), dtype=np.result_type(w, C))
+    take = w if callable(w) else w.__getitem__
+    out = np.zeros(len(ns), dtype=np.result_type(take(slice(0, 0)), C))
     cplx = out.dtype.kind == "c"
     ks = np.searchsorted(l, ns := np.maximum(ns, 0).astype(l.dtype))  # n <= 0: none
     ks = (ks if idx is None else np.searchsorted(idx, ks.astype(idx.dtype))).tolist()
-    sums, end, lb, wb = {}, 0, None, None
+    kmax, sums, end, lb, wb = max(ks, default=0), {}, 0, None, None
     for lo, hi, i in sorted((lo, hi, i) for i, k in enumerate(ks) if k
                             for lo, hi in _tree(0, k, cplx, lambda a, b: [(a, b)])):
         if lo >= end:  # the leaves from lo to end end before end + PAIR_LEAF
-            start, end, j = lo, lo + PAIR_BLOCK, slice(lo, lo + PAIR_BLOCK + PAIR_LEAF)
+            start, end = lo, lo + PAIR_BLOCK
+            j = slice(lo, min(lo + PAIR_BLOCK + PAIR_LEAF, kmax))
             del lb, wb  # before the next block is gathered
-            lb, wb = (l[j], w[j]) if idx is None else (l.take(idx[j]), w.take(idx[j]))
+            lb, wb = (l[j], take(j)) if idx is None else (l.take(idx[j]), take(idx[j]))
         sums[i, lo] = _tree_sum(lb, wb, m, C, ns[i], lo - start, hi - start, cplx)
     for i, k in enumerate(ks):
         out[i] = _tree(0, k, cplx, lambda a, b: sums[i, a]) if k else 0.0
@@ -221,28 +225,29 @@ def _residues(q: int, top: int, sieve: SieveTable):
     """The prime powers <= top mod q in int8 (int32 past 127); None at q = 1."""
     if q == 1:
         return None
-    pos = sieve.entries(top)[0]
+    pos = sieve.prime_powers(top)
     r = np.empty(len(pos), np.int8 if q <= 127 else np.int32)
     # pos % (limit + 1) is pos % q for q > limit, and an int32 modulus
     return np.remainder(pos, min(q, sieve.limit + 1), out=r, casting="unsafe")
 
 
 def _class_sums(ns, top: int, q: int, a: int, b: int, sieve: SieveTable, r):
-    pos, lam = sieve.entries(top)
-    if r is None:  # q = 1: the sieve itself is both classes
-        m, i, C = pos, None, np.concatenate(([0.0], lam))
-    else:
-        i = np.flatnonzero(r == b % q)  # intp: np.take copies int32 ones to intp
-        if not i.size:  # every term is Lambda(l) * 0.0 = +0.0
-            return np.zeros(len(ns))
-        m, C = pos[i], np.zeros(len(i) + 1)
-        np.take(lam, i, out=C[1:], mode="clip")  # "raise" would take via a copy
+    pos = sieve.prime_powers(top)
+    i = None if r is None else np.flatnonzero(r == b % q)  # q = 1: the whole sieve
+    if i is not None and not i.size:  # every term is Lambda(l) * 0.0 = +0.0
+        return np.zeros(len(ns))
+    m = pos if i is None else pos[i]
+    C = np.zeros(len(m) + 1)
+    for s in range(0, len(m), PAIR_BLOCK):  # class b's Lambda, a block at a time
+        e = min(s + PAIR_BLOCK, len(m))
+        C[s + 1:e + 1] = sieve.lam(slice(s, e) if i is None else i[s:e])
+    if i is not None:
         del i  # before class a's indices, taken a block of r at a time in int32
         i = np.concatenate([np.zeros(0, np.int32)] + [
             np.flatnonzero(r[s:s + PAIR_BLOCK] == a % q).astype(np.int32) + s
             for s in range(0, len(r), PAIR_BLOCK)])
         del r  # s_grid's residues are freed here
-    return _pair_sums(pos, lam, m, np.cumsum(C, out=C), ns, i)
+    return _pair_sums(pos, sieve.lam, m, np.cumsum(C, out=C), ns, i)
 
 
 def _like(xs, values: np.ndarray):
@@ -276,10 +281,15 @@ def twisted_entries(chi: DirichletCharacter, x: int,
                     sieve: SieveTable) -> tuple[np.ndarray, np.ndarray]:
     """The prime powers n <= x with chi(n) != 0 (int32, as the sieve holds
     them), and chi(n) Lambda(n) at each (complex128)."""
-    pos, lam = sieve.entries(x)
-    vals = char_values_table(chi)[pos % chi.q] * lam
-    keep = vals != 0
-    return pos[keep], vals[keep]
+    pos = sieve.prime_powers(x)
+    table = char_values_table(chi)
+    kept = [(pos[:0], np.zeros(0, table.dtype))]
+    for s in range(0, len(pos), PAIR_BLOCK):  # a block of Lambda at a time
+        e = min(s + PAIR_BLOCK, len(pos))
+        vals = table[pos[s:e] % chi.q] * sieve.lam(slice(s, e))
+        keep = vals != 0
+        kept.append((pos[s:e][keep], vals[keep]))
+    return np.concatenate([p for p, _ in kept]), np.concatenate([v for _, v in kept])
 
 
 def restricted_sum(xs, q: int, c: int, sieve: SieveTable):

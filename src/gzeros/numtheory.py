@@ -9,16 +9,18 @@ Provides:
 - floor_x(x): floor(x (1 + 1e-12)), the last n of every sum over n <= x
 - primes_up_to(limit): the primes <= limit < 2^31, the one prime sieve; every
   prime list of the package, build_sieve's included, comes from it
-- build_sieve(x): the prime powers n = p^k <= x and Lambda(n) = log p at
-  each, as a compact SieveTable
+- build_sieve(x): the prime powers n = p^k <= x, as a compact SieveTable
+  whose lam(i) gives Lambda(n) = log p at the sieve indices i
 
-primes_up_to marks odd numbers only, in blocks of 2^20, so construction
-stays cache resident; build_sieve merges the proper prime powers into its
-primes once.  The resulting SieveTable is read-only and safe to share.
-It holds only the ~x/log x prime powers, 12 bytes each (1.0 MB at
-x = 10^6, against 8 MB for a dense float64 Lambda array), and it is the
-only form of Lambda: every sum reads SieveTable.entries(x).  It is never
-cached on disk: building it is about 3x faster than reading it back.
+The prime sieve marks odd numbers only, in blocks of 2^20, so construction
+stays cache resident, and writes each block in place into one int32 array;
+build_sieve merges the proper prime powers in as the blocks are written.
+The resulting SieveTable is read-only and safe to share.  It holds only
+the ~x/log x prime powers, 4 bytes each (0.3 MB at x = 10^6, against 8 MB
+for a dense float64 Lambda array), and it is the only source of Lambda:
+every sum reads SieveTable.prime_powers(x) and computes Lambda with
+SieveTable.lam where it reads it.  It is never cached on disk: building it
+is about 3x faster than reading it back.
 """
 
 from __future__ import annotations
@@ -190,21 +192,26 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def primes_up_to(limit: int) -> np.ndarray:
-    """Primes <= limit < 2^31 (int32 array).  Only odd numbers are marked:
-    index i stands for 2i + 1, each block holds SEGMENT of them, and every
-    odd base prime p of primes_up_to(isqrt(limit)) marks its odd multiples
-    from p^2, which sit p indices apart; 2 is prepended."""
-    if limit >= 2 ** 31:
-        raise ValueError(f"primes_up_to: limit={limit} must be below 2^31")
-    if limit < 2:
-        return np.zeros(0, dtype=np.int32)
+def _primes_with(limit: int, powers: np.ndarray) -> np.ndarray:
+    """The primes <= limit < 2^31 and the ascending int32 powers <= limit
+    (none of them prime), merged into one ascending int32 array.
+
+    Only odd numbers are marked: index i stands for 2i + 1, each block holds
+    SEGMENT of them, and every odd base prime p of primes_up_to(isqrt(limit))
+    marks its odd multiples from p^2, which sit p indices apart.  Each block's
+    primes, and the powers below the next block, are written in place into
+    one array sized by pi(x) < 1.25506 x / log x for x > 1 (Rosser and
+    Schoenfeld, 1962) plus the powers, which is then cut to its count.
+    """
     base = primes_up_to(math.isqrt(limit))[1:].tolist()
     n_odd = (limit + 1) // 2  # the odd numbers 1, 3, ..., <= limit
-    chunks = [np.array([2], dtype=np.int32)]
+    out = np.empty(int(1.25506 * limit / math.log(limit)) + 1 + len(powers), np.int32)
+    out[0], count, s = 2, 1, 0
+    segment = np.empty(min(SEGMENT, n_odd), dtype=bool)
     for lo in range(0, n_odd, SEGMENT):
         hi = min(lo + SEGMENT, n_odd)
-        mask = np.ones(hi - lo, dtype=bool)
+        mask = segment[:hi - lo]
+        mask[:] = True
         if lo == 0:
             mask[0] = False  # 1 is not prime
         for p in base:
@@ -212,8 +219,27 @@ def primes_up_to(limit: int) -> np.ndarray:
             start = max((p * p) // 2, lo + ((p - 1) // 2 - lo) % p)
             if start < hi:
                 mask[start - lo:: p] = False
-        chunks.append((2 * (np.flatnonzero(mask) + lo) + 1).astype(np.int32))
-    return np.concatenate(chunks)
+        found = np.flatnonzero(mask)
+        block = out[count:count + len(found)]
+        block[:] = found  # odd index i - lo, then the number 2i + 1, in int32
+        del found  # before the merge's copy of the block
+        block *= 2
+        block += 2 * lo + 1
+        e = np.searchsorted(powers, 2 * hi, side="right")  # the powers before 2 hi + 1
+        out[count:count + len(block) + e - s] = np.insert(
+            block, np.searchsorted(block, powers[s:e]), powers[s:e])
+        count, s = count + len(block) + e - s, e
+    out.resize(count, refcheck=False)  # shrinks in place: nothing else sees out
+    return out
+
+
+def primes_up_to(limit: int) -> np.ndarray:
+    """Primes <= limit < 2^31 (int32 array), sieved a block at a time."""
+    if limit >= 2 ** 31:
+        raise ValueError(f"primes_up_to: limit={limit} must be below 2^31")
+    if limit < 2:
+        return np.zeros(0, dtype=np.int32)
+    return _primes_with(limit, np.zeros(0, dtype=np.int32))
 
 
 def floor_x(x):
@@ -229,16 +255,18 @@ def floor_x(x):
 
 @dataclass(frozen=True)
 class SieveTable:
-    """The prime powers 2 <= n <= limit and Lambda(n) at each.
+    """The prime powers 2 <= n <= limit, from which Lambda(n) is computed.
 
     positions is ascending int32 (exact: limit <= SIEVE_CAP < 2^31; search it
-    with int32 keys); lam[i] = log p at positions[i] = p^k (np.log at primes,
-    math.log at proper powers), and Lambda is 0 elsewhere.  Both are read-only.
+    with int32 keys).  The proper powers p^k, k >= 2, sit at the ascending
+    sieve indices power_index (int32), and power_log holds math.log(p) for
+    each.  Lambda is 0 off the positions.  All three arrays are read-only.
     """
 
     limit: int
-    positions: np.ndarray  # int32, ascending
-    lam: np.ndarray        # float64, Lambda(positions)
+    positions: np.ndarray    # int32, ascending
+    power_index: np.ndarray  # int32, ascending: where positions[i] = p^k, k >= 2
+    power_log: np.ndarray    # float64, math.log(p) at each of them
 
     def check_limit(self, x: float) -> None:
         """CapacityError (a ValueError) when x > limit: the one rule for a
@@ -247,32 +275,76 @@ class SieveTable:
         if x > self.limit:
             raise CapacityError(f"x={x} exceeds sieve limit {self.limit}")
 
-    def entries(self, x: int) -> tuple[np.ndarray, np.ndarray]:
-        """The prime powers n <= x and their Lambda (read-only views)."""
+    def prime_powers(self, x: int) -> np.ndarray:
+        """The prime powers n <= x: a read-only view of positions[:k], whose
+        Lambda is lam(slice(0, k))."""
         self.check_limit(x)
-        k = int(np.searchsorted(self.positions, np.int32(max(x, 0)), side="right"))
-        return self.positions[:k], self.lam[:k]
+        return self.positions[:np.searchsorted(self.positions, np.int32(max(x, 0)),
+                                               side="right")]
+
+    def lam(self, i) -> np.ndarray:
+        """Lambda(positions[i]), a new float64 array, for a slice i of step 1
+        or an array i of indices >= 0 in any order: np.log(positions[i]) with
+        math.log(p) at the proper powers.  np.log works element by element,
+        so any slice or gather of the table's Lambda keeps its bits."""
+        if isinstance(i, slice) and i.step not in (None, 1):
+            raise ValueError(f"lam: slice step {i.step} is not 1")
+        out = np.log(self.positions[i])
+        at = self.power_index
+        if isinstance(i, slice):
+            lo, hi, _ = i.indices(len(self.positions))
+            s, e = np.searchsorted(at, (lo, hi))
+            out[at[s:e] - lo] = self.power_log[s:e]
+        elif len(i) > 1 and not np.all(i[1:] > i[:-1]):  # search every index
+            j = np.searchsorted(at, i)
+            hit = j < len(at)
+            hit[hit] = at[j[hit]] == i[hit]
+            out[hit] = self.power_log[j[hit]]
+        else:  # strictly ascending: search the few powers among the indices
+            j = np.searchsorted(i, at)
+            hit = j < len(i)
+            hit[hit] = i[j[hit]] == at[hit]
+            out[j[hit]] = self.power_log[hit]
+        return out
 
     def psi(self, u: float) -> float:
         """Chebyshev psi(u) = sum_{n<=u} Lambda(n), for floor_x(u) <= limit,
-        rounded exactly by math.fsum."""
-        return math.fsum(self.entries(int(floor_x(u)))[1])
+        rounded once from the exact sum, as math.fsum rounds it.
+
+        Each Lambda is m 2^(e - 52) with an integer significand m < 2^53 and
+        -1 <= e <= 4 (log 2 <= Lambda < log 2^31), so 2^53 Lambda = m 2^(e + 1)
+        is an integer below 2^58.  A SEGMENT of them at a time is summed
+        exactly in int64, split in 32-bit halves so neither sum overflows.
+        """
+        k = len(self.prime_powers(int(floor_x(u))))
+        total = 0
+        for s in range(0, k, SEGMENT):
+            bits = self.lam(slice(s, min(s + SEGMENT, k))).view(np.int64)
+            m = bits & (2 ** 52 - 1)
+            m |= 2 ** 52
+            bits >>= 52  # the biased exponent e + 1023
+            bits -= 1022
+            m <<= bits
+            np.right_shift(m, 32, out=bits)
+            m &= 2 ** 32 - 1
+            total += (int(bits.sum()) << 32) + int(m.sum())
+        return total / 2 ** 53  # one correctly rounded division
 
 
 def build_sieve(x: int) -> SieveTable:
-    """The compact von Mangoldt table for n <= x <= SIEVE_CAP: the primes
-    of primes_up_to(x), int32 throughout, with the proper powers inserted.
-    Deterministic.  At x = 1e8: 5.76e6 prime powers, 69 MB (a dense float64
-    array: 800 MB), `gz sieve` peak 102 MB RSS; at 1e9: 5.09e7, 610 MB in
-    about 4.5 s, `gz sieve` peak 618 MB (numpy 2.4, 2-CPU Xeon VM)."""
+    """The compact prime-power table for n <= x <= SIEVE_CAP: the primes of
+    the one prime sieve, with the proper powers merged in as each block of
+    primes is written, int32 throughout, 4 bytes per prime power.
+    Deterministic.  At x = 1e8: 5.76e6 prime powers, 23 MB (a dense float64
+    Lambda array: 800 MB), `gz sieve` peak 83 MB RSS; at 1e9: 5.09e7, 204 MB
+    in about 2.8 s, `gz sieve` 3.5 s and peak 255 MB (numpy 2.4, 2-CPU Xeon
+    VM)."""
     if not isinstance(x, numbers.Integral):
         raise ValueError(f"build_sieve: x={x!r} must be an integer")
     if x < 2:
         raise ValueError("build_sieve: x must be >= 2")
     if x > SIEVE_CAP:
         raise CapacityError(f"build_sieve: x={x} exceeds cap {SIEVE_CAP}")
-    primes = primes_up_to(x)
-
     # proper prime powers p^k, k >= 2: only p <= sqrt(x) contribute
     powers = []
     for p in primes_up_to(math.isqrt(x)).tolist():
@@ -282,11 +354,10 @@ def build_sieve(x: int) -> SieveTable:
             pk *= p
     powers.sort()
     pw = np.array([n for n, _ in powers], dtype=np.int32)
-    at = np.searchsorted(primes, pw)
-    positions = np.insert(primes, at, pw)  # the i-th power lands at at[i] + i
-    del primes  # before lam: the peak is two tables, not three
-    lam = np.log(positions)
-    lam[at + np.arange(len(at))] = [v for _, v in powers]
-    positions.flags.writeable = False
-    lam.flags.writeable = False
-    return SieveTable(limit=x, positions=positions, lam=lam)
+    positions = _primes_with(x, pw)
+    power_index = np.searchsorted(positions, pw).astype(np.int32)
+    power_log = np.array([v for _, v in powers], dtype=np.float64)
+    for arr in (positions, power_index, power_log):
+        arr.flags.writeable = False
+    return SieveTable(limit=x, positions=positions, power_index=power_index,
+                      power_log=power_log)

@@ -207,9 +207,9 @@ def dense_lambda(sieve: SieveTable, x: int, chi: DirichletCharacter | None = Non
     """The dense arrays the sparse code replaced: v[0..x] with v[n] =
     Lambda(n) (float64), or chi(n) Lambda(n) (complex128) for a character
     chi."""
-    pos, lam = sieve.entries(x)
+    pos = sieve.prime_powers(x)
     v = np.zeros(x + 1, dtype=np.float64)
-    v[pos] = lam
+    v[pos] = sieve.lam(slice(0, len(pos)))
     if chi is None:
         return v
     w = char_values_table(chi)[np.arange(x + 1) % chi.q] * v

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ def test_sieve_small_values():
     expect = {2: math.log(2), 3: math.log(3), 4: math.log(2),
               5: math.log(5), 7: math.log(7), 8: math.log(2), 9: math.log(3)}
     assert sv.positions.tolist() == sorted(expect)
-    assert sv.lam.tolist() == [expect[n] for n in sorted(expect)]
+    assert sv.lam(slice(None)).tolist() == [expect[n] for n in sorted(expect)]
     lam = dense_lambda(sv, 10)
     for n in range(11):
         assert lam[n] == pytest.approx(expect.get(n, 0.0), abs=0)
@@ -137,19 +138,32 @@ def test_sieve_prime_power_flag_matches_lambda():
 
 
 def test_sieve_holds_only_its_limit_and_a_read_only_lambda():
+    # 4 bytes per prime power: Lambda is computed where it is read, and the
+    # only float64 array held is math.log(p) at the proper powers p^k
     sv = build_sieve(1000)
-    assert [f.name for f in dataclasses.fields(sv)] == ["limit", "positions", "lam"]
+    assert [f.name for f in dataclasses.fields(sv)] == [
+        "limit", "positions", "power_index", "power_log"]
     # int32 positions are exact: every position is <= SIEVE_CAP < 2^31
-    assert sv.positions.dtype == np.int32 and sv.lam.dtype == np.float64
-    for arr in (sv.positions, sv.lam):
+    assert sv.positions.dtype == np.int32 and sv.power_index.dtype == np.int32
+    assert sv.power_log.dtype == np.float64
+    for arr in (sv.positions, sv.power_index, sv.power_log):
         with pytest.raises(ValueError):
             arr[3] = 0
+    # the proper powers 4, 8, 9, 16, 25, 27, 32, ... <= 1000: 11 squares,
+    # 5 cubes and 2^4..2^9, 3^4, 3^5, 5^4
+    assert sv.positions[sv.power_index].tolist() == sorted(
+        p ** k for p in range(2, 32) if is_prime(p)
+        for k in range(2, 10) if p ** k <= 1000)
+    assert sv.power_log.tolist() == [
+        math.log(factorize(int(n)).primes[0]) for n in sv.positions[sv.power_index]]
     assert sv.positions[4] == 7
-    assert sv.lam[4] == pytest.approx(math.log(7), rel=0)
-    # entries(x) are read-only views of the table
-    for arr in sv.entries(10):
-        with pytest.raises(ValueError):
-            arr[0] = 0
+    assert sv.lam(np.array([4]))[0] == math.log(7)
+    # prime_powers(x) is a read-only view of the table
+    with pytest.raises(ValueError):
+        sv.prime_powers(10)[0] = 0
+    assert sv.prime_powers(10).tolist() == [2, 3, 4, 5, 7, 8, 9]
+    with pytest.raises(ValueError, match="step"):
+        sv.lam(slice(0, 10, 2))
 
 
 def test_psi_ends_where_every_sum_over_n_ends():
@@ -256,8 +270,9 @@ def test_sieve_cap_keeps_every_position_an_exact_int32():
 def test_sieve_deterministic():
     a = build_sieve(50000)
     b = build_sieve(50000)
-    assert np.array_equal(a.positions, b.positions)
-    assert np.array_equal(a.lam, b.lam)
+    for name in ("positions", "power_index", "power_log"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert np.array_equal(a.lam(slice(None)), b.lam(slice(None)))
 
 
 def _dense_sieve(x):
@@ -282,16 +297,89 @@ def _dense_sieve(x):
     return lam
 
 
-def test_compact_sieve_matches_the_dense_table_bit_for_bit():
+@pytest.fixture(scope="module")
+def dense3():
     # three segments, so the merge of primes and proper powers crosses
     # segment boundaries
     x = 3 * numtheory.SEGMENT + 12345
-    ref = _dense_sieve(x)
-    sv = build_sieve(x)
+    return x, _dense_sieve(x), build_sieve(x)
+
+
+def test_compact_sieve_matches_the_dense_table_bit_for_bit(dense3):
+    x, ref, sv = dense3
     assert np.array_equal(sv.positions, np.flatnonzero(ref))
-    assert np.array_equal(sv.lam, ref[sv.positions])
+    assert np.array_equal(sv.lam(slice(None)), ref[sv.positions])
     assert np.array_equal(dense_lambda(sv, x), ref)
     assert sv.psi(x) == math.fsum(ref)
+
+
+def test_lambda_on_demand_matches_the_dense_table_bit_for_bit(dense3):
+    # lam(i) is np.log(positions[i]) patched at the proper powers: every
+    # slice and every gather, in any order, has the dense table's bits
+    x, ref, sv = dense3
+    want = ref[sv.positions]
+    n, at = len(sv.positions), sv.power_index.tolist()
+    assert len(at) > 100 and at[-1] < n - 1
+    slices = [slice(None), slice(at[0], at[-1]), slice(at[3], at[9] + 1),
+              slice(at[5], at[5] + 1), slice(at[7] + 1, at[8]), slice(7, at[-1]),
+              slice(at[-1], None), slice(at[-1] - 1, n), slice(10, 10)]
+    for s in slices:
+        assert sv.lam(s).tobytes() == want[s].tobytes(), s
+    rng = np.random.default_rng(27)
+    picked = np.union1d(rng.choice(n, 5000, replace=False), at[::3])
+    repeats = np.sort(rng.choice(at + [0, n - 1], 400))
+    one = np.array([at[4]])
+    for dtype in (np.int32, np.intp):
+        for i in (picked, picked[::-1], rng.permutation(picked), np.array(at),
+                  np.array(at)[::-1], repeats, rng.permutation(repeats),
+                  np.zeros(0), one, one - 1, np.array([n - 1])):
+            i = i.astype(dtype)
+            assert sv.lam(i).tobytes() == want[i].tobytes(), (dtype, i[:5])
+
+
+def test_goldbach_g_through_proper_powers_matches_brute_force(dense3):
+    # decompositions n = p^k + m with a proper power p^k on one side (and on
+    # both for m = 4, 9, 27), summed one term at a time in ascending l from
+    # the dense table
+    from gzeros.goldbach import goldbach_g
+
+    x, ref, sv = dense3
+    for pk in (2 ** 21, 3 ** 13, 5 ** 9, 7 ** 7, 1447 ** 2):
+        for m in (2, 4, 9, 27):
+            n = pk + m
+            for q in (1, 3, 4):
+                for a, b in ((pk % q, m % q), (m % q, pk % q)):
+                    l = np.arange(1, n)
+                    keep = ((l % q == a) & ((n - l) % q == b)
+                            & (ref[l] > 0) & (ref[n - l] > 0))
+                    assert keep[pk - 1] or keep[m - 1]
+                    total = 0.0
+                    for t in (ref[l[keep]] * ref[n - l[keep]]).tolist():
+                        total += t
+                    assert goldbach_g(n, q, a, b, sv) == total, (n, q, a, b)
+
+
+def test_psi_is_fsum_across_blocks():
+    # 1.27e6 prime powers at 2e7: psi's exact integer sum spans two blocks
+    sv = build_sieve(2 * 10 ** 7)
+    assert len(sv.positions) > numtheory.SEGMENT
+    for u in (2, 3, 4, 10.5, 1000, 1849, 2 * 10 ** 7):
+        k = len(sv.prime_powers(int(u)))
+        assert sv.psi(u) == math.fsum(sv.lam(slice(0, k))), u
+
+
+def test_build_sieve_peak_memory_holds_one_table():
+    # build_sieve(8e6) alone: int32 positions and a float64 Lambda merged
+    # by np.insert peaked at 6.3 MiB traced; the primes written in place
+    # into one int32 array, grown by the proper powers and merged in place
+    # (Lambda computed where it is read), 4.7 MiB
+    tracemalloc.start()
+    try:
+        build_sieve(8 * 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.3 * 2 ** 20
 
 
 def test_unit_pair_count_matches_direct_count():
