@@ -518,21 +518,25 @@ def verify_char_sum_identity(q: int) -> bool:
     characters of order n, R_n[:, kn[a]] summed against the count matrix
     U[a, c] = [c - a is a unit] must equal R_n[:, pos] coeff.  The float32
     matmul is exact while every product and partial sum, an integer of
-    size at most max|R_n| q, stays below 2^24 (CapacityError past it)."""
+    size at most max|R_n| q, stays below 2^24 (CapacityError past it).
+    The rows of each order are taken in chunks of about 1 MB of float32."""
     tab = _char_table.__wrapped__(q)  # each q once: past the per-q cache
     units = np.flatnonzero(tab.kn[0] >= 0)
     U = (tab.kn[0][(np.arange(q) - units[:, None]) % q] >= 0).astype(np.float32)
     for n in sorted(set(tab.order.tolist())):  # not np.unique: see _char_table
-        rows = tab.order == n
+        order_rows = np.flatnonzero(tab.order == n)
         red = _reduction_matrix(n).astype(np.float32)
         if np.abs(red).max() * q >= 2 ** 24:
             raise CapacityError(f"q={q}: float32 sums would not be exact")
-        closed = np.take(red, tab.pos[rows], axis=1)
-        closed *= tab.coeff[rows].astype(np.float32)
-        brute = np.take(red, tab.kn[rows][:, units], axis=1)
-        brute = brute.reshape(-1, len(units)) @ U
-        if not np.array_equal(brute.reshape(closed.shape), closed):
-            return False
+        step = max(1, (1 << 18) // (len(red) * q))  # ~1 MB float32 temporaries
+        for s in range(0, len(order_rows), step):
+            rows = order_rows[s:s + step]
+            closed = np.take(red, tab.pos[rows], axis=1)
+            closed *= tab.coeff[rows].astype(np.float32)
+            brute = np.take(red, tab.kn[rows][:, units], axis=1)
+            brute = brute.reshape(-1, len(units)) @ U
+            if not np.array_equal(brute.reshape(closed.shape), closed):
+                return False
     return True
 
 

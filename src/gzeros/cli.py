@@ -429,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                            description=None if name.endswith("12") else (
                                "Its class sums on 25 points take 0.3-0.8 s to --xmax "
                                "1e8 and 3-7 s to 1e9 for q = 4 to 30, odd c fastest; "
-                               "at 1e9 it peaks at 0.77 GB (q = 4), 0.45 GB (q = 30)."))
+                               "at 1e9 it peaks at 0.67 GB (q = 4), 0.38 GB (q = 30)."))
         s.add_argument("--q", type=int, required=True)
         if name.endswith("12"):
             s.add_argument("--a", type=int, required=True)

@@ -15,7 +15,7 @@ joined where np.sum's pairwise split joins them (_tree_sum; the split is
 pinned by test_tree_sum_is_numpy_sum_bit_for_bit), keep its bits with
 leaf-sized temporaries.  Memory is O(x/log x) whatever q is: S(1e6; 3, 1, 2)
 peaks at 1.7 MB of allocations (dense arrays: 25 MB), a 25-point grid to 1e8
-at 64 MB (119 MB RSS with its sieve), to 1e9 at 764 MB RSS.  No FFT: the sum
+at 53 MB (113 MB RSS with its sieve), to 1e9 at 668 MB RSS.  No FFT: the sum
 is a pairwise np.sum (not a BLAS dot), so it does not depend on the threads.
 A sum over n <= x ends at floor_x(x) = floor(x (1 + 1e-12)), so grid points
 that are integers in exact arithmetic but round just below keep n = x.
@@ -25,15 +25,24 @@ returns the prime powers n <= x with chi(n) != 0 and their values, and
 every twisted sum (s_chi, circle.build_grid, circle.selberg_integral)
 reads that one result.
 
-Per-n arrays (build_class_convolution) come from one real FFT
-convolution on the class lattice: G(a0 + b0 + q k) = sum_i u[i] v[k - i]
-with u[i] = Lambda(a0 + q i) and v[j] = Lambda(b0 + q j), both of length
-floor((x - a0)/q) + 1 (x <= CONV_X_CAP), and G is an exact 0 off the
-class a + b.  Rounding is ~1e-7 absolute per value at x = 1e7:
-eps * ||u||_2 ||v||_2 * log2(N) ~ 2e-16 * (x log x / q) * 24.  Prime
+Per-n arrays (build_class_convolution) come from a partitioned FFT
+convolution on the class lattice (Stockham's sectioned convolution):
+G(a0 + b0 + q k) = sum_{i+j=k} u[i] v[j] for the K = floor((x - a0 - b0)/q)
++ 1 outputs on the class a + b, with u[i] = Lambda(a0 + q i) and
+v[j] = Lambda(b0 + q j) read for i, j < K (x <= CONV_X_CAP); G is an exact
+0 off that class.  Both lattices are cut into P <= CONV_BLOCKS blocks of
+one power-of-two length B, each block is transformed at length 2B, block t
+of the product is the sum of U_i V_j over i + j = t, and the inverse
+transforms are overlap-added.  The build holds the two P x (B + 1) spectra
+(one when a0 = b0, the product written over it), then the product and g,
+then values and g: max(4PB, x + (P + 1)B) doubles and O(B) transform
+scratch, where one zero-padded transform of length N >= 2K held about
+4N + K.  (3, 1, 2) peaks at 66 MB RSS at x = 2e6, sieve included (106 MB
+with one transform).  Rounding is about eps * ||u||_2 ||v||_2 * log2(2B)
+per value, ~ 2e-16 * (x log x / phi(q)) * 20 ~ 3e-7 at x = 1e7 and q = 3,
+and the values agree with one transform's to 1e-8 at x = 2e6; against
+goldbach_g at x = 1e7 they err by 2.1e-7 (q = 3), as one transform did.  Prime
 powers stay in (the definition uses Lambda, never primes only).
-The build frees each of its buffers once read: (3, 1, 2) peaks at 108 MB
-RSS at x = 2e6, sieve included.
 The table holds G only, 8 bytes per n: a reader that wants its running
 sum (the S column of gz goldbach) takes np.cumsum(values), which carries
 the FFT's rounding; s_grid is the exact S(x).  _class_lambda, a dense
@@ -58,10 +67,11 @@ from .numtheory import SieveTable, check_modulus, floor_x
 logger = logging.getLogger(__name__)
 
 # the per-n table's envelope: values take 8 bytes per n whatever q is;
-# at x = 1e7 the build peaks at 335 MB RSS for q = 3 and at 1.07 GB for
-# q = 1 (a 2^25 transform), and gz goldbach, which writes its CSV a
-# block of rows at a time, peaks at the build's 335 MB for q = 3
+# at x = 1e7 the build peaks at 176 MB RSS for q = 3 and at 376 MB for
+# q = 1 (5 blocks of 2^21), and gz goldbach, which writes its CSV a block
+# of rows at a time, at 220 MB for q = 3 (values and their running sum)
 CONV_X_CAP = 10 ** 7
+CONV_BLOCKS = 8  # blocks per class lattice at most: B >= K / CONV_BLOCKS
 PAIR_LEAF = 1 << 15  # terms per leaf of each grid point's pair sum (_tree_sum)
 PAIR_BLOCK = 1 << 16  # terms of l gathered at once for every grid point
 
@@ -77,7 +87,8 @@ def _class_entries(q: int, a: int, x: int, sieve: SieveTable):
     """The prime powers l <= x with l = a (mod q), and Lambda(l)."""
     pos = sieve.prime_powers(x)
     i = np.flatnonzero(np.remainder(pos, q, dtype=np.int64) == a % q)  # any q, past int32
-    return pos[i], sieve.lam(i)
+    l = pos[i]
+    return l, sieve.lam(i, l)
 
 
 def _class_lambda(q: int, a: int, x: int, sieve: SieveTable) -> np.ndarray:
@@ -88,12 +99,52 @@ def _class_lambda(q: int, a: int, x: int, sieve: SieveTable) -> np.ndarray:
     return v
 
 
-def _lattice_lambda(q: int, a0: int, x: int, sieve: SieveTable) -> np.ndarray:
-    """Array u with u[i] = Lambda(a0 + q i) for a0 + q i <= x, 0 <= a0 < q."""
-    pos, lam = _class_entries(q, a0, x, sieve)
-    u = np.zeros((x - a0) // q + 1, dtype=np.float64)
-    u[(pos - a0) // q] = lam
-    return u
+def _block_length(K: int) -> int:
+    """The least power of two B with CONV_BLOCKS * B >= K."""
+    B = 1
+    while B * CONV_BLOCKS < K:
+        B *= 2
+    return B
+
+
+def _lattice_spectra(q: int, c0: int, K: int, B: int,
+                     sieve: SieveTable) -> np.ndarray:
+    """Row i: rfft(u[iB:(i+1)B], 2B) for u[k] = Lambda(c0 + q k), k < K,
+    0 <= c0 < q, one row for each of the ceil(K/B) blocks."""
+    pos, lam = _class_entries(q, c0, c0 + q * (K - 1), sieve)
+    k = (pos.astype(np.int64) - c0) // q  # any q, as in _class_entries
+    ends = np.searchsorted(k, np.arange(B, K + B, B)).tolist()
+    spectra = np.empty((len(ends), B + 1), dtype=np.complex128)
+    block, s = np.empty(B), 0
+    for i, e in enumerate(ends):
+        block[:] = 0.0
+        block[k[s:e] - i * B] = lam[s:e]
+        np.fft.rfft(block, 2 * B, out=spectra[i])
+        s = e
+    return spectra
+
+
+def _lattice_convolution(q: int, a0: int, b0: int, K: int, B: int,
+                         sieve: SieveTable) -> np.ndarray:
+    """g[k] = sum_{i+j=k} u[i] v[j] for k < K, u and v the lattices of the
+    classes a0 and b0: the blocks' spectra multiplied, block t of the
+    product the sum of U_i V_j over i + j = t, and each inverse transform
+    overlap-added (blocks t >= ceil(K/B) start past K)."""
+    V = _lattice_spectra(q, b0, K, B, sieve)
+    U = V if a0 == b0 else _lattice_spectra(q, a0, K, B, sieve)
+    acc, prod = np.empty((2, B + 1), dtype=np.complex128)
+    # product row t, the sum of U_i V_(t-i), overwrites V[t], which no
+    # lower row reads (U is V when a0 = b0)
+    for t in reversed(range(len(V))):
+        np.multiply(U[0], V[t], out=acc)
+        for i in range(1, t + 1):
+            acc += np.multiply(U[i], V[t - i], out=prod)
+        V[t] = acc
+    del U, acc, prod
+    g, out = np.zeros((len(V) + 1) * B), np.empty(2 * B)
+    for t, row in enumerate(V):
+        g[t * B:(t + 2) * B] += np.fft.irfft(row, 2 * B, out=out)
+    return g[:K]
 
 
 def goldbach_g(n: int, q: int, a: int, b: int, sieve: SieveTable) -> float:
@@ -107,7 +158,7 @@ def goldbach_g(n: int, q: int, a: int, b: int, sieve: SieveTable) -> float:
     m = np.int32(n) - l  # int32 keys, as the positions are
     i = np.minimum(np.searchsorted(sieve.positions, m), len(sieve.positions) - 1)
     hit = (sieve.positions[i] == m) & (np.remainder(m, q, dtype=np.int64) == b % q)
-    terms = lam_l[hit] * sieve.lam(i[hit])  # descending indices
+    terms = lam_l[hit] * sieve.lam(i[hit], m[hit])  # descending indices
     # a sequential running sum, not np.sum's pairwise one
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
@@ -133,30 +184,19 @@ def check_conv_limit(x: int) -> None:
 def build_class_convolution(
     q: int, a: int, b: int, x: int, sieve: SieveTable
 ) -> ClassConvolution:
-    """G(n; q, a, b) for all n <= x via one FFT on the class lattice."""
+    """G(n; q, a, b) for all n <= x by a partitioned FFT on the class lattice."""
     _check_classes("build_class_convolution", q, a, b)
     if x < 0:
         raise ValueError(f"x={x} must be >= 0")
     check_conv_limit(x)
     sieve.check_limit(x)
     a0, b0 = a % q, b % q
-    size = 1
-    while size < (x - a0) // q + (x - b0) // q + 2:  # len(u) + len(v)
-        size *= 2
-    # each buffer is freed as soon as it has been read: u and v after
-    # their transforms, the spectra once multiplied, the inverse
-    # transform once copied out
-    fu = np.fft.rfft(_lattice_lambda(q, a0, x, sieve), size)
-    fv = fu if a0 == b0 else np.fft.rfft(_lattice_lambda(q, b0, x, sieve), size)
-    np.multiply(fu, fv, out=fu)
-    del fv
-    prod = np.fft.irfft(fu, size)
-    del fu
+    K = (x - a0 - b0) // q + 1 if x >= a0 + b0 else 0  # on-class outputs
+    g = _lattice_convolution(q, a0, b0, K, _block_length(K), sieve)
+    g[g < 0] = 0.0
     values = np.zeros(x + 1, dtype=np.float64)
-    on_class = values[a0 + b0::q]
-    on_class[:] = prod[: len(on_class)]
-    del prod
-    values[values < 0] = 0.0
+    values[a0 + b0::q] = g
+    del g
     values[:4] = 0.0
     return ClassConvolution(q=q, a=a, b=b, x=x, values=values)
 
@@ -187,14 +227,14 @@ def _pair_sums(l: np.ndarray, w, m: np.ndarray, C: np.ndarray,
     (only at the indices idx, if given) and v at the ascending positions
     m >= 1, all in the dtype of the keys n - l (searchsorted casts m to any other).
     w is an array or, like SieveTable.lam, a function of a slice or an
-    index array.
+    index array and of l there.
 
     C is v's prefix sum with a leading 0, summed in place from that 0 as a
     dense cumsum is, so V(k) = C[#{m <= k}] is the dense V[k] to the bit.
     All points' leaves are summed PAIR_BLOCK terms of l at a time, gathered once.
     """
-    take = w if callable(w) else w.__getitem__
-    out = np.zeros(len(ns), dtype=np.result_type(take(slice(0, 0)), C))
+    take = w if callable(w) else lambda i, pos: w[i]
+    out = np.zeros(len(ns), dtype=np.result_type(take(slice(0, 0), l[:0]), C))
     cplx = out.dtype.kind == "c"
     ks = np.searchsorted(l, ns := np.maximum(ns, 0).astype(l.dtype))  # n <= 0: none
     ks = (ks if idx is None else np.searchsorted(idx, ks.astype(idx.dtype))).tolist()
@@ -204,8 +244,10 @@ def _pair_sums(l: np.ndarray, w, m: np.ndarray, C: np.ndarray,
         if lo >= end:  # the leaves from lo to end end before end + PAIR_LEAF
             start, end = lo, lo + PAIR_BLOCK
             j = slice(lo, min(lo + PAIR_BLOCK + PAIR_LEAF, kmax))
+            j = j if idx is None else idx[j]
             del lb, wb  # before the next block is gathered
-            lb, wb = (l[j], take(j)) if idx is None else (l.take(idx[j]), take(idx[j]))
+            lb = l[j]  # a view, or the positions at idx gathered once
+            wb = take(j, lb)
         sums[i, lo] = _tree_sum(lb, wb, m, C, ns[i], lo - start, hi - start, cplx)
     for i, k in enumerate(ks):
         out[i] = _tree(0, k, cplx, lambda a, b: sums[i, a]) if k else 0.0
@@ -233,20 +275,24 @@ def _residues(q: int, top: int, sieve: SieveTable):
 
 def _class_sums(ns, top: int, q: int, a: int, b: int, sieve: SieveTable, r):
     pos = sieve.prime_powers(top)
-    i = None if r is None else np.flatnonzero(r == b % q)  # q = 1: the whole sieve
-    if i is not None and not i.size:  # every term is Lambda(l) * 0.0 = +0.0
+    if r is None:  # q = 1: the whole sieve is class b, and class a
+        m, i = pos, None
+    else:  # class b's positions and class a's indices, in int32
+        m, i = (np.empty(np.count_nonzero(r == c % q), np.int32) for c in (b, a))
+    if not len(m):  # every term is Lambda(l) * 0.0 = +0.0
         return np.zeros(len(ns))
-    m = pos if i is None else pos[i]
-    C = np.zeros(len(m) + 1)
-    for s in range(0, len(m), PAIR_BLOCK):  # class b's Lambda, a block at a time
-        e = min(s + PAIR_BLOCK, len(m))
-        C[s + 1:e + 1] = sieve.lam(slice(s, e) if i is None else i[s:e])
-    if i is not None:
-        del i  # before class a's indices, taken a block of r at a time in int32
-        i = np.concatenate([np.zeros(0, np.int32)] + [
-            np.flatnonzero(r[s:s + PAIR_BLOCK] == a % q).astype(np.int32) + s
-            for s in range(0, len(r), PAIR_BLOCK)])
-        del r  # s_grid's residues are freed here
+    C, e, f = np.zeros(len(m) + 1), 0, 0
+    for s in range(0, len(pos), PAIR_BLOCK):  # a block of the sieve at a time
+        j = slice(s, min(s + PAIR_BLOCK, len(pos)))
+        if r is not None:
+            k = np.flatnonzero(r[j] == a % q) + s
+            i[f:f + len(k)] = k
+            f += len(k)
+            j = np.flatnonzero(r[j] == b % q) + s
+        mj = pos[j] if r is None else pos.take(j, out=m[e:e + len(j)])
+        C[e + 1:e + 1 + len(mj)] = sieve.lam(j, mj)  # class b's Lambda
+        e += len(mj)
+    del r  # s_grid's residues are freed here
     return _pair_sums(pos, sieve.lam, m, np.cumsum(C, out=C), ns, i)
 
 

@@ -282,14 +282,15 @@ class SieveTable:
         return self.positions[:np.searchsorted(self.positions, np.int32(max(x, 0)),
                                                side="right")]
 
-    def lam(self, i) -> np.ndarray:
+    def lam(self, i, pos=None) -> np.ndarray:
         """Lambda(positions[i]), a new float64 array, for a slice i of step 1
         or an array i of indices >= 0 in any order: np.log(positions[i]) with
         math.log(p) at the proper powers.  np.log works element by element,
-        so any slice or gather of the table's Lambda keeps its bits."""
+        so any slice or gather of the table's Lambda keeps its bits.  A
+        caller that has gathered positions[i] already passes it as pos."""
         if isinstance(i, slice) and i.step not in (None, 1):
             raise ValueError(f"lam: slice step {i.step} is not 1")
-        out = np.log(self.positions[i])
+        out = np.log(self.positions[i] if pos is None else pos)
         at = self.power_index
         if isinstance(i, slice):
             lo, hi, _ = i.indices(len(self.positions))

@@ -104,6 +104,90 @@ def test_convolution_invariants(sieve):
     assert running[3] == 0.0
 
 
+def _on_class_reference(q, a0, b0, K, sieve):
+    """The first K values of the direct convolution on the class a0 + b0."""
+    x = a0 + b0 + q * (K - 1)
+    direct = np.convolve(goldbach._class_lambda(q, a0, x, sieve),
+                         goldbach._class_lambda(q, b0, x, sieve))
+    return direct[a0 + b0::q][:K]
+
+
+@pytest.mark.parametrize("q, a0, b0", [(3, 1, 2), (1, 0, 0), (5, 3, 4),
+                                       (4, 1, 1), (5, 0, 2)])
+def test_partitioned_convolution_at_block_edges(q, a0, b0, sieve):
+    # K = 1, B - 1, B, B + 1 and P B -+ 1 on-class outputs (P = 8 blocks and
+    # 9) from blocks of a given length B, against the direct convolution
+    B = 16
+    for K in (1, B - 1, B, B + 1, 8 * B - 1, 8 * B + 1):
+        g = goldbach._lattice_convolution(q, a0, b0, K, B, sieve)
+        ref = _on_class_reference(q, a0, b0, K, sieve)
+        assert len(g) == K
+        assert np.max(np.abs(g - ref) / np.maximum(1.0, np.abs(ref))) < 1e-9, K
+
+
+@pytest.mark.parametrize("q, a, b", [(3, 1, 2), (1, 1, 1), (5, 3, 4),
+                                     (4, 3, 3), (7, 6, 6), (5, 2, 3)])
+def test_partitioned_build_against_direct_sums(q, a, b, sieve, monkeypatch):
+    # the block rule's edges (B doubles past K = 8 B), a0 + b0 >= q, q = 1,
+    # a0 = b0 and an empty class (x < a0 + b0), against np.convolve and
+    # goldbach_g; every transform has a power-of-two length 2B
+    lengths = []
+    for name in ("rfft", "irfft"):
+        f = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda v, n, *args, _f=f, **kw:
+                            lengths.append(n) or _f(v, n, *args, **kw))
+    a0, b0 = a % q, b % q
+    for K in (0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 1000):
+        x = a0 + b0 + q * K - 1  # K outputs on the class a + b
+        if x < 0:
+            continue
+        lengths.clear()
+        g = build_class_convolution(q, a, b, x, sieve).values
+        assert g.base is None and len(g) == x + 1
+        assert np.all(g >= 0)
+        n = np.arange(x + 1)
+        assert np.all(g[((n - a0 - b0) % q != 0) | (n < 4)] == 0)
+        direct = np.convolve(goldbach._class_lambda(q, a, x, sieve),
+                             goldbach._class_lambda(q, b, x, sieve))[: x + 1]
+        assert np.max(np.abs(g - direct) / np.maximum(1.0, np.abs(direct))) < 1e-9
+        for k in range(max(4, x - 3 * q), x + 1):
+            assert g[k] == pytest.approx(goldbach_g(k, q, a, b, sieve),
+                                         rel=1e-9, abs=1e-9)
+        B = goldbach._block_length(K)
+        assert B * goldbach.CONV_BLOCKS >= K and (B == 1 or 4 * B < K)
+        assert set(lengths) <= {2 * B} and B & (B - 1) == 0
+        assert len(lengths) <= 3 * goldbach.CONV_BLOCKS
+
+
+def test_per_n_table_for_a_modulus_past_int32(sieve):
+    # lattice indices are int64: past 2^31 the one output left is n = a + b
+    g = build_class_convolution(2 ** 40, 3, 5, 1000, sieve).values
+    assert np.flatnonzero(g).tolist() == [8]
+    assert g[8] == pytest.approx(math.log(3) * math.log(5), rel=1e-12)
+
+
+def test_per_n_build_peak_memory(sieve6):
+    # two block-padded spectra (4 P B doubles), then the product's spectra
+    # and the overlap-added g, then values and g (one zero-padded transform
+    # of length 2^20 held 18.7 MiB at (3, 1, 2); this build holds 14.1)
+    x = 10 ** 6
+    for q, a, b in [(3, 1, 2), (1, 1, 1)]:
+        K = (x - a % q - b % q) // q + 1
+        B = goldbach._block_length(K)
+        P = -(-K // B)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            build_class_convolution(q, a, b, x, sieve6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # plus one block, and the class entries: a position, Lambda, a
+        # lattice index and a residue, 24 bytes per prime power at most
+        entries = 24 * len(sieve6.prime_powers(x))
+        assert peak < 8 * max(4 * P * B, x + 1 + (P + 1) * B) + 8 * B + entries, q
+
+
 def test_s_symmetry(sieve):
     # S(x; q, a, b) = S(x; q, b, a)
     for q, a, b in [(5, 2, 3), (8, 3, 5), (3, 1, 2)]:

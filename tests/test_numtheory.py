@@ -325,6 +325,7 @@ def test_lambda_on_demand_matches_the_dense_table_bit_for_bit(dense3):
               slice(at[-1], None), slice(at[-1] - 1, n), slice(10, 10)]
     for s in slices:
         assert sv.lam(s).tobytes() == want[s].tobytes(), s
+        assert sv.lam(s, sv.positions[s]).tobytes() == want[s].tobytes(), s
     rng = np.random.default_rng(27)
     picked = np.union1d(rng.choice(n, 5000, replace=False), at[::3])
     repeats = np.sort(rng.choice(at + [0, n - 1], 400))
@@ -335,6 +336,9 @@ def test_lambda_on_demand_matches_the_dense_table_bit_for_bit(dense3):
                   np.zeros(0), one, one - 1, np.array([n - 1])):
             i = i.astype(dtype)
             assert sv.lam(i).tobytes() == want[i].tobytes(), (dtype, i[:5])
+            # and from positions the caller has gathered already
+            at_i = sv.positions[i]
+            assert sv.lam(i, at_i).tobytes() == want[i].tobytes(), (dtype, i[:5])
 
 
 def test_goldbach_g_through_proper_powers_matches_brute_force(dense3):
