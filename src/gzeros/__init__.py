@@ -21,12 +21,7 @@ from .characters import build_group, character_from_label
 from .explicit import h_term, landau_gonek, thm12_rhs, thm14_rhs
 from .goldbach import (build_class_convolution, goldbach_g, restricted_sum,
                        s_chi, s_grid)
-from .lfunc import (
-    find_zeros,
-    hurwitz_zeta,
-    zero_count_argument,
-    zero_power_sum,
-)
+from .lfunc import find_zeros, zero_count_argument, zero_power_sum
 from .numtheory import build_sieve, euler_phi, factorize, moebius
 from .singular import compute_c2, singular_series
 
@@ -43,7 +38,6 @@ __all__ = [
     "find_zeros",
     "goldbach_g",
     "h_term",
-    "hurwitz_zeta",
     "landau_gonek",
     "load_or_build_zero_sets",
     "moebius",

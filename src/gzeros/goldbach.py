@@ -68,8 +68,8 @@ logger = logging.getLogger(__name__)
 
 # the per-n table's envelope: values take 8 bytes per n whatever q is;
 # at x = 1e7 the build peaks at 176 MB RSS for q = 3 and at 376 MB for
-# q = 1 (5 blocks of 2^21), and gz goldbach, which writes its CSV a block
-# of rows at a time, at 220 MB for q = 3 (values and their running sum)
+# q = 1 (5 blocks of 2^21), and gz goldbach, which writes its CSV and
+# the running sum a block of rows at a time, at 177 MB for q = 3
 CONV_X_CAP = 10 ** 7
 CONV_BLOCKS = 8  # blocks per class lattice at most: B >= K / CONV_BLOCKS
 PAIR_LEAF = 1 << 15  # terms per leaf of each grid point's pair sum (_tree_sum)

@@ -8,9 +8,9 @@ against mpmath the relative error is below 5e-11 for |Im s| <= 5000 and
 -1/2 <= Re s <= 3/2 (Rubinstein, Computational methods and experiments in
 analytic number theory, 2005).  The evaluator's domain is Re s >= -1/2,
 |Im s| <= IM_CAP = 1e4: past Re s = 3/2 the corrections only shrink
-(singular._prime_zeta reads real s up to about 50), while below -1/2 they
-grow with |s| and the result is garbage, so both evaluators raise
-CapacityError there.
+(singular._prime_zeta reads zeta at real s up to about 50), while below
+-1/2 they grow with |s| and the result is garbage, so l_values_array
+raises CapacityError there.
 
 Since q^-s (j + a/q)^-s = (qj + a)^-s, L(s, chi) = q^-s sum_a chi(a)
 zeta(s, a/q) is one integer Dirichlet polynomial and one tail:
@@ -30,8 +30,6 @@ The table is filled for blocks of EM_BLOCK_TERMS = 2^16 entries (1 MiB)
 at a time, and q(N + 1) is capped at L_TERMS_CAP = 1e6 (q <= FIND_Q_CAP
 at |Im s| <= IM_CAP needs 739,100); past the cap l_values_array raises
 CapacityError before it allocates anything of that size.
-hurwitz_zeta_array, whose bases j + alpha are not integers, takes one exp
-per term and shares the tail (_em_sum).
 
 One gamma factor serves every use of the completed function
 Lambda(s, chi) = G(s, chi) L(s, chi) for primitive chi:
@@ -138,7 +136,7 @@ _STIRLING = [float(b / (2 * r * (2 * r - 1))) for r, b in enumerate(_B2K, 1)]
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin: Hurwitz zeta and the Dirichlet polynomial of L(s, chi)
+# Euler-Maclaurin: the Dirichlet polynomial of L(s, chi)
 
 
 def _em_bands(s: np.ndarray) -> list[tuple[np.ndarray, int]]:
@@ -164,60 +162,6 @@ def _em_bands(s: np.ndarray) -> list[tuple[np.ndarray, int]]:
         if hi >= tmax:
             return bands
         lo, hi = hi, hi * 1.5
-
-
-def _tail_weights(coef: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Rows 1/2, base and B_2r/(2r)! base^(1-2r) for r = 1..12, times coef:
-    the weights of the tail powers (q base)^-s, whose sums _em_sum takes."""
-    rows = [np.full(len(base), 0.5), base]
-    rows += [c * base ** (1 - 2 * r) for r, c in enumerate(_B_OVER_FACT, 1)]
-    return np.array(rows) * coef
-
-
-def _em_sum(s: np.ndarray, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """head + T_0 + T_1/(s - 1) + sum_r (s)_{2r-1} T_{r+1} for one block of
-    points, with the Pochhammer products taken once per point."""
-    factors = np.ones((EM_BERNOULLI_TERMS, len(s)), dtype=np.complex128)
-    r = np.arange(1, EM_BERNOULLI_TERMS)[:, None]
-    factors[1:] = (s + (2 * r - 1)) * (s + 2 * r)
-    poch = np.cumprod(factors, axis=0) * s
-    return (head + tail[0] + tail[1] / (s - 1.0)
-            + np.einsum("rb,rb->b", poch, tail[2:]))
-
-
-def _hurwitz_fixed(s: np.ndarray, alpha: float, N: int) -> np.ndarray:
-    """zeta(s, alpha) with N head terms: one complex exp per base j + alpha,
-    j = 0..N (the last is the tail's)."""
-    out = np.empty(s.shape, dtype=np.complex128)
-    logj = np.log(np.arange(N + 1, dtype=np.float64) + alpha)
-    weights = _tail_weights(np.ones(1), np.array([N + alpha], dtype=np.float64))
-    step = max(1, EM_BLOCK_TERMS // (N + 1))
-    for i0 in range(0, len(s), step):
-        sv = s[i0: i0 + step]
-        powers = np.exp(np.multiply.outer(-logj, sv))
-        out[i0: i0 + step] = _em_sum(sv, powers[:N].sum(axis=0),
-                                     np.einsum("km,mb->kb", weights, powers[N:]))
-    return out
-
-
-def hurwitz_zeta_array(s, alpha: float) -> np.ndarray:
-    """zeta(s, alpha) for a complex array s with Re s >= -1/2 and
-    |Im s| <= IM_CAP, banded by |Im s|."""
-    s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
-    if not 0 < alpha:
-        raise ValueError("alpha must be positive")
-    flat = s.ravel()
-    out = np.empty(flat.shape, dtype=np.complex128)
-    for idx, N in _em_bands(flat):
-        out[idx] = _hurwitz_fixed(flat[idx], alpha, N)
-    return out.reshape(s.shape)
-
-
-def hurwitz_zeta(s: complex, alpha: float) -> complex:
-    """zeta(s, alpha) for 0 < alpha <= 1 (validated: |Im s| <= 1e4)."""
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    return complex(hurwitz_zeta_array(np.array([s]), alpha)[0])
 
 
 @dataclass(frozen=True)
@@ -306,13 +250,18 @@ def _dot(w: np.ndarray, powers: np.ndarray) -> np.ndarray:
 
 
 def _l_band(table: np.ndarray, s: np.ndarray, N: int) -> np.ndarray:
-    """L(s, chi) for one |Im s| band: sum_{n <= qN} chi(n) n^-s plus the
-    Euler-Maclaurin tail at the bases qN + a (table: chi(n) for n mod q)."""
+    """L(s, chi) for one |Im s| band (table: chi(n) for n mod q): the head
+    sum_{n <= qN} chi(n) n^-s plus the module docstring's tail at the bases
+    qN + a, with the Pochhammer products (s)_{2r-1} taken once per point."""
     q = len(table)
     plan = _power_plan(q, q * (N + 1))
     chi_n = table[plan.n % q]
     head_w = chi_n[:plan.head]
-    tail_w = _tail_weights(chi_n[plan.head:], plan.n[plan.head:] / q)
+    base = plan.n[plan.head:] / q
+    rows = [np.full(len(base), 0.5), base]
+    rows += [c * base ** (1 - 2 * r) for r, c in enumerate(_B_OVER_FACT, 1)]
+    tail_w = np.array(rows) * chi_n[plan.head:]
+    r = np.arange(1, EM_BERNOULLI_TERMS)[:, None]
     step = max(1, EM_BLOCK_TERMS // len(plan.n))
     out = np.empty(len(s), dtype=np.complex128)
     for i0 in range(0, len(s), step):
@@ -320,18 +269,24 @@ def _l_band(table: np.ndarray, s: np.ndarray, N: int) -> np.ndarray:
         powers = np.empty((len(plan.n), len(sv)), dtype=np.complex128)
         _fill_powers(plan, sv, powers,
                      np.empty((2, plan.widest, len(sv)), dtype=np.complex128))
-        out[i0: i0 + step] = _em_sum(
-            sv, _dot(head_w, powers[:plan.head]),
-            np.einsum("km,mb->kb", tail_w, powers[plan.head:]))
+        tail = np.einsum("km,mb->kb", tail_w, powers[plan.head:])
+        factors = np.ones((EM_BERNOULLI_TERMS, len(sv)), dtype=np.complex128)
+        factors[1:] = (sv + (2 * r - 1)) * (sv + 2 * r)
+        poch = np.cumprod(factors, axis=0) * sv
+        out[i0: i0 + step] = (_dot(head_w, powers[:plan.head]) + tail[0]
+                              + tail[1] / (sv - 1.0)
+                              + np.einsum("rb,rb->b", poch, tail[2:]))
     return out
 
 
 def l_values_array(chi: DirichletCharacter, s) -> np.ndarray:
     """L(s, chi) over an s array, by Euler-Maclaurin on the Dirichlet
-    polynomial sum_{n <= qN} chi(n) n^-s (see the module docstring).
+    polynomial sum_{n <= qN} chi(n) n^-s (see the module docstring); for
+    the character mod 1 this is zeta(s).
 
-    At s = 1 the Hurwitz poles cancel for non-principal chi, and
-    L(1, chi) = -q^-1 sum_a chi(a) psi(a/q) by Gauss's digamma theorem.
+    At s = 1 the poles of the zeta(s, a/q) in q^-s sum_a chi(a) zeta(s, a/q)
+    cancel for non-principal chi, and L(1, chi) = -q^-1 sum_a chi(a)
+    psi(a/q) by Gauss's digamma theorem.
     """
     s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     shape, s = s.shape, s.ravel()
@@ -360,6 +315,16 @@ def l_values_array(chi: DirichletCharacter, s) -> np.ndarray:
     for idx, N in bands:
         out[rest[idx]] = _l_band(table, s[rest[idx]], N)
     return out.reshape(shape)
+
+
+def hurwitz_zeta_array(s, alpha: float) -> np.ndarray:
+    """zeta(s) = l_values_array of the character mod 1, for alpha = 1 only;
+    any other alpha raises ValueError.  Kept only because the benchmark in
+    perfbench/ times it by this name (tracing.TARGETS); no code in gzeros
+    calls it, and it goes with cache.load_or_build_sieve (ROADMAP item 5)."""
+    if alpha != 1:
+        raise ValueError(f"alpha={alpha}: only zeta(s) = zeta(s, 1) is evaluated")
+    return l_values_array(character_from_label("q=1;e="), s)
 
 
 def _loggamma(z) -> np.ndarray:

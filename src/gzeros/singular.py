@@ -35,7 +35,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lfunc import hurwitz_zeta_array
+from .characters import character_from_label
+from .lfunc import l_values_array
 from .numtheory import (check_modulus, euler_phi, moebius, primes_up_to,
                         unit_pair_count)
 
@@ -54,7 +55,8 @@ class SingularConstants:
 
 def _prime_zeta(s: float) -> float:
     """P(s) = sum_p p^-s for real s >= 2, via Moebius inversion of
-    log zeta."""
+    log zeta, with zeta = L(s, chi) for the character mod 1."""
+    zeta = character_from_label("q=1;e=")
     total = 0.0
     for j in range(1, 80):
         mu = moebius(j)
@@ -67,7 +69,7 @@ def _prime_zeta(s: float) -> float:
         if js > 50:
             lz = math.log1p(2.0 ** -js + 3.0 ** -js)
         else:
-            lz = math.log(float(hurwitz_zeta_array(js, 1.0)[0].real))
+            lz = math.log(float(l_values_array(zeta, js)[0].real))
         total += mu / j * lz
         if abs(lz) < 1e-18:
             break

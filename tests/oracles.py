@@ -304,6 +304,38 @@ def zero_sum_diagnostics(
 
 
 # ---------------------------------------------------------------------------
+# the Hurwitz zeta function
+
+
+def hurwitz_zeta(s, alpha: float) -> np.ndarray:
+    """zeta(s, alpha) = sum_{k >= 0} (k + alpha)^-s over a complex array s
+    with Re s >= -1/2 and s != 1, alpha > 0: the first N terms, one exp
+    each, then the Euler-Maclaurin tail at N + alpha,
+
+        (N + alpha)^(1-s)/(s - 1) + (N + alpha)^-s/2
+          + sum_{r=1..12} B_2r/(2r)! (s)_{2r-1} (N + alpha)^(-s-2r+1),
+
+    with B_2r from mpmath.  N = 20 + max |s| makes each correction at most
+    (|s| + 2r)^2 / (2 pi N)^2 < 1/27 of the one before; below Re s = -1/2
+    the head terms grow and the sum loses its digits, so it raises."""
+    s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
+    if not np.all(np.isfinite(s)) or np.any(s == 1) or s.real.min() < -0.5:
+        raise ValueError(f"Re s >= -1/2, s != 1 and finite s only: {s}")
+    if not alpha > 0:
+        raise ValueError(f"alpha={alpha} must be positive")
+    N = 20 + int(np.abs(s).max())
+    head = np.exp(-np.multiply.outer(np.log(np.arange(N) + alpha), s)).sum(axis=0)
+    a = N + alpha
+    tail = a ** (1 - s) / (s - 1) + a ** -s / 2
+    poch = s  # (s)_{2r-1} = s (s + 1) ... (s + 2r - 2)
+    for r in range(1, 13):
+        b = float(mp.bernoulli(2 * r) / mp.factorial(2 * r))
+        tail = tail + b * poch * a ** (-s - 2 * r + 1)
+        poch = poch * (s + 2 * r - 1) * (s + 2 * r)
+    return head + tail
+
+
+# ---------------------------------------------------------------------------
 # the completed L-function and zero sets
 
 

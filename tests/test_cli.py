@@ -428,6 +428,32 @@ def test_goldbach_csv_memory_is_one_block_of_rows(cache_env, tmp_path):
     assert peak < 40e6
 
 
+def test_goldbach_csv_write_holds_no_second_x_length_array(cache_env, tmp_path,
+                                                          monkeypatch):
+    # once the table is built, writing the CSV adds one block of rows and
+    # of running sums, not a second array over n = 0..x such as np.cumsum(g)
+    from gzeros import cli
+
+    x, held = 200000, []
+    build = cli.build_class_convolution
+
+    def build_then_reset_peak(*args):
+        conv = build(*args)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return conv
+
+    monkeypatch.setattr(cli, "build_class_convolution", build_then_reset_peak)
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 256)
+    tracemalloc.start()
+    try:
+        assert dispatch(["goldbach", "--q", "3", "--a", "1", "--b", "2",
+                         "--x", str(x), "--out", str(tmp_path / "g.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held[0] < 8 * x / 4
+
 @pytest.mark.parametrize("x, q, message", [
     ("20000000", "3", "beyond validated envelope 1e7"),
     ("10000000", "0", "modulus q=0 must be >= 1"),

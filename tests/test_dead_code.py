@@ -26,6 +26,18 @@ ALLOWED = {
     "residue_r1": "residue of the Thm 1.4 series at rho + 1 (ROADMAP item 4)",
 }
 
+# names only the benchmark in perfbench/ reads, each kept by a shim until
+# the benchmark is next revised (ROADMAP item 5): no code in gzeros may
+# read one outside the definition named here, so the runtime cannot drift
+# back onto them
+PERFBENCH_ONLY = {
+    "hurwitz_zeta_array": "lfunc.hurwitz_zeta_array",
+    "load_or_build_sieve": "cache.load_or_build_sieve",
+    "load_or_build_convolution": "cache.load_or_build_convolution",
+    "entries": "lfunc.ZeroSet.entries",
+    "ZeroEntry": "lfunc.ZeroSet.entries",
+}
+
 
 def _names(tree) -> Counter:
     """How often each identifier, attribute, imported name and string
@@ -106,3 +118,12 @@ def test_oracles_read_no_private_gzeros_name():
                 if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                 and isinstance(node.value, ast.Name) and node.value.id in bound]
     assert not private, f"oracles read private gzeros names: {private}"
+
+
+def test_perfbench_only_names_have_no_reader_in_gzeros():
+    defs, used = _definitions()
+    nodes = dict(defs)
+    reads = {name: used[name] - _names(nodes[where])[name]
+             for name, where in PERFBENCH_ONLY.items()}
+    reads = {name: n for name, n in reads.items() if n}
+    assert not reads, f"code in gzeros reads names kept only for perfbench/: {reads}"

@@ -16,10 +16,10 @@ from gzeros.characters import (
 from gzeros.errors import (CapacityError, CertificationFailure, GzError,
                            ValidationError)
 from gzeros.lfunc import (
+    IM_CAP,
     ZeroSet,
     export_zeros,
     find_zeros,
-    hurwitz_zeta,
     hurwitz_zeta_array,
     import_zeros,
     l_values_array,
@@ -33,6 +33,7 @@ from oracles import (
     check_conjugate_symmetry,
     completed_lambda,
     functional_equation_residual,
+    hurwitz_zeta,
     psi_chi,
     psi_explicit,
 )
@@ -59,10 +60,10 @@ def zeta_zeros(zeta_char):
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz zeta
+# the Hurwitz zeta reference (tests/oracles.py), for the L-value tests
 
 def test_hurwitz_zeta_basel():
-    assert hurwitz_zeta(2, 1).real == pytest.approx(math.pi ** 2 / 6, rel=1e-13)
+    assert hurwitz_zeta(2, 1)[0].real == pytest.approx(math.pi ** 2 / 6, rel=1e-13)
 
 
 def test_hurwitz_zeta_direct_sum_oracle():
@@ -72,7 +73,7 @@ def test_hurwitz_zeta_direct_sum_oracle():
         return complex(np.sum(n ** -s) + (N + a) ** (1 - s) / (s - 1))
 
     for s, a in [(3.0, 1.0), (2.5 + 3j, 0.3), (4.0 + 10j, 0.77), (1.5, 0.5)]:
-        mine = hurwitz_zeta(complex(s), a)
+        mine = complex(hurwitz_zeta(complex(s), a)[0])
         ref = direct(complex(s), a)
         assert abs(mine - ref) / abs(ref) < 1e-9
 
@@ -82,7 +83,7 @@ def test_hurwitz_zeta_mpmath_strip():
     mp.mp.dps = 30
     for s, a in [(0.5 + 30j, 1.0), (0.25 + 7j, 0.4), (-0.5 + 120j, 1.0),
                  (0.75 + 500j, 0.9)]:
-        mine = hurwitz_zeta_array(np.array([complex(s)]), a)[0]
+        mine = hurwitz_zeta(np.array([complex(s)]), a)[0]
         ref = complex(mp.zeta(mp.mpc(s), a))
         assert abs(mine - ref) / abs(ref) < 1e-11
 
@@ -91,11 +92,11 @@ def test_hurwitz_zeta_mpmath_strip():
 @pytest.mark.parametrize("t", [999.7, 2500.2, 5000.0])
 @pytest.mark.parametrize("sigma", [-0.5, 0.5, 1.5])
 def test_hurwitz_zeta_truncation_high_t(sigma, t, alpha):
-    # pins the band truncation N = max(20, ceil(h/2)) where it is tightest:
-    # high on the line and on both edges of the counting contour
+    # the reference high on the line and on both edges of the counting
+    # contour, where the envelope-corner test below reads it
     mp.mp.dps = 30
     s = complex(sigma, t)
-    mine = hurwitz_zeta_array(np.array([s]), alpha)[0]
+    mine = hurwitz_zeta(np.array([s]), alpha)[0]
     ref = complex(mp.zeta(mp.mpc(s), alpha))
     assert abs(mine - ref) / abs(ref) < 5e-11
 
@@ -104,74 +105,95 @@ def test_hurwitz_zeta_shift_identity():
     # zeta(s, a) = zeta(s, a+1) + a^-s; checks the constant-term wiring
     for s in [0.0001 + 0j, 2.0 + 0j, 0.5 + 9j]:
         for a in [0.3, 0.9]:
-            lhs = hurwitz_zeta(complex(s), a)
-            rhs = hurwitz_zeta_array(np.array([complex(s)]), a + 1)[0] + a ** -s
+            lhs = hurwitz_zeta(complex(s), a)[0]
+            rhs = hurwitz_zeta(np.array([complex(s)]), a + 1)[0] + a ** -s
             assert abs(lhs - rhs) < 1e-12 * max(1, abs(lhs))
 
 
 def test_hurwitz_zeta_s0():
     # zeta(0, a) = 1/2 - a
     for a in [0.25, 0.5, 1.0]:
-        val = hurwitz_zeta_array(np.array([0j]), a)[0]
+        val = hurwitz_zeta(np.array([0j]), a)[0]
         assert val.real == pytest.approx(0.5 - a, abs=1e-12)
-
-
-def test_hurwitz_zeta_pole_and_domain():
-    with pytest.raises(ValueError):
-        hurwitz_zeta(1.0, 0.5)
-    with pytest.raises(ValueError):
-        hurwitz_zeta(2.0, 1.5)
-    with pytest.raises(CapacityError):
-        hurwitz_zeta_array(np.array([0.5 + 2e4j]), 1.0)
-
-
-def test_hurwitz_zeta_rejects_nan():
-    # a NaN ordinate used to loop forever in the |Im s| band loop; the
-    # alarm turns a regression into a failure instead of a hung suite
-    import signal
-
-    def hung(signum, frame):
-        raise TimeoutError("hurwitz_zeta did not return on NaN input")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(5)
-    try:
-        with pytest.raises(ValueError):
-            hurwitz_zeta(complex(0.5, math.nan), 1.0)
-        with pytest.raises(ValueError):
-            hurwitz_zeta_array(np.array([0.5 + 3j, complex(0.5, math.nan)]), 1.0)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @given(st.floats(-30, 30), st.floats(-1000, 1000), st.floats(0.05, 1))
 @settings(derandomize=True, max_examples=150, deadline=None)
 def test_hurwitz_zeta_property_against_mpmath(sigma, t, alpha):
-    # the evaluator's domain is Re s >= -1/2: there it agrees with mpmath,
+    # the reference's domain is Re s >= -1/2: there it agrees with mpmath,
     # below it raises instead of returning an Euler-Maclaurin blow-up
-    import signal
-
     s = complex(sigma, t)
     assume(abs(s - 1) >= 1e-3)
+    if sigma < -0.5:
+        with pytest.raises(ValueError, match="Re s"):
+            hurwitz_zeta(s, alpha)
+        return
+    mine = complex(hurwitz_zeta(s, alpha)[0])
+    # mpmath's zeta(s, a) loses about -log10 |s| digits near s = 0, where
+    # zeta(0, 1/2) = 0 (as in test_l_values_property_against_mpmath)
+    digits = 30 + (max(0, math.ceil(-math.log10(abs(s)))) if s else 0)
+    with mp.workdps(digits):
+        ref = complex(mp.zeta(mp.mpc(s), alpha))
+    assert abs(mine - ref) <= 1e-10 * abs(ref)
+
+
+# ---------------------------------------------------------------------------
+# the domain of l_values_array, for zeta and for a character mod 5
+
+@pytest.mark.parametrize("t", [999.7, 2500.2, 5000.0])
+@pytest.mark.parametrize("sigma", [-0.5, 0.5, 1.5])
+def test_zeta_truncation_high_t(sigma, t, zeta_char):
+    # pins the band truncation N = max(20, ceil(h/2)) where it is tightest:
+    # high on the line and on both edges of the counting contour
+    mp.mp.dps = 30
+    s = complex(sigma, t)
+    mine = l_values_array(zeta_char, s)[0]
+    ref = complex(mp.zeta(mp.mpc(s)))
+    assert abs(mine - ref) / abs(ref) < 5e-11
+
+
+@pytest.mark.parametrize("label", ["q=1;e=", "q=5;e=1"], ids=["zeta", "mod5"])
+def test_l_values_pole_and_domain(label):
+    chi = character_from_label(label)
+    if chi.q == 1:
+        with pytest.raises(ValueError, match="pole at s = 1"):
+            l_values_array(chi, np.array([2.0, 1.0]))
+    with pytest.raises(CapacityError, match="beyond validated envelope"):
+        l_values_array(chi, np.array([0.5 + 3j, 0.5 + (IM_CAP + 1) * 1j]))
+    with pytest.raises(CapacityError, match="below validated envelope"):
+        l_values_array(chi, np.array([0.5 + 3j, -0.5001 + 3j]))
+    l_values_array(chi, np.array([-0.5 + IM_CAP * 1j, -0.5 - IM_CAP * 1j]))
+
+
+@pytest.mark.parametrize("label", ["q=1;e=", "q=5;e=1"], ids=["zeta", "mod5"])
+def test_l_values_reject_nan(label):
+    # a NaN ordinate used to loop forever in the |Im s| band loop; the
+    # alarm turns a regression into a failure instead of a hung suite
+    import signal
+
+    chi = character_from_label(label)
 
     def hung(signum, frame):
-        raise TimeoutError(f"hurwitz_zeta_array({s}, {alpha}) did not return")
+        raise TimeoutError("l_values_array did not return on NaN input")
 
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(5)
     try:
-        if sigma < -0.5:
-            with pytest.raises(ValueError, match="Re s"):
-                hurwitz_zeta_array(s, alpha)
-            return
-        mine = complex(hurwitz_zeta_array(s, alpha)[0])
+        for s in [complex(0.5, math.nan), np.array([0.5 + 3j, complex(math.nan, 3)])]:
+            with pytest.raises(ValueError, match="finite"):
+                l_values_array(chi, s)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    mp.mp.dps = 30
-    ref = complex(mp.zeta(mp.mpc(s), alpha))
-    assert abs(mine - ref) <= 1e-10 * abs(ref)
+
+
+def test_hurwitz_zeta_array_is_zeta_only(zeta_char):
+    # the name the benchmark times: zeta(s) through l_values_array, and
+    # nothing else
+    s = np.array([2.0, 0.5 + 14.1j, -0.5 + 999.7j])
+    assert np.array_equal(hurwitz_zeta_array(s, 1.0), l_values_array(zeta_char, s))
+    with pytest.raises(ValueError, match="alpha"):
+        hurwitz_zeta_array(s, 0.5)
 
 
 def test_functional_equation_residual_refuses_re_s_past_the_envelope():
@@ -492,14 +514,15 @@ def test_l_values_past_the_term_cap_refuse_before_allocating():
 
 def test_l_values_at_the_envelope_corner_match_the_hurwitz_sum():
     # q = FIND_Q_CAP at |Im s| near IM_CAP fits under the term cap; the
-    # table path agrees with q^-s sum_a chi(a) zeta(s, a/q), one exp per term
+    # table path agrees with q^-s sum_a chi(a) zeta(s, a/q), each from the
+    # Hurwitz zeta reference in tests/oracles.py
     from gzeros.characters import char_values_table
 
     chi = character_from_label("q=100;e=1,1")
     s = np.array([0.5 + 9999.5j, 1.5 - 9000j])
     mine = l_values_array(chi, s)
     table = char_values_table(chi)
-    ref = sum(table[a] * hurwitz_zeta_array(s, a / 100) for a in range(1, 100)
+    ref = sum(table[a] * hurwitz_zeta(s, a / 100) for a in range(1, 100)
               if table[a] != 0) * np.exp(-s * math.log(100))
     assert np.all(np.abs(mine - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
 
