@@ -7,22 +7,30 @@ primitive root of p^k for odd p, and (-1, 5) of orders (2, 2^{k-2}) for
 of the generators' powers fills every discrete-log table.  The basis is a
 cache-key contract: it fixes every label, and so every zero-cache file.
 
-A value is chi(n) = e(K/order) with an integer K, the exponent vector
-times the discrete logs of n; every exponent computation, the primitive
-character of induce_primitive included, stays in integers.  A complex
-value comes from one rounding rule (_unit_root): e(k/m) with k/m reduced
-is exactly 1 at 0 and -1 at 1/2, else cos + i sin of 2.0 * pi * k / m.
-Exact RootOfUnity arithmetic lives only in the tests' oracle
-(tests/oracles.py), which the tables match bit for bit.  Character labels
-"q=<q>;e=<v1,v2,...>" are the exponent vectors in this fixed basis, so
-they are deterministic across runs.
+Each character fact has one rule, applied to a matrix of exponent rows
+(one row per character, in build_group's order), so build_group, one
+character and the per-modulus table all read the same derivation:
+- _facts gives order, conductor and parity.  The component g_i ->
+  e(e_i/m_i) has order o_i = m_i / gcd(m_i, e_i), and chi's order is the
+  lcm of the o_i.  A component of order o > 1 has conductor a gcd(o, g),
+  with (a, g) = (p, p^(k-1)) for odd p, (2, 2) for the generator -1 of
+  2^k and (4, 2^(k-2)) for the generator 5; chi's conductor is the
+  product over primes of the largest.  The parity is 2K(q-1)/L.
+- _exponents gives K with chi(n) = e(K/L), L the group exponent: the
+  exponent rows times the discrete logs of n scaled to e(./L), mod L, in
+  integers (-1 off the units).  Every value, the primitive character of
+  induce_primitive included, comes from this K.
+A complex value comes from one rounding rule (_unit_root): e(k/m) with
+k/m reduced is exactly 1 at 0 and -1 at 1/2, else cos + i sin of
+2.0 * pi * k / m.  Exact RootOfUnity arithmetic lives only in the tests'
+oracle (tests/oracles.py), which the tables match bit for bit.  Character
+labels "q=<q>;e=<v1,v2,...>" are the exponent vectors in this fixed
+basis, so they are deterministic across runs.
 
-The characters of one modulus also come as one table, in build_group
-order: the exponent matrix K (phi(q) x q), one integer product of the
-exponent vectors with the scaled discrete-log tables mod the group
-exponent, with every character's order and conductor, and the
-closed form of the complete character sum over a with (a(c-a), q) = 1
-for every class c.  verify_char_sum_identity checks that closed form
+The characters of one modulus also come as one table (_char_table): the
+K of every character at every residue, with the facts, and the closed
+form of the complete character sum over a with (a(c-a), q) = 1 for
+every class c.  verify_char_sum_identity checks that closed form
 against a direct count with zero tolerance: both sides are integer
 combinations of roots of unity, reduced mod the cyclotomic polynomial
 and compared exactly.  The float32 matmul that sums them is exact
@@ -32,7 +40,6 @@ max|R_n| q < 2^24, a bound the code checks (CapacityError past it).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,8 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError
-from .numtheory import (check_modulus, divisors, euler_phi, factorize, moebius,
-                        unit_pair_count)
+from .numtheory import check_modulus, euler_phi, factorize, moebius, unit_pair_count
 
 GROUP_CAP = 10 ** 6
 TABLE_CAP = 2 ** 22  # phi(q) * q entries per array of a modulus' table
@@ -101,25 +107,25 @@ class CharacterGroup:
         if q > GROUP_CAP:
             raise CapacityError(f"character group cap is {GROUP_CAP}, got {q}")
         self.q = q
-        self.phi = euler_phi(q)
         self.components: list[_Component] = []
         self._dlogs: list[np.ndarray] = []  # per component: dlog of n mod p^k
+        cond = []  # per component: (a, g) of the conductor rule in _facts
 
         for p, k in factorize(q).factors:
             pk = p ** k
             if p == 2:  # (-1, 5), cut to (-1) for 4 and to () for 2
                 gens = [(pk - 1, 2), (5, pk // 4)][:k - 1]
+                cond += [(2, 2), (4, pk // 4)][:k - 1]
             else:
                 gens = [(_least_primitive_root(p, k), pk - pk // p)]
+                cond.append((p, pk // p))
             self._dlogs += _dlog_tables(pk, gens)
             self.components += [_Component(p, pk, g, m) for g, m in gens]
 
         self.orders = tuple(c.order for c in self.components)
-        # exponent of the group (lcm of component orders)
-        L = 1
-        for m in self.orders:
-            L = L * m // math.gcd(L, m)
-        self.exponent = L
+        self.exponent = math.lcm(*self.orders)  # of the group
+        self._m = np.array(self.orders, dtype=np.int64)
+        self._a, self._g = np.array(cond, dtype=np.int64).reshape(-1, 2).T
 
 
 @lru_cache(maxsize=None)
@@ -162,83 +168,60 @@ def parse_label(label: str) -> tuple[int, tuple[int, ...]]:
     return q, exps
 
 
-def _char_order(grp: CharacterGroup, exps: tuple[int, ...]) -> int:
-    n = 1
-    for e, m in zip(exps, grp.orders):
-        o = m // math.gcd(m, e)
-        n = n * o // math.gcd(n, o)
-    return n
+def _facts(grp: CharacterGroup, E: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(order, conductor, parity) of the characters whose exponent vectors
+    are the rows of E (int64, reduced mod the generator orders m_i).
+
+    The component character g_i -> e(e_i/m_i) has order o_i = m_i /
+    gcd(m_i, e_i), and chi's order is their lcm.  A component of order
+    o > 1 has conductor a gcd(o, g), with (a, g) = (p, p^(k-1)) for the
+    primitive root of odd p^k, (2, 2) for -1 and (4, 2^(k-2)) for 5 mod
+    2^k; the conductors of one prime are its powers, so chi's conductor,
+    the product over primes of the largest, is their lcm too.  The parity
+    is chi(-1) = e(K/L) = +-1 read as 2K/L, with K at q - 1 (_exponents)."""
+    o = grp._m // np.gcd(E, grp._m)
+    cond = np.where(o > 1, grp._a * np.gcd(o, grp._g), 1)
+    K = _exponents(grp, E, [grp.q - 1])[:, 0]
+    return (np.lcm.reduce(o, axis=1, initial=1),
+            np.lcm.reduce(cond, axis=1, initial=1), 2 * K // grp.exponent)
 
 
-def _exponent(grp: CharacterGroup, exps: tuple[int, ...], n: int) -> int | None:
-    """K with chi(n) = e(K/L), L the group exponent, for the character with
-    exponent vector exps; None off the units."""
-    if math.gcd(n % grp.q, grp.q) != 1:
-        return None
-    L = grp.exponent
-    return sum(e * int(dl[n % c.prime_power]) * (L // c.order)
-               for e, c, dl in zip(exps, grp.components, grp._dlogs)) % L
+def _exponents(grp: CharacterGroup, E: np.ndarray, r) -> np.ndarray:
+    """K (len(E) x len(r), int64) with chi(r) = e(K/L), L the group
+    exponent, for chi with exponent vector each row of E and the residues
+    r: E times the discrete logs of r scaled to e(./L), mod L; -1 where r
+    is not a unit."""
+    r = np.asarray(r, dtype=np.int64)
+    D = np.array([dl[r % c.prime_power] for c, dl in zip(grp.components, grp._dlogs)],
+                 dtype=np.int64).reshape(len(grp.orders), len(r))
+    K = (E * (grp.exponent // grp._m)) @ D % grp.exponent
+    K[:, np.gcd(r, grp.q) != 1] = -1
+    return K
 
 
-def _char_parity(grp: CharacterGroup, exps: tuple[int, ...]) -> int:
-    if grp.q <= 2:
-        return 0
-    # chi(-1) = e(t / L) with L the group exponent, so t is 0 or L/2
-    L = grp.exponent
-    t = _exponent(grp, exps, grp.q - 1)
-    if 2 * t % L:
-        raise AssertionError("chi(-1) not +-1")
-    return 2 * t // L
-
-
-def _component_conductor(comp: _Component, e: int) -> int:
-    """Conductor of the component character g -> e(e/order)."""
-    p, pk, m = comp.prime, comp.prime_power, comp.order
-    o = m // math.gcd(m, e)
-    if o == 1:
-        return 1
-    if p == 2 and comp.generator == pk - 1:
-        return 4
-    if p == 2:
-        # 5-part of order 2^t has conductor 2^{t+2}
-        return 4 * o
-    # odd p: smallest j with o | phi(p^j)
-    j = 1
-    while (p - 1) * p ** (j - 1) % o != 0:
-        j += 1
-    return p ** j
-
-
-def _conductor(grp: CharacterGroup, exps: tuple[int, ...]) -> int:
-    cond = 1
-    by_prime: dict[int, int] = {}
-    for comp, e in zip(grp.components, exps):
-        c = _component_conductor(comp, e)
-        by_prime[comp.prime] = max(by_prime.get(comp.prime, 1), c)
-    for c in by_prime.values():
-        cond *= c
-    return cond
+def _characters(grp: CharacterGroup, E: np.ndarray) -> list[DirichletCharacter]:
+    """The characters whose exponent vectors are the rows of E."""
+    order, cond, parity = (a.tolist() for a in _facts(grp, E))
+    return [DirichletCharacter(grp.q, tuple(e), n, f, s, n == 1)
+            for e, n, f, s in zip(E.tolist(), order, cond, parity)]
 
 
 def _make_character(grp: CharacterGroup, exps: tuple[int, ...]) -> DirichletCharacter:
-    exps = tuple(e % m for e, m in zip(exps, grp.orders))
-    order = _char_order(grp, exps)
-    return DirichletCharacter(
-        q=grp.q,
-        exponents=exps,
-        order=order,
-        conductor=_conductor(grp, exps),
-        parity=_char_parity(grp, exps),
-        is_principal=order == 1,
-    )
+    exps = [e % m for e, m in zip(exps, grp.orders)]
+    return _characters(grp, np.array([exps], dtype=np.int64))[0]
+
+
+def _exponent_rows(grp: CharacterGroup) -> np.ndarray:
+    """Every exponent vector over the basis, one row each, in the order of
+    itertools.product over range(m_i)."""
+    return np.indices(grp.orders).reshape(len(grp.orders), math.prod(grp.orders)).T
 
 
 def build_group(q: int) -> list[DirichletCharacter]:
     """All phi(q) characters mod q, principal first, deterministic order
     (lexicographic in the exponent vectors over the fixed basis)."""
     grp = group(q)
-    return [_make_character(grp, exps)
-            for exps in itertools.product(*map(range, grp.orders))]
+    return _characters(grp, _exponent_rows(grp))
 
 
 def character_from_label(label: str) -> DirichletCharacter:
@@ -260,17 +243,13 @@ def conjugate(chi: DirichletCharacter) -> DirichletCharacter:
 def char_values_table(chi: DirichletCharacter) -> np.ndarray:
     """chi(n) for n = 0..q-1 as complex128 (period-q lookup table).
 
-    chi(n) = e(K/L), L the group exponent, with K from the dlog tables as in
+    chi(n) = e(K/L), L the group exponent, with K from _exponents as in
     one row of _char_table, and each e(K/L) rounded by _unit_root."""
     grp = group(chi.q)
-    L = grp.exponent
-    r = np.arange(chi.q, dtype=np.int64)
-    K = np.zeros(chi.q, dtype=np.int64)
-    for e, c, dl in zip(chi.exponents, grp.components, grp._dlogs):
-        K = (K + e * (L // c.order) * dl[r % c.prime_power]) % L
-    unit = np.gcd(r, chi.q) == 1
+    K = _exponents(grp, np.array([chi.exponents], dtype=np.int64), np.arange(chi.q))[0]
+    unit = K >= 0
     out = np.zeros(chi.q, dtype=np.complex128)
-    out[unit] = _roots_of_unity(chi.order)[K[unit] // (L // chi.order)]
+    out[unit] = _roots_of_unity(chi.order)[K[unit] // (grp.exponent // chi.order)]
     return out
 
 
@@ -308,31 +287,23 @@ def induce_primitive(chi: DirichletCharacter) -> DirichletCharacter:
     if qs == chi.q:
         return chi
     grp, gs = group(chi.q), group(qs)
-    L = grp.exponent
-    exps = []
-    for comp in gs.components:
-        # lift the basis generator (mod the q* component) to n' coprime
-        # to q, congruent to it mod p^c and to 1 mod the rest of q
-        n1 = _crt_lift(comp.generator, comp.prime, chi.q)
-        K = _exponent(grp, chi.exponents, n1)
-        # chi(n') = e(K/L) = e(e_i/order_i), so e_i = K order_i / L
-        assert K is not None and K * comp.order % L == 0, \
-            "induced value incompatible with basis"
-        exps.append(K * comp.order // L % comp.order)
-    out = _make_character(gs, tuple(exps))
+    # lift each basis generator (mod the q* component) to n' coprime to q,
+    # congruent to it mod p^k | q and to 1 mod the rest of q
+    part = {c.prime: c.prime_power for c in grp.components}
+    n = [_crt_lift(c.generator, part[c.prime], chi.q) for c in gs.components]
+    K = _exponents(grp, np.array([chi.exponents], dtype=np.int64), n)[0]
+    # chi(n') = e(K/L) = e(e_i/m_i), so e_i = K m_i / L
+    assert np.all(K * gs._m % grp.exponent == 0), "induced value incompatible with basis"
+    out = _make_character(gs, tuple((K * gs._m // grp.exponent).tolist()))
     assert out.conductor == qs, "induced character is not primitive"
     return out
 
 
-def _crt_lift(a: int, p: int, q: int) -> int:
-    """n = a (mod the p-part of q), n = 1 (mod the rest of q), n in [1, q];
-    gcd(n, q) = 1 for a unit a mod p."""
-    qp = p
-    while q % (qp * p) == 0:
-        qp *= p
-    rest = q // qp
-    n = (a + qp * ((1 - a) * pow(qp, -1, rest) % rest)) % q
-    return n or q
+def _crt_lift(a, A: int, q: int):
+    """n = a (mod A), n = 1 (mod q / A), n in [0, q), for A | q with A
+    prime to q / A; elementwise for an array a."""
+    rest = q // A
+    return (a + A * ((1 - a) * pow(A, -1, rest) % rest)) % q
 
 
 def is_primitive(chi: DirichletCharacter) -> bool:
@@ -461,23 +432,11 @@ def _char_table(q: int) -> _CharTable:
         raise CapacityError(f"character table mod {q}: phi(q) q = {size} "
                             f"exceeds {TABLE_CAP}")
     grp = group(q)
-    L = grp.exponent
+    E = _exponent_rows(grp)
+    order, cond, _ = _facts(grp, E)
     r = np.arange(q, dtype=np.int64)
-    unit = np.gcd(r, q) == 1
-    exps = np.array(list(itertools.product(*map(range, grp.orders))), dtype=np.int64)
-    # K = exponent vectors times the dlog tables scaled to e(./L), mod L; its
-    # gcd over all columns, units or not, is L / order, and kn = K / (L / order)
-    dlogs = np.array([np.maximum(dl[r % c.prime_power], 0) * (L // c.order)
-                      for c, dl in zip(grp.components, grp._dlogs)],
-                     dtype=np.int64).reshape(-1, q)
-    kn = exps @ dlogs % L
-    order = L // np.gcd(np.gcd.reduce(kn, axis=1), L)
-    kn //= (L // order)[:, None]
-    kn[:, ~unit] = -1
-    # the conductor is the least d | q with chi = 1 on the units = 1 mod d
-    cond = np.empty(grp.phi, dtype=np.int64)
-    for d in reversed(divisors(q)):
-        cond[np.all(kn[:, unit & (r % d == 1 % d)] == 0, axis=1)] = d
+    kn = _exponents(grp, E, r)
+    kn //= (grp.exponent // order)[:, None]  # e(K/L) = e(kn/order); -1 stays -1
     coeff = np.zeros_like(kn)
     pos = np.empty_like(kn)
     for qs in sorted(set(cond.tolist())):  # np.unique imports numpy.ma (~14 ms)
@@ -486,9 +445,8 @@ def _char_table(q: int) -> _CharTable:
         # factors of unit_pair_count, and A / q* the rest of phi(q)/phi(q*)
         A = math.prod(p ** k for p, k in factorize(q).factors if qs % p == 0)
         q_out = q // A
-        lift = (r + A * ((1 - r) * pow(A, -1, q_out) % q_out)) % q
         rows = cond == qs
-        pos[rows] = kn[np.ix_(rows, lift)]
+        pos[rows] = kn[np.ix_(rows, _crt_lift(r, A, q))]
         coeff[rows] = moebius(qs) * (A // qs) * unit_pair_count(q_out, r)
     coeff[pos < 0] = 0
     tab = _CharTable(order, cond, kn, coeff, pos)

@@ -177,7 +177,7 @@ def _cmd_javg(args) -> int:
     table = j_weight_table(args.x, constants)
     rows = []
     for x in floor_x(geometric_grid(100, args.x)).tolist():
-        exact, main, resid = j_average(x, args.q, args.c, constants, j_table=table)
+        exact, main, resid = j_average(x, args.q, args.c, table)
         rows.append((x, exact, main, resid))
     _emit_csv(args.out, ["x", "exact", "main", "residual"], list(zip(*rows)))
     return 0

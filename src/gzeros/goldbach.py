@@ -158,7 +158,8 @@ def goldbach_g(n: int, q: int, a: int, b: int, sieve: SieveTable) -> float:
     m = np.int32(n) - l  # int32 keys, as the positions are
     i = np.minimum(np.searchsorted(sieve.positions, m), len(sieve.positions) - 1)
     hit = (sieve.positions[i] == m) & (np.remainder(m, q, dtype=np.int64) == b % q)
-    terms = lam_l[hit] * sieve.lam(i[hit], m[hit])  # descending indices
+    i, m = i[hit][::-1], m[hit][::-1]  # lam takes ascending indices
+    terms = lam_l[hit] * sieve.lam(i, m)[::-1]
     # a sequential running sum, not np.sum's pairwise one
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 

@@ -184,14 +184,6 @@ def unit_pair_count(q: int, c):
     return int(out) if out.ndim == 0 else out
 
 
-def divisors(n: int) -> list[int]:
-    """All divisors of n, ascending."""
-    divs = [1]
-    for p, e in factorize(n).factors:
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def _primes_with(limit: int, powers: np.ndarray) -> np.ndarray:
     """The primes <= limit < 2^31 and the ascending int32 powers <= limit
     (none of them prime), merged into one ascending int32 array.
@@ -284,24 +276,23 @@ class SieveTable:
 
     def lam(self, i, pos=None) -> np.ndarray:
         """Lambda(positions[i]), a new float64 array, for a slice i of step 1
-        or an array i of indices >= 0 in any order: np.log(positions[i]) with
-        math.log(p) at the proper powers.  np.log works element by element,
-        so any slice or gather of the table's Lambda keeps its bits.  A
-        caller that has gathered positions[i] already passes it as pos."""
+        or a strictly ascending array i of indices >= 0 (ValueError for any
+        other): np.log(positions[i]) with math.log(p) at the proper powers,
+        found by searching the few powers among the indices.  np.log works
+        element by element, so any slice or gather of the table's Lambda
+        keeps its bits.  A caller that has gathered positions[i] already
+        passes it as pos."""
         if isinstance(i, slice) and i.step not in (None, 1):
             raise ValueError(f"lam: slice step {i.step} is not 1")
+        if not isinstance(i, slice) and np.any(i[1:] <= i[:-1]):
+            raise ValueError("lam: indices are not strictly ascending")
         out = np.log(self.positions[i] if pos is None else pos)
         at = self.power_index
         if isinstance(i, slice):
             lo, hi, _ = i.indices(len(self.positions))
             s, e = np.searchsorted(at, (lo, hi))
             out[at[s:e] - lo] = self.power_log[s:e]
-        elif len(i) > 1 and not np.all(i[1:] > i[:-1]):  # search every index
-            j = np.searchsorted(at, i)
-            hit = j < len(at)
-            hit[hit] = at[j[hit]] == i[hit]
-            out[hit] = self.power_log[j[hit]]
-        else:  # strictly ascending: search the few powers among the indices
+        else:
             j = np.searchsorted(i, at)
             hit = j < len(i)
             hit[hit] = i[j[hit]] == at[hit]

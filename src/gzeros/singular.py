@@ -165,19 +165,13 @@ def check_j_inputs(x: int, q: int) -> None:
     _check_j_envelope(x, q)
 
 
-def j_average(
-    x: int, q: int, c: int, constants: SingularConstants,
-    j_table: np.ndarray | None = None,
-) -> tuple[float, float, float]:
+def j_average(x: int, q: int, c: int, j_table: np.ndarray) -> tuple[float, float, float]:
     """(exact_sum, main_term, residual) for sum_{n<=x, n=c (q)} J(n)
-    against S_q(c) x^2 / 2.
-
-    A precomputed j_table (from j_weight_table, length >= x+1) can be
-    passed to amortize the sieve across calls.
-    """
+    against S_q(c) x^2 / 2, read from j_table = j_weight_table(X, C2)
+    for some X >= x (ValueError for a shorter table)."""
     _check_j_envelope(x, q)
-    if j_table is None:
-        j_table = j_weight_table(x, constants)
+    if len(j_table) <= x:
+        raise ValueError(f"j_average: table of length {len(j_table)} stops before x={x}")
     exact = float(j_table[c % q: x + 1: q].sum())
     main = float(singular_series(q, c)) * x * x / 2.0
     return exact, main, exact - main

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -254,6 +255,11 @@ def test_char_order4_mod5_at_2():
     assert char_value(lead, 2) == RootOfUnity(1, 4)
 
 
+# every modulus to 60, and past it the prime powers 2^k <= 1024 and 3^6,
+# 720 = 2^4 3^2 5 and 2310 = 2 3 5 7 11
+_FACT_MODULI = sorted({*range(1, 61), *(2 ** k for k in range(1, 11)), 729, 720, 2310})
+
+
 def test_parity():
     # the non-trivial character mod 4 is odd
     chi4 = [c for c in build_group(4) if not c.is_principal][0]
@@ -261,10 +267,10 @@ def test_parity():
     # the quadratic character mod 5 is even
     chi5 = [c for c in build_group(5) if c.order == 2][0]
     assert chi5.parity == 0
-    for q in [3, 5, 7, 8, 12]:
+    for q in _FACT_MODULI:
         for chi in build_group(q):
             v = char_value(chi, q - 1)  # chi(-1)
-            assert v == (ONE if chi.parity == 0 else MINUS_ONE)
+            assert v == (ONE if chi.parity == 0 else MINUS_ONE), chi.label
 
 
 def test_labels_roundtrip():
@@ -279,41 +285,52 @@ def test_labels_roundtrip():
 # ---------------------------------------------------------------------------
 # conductor / induction
 
+def _generators(elements, q):
+    """A generating set of the subgroup of (Z/q)* with these elements: each
+    element, in ascending order, that the ones before it do not reach."""
+    span, gens = {1 % q}, []
+    for n in sorted(elements):
+        if n not in span:
+            gens.append(n)
+            new, power = set(span), n
+            while power not in span:  # span <n> = the cosets span n^j
+                new |= {s * power % q for s in span}
+                power = power * n % q
+            span = new
+    assert span == set(elements)  # the elements were a subgroup
+    return gens
+
+
 def test_conductors():
     assert all(c.conductor == 1 for c in build_group(12) if c.is_principal)
     chi4 = [c for c in build_group(4) if not c.is_principal][0]
     assert chi4.conductor == 4
-    # brute force: conductor = smallest modulus giving the same values on
-    # residues coprime to q
-    for q in [8, 9, 12, 15, 16, 24, 45]:
+    # from the values alone: chi's order is the lcm of the orders of its
+    # values on generators of (Z/q)*, and its conductor the least d | q with
+    # chi = 1 on generators of the units = 1 mod d
+    for q in _FACT_MODULI:
+        units = [n for n in range(q) if math.gcd(n, q) == 1]
+        kernels = [(d, _generators([n for n in units if n % d == 1 % d], q))
+                   for d in range(1, q + 1) if q % d == 0]
+        gens = kernels[0][1]
         for chi in build_group(q):
-            cond = chi.conductor
-            assert q % cond == 0
-            # chi factors through mod cond on the units of q
-            seen = {}
-            for n in range(1, 3 * q):
-                if math.gcd(n, q) != 1:
-                    continue
-                key = n % cond
-                v = char_value(chi, n)
-                if key in seen:
-                    assert seen[key] == v
-                else:
-                    seen[key] = v
-            # and through no smaller divisor of q
-            for d in [d for d in range(1, cond) if cond % d == 0]:
-                ok = True
-                seen = {}
-                for n in range(1, 3 * q):
-                    if math.gcd(n, q) != 1:
-                        continue
-                    key = n % d
-                    v = char_value(chi, n)
-                    if key in seen and seen[key] != v:
-                        ok = False
-                        break
-                    seen[key] = v
-                assert not ok
+            order = math.lcm(*(char_value(chi, g).m for g in gens))
+            cond = next(d for d, ker in kernels
+                        if all(char_value(chi, g) == ONE for g in ker))
+            assert (chi.order, chi.conductor, chi.is_principal) == (
+                order, cond, order == 1), chi.label
+
+
+def test_character_facts_digest():
+    # (label, order, conductor, parity, is_principal) of every character
+    # mod q <= 1200, as gz characters writes them: the labels and facts key
+    # every zero-cache file, so their digest is pinned
+    digest = hashlib.sha256()
+    for q in range(1, 1201):
+        digest.update("".join(f"{c.label},{c.order},{c.conductor},{c.parity},"
+                              f"{int(c.is_principal)}\n" for c in build_group(q)).encode())
+    assert digest.hexdigest() == (
+        "77f37acc1eea59e6d3b5961a8a394fd7ec60e0504e616d38355a6275ad14a4b2")
 
 
 def test_induce_primitive():
@@ -475,8 +492,10 @@ def _closed_form_reference(chi, c):
 
 def test_character_table_matches_per_character_reference():
     # every row of the per-modulus table against the per-character objects
-    # (row index, order, parity, conductor) and the per-character closed
-    # form built from induce_primitive + char_value
+    # (row index, order, parity, conductor: one rule, which test_conductors
+    # and test_parity check against the values), its K against char_value,
+    # and the per-character closed form built from induce_primitive +
+    # char_value
     from gzeros.characters import _char_table, _row
 
     for q in range(1, 61):

@@ -12,7 +12,6 @@ from gzeros import numtheory
 from gzeros.errors import CapacityError
 from gzeros.numtheory import (
     build_sieve,
-    divisors,
     euler_phi,
     factorize,
     is_prime,
@@ -233,7 +232,8 @@ def test_chebyshev_identity():
     ns = list(range(2, 200)) + [rng.randrange(200, 10 ** 4) for _ in range(300)]
     lam = dense_lambda(sv, 10 ** 4)
     for n in ns:
-        total = sum(lam[d] for d in divisors(n))
+        d = np.arange(1, n + 1)
+        total = lam[d[n % d == 0]].sum()
         assert abs(total - math.log(n)) < 1e-9
 
 
@@ -315,7 +315,8 @@ def test_compact_sieve_matches_the_dense_table_bit_for_bit(dense3):
 
 def test_lambda_on_demand_matches_the_dense_table_bit_for_bit(dense3):
     # lam(i) is np.log(positions[i]) patched at the proper powers: every
-    # slice and every gather, in any order, has the dense table's bits
+    # slice and every strictly ascending gather has the dense table's bits,
+    # and any other index array is refused
     x, ref, sv = dense3
     want = ref[sv.positions]
     n, at = len(sv.positions), sv.power_index.tolist()
@@ -329,16 +330,22 @@ def test_lambda_on_demand_matches_the_dense_table_bit_for_bit(dense3):
     rng = np.random.default_rng(27)
     picked = np.union1d(rng.choice(n, 5000, replace=False), at[::3])
     repeats = np.sort(rng.choice(at + [0, n - 1], 400))
+    assert np.any(repeats[1:] == repeats[:-1])
     one = np.array([at[4]])
     for dtype in (np.int32, np.intp):
-        for i in (picked, picked[::-1], rng.permutation(picked), np.array(at),
-                  np.array(at)[::-1], repeats, rng.permutation(repeats),
-                  np.zeros(0), one, one - 1, np.array([n - 1])):
+        for i in (picked, np.array(at), np.zeros(0), one, one - 1, np.array([n - 1])):
             i = i.astype(dtype)
             assert sv.lam(i).tobytes() == want[i].tobytes(), (dtype, i[:5])
             # and from positions the caller has gathered already
             at_i = sv.positions[i]
             assert sv.lam(i, at_i).tobytes() == want[i].tobytes(), (dtype, i[:5])
+        for i in (picked[::-1], rng.permutation(picked), np.array(at)[::-1], repeats,
+                  rng.permutation(repeats)):
+            i = i.astype(dtype)
+            with pytest.raises(ValueError, match="strictly ascending"):
+                sv.lam(i)
+            with pytest.raises(ValueError, match="strictly ascending"):
+                sv.lam(i, sv.positions[i])
 
 
 def test_goldbach_g_through_proper_powers_matches_brute_force(dense3):

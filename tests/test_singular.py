@@ -74,12 +74,10 @@ def test_j_weight_kernel_property(constants):
 
 def test_j_expansion_identity(constants):
     # J(2N) = 2 C2 N sum_{d|N, d odd} mu(d)^2/phi2(d), phi2(d) = prod (p-2)
-    from gzeros.numtheory import divisors
-
     for N in [1, 2, 9, 15, 24, 105]:
         total = 0.0
-        for d in divisors(N):
-            if d % 2 == 1 and moebius(d) != 0:
+        for d in range(1, N + 1):
+            if N % d == 0 and d % 2 == 1 and moebius(d) != 0:
                 total += 1 / math.prod(p - 2 for p in factorize(d).primes)
         assert j_weight(2 * N, constants) == pytest.approx(
             2 * constants.C2 * N * total, rel=1e-12
@@ -108,14 +106,14 @@ def test_singular_series_partition():
 
 
 def test_j_average_even_modulus_odd_class(constants):
-    exact, main, resid = j_average(10 ** 4, 2, 1, constants)
+    exact, main, resid = j_average(10 ** 4, 2, 1, j_weight_table(10 ** 4, constants))
     assert exact == 0.0
     assert main == 0.0
     assert resid == 0.0
 
 
 def test_j_average_hand_sum(constants):
-    exact, main, resid = j_average(4, 1, 1, constants)
+    exact, main, resid = j_average(4, 1, 1, j_weight_table(4, constants))
     assert exact == pytest.approx(6 * constants.C2, rel=1e-12)
     assert main == pytest.approx(8.0, abs=1e-12)
     assert resid == pytest.approx(exact - main, abs=1e-12)
@@ -124,13 +122,13 @@ def test_j_average_hand_sum(constants):
 def test_j_average_residual_scale(constants):
     x = 10 ** 5
     table = j_weight_table(x, constants)
-    exact, main, resid = j_average(x, 1, 1, constants, j_table=table)
+    exact, main, resid = j_average(x, 1, 1, table)
     assert abs(resid) <= 10 * x * math.log(x)
     # oscillation is observed, not required: record the sign pattern but
     # only assert the residuals exist on the sampled grid
     signs = set()
     for xx in [10 ** 3, 10 ** 4, 5 * 10 ** 4, 10 ** 5]:
-        _, _, r = j_average(xx, 1, 1, constants, j_table=table)
+        _, _, r = j_average(xx, 1, 1, table)
         signs.add(r > 0)
     assert len(signs) >= 1
 
@@ -138,12 +136,15 @@ def test_j_average_residual_scale(constants):
 def test_j_average_matches_brute(constants):
     x, q, c = 2000, 6, 4
     table = j_weight_table(x, constants)
-    exact, main, _ = j_average(x, q, c, constants, j_table=table)
+    exact, main, _ = j_average(x, q, c, table)
     brute = sum(j_weight(n, constants) for n in range(1, x + 1) if n % q == c % q)
     assert exact == pytest.approx(brute, rel=1e-12)
     assert main == pytest.approx(float(singular_series(q, c)) * x * x / 2, rel=1e-15)
 
 
 def test_j_average_rejects_modulus_zero(constants):
+    table = j_weight_table(1000, constants)
     with pytest.raises(ValueError):
-        j_average(1000, 0, 1, constants)
+        j_average(1000, 0, 1, table)
+    with pytest.raises(ValueError, match="stops before"):
+        j_average(1001, 1, 1, table)
