@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .explicit import ExplicitRow, thm12_rhs, thm14_rhs
+from .explicit import ExplicitRow, thm12_rows, thm14_rows
 from .goldbach import restricted_sum, s_grid
 from .lfunc import ZeroSet
 from .numtheory import SieveTable, euler_phi
@@ -83,8 +83,8 @@ def explicit_grid(
     """The exact sum against the mode's right-hand side, one row per x:
 
     thm11: S(x;q,a,b) against the main term x^2/(2 phi(q)^2) alone
-    thm12: S(x;q,a,b) against thm12_rhs(x)
-    thm14: restricted_sum(x;q,c) against thm14_rhs(x)
+    thm12: S(x;q,a,b) against thm12_rows
+    thm14: restricted_sum(x;q,c) against thm14_rows
     """
     if mode not in ("thm11", "thm12", "thm14"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -92,12 +92,10 @@ def explicit_grid(
     xs = np.asarray(xs, dtype=np.float64)
     if mode == "thm14":
         exact = restricted_sum(xs, p.q, p.c, p.sieve)
-        return [thm14_rhs(x, p.q, p.c, p.zero_sets, p.T, exact=e)
-                for x, e in zip(xs.tolist(), exact.tolist())]
+        return thm14_rows(xs.tolist(), exact.tolist(), p.q, p.c, p.zero_sets, p.T)
     exact = s_grid(xs, p.q, p.a, p.b, p.sieve)
     if mode == "thm12":
-        return [thm12_rhs(x, p.q, p.a, p.b, p.zero_sets, p.T, exact=e)
-                for x, e in zip(xs.tolist(), exact.tolist())]
+        return thm12_rows(xs.tolist(), exact.tolist(), p.q, p.a, p.b, p.zero_sets, p.T)
     phi = euler_phi(p.q)
     return [ExplicitRow(x, e, x * x / (2 * phi * phi), 0j, 0.0)
             for x, e in zip(xs.tolist(), exact.tolist())]

@@ -33,7 +33,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from .characters import build_group, character_from_label, conjugate, induce_primitive
+from .characters import character_from_label, character_labels, conjugate, induce_primitive
 from .goldbach import ClassConvolution, build_class_convolution
 from .lfunc import (
     EVALUATOR_VERSION,
@@ -146,8 +146,7 @@ def load_or_build_zeros(chi_label: str, T: float) -> ZeroSet:
 def load_or_build_zero_sets(q: int, T: float) -> dict[str, ZeroSet]:
     """Zero sets of every character mod q to height T, keyed and labelled
     by chi.label; an imprimitive chi gets the set of its primitive chi*."""
-    return {chi.label: load_or_build_zeros(chi.label, T)
-            for chi in build_group(q)}
+    return {label: load_or_build_zeros(label, T) for label in character_labels(q)}
 
 
 def load_or_build_convolution(q: int, a: int, b: int, x: int,

@@ -31,11 +31,10 @@ The characters of one modulus also come as one table (_char_table): the
 K of every character at every residue, with the facts, and the closed
 form of the complete character sum over a with (a(c-a), q) = 1 for
 every class c.  verify_char_sum_identity checks that closed form
-against a direct count with zero tolerance: both sides are integer
-combinations of roots of unity, reduced mod the cyclotomic polynomial
-and compared exactly.  The float32 matmul that sums them is exact
-because every product and partial sum is an integer of size at most
-max|R_n| q < 2^24, a bound the code checks (CapacityError past it).
+against a direct count with zero tolerance: it checks that the table is
+closed under chi -> chi^j, then compares both sides mod a prime p that
+splits completely in Q(zeta_L), L the group exponent, in one exact
+float64 product.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError
-from .numtheory import check_modulus, euler_phi, factorize, moebius, unit_pair_count
+from .numtheory import check_modulus, euler_phi, factorize, is_prime, moebius, unit_pair_count
 
 GROUP_CAP = 10 ** 6
 TABLE_CAP = 2 ** 22  # phi(q) * q entries per array of a modulus' table
@@ -224,6 +223,11 @@ def build_group(q: int) -> list[DirichletCharacter]:
     return _characters(grp, _exponent_rows(grp))
 
 
+def character_labels(q: int) -> list[str]:
+    """The labels of build_group(q), in its order, without the facts."""
+    return [format_label(q, tuple(e)) for e in _exponent_rows(group(q)).tolist()]
+
+
 def character_from_label(label: str) -> DirichletCharacter:
     q, exps = parse_label(label)
     grp = group(q)
@@ -346,65 +350,6 @@ def char_sum_closed_form(chi: DirichletCharacter, c: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# exact zero-testing of integer combinations of roots of unity
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of Phi_n(X), computed by exact division
-    of X^n - 1 by the product of the lower cyclotomic polynomials."""
-    if n == 1:
-        return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    for d in range(1, n):
-        if n % d == 0:
-            num = _polydiv_exact(num, list(cyclotomic_poly(d)))
-    return tuple(num)
-
-
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (ascending coefficients)."""
-    num = list(num)
-    deg_den = len(den) - 1
-    out = [0] * (len(num) - deg_den)
-    for i in range(len(out) - 1, -1, -1):
-        coef = num[i + deg_den]
-        assert coef % den[-1] == 0
-        coef //= den[-1]
-        out[i] = coef
-        if coef:
-            for j, dc in enumerate(den):
-                num[i + j] -= coef * dc
-    assert all(v == 0 for v in num), "non-exact polynomial division"
-    return out
-
-
-@lru_cache(maxsize=None)
-def _reduction_matrix(n: int) -> np.ndarray:
-    """Matrix R (phi(n) x n): column k = coefficients of X^k mod Phi_n.
-
-    An integer vector v (counts of e(k/n)) represents zero in Z[zeta_n]
-    exactly when R @ v == 0, since 1, zeta, ..., zeta^{phi(n)-1} is a
-    Q-basis of the cyclotomic field.
-    """
-    phi = cyclotomic_poly(n)
-    deg = len(phi) - 1
-    cols = np.zeros((deg, n), dtype=np.int64)
-    cur = np.zeros(deg, dtype=np.int64)
-    cur[0] = 1
-    for k in range(n):
-        cols[:, k] = cur
-        # multiply by X mod Phi_n
-        lead = cur[-1]
-        nxt = np.zeros(deg, dtype=np.int64)
-        nxt[1:] = cur[:-1]
-        if lead:
-            nxt -= lead * np.array(phi[:-1], dtype=np.int64)
-        cur = nxt
-    return cols
-
-
-# ---------------------------------------------------------------------------
 # bulk exact verification of the character-sum lemma
 
 
@@ -437,18 +382,18 @@ def _char_table(q: int) -> _CharTable:
     r = np.arange(q, dtype=np.int64)
     kn = _exponents(grp, E, r)
     kn //= (grp.exponent // order)[:, None]  # e(K/L) = e(kn/order); -1 stays -1
-    coeff = np.zeros_like(kn)
-    pos = np.empty_like(kn)
-    for qs in sorted(set(cond.tolist())):  # np.unique imports numpy.ma (~14 ms)
+    conds = sorted(set(cond.tolist()))  # np.unique imports numpy.ma (~14 ms)
+    lift, count = np.empty((2, len(conds), q), dtype=np.int64)  # per conductor
+    for i, qs in enumerate(conds):
         # q = A * q_out with q_out prime to q*: chi*(c) = chi(c') for the lift
         # c' = c (mod A), 1 (mod q_out); the primes of q_out give the sieve
         # factors of unit_pair_count, and A / q* the rest of phi(q)/phi(q*)
         A = math.prod(p ** k for p, k in factorize(q).factors if qs % p == 0)
-        q_out = q // A
-        rows = cond == qs
-        pos[rows] = kn[np.ix_(rows, _crt_lift(r, A, q))]
-        coeff[rows] = moebius(qs) * (A // qs) * unit_pair_count(q_out, r)
-    coeff[pos < 0] = 0
+        lift[i] = _crt_lift(r, A, q)
+        count[i] = moebius(qs) * (A // qs) * unit_pair_count(q // A, r)
+    which = np.searchsorted(conds, cond)  # each row's conductor
+    pos = kn[np.arange(len(kn))[:, None], lift[which]]
+    coeff = np.where(pos < 0, 0, count[which])
     tab = _CharTable(order, cond, kn, coeff, pos)
     for arr in vars(tab).values():
         arr.flags.writeable = False
@@ -471,31 +416,63 @@ def _closed_form_coefficients(chi: DirichletCharacter) -> tuple[np.ndarray, np.n
 def verify_char_sum_identity(q: int) -> bool:
     """Exact check, for every chi mod q and every c in [1, q], that the
     brute-force sum over a with (a(c-a), q) = 1 of chi(a) equals the
-    closed form.  Both sides live in Z[zeta_n]; equality is tested by
-    reducing mod the n-th cyclotomic polynomial before counting: for the
-    characters of order n, R_n[:, kn[a]] summed against the count matrix
-    U[a, c] = [c - a is a unit] must equal R_n[:, pos] coeff.  The float32
-    matmul is exact while every product and partial sum, an integer of
-    size at most max|R_n| q, stays below 2^24 (CapacityError past it).
-    The rows of each order are taken in chunks of about 1 MB of float32."""
+    closed form.  With L the group exponent, K = kn L/order and P = pos
+    L/order put the table in e(./L).  Two passes:
+    1. Galois closure.  kn is -1 exactly off the r with gcd(r, q) = 1, and
+       K and P (where coeff != 0) lie in [0, L).  For each j of a
+       generating set of (Z/L)*, picked by closure, the row of chi^j (the
+       exponent vector j e mod m) has K and P equal to j times chi's mod L
+       and the same coeff.
+    2. One embedding.  With p the least prime = 1 (mod L) above phi(q) +
+       max|coeff| and omega of order L mod p, every row has sum_a
+       omega^K(a) [c - a a unit] = coeff omega^P (mod p): one float64
+       product, exact while phi(q) p < 2^53 (CapacityError past it).
+    Proof: let alpha_chi in Z[zeta_L] be brute minus closed at one c.
+    Pass 1 gives alpha_{chi^j} = sigma_j(alpha_chi), so pass 2 sends
+    alpha_chi to 0 under all phi(L) maps zeta_L -> omega^j into F_p.  As p
+    splits completely in Q(zeta_L), alpha_chi lies in pZ[zeta_L], so it is 0
+    or |N(alpha_chi)| >= p^phi(L).  Its coefficients have l1 norm at most
+    phi(q) + |coeff| < p, so |N(alpha_chi)| < p^phi(L): alpha_chi = 0."""
     tab = _char_table.__wrapped__(q)  # each q once: past the per-q cache
-    units = np.flatnonzero(tab.kn[0] >= 0)
-    U = (tab.kn[0][(np.arange(q) - units[:, None]) % q] >= 0).astype(np.float32)
-    for n in sorted(set(tab.order.tolist())):  # not np.unique: see _char_table
-        order_rows = np.flatnonzero(tab.order == n)
-        red = _reduction_matrix(n).astype(np.float32)
-        if np.abs(red).max() * q >= 2 ** 24:
-            raise CapacityError(f"q={q}: float32 sums would not be exact")
-        step = max(1, (1 << 18) // (len(red) * q))  # ~1 MB float32 temporaries
-        for s in range(0, len(order_rows), step):
-            rows = order_rows[s:s + step]
-            closed = np.take(red, tab.pos[rows], axis=1)
-            closed *= tab.coeff[rows].astype(np.float32)
-            brute = np.take(red, tab.kn[rows][:, units], axis=1)
-            brute = brute.reshape(-1, len(units)) @ U
-            if not np.array_equal(brute.reshape(closed.shape), closed):
+    grp = group(q)
+    L = grp.exponent
+    r = np.arange(q, dtype=np.int64)
+    unit = np.gcd(r, q) == 1
+    nz = tab.coeff != 0
+    n = tab.order[:, None]
+    if (np.any(L % n) or np.any((tab.kn < 0) == unit) or np.any(tab.kn < -1)
+            or np.any(tab.kn >= n) or np.any(nz & ((tab.pos < 0) | (tab.pos >= n)))):
+        return False
+    # K, P in [0, L), L <= q <= 4290 inside TABLE_CAP: j K < 2^25 fits int32
+    K = (tab.kn[:, unit] * (L // n)).astype(np.int32)
+    P = np.where(nz, tab.pos * (L // n), 0).astype(np.int32)
+    E, closure = _exponent_rows(grp), {1 % L}
+    for j in range(1, L):
+        if math.gcd(j, L) == 1 and j not in closure:  # a new generator
+            while not (more := {x * j % L for x in closure}) <= closure:
+                closure |= more
+            row = np.ravel_multi_index(tuple(j * E.T % grp._m[:, None]), grp.orders)
+            if not (np.array_equal(K[row], j * K % L) and np.array_equal(P[row], j * P % L)
+                    and np.array_equal(tab.coeff[row], tab.coeff)):
                 return False
-    return True
+    if len(closure) != euler_phi(L):
+        raise AssertionError(f"the generators reach {len(closure)} units mod {L}")
+
+    phi = len(K)
+    bound = phi + int(np.abs(tab.coeff).max())
+    p = bound + 1 + (-bound) % L  # the least p = 1 (mod L) above the bound
+    while not is_prime(p):
+        p += L
+    if phi * p >= 2 ** 53:
+        raise CapacityError(f"q={q}: float64 sums mod {p} would not be exact")
+    omega = next(w for w in (pow(g, (p - 1) // L, p) for g in range(1, p))
+                 if all(pow(w, L // s, p) != 1 for s in factorize(L).primes))
+    powers = np.array([pow(omega, k, p) for k in range(L)], dtype=np.int64)
+    units = np.flatnonzero(unit)
+    U = np.lib.stride_tricks.sliding_window_view(np.tile(unit, 2).astype(np.float64),
+                                                 q)[q - units]  # [c - a a unit]
+    brute = (powers[K].astype(np.float64) @ U).astype(np.int64)
+    return not np.any((brute - tab.coeff * powers[P]) % p)
 
 
 def verify_sieve_identity(q: int) -> bool:

@@ -304,6 +304,20 @@ def _cmd_selfcheck(args) -> int:
            all(verify_sieve_identity(q) for q in range(1, 101)))
 
     sieve = build_sieve(4000)
+    # Lambda by trial division, sharing no code with the sieve: n <= 4000 is
+    # a prime power when it is a power of its least prime factor (< 64 or n)
+    n, d = np.arange(2, 4001), np.arange(2, 64)
+    d = d[np.all((d[:, None] % d != 0) | (d[:, None] <= d), axis=1)]
+    least = np.where(n[:, None] % d == 0, d, n[:, None]).min(axis=1)
+    k = np.rint(np.log(n) / np.log(least)).astype(np.int64)
+    lam = np.zeros(4001)
+    lam[n] = np.where(least ** k == n, np.log(least), 0.0)
+    pos = sieve.prime_powers(4000)
+    lam[pos] -= sieve.lam(slice(0, len(pos)))
+    worst = float(np.abs(lam).max())
+    report("Lambda(n) of the sieve vs trial division (n <= 4000)",
+           worst < 1e-12, f"worst dev {worst:.2e}")
+
     grid = build_grid(300, 3, sieve, 601)
     worst = 0.0
     for c1 in build_group(3):

@@ -13,7 +13,7 @@ and differ only in the weight w_chi of chi's zeros and the main term:
                               main S_q(c) x^2 / 2,
 
 with csum the complete character sum collapsed through its closed form.
-_thm12_weights and _thm14_weights give the weights; one kernel
+_thm12_weights and _thm14_weights give the weights once per grid; one kernel
 (_explicit_row) sums the correction over the nonzero ones with exact
 fsum rounding, since the sums are cancellation-heavy and runs must be
 reproducible bit for bit, and one kernel (_residue) gives the residue
@@ -32,12 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import (
-    DirichletCharacter,
-    build_group,
-    char_sum_closed_form,
-    char_values_table,
-)
+from .characters import (DirichletCharacter, _exponent_rows, _exponents,
+                         _roots_of_unity, build_group, char_sum_closed_form,
+                         char_values_table, group)
 from .errors import GzError
 from .lfunc import REFINE_TOL, ZeroSet, _loggamma, zero_power_sum
 from .numtheory import SIEVE_CAP, euler_phi, factorize
@@ -85,12 +82,13 @@ def _require_sets(q: int, zero_sets: dict[str, ZeroSet]) -> list[DirichletCharac
 
 
 def _thm12_weights(q: int, a: int, b: int, zero_sets: dict[str, ZeroSet]) -> Weights:
-    """(chi, conj chi(a) + conj chi(b)) for every chi mod q."""
-    out = []
-    for chi in _require_sets(q, zero_sets):
-        conj = char_values_table(chi).conjugate()
-        out.append((chi, complex(conj[a % q] + conj[b % q])))
-    return out
+    """(chi, conj chi(a) + conj chi(b)) for every chi mod q, chi(n) = e(K/L)
+    from chi's exponents at n with char_values_table's doubles."""
+    chars = _require_sets(q, zero_sets)
+    grp = group(q)
+    K = _exponents(grp, _exponent_rows(grp), [a % q, b % q])
+    conj = np.where(K >= 0, _roots_of_unity(grp.exponent)[K], 0).conjugate()
+    return list(zip(chars, (conj[:, 0] + conj[:, 1]).tolist()))
 
 
 def _thm14_weights(q: int, c: int, zero_sets: dict[str, ZeroSet]) -> Weights:
@@ -129,22 +127,35 @@ def check_thm12_classes(q: int, a: int, b: int) -> None:
         raise ValueError("thm12_rhs requires (ab, q) = 1")
 
 
-def thm12_rhs(x: float, q: int, a: int, b: int, zero_sets: dict[str, ZeroSet],
-              T: float, exact: float = math.nan) -> ExplicitRow:
-    """Main term minus zero correction for S(x; q, a, b)."""
+def thm12_rows(xs: list[float], exact: list[float], q: int, a: int, b: int,
+               zero_sets: dict[str, ZeroSet], T: float) -> list[ExplicitRow]:
+    """Main term minus zero correction for S(x; q, a, b) at each x."""
     check_thm12_classes(q, a, b)
     weights = _thm12_weights(q, a, b, zero_sets)
-    main = x * x / (2 * euler_phi(q) ** 2)
-    return _explicit_row(x, q, weights, 1.0, main, zero_sets, T, exact)
+    return [_explicit_row(x, q, weights, 1.0, x * x / (2 * euler_phi(q) ** 2),
+                          zero_sets, T, e) for x, e in zip(xs, exact)]
+
+
+def thm12_rhs(x: float, q: int, a: int, b: int, zero_sets: dict[str, ZeroSet],
+              T: float, exact: float = math.nan) -> ExplicitRow:
+    """thm12_rows at one x."""
+    return thm12_rows([x], [exact], q, a, b, zero_sets, T)[0]
+
+
+def thm14_rows(xs: list[float], exact: list[float], q: int, c: int,
+               zero_sets: dict[str, ZeroSet], T: float) -> list[ExplicitRow]:
+    """Main term minus zero correction for sum_{n<=x, n=c(q)} G(n) at each
+    x; the inner a-sum is collapsed through the closed-form character sum."""
+    weights = _thm14_weights(q, c, zero_sets)
+    series = float(singular_series(q, c))
+    return [_explicit_row(x, q, weights, 2.0, series * x * x / 2.0, zero_sets, T, e)
+            for x, e in zip(xs, exact)]
 
 
 def thm14_rhs(x: float, q: int, c: int, zero_sets: dict[str, ZeroSet],
               T: float, exact: float = math.nan) -> ExplicitRow:
-    """Main term minus zero correction for sum_{n<=x, n=c(q)} G(n); the
-    inner a-sum is collapsed through the closed-form character sum."""
-    weights = _thm14_weights(q, c, zero_sets)
-    main = float(singular_series(q, c)) * x * x / 2.0
-    return _explicit_row(x, q, weights, 2.0, main, zero_sets, T, exact)
+    """thm14_rows at one x."""
+    return thm14_rows([x], [exact], q, c, zero_sets, T)[0]
 
 
 def check_landau_gonek_x(x: float) -> None:

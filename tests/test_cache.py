@@ -84,13 +84,13 @@ def test_damaged_conjugate_set_is_not_mirrored(tmp_path, searches):
 
 def test_cli_and_library_read_the_same_sets(tmp_path, monkeypatch):
     read = []
-    real = analysis.thm12_rhs
+    real = analysis.thm12_rows
 
-    def spy(x, q, a, b, zero_sets, height, **kwargs):
+    def spy(xs, exact, q, a, b, zero_sets, height):
         read.append(zero_sets)
-        return real(x, q, a, b, zero_sets, height, **kwargs)
+        return real(xs, exact, q, a, b, zero_sets, height)
 
-    monkeypatch.setattr(analysis, "thm12_rhs", spy)
+    monkeypatch.setattr(analysis, "thm12_rows", spy)
     assert cli.dispatch([
         "verify-thm12", "--q", "7", "--a", "1", "--b", "2", "--xmin", "100",
         "--xmax", "10000", "--grid", "4", "--height", str(T),
@@ -98,6 +98,28 @@ def test_cli_and_library_read_the_same_sets(tmp_path, monkeypatch):
     ]) == 0
     assert read and all(sets is read[0] for sets in read)
     assert _view(read[0]) == _view(load_or_build_zero_sets(7, T))
+
+
+def test_verify_builds_the_group_once(tmp_path, monkeypatch):
+    # the zero sets are read by label, and the weights of the explicit side
+    # are built once for the grid, not at every x
+    from gzeros import characters, explicit
+
+    calls = []
+    for module in (characters, explicit, cache, analysis, cli):
+        real = getattr(module, "build_group", None)
+        if real is not None:
+            def counting(q, real=real):
+                calls.append(q)
+                return real(q)
+
+            monkeypatch.setattr(module, "build_group", counting)
+    assert cli.dispatch([
+        "verify-thm12", "--q", "5", "--a", "1", "--b", "2", "--xmin", "100",
+        "--xmax", "10000", "--grid", "6", "--height", str(T),
+        "--out", str(tmp_path / "v.csv"),
+    ]) == 0
+    assert calls == [5]
 
 
 def test_zeros_command_searches_the_primitive_character(tmp_path, searches,

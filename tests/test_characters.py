@@ -538,6 +538,153 @@ def test_char_sum_oracle_fails_on_a_planted_fault(monkeypatch):
     assert [q for q in range(1, 40) if characters.verify_char_sum_identity(q)] == []
 
 
+def _embedding_prime(q, tab):
+    """The least prime p = 1 (mod L) above phi(q) + max|coeff|, L the group
+    exponent: the field verify_char_sum_identity works in."""
+    from gzeros.numtheory import is_prime
+
+    L = group(q).exponent
+    p = euler_phi(q) + int(np.abs(tab.coeff).max()) + 1
+    while (p - 1) % L or not is_prime(p):
+        p += 1
+    return p
+
+
+def _row_identity_holds(tab, q, i):
+    """The cyclotomic route for row i of a table: at every class c, the
+    count of each e(k/n) over the a with (a(c-a), q) = 1, minus coeff
+    e(pos/n), is zero in Z[zeta_n] (root_counts_equal), n = order."""
+    n = int(tab.order[i])
+    unit = np.gcd(np.arange(q), q) == 1
+    units = np.flatnonzero(unit)
+    for c in range(q):
+        k = tab.kn[i, units[unit[(c - units) % q]]]
+        t = int(tab.coeff[i, c])
+        zeta = RootOfUnity.make(int(tab.pos[i, c]), n) if t else ONE
+        if not root_counts_equal(np.bincount(k, minlength=n), n, t, zeta):
+            return False
+    return True
+
+
+def _plant(monkeypatch, fault):
+    """verify_char_sum_identity reads fault(q, table) in place of the table."""
+    from gzeros import characters
+
+    real = characters._char_table.__wrapped__
+    monkeypatch.setattr(characters._char_table, "__wrapped__",
+                        lambda q: fault(q, real(q)))
+
+
+def _with(tab, **entries):
+    """tab with copies of the named arrays, each with arr[index] = value
+    for its (index, value)."""
+    out = {}
+    for name, (index, value) in entries.items():
+        out[name] = getattr(tab, name).copy()
+        out[name][index] = value
+    return dataclasses.replace(tab, **out)
+
+
+def _conjugate_row_copied(q, tab):
+    # the row of chi^-1 becomes a copy of chi's: each row still satisfies a
+    # true identity, but not as the Galois conjugate of chi's row
+    i = int(np.argmax(tab.order > 2))
+    e = build_group(q)[i].exponents
+    j = int(np.ravel_multi_index([-v % m for v, m in zip(e, group(q).orders)],
+                                 group(q).orders))
+    return _with(tab, kn=(j, tab.kn[i]), pos=(j, tab.pos[i]), coeff=(j, tab.coeff[i]))
+
+
+def _coeff_shifted_by_p(q, tab):
+    # invisible mod p: caught only because p is read from the table
+    c = int(np.flatnonzero(tab.coeff[0])[0])
+    p = _embedding_prime(q, tab)
+    return _with(tab, coeff=((0, c), tab.coeff[0, c] + p))
+
+
+def _k_past_the_exponent(q, tab):
+    # chi0(1) = e(1) = omega^L: the same value, outside [0, L)
+    return _with(tab, kn=((0, 1 % q), 1))
+
+
+def _units_mask_off(q, tab):
+    # every chi(0) = 1: no sum reads it, but 0 is not a unit mod q > 1
+    return _with(tab, kn=((slice(None), 0), 0))
+
+
+@pytest.mark.parametrize("fault, moduli", [
+    (_conjugate_row_copied, [5, 7, 9, 13, 15, 16, 21, 35, 39]),
+    (_coeff_shifted_by_p, range(1, 40)),
+    (_k_past_the_exponent, range(1, 40)),
+    (_units_mask_off, range(2, 40)),
+], ids=["conjugate-row-copied", "coeff-shifted-by-p", "k-past-the-exponent",
+        "units-mask-off"])
+def test_prime_field_oracle_fails_on_planted_faults(monkeypatch, fault, moduli):
+    from gzeros import characters
+
+    _plant(monkeypatch, fault)
+    assert [q for q in moduli if characters.verify_char_sum_identity(q)] == []
+
+
+def test_conjugate_row_copy_keeps_every_row_a_true_identity():
+    # so only the Galois-closure pass can see that fault
+    from gzeros.characters import _char_table
+
+    for q in (5, 7, 13):
+        tab = _conjugate_row_copied(q, _char_table(q))
+        assert all(_row_identity_holds(tab, q, i) for i in range(len(tab.order)))
+
+
+def test_prime_field_oracle_raises_past_exact_float64_sums(monkeypatch):
+    # a coefficient of 2^52 needs p > 2^52: phi(q) p would pass 2^53
+    from gzeros import characters
+
+    _plant(monkeypatch, lambda q, tab: _with(tab, coeff=((0, 1), 2 ** 52)))
+    with pytest.raises(CapacityError):
+        characters.verify_char_sum_identity(5)
+
+
+# name -> (array, column kind, new value of the entry at row i, column r):
+# the column is the last unit, or the middle column where row i's coeff is
+# nonzero, or the first where it is zero
+_SINGLE_ENTRY_FAULTS = {
+    "kn+1": ("kn", "unit", lambda tab, i, r: (tab.kn[i, r] + 1) % tab.order[i]),
+    "pos+1": ("pos", "nonzero", lambda tab, i, r: (tab.pos[i, r] + 1) % tab.order[i]),
+    "coeff+1": ("coeff", "nonzero", lambda tab, i, r: tab.coeff[i, r] + 1),
+    "coeff-negated": ("coeff", "nonzero", lambda tab, i, r: -tab.coeff[i, r]),
+    "coeff-from-0": ("coeff", "zero", lambda tab, i, r: 1),
+    "pos-under-coeff-0": ("pos", "zero", lambda tab, i, r: 0),
+}
+
+
+def test_prime_field_oracle_agrees_with_the_cyclotomic_route(monkeypatch):
+    # every single-entry fault of the catalogue, at up to three rows of each
+    # table for q <= 40: the same verdict from both routes
+    from gzeros import characters
+
+    real = characters._char_table.__wrapped__
+    verdicts = set()
+    for q in range(1, 41):
+        tab = real(q)
+        phi = len(tab.order)
+        assert all(_row_identity_holds(tab, q, i) for i in range(phi))
+        for i in sorted({0, phi // 2, phi - 1}):
+            nonzero = np.flatnonzero(tab.coeff[i])
+            columns = {"unit": np.flatnonzero(tab.kn[i] >= 0)[-1:],
+                       "nonzero": nonzero[len(nonzero) // 2:][:1],
+                       "zero": np.flatnonzero(tab.coeff[i] == 0)[:1]}
+            for name, (field, kind, value) in _SINGLE_ENTRY_FAULTS.items():
+                for r in columns[kind].tolist():
+                    faulty = _with(tab, **{field: ((i, r), value(tab, i, r))})
+                    monkeypatch.setattr(characters._char_table, "__wrapped__",
+                                        lambda _, t=faulty: t)
+                    fast = characters.verify_char_sum_identity(q)
+                    assert fast == _row_identity_holds(faulty, q, i), (q, i, name)
+                    verdicts.add((name, fast))
+    # both verdicts occur: a value fault is caught, a pos under coeff 0 is not
+    assert ("pos-under-coeff-0", True) in verdicts and ("coeff+1", False) in verdicts
+
+
 def test_sieve_identity_small():
     # #{a : (a(c-a), q) = 1} = phi(q)^2 S_q(c) exactly
     from gzeros.singular import singular_series

@@ -248,6 +248,24 @@ def test_cli_imports_no_test_dependency():
     assert out.strip() == "[]"
 
 
+def test_selfcheck_catches_lambda_without_the_proper_power_patch(cache_env):
+    # the mutant SieveTable.lam skips the proper-power patch, so Lambda(p^k)
+    # = k log p; the trial-division line must fail and selfcheck exit 1
+    import subprocess
+
+    import gzeros
+
+    env = dict(os.environ, PYTHONPATH=str(Path(gzeros.__file__).parents[1]))
+    code = ("import sys, numpy as np; from gzeros import cli, numtheory; "
+            "numtheory.SieveTable.lam = lambda self, i, pos=None: "
+            "np.log(self.positions[i] if pos is None else pos); "
+            "sys.exit(cli.dispatch(['selfcheck']))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "[FAIL] Lambda(n) of the sieve vs trial division" in out.stdout
+
+
 def test_verify_thm12_small(cache_env, tmp_path, capsys):
     out = tmp_path / "v.csv"
     js = tmp_path / "v.json"
