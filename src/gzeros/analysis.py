@@ -1,8 +1,10 @@
 """Residual measurement and exponent fitting.
 
-Residuals Delta(x) of the three main asymptotics are collected on
-deterministic geometric x-grids and their effective exponent is
-estimated by least squares on (log x, log |Delta|).  Oscillatory
+Residuals Delta(x) = exact - rhs of the three main asymptotics are
+collected on deterministic geometric x-grids by explicit_grid, which
+pairs the exact sums with explicit.explicit_rows, the one kernel of the
+three right-hand sides, and their effective exponent is estimated by
+least squares on (log x, log |Delta|).  Oscillatory
 residuals make pointwise exponent claims fragile, so all acceptance
 statements are phrased on RMS over grids and slope bands, never on
 single points.
@@ -25,14 +27,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .explicit import ExplicitRow, thm12_rows, thm14_rows
+from .explicit import ExplicitRow, explicit_rows
 from .goldbach import restricted_sum, s_grid
 from .lfunc import ZeroSet
-from .numtheory import SieveTable, euler_phi
+from .numtheory import SieveTable
 
 logger = logging.getLogger(__name__)
 
@@ -64,48 +66,19 @@ def geometric_grid(x_min: float, x_max: float, points: int = 25) -> np.ndarray:
     return xs
 
 
-@dataclass
-class ResidualParams:
-    """Everything explicit_grid and residual_grid need beyond the x grid."""
+def explicit_grid(mode: str, q: int, classes: tuple[int, ...], xs: np.ndarray,
+                  sieve: SieveTable, zero_sets: dict[str, ZeroSet],
+                  T: float) -> list[ExplicitRow]:
+    """The exact sum on the grid against the mode's explicit formula
+    (explicit.explicit_rows), one row per x:
 
-    q: int
-    sieve: SieveTable
-    a: int = 1
-    b: int = 1
-    c: int = 1
-    T: float = 200.0
-    zero_sets: dict[str, ZeroSet] = field(default_factory=dict)
-
-
-def explicit_grid(
-    mode: str, params: ResidualParams, xs: np.ndarray
-) -> list[ExplicitRow]:
-    """The exact sum against the mode's right-hand side, one row per x:
-
-    thm11: S(x;q,a,b) against the main term x^2/(2 phi(q)^2) alone
-    thm12: S(x;q,a,b) against thm12_rows
-    thm14: restricted_sum(x;q,c) against thm14_rows
+    thm11, thm12 (classes (a, b)): S(x; q, a, b)
+    thm14 (classes (c,)):          restricted_sum(x; q, c)
     """
-    if mode not in ("thm11", "thm12", "thm14"):
-        raise ValueError(f"unknown mode {mode!r}")
-    p = params
     xs = np.asarray(xs, dtype=np.float64)
-    if mode == "thm14":
-        exact = restricted_sum(xs, p.q, p.c, p.sieve)
-        return thm14_rows(xs.tolist(), exact.tolist(), p.q, p.c, p.zero_sets, p.T)
-    exact = s_grid(xs, p.q, p.a, p.b, p.sieve)
-    if mode == "thm12":
-        return thm12_rows(xs.tolist(), exact.tolist(), p.q, p.a, p.b, p.zero_sets, p.T)
-    phi = euler_phi(p.q)
-    return [ExplicitRow(x, e, x * x / (2 * phi * phi), 0j, 0.0)
-            for x, e in zip(xs.tolist(), exact.tolist())]
-
-
-def residual_grid(
-    mode: str, params: ResidualParams, xs: np.ndarray
-) -> list[tuple[float, float]]:
-    """Delta(x) = exact - rhs on the grid, per mode as in explicit_grid."""
-    return [(r.x, r.residual) for r in explicit_grid(mode, params, xs)]
+    sums = restricted_sum if mode == "thm14" else s_grid
+    exact = sums(xs, q, *classes, sieve)
+    return explicit_rows(mode, q, classes, xs.tolist(), exact.tolist(), zero_sets, T)
 
 
 def rms(residuals: list[tuple[float, float]]) -> float:

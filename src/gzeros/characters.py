@@ -30,11 +30,12 @@ basis, so they are deterministic across runs.
 The characters of one modulus also come as one table (_char_table): the
 K of every character at every residue, with the facts, and the closed
 form of the complete character sum over a with (a(c-a), q) = 1 for
-every class c.  verify_char_sum_identity checks that closed form
-against a direct count with zero tolerance: it checks that the table is
-closed under chi -> chi^j, then compares both sides mod a prime p that
-splits completely in Q(zeta_L), L the group exponent, in one exact
-float64 product.
+every class c, whose column c gives Thm 1.4's weights in explicit.
+verify_char_sum_identity checks that closed form against a direct count
+with zero tolerance: it checks that the table is closed under
+chi -> chi^j, then compares both sides mod a prime p that splits
+completely in Q(zeta_L), L the group exponent, in one exact float64
+product.
 """
 
 from __future__ import annotations
@@ -335,21 +336,6 @@ def root_number(chi: DirichletCharacter) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# the complete character sum of the key lemma
-
-
-def char_sum_closed_form(chi: DirichletCharacter, c: int) -> complex:
-    """sum_{a=1..q, (a(c-a),q)=1} chi(a) in closed form,
-        mu(q*) chi*(c) (phi(q)/phi(q*)) prod_{p | q, p !| q* c} (p-2)/(p-1),
-    which is t e(pos/ord chi) with t an integer: the class-of-c entry of
-    _closed_form_coefficients, the table verify_char_sum_identity checks."""
-    coeff, pos = _closed_form_coefficients(chi)
-    r = c % chi.q
-    t = int(coeff[r])
-    return t * _unit_root(int(pos[r]), chi.order) if t else 0j
-
-
-# ---------------------------------------------------------------------------
 # bulk exact verification of the character-sum lemma
 
 
@@ -357,8 +343,10 @@ def char_sum_closed_form(chi: DirichletCharacter, c: int) -> complex:
 class _CharTable:
     """Every character mod q at once, one row each in build_group order.
     Columns are residues r = 0..q-1; chi(r) = e(kn[r]/order) (-1 off the
-    units), and the closed form at the class r of c is coeff e(pos/order)
-    (coeff 0, pos -1 where chi*(c) = 0).  All arrays are read-only."""
+    units), and the closed form at the class r of c,
+        mu(q*) chi*(c) (phi(q)/phi(q*)) prod_{p | q, p !| q* c} (p-2)/(p-1),
+    is coeff e(pos/order) (coeff 0, pos -1 where chi*(c) = 0).  All arrays
+    are read-only."""
 
     order: np.ndarray
     conductor: np.ndarray
@@ -398,19 +386,6 @@ def _char_table(q: int) -> _CharTable:
     for arr in vars(tab).values():
         arr.flags.writeable = False
     return tab
-
-
-def _row(chi: DirichletCharacter) -> int:
-    """Index of chi in build_group(chi.q) and in its modulus' table."""
-    return int(np.ravel_multi_index(chi.exponents, group(chi.q).orders))
-
-
-def _closed_form_coefficients(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:
-    """Vector over residue columns r = 0..q-1 (the class of c): integer
-    coefficient and exponent position (in zeta_ord(chi)), -1 where the closed
-    form vanishes; chi's row of the table built once per modulus."""
-    tab = _char_table(chi.q)
-    return tab.coeff[_row(chi)], tab.pos[_row(chi)]
 
 
 def verify_char_sum_identity(q: int) -> bool:

@@ -23,20 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    ResidualParams,
-    b_star,
-    explicit_grid,
-    fit_exponent,
-    geometric_grid,
-    residual_grid,
-    rms,
-)
+from .analysis import b_star, explicit_grid, fit_exponent, geometric_grid, rms
 from .cache import load_or_build_zero_sets, load_or_build_zeros
 from .characters import (
     build_group,
     char_values_table,
     character_from_label,
+    character_labels,
     induce_primitive,
     verify_char_sum_identity,
     verify_sieve_identity,
@@ -124,12 +117,13 @@ def _cmd_characters(args) -> int:
 
 
 def _character_label(args) -> str:
-    """The --char label, which must name a character mod --q (default:
-    the principal character mod q)."""
-    label = args.char or build_group(args.q)[0].label
-    if character_from_label(label).q != args.q:
-        raise GzError(f"character {label} is not mod {args.q}")
-    return label
+    """The label of the --char character, which must be mod --q (default:
+    the principal character mod q), with its exponents reduced as in every
+    label gz writes."""
+    chi = character_from_label(args.char or character_labels(args.q)[0])
+    if chi.q != args.q:
+        raise GzError(f"character {args.char} is not mod {args.q}")
+    return chi.label
 
 
 def _cmd_zeros(args) -> int:
@@ -183,23 +177,18 @@ def _cmd_javg(args) -> int:
     return 0
 
 
-def _residual_params(args, mode: str) -> ResidualParams:
-    """Sieve to xmax, the zero sets mod q (none for thm11) and the class
-    arguments (a, b, c) the command takes."""
+def _explicit_grid(args, mode: str, xs):
+    """The mode's classes among the command's arguments ({a, b}, or {c} for
+    thm14), the zero sets mod q it reads (none for thm11) and explicit_grid's
+    rows on xs, with the sieve to --xmax."""
     check_modulus(args.q)  # refuse q < 1 and (ab, q) > 1 before building
     if mode == "thm12":
         check_thm12_classes(args.q, args.a, args.b)
+    classes = {k: getattr(args, k) for k in (("c",) if mode == "thm14" else ("a", "b"))}
     sieve = build_sieve(args.xmax)
-    zsets = {}
-    if mode != "thm11":
-        zsets = load_or_build_zero_sets(args.q, args.height)
-    return ResidualParams(q=args.q, T=args.height, sieve=sieve,
-                          zero_sets=zsets, **_class_args(args))
-
-
-def _class_args(args) -> dict[str, int]:
-    """The residues a, b, c among the command's arguments."""
-    return {k: getattr(args, k) for k in ("a", "b", "c") if hasattr(args, k)}
+    zsets = {} if mode == "thm11" else load_or_build_zero_sets(args.q, args.height)
+    return classes, zsets, explicit_grid(mode, args.q, tuple(classes.values()), xs,
+                                         sieve, zsets, args.height)
 
 
 def _cmd_verify(args) -> int:
@@ -207,16 +196,16 @@ def _cmd_verify(args) -> int:
     explicit formula."""
     xs = geometric_grid(args.xmin, args.xmax, args.grid)
     mode = args.command.removeprefix("verify-")
-    params = _residual_params(args, mode)
+    classes, zsets, grid = _explicit_grid(args, mode, xs)
     rows = [(r.x, r.exact, r.main, r.zero_correction.real, r.residual,
-             r.truncation_bound) for r in explicit_grid(mode, params, xs)]
+             r.truncation_bound) for r in grid]
     _emit_csv(args.out, ["x", "exact", "main", "zero_correction", "residual",
                          "truncation_bound"], list(zip(*rows)))
     ok = all(abs(r[4]) <= r[5] + 5 * r[0] ** 1.5 for r in rows)
-    certified = all(zs.certified for zs in params.zero_sets.values())
+    certified = all(zs.certified for zs in zsets.values())
     if args.json:
         _emit_json(args.json, {
-            "mode": mode, "q": args.q, **_class_args(args), "T": args.height,
+            "mode": mode, "q": args.q, **classes, "T": args.height,
             "rms_residual": rms([(r[0], r[4]) for r in rows]),
             "pass": bool(ok),
             "certified": certified,
@@ -270,8 +259,7 @@ def _cmd_circle(args) -> int:
 
 def _cmd_fit(args) -> int:
     xs = geometric_grid(args.xmin, args.xmax)
-    params = _residual_params(args, args.mode)
-    res = residual_grid(args.mode, params, xs)
+    res = [(r.x, r.residual) for r in _explicit_grid(args, args.mode, xs)[2]]
     fit = fit_exponent(res)
     payload = {
         "mode": args.mode, "q": args.q,

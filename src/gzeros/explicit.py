@@ -4,8 +4,10 @@ The central object is the truncated zero term
 
     H_T(x, chi) = sum_{|gamma| <= T} x^(rho+1) / (rho (rho+1)).
 
-Both main asymptotics read main - (scale/phi(q)^2) sum_chi w_chi H_T(x, chi)
-and differ only in the weight w_chi of chi's zeros and the main term:
+Thm 1.2 and Thm 1.4 are one explicit formula,
+main - (scale/phi(q)^2) sum_chi w_chi H_T(x, chi), and differ only in the
+weight w_chi of chi's zeros and the main term; Thm 1.1 is its main term
+alone (no weights):
 
     S(x; q, a, b):            w_chi = conj chi(a) + conj chi(b), scale 1,
                               main x^2 / (2 phi(q)^2);
@@ -13,11 +15,12 @@ and differ only in the weight w_chi of chi's zeros and the main term:
                               main S_q(c) x^2 / 2,
 
 with csum the complete character sum collapsed through its closed form.
-_thm12_weights and _thm14_weights give the weights once per grid; one kernel
-(_explicit_row) sums the correction over the nonzero ones with exact
-fsum rounding, since the sums are cancellation-heavy and runs must be
-reproducible bit for bit, and one kernel (_residue) gives the residue
--(scale/phi(q)^2) rho^-1 sum_chi w_chi m_chi(rho) of the continued
+_formula reads each mode's weights as one array over the exponent rows,
+keyed by label in character_labels(q) order, so no DirichletCharacter is
+built; one kernel (explicit_rows) sums the correction over the nonzero
+ones with exact fsum rounding, since the sums are cancellation-heavy and
+runs must be reproducible bit for bit, and one kernel (_residue) gives the
+residue -(scale/phi(q)^2) rho^-1 sum_chi w_chi m_chi(rho) of the continued
 series at s = rho + 1.  Every zero sum is lfunc.zero_power_sum.
 
 Also here: the Landau-Gonek prime-power detector sum_{|gamma|<=T} x^rho
@@ -32,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import (DirichletCharacter, _exponent_rows, _exponents,
-                         _roots_of_unity, build_group, char_sum_closed_form,
-                         char_values_table, group)
+from .characters import (DirichletCharacter, _char_table, _exponent_rows,
+                         _exponents, _roots_of_unity, char_values_table,
+                         character_labels, group)
 from .errors import GzError
 from .lfunc import REFINE_TOL, ZeroSet, _loggamma, zero_power_sum
 from .numtheory import SIEVE_CAP, euler_phi, factorize
@@ -45,13 +48,11 @@ class MissingZeroSetError(GzError):
     pass
 
 
-# (chi, w_chi) for every chi mod q: the weight of chi's zeros in a formula
-Weights = list[tuple[DirichletCharacter, complex]]
-
-
-def h_term(x: float, chi: DirichletCharacter, zeros: ZeroSet, T: float) -> complex:
+def h_term(x: float, chi: DirichletCharacter | str, zeros: ZeroSet,
+           T: float) -> complex:
     """H_T(x, chi) = sum over |gamma| <= T of x^(rho+1)/(rho(rho+1)),
-    counted with multiplicity (0 for x <= 0)."""
+    counted with multiplicity (0 for x <= 0).  chi, a character or its
+    label, names the set: the sum reads only its zeros."""
     return x * zero_power_sum(zeros, T, x, lambda rho: 1 / (rho * (rho + 1)))
 
 
@@ -73,28 +74,52 @@ class ExplicitRow:
         return self.exact - self.rhs
 
 
-def _require_sets(q: int, zero_sets: dict[str, ZeroSet]) -> list[DirichletCharacter]:
-    chars = build_group(q)
-    for chi in chars:
-        if chi.label not in zero_sets:
-            raise MissingZeroSetError(f"no zero set for {chi.label}")
-    return chars
+def check_thm12_classes(q: int, a: int, b: int) -> None:
+    """ValueError unless (ab, q) = 1, which Thm 1.2 assumes."""
+    if math.gcd(a * b, q) != 1:
+        raise ValueError("thm12_rhs requires (ab, q) = 1")
 
 
-def _thm12_weights(q: int, a: int, b: int, zero_sets: dict[str, ZeroSet]) -> Weights:
-    """(chi, conj chi(a) + conj chi(b)) for every chi mod q, chi(n) = e(K/L)
-    from chi's exponents at n with char_values_table's doubles."""
-    chars = _require_sets(q, zero_sets)
-    grp = group(q)
-    K = _exponents(grp, _exponent_rows(grp), [a % q, b % q])
-    conj = np.where(K >= 0, _roots_of_unity(grp.exponent)[K], 0).conjugate()
-    return list(zip(chars, (conj[:, 0] + conj[:, 1]).tolist()))
+def _formula(mode: str, q: int, classes: tuple[int, ...],
+             zero_sets: dict[str, ZeroSet]):
+    """(weights, scale, main) of the mode's explicit formula: weights pairs
+    each label of character_labels(q) with w_chi (none for thm11), main is
+    the main term as a function of x.  chi(n) = e(K/L), L the group
+    exponent, is read off the exponent rows for every chi at once and
+    rounded by _roots_of_unity(L):
 
+    thm11, classes (a, b): no zero term, main x^2 / (2 phi^2);
+    thm12, classes (a, b): conj chi(a) + conj chi(b), two columns of K;
+    thm14, classes (c,):   conj csum(chi, c), csum = coeff e(pos/order) in
+                           column c of _char_table, scale 2.
 
-def _thm14_weights(q: int, c: int, zero_sets: dict[str, ZeroSet]) -> Weights:
-    """(chi, conj csum(chi, c)) for every chi mod q."""
-    return [(chi, char_sum_closed_form(chi, c).conjugate())
-            for chi in _require_sets(q, zero_sets)]
+    Every chi with a weight needs its zero set, whatever the weight."""
+    phi = euler_phi(q)
+    if mode == "thm14":
+        (c,) = classes
+        tab, L, r = _char_table(q), group(q).exponent, c % q
+        # pos is -1 where coeff is 0: any root times 0 is 0
+        w = (tab.coeff[:, r]
+             * _roots_of_unity(L)[tab.pos[:, r] * (L // tab.order)]).conjugate()
+        series = float(singular_series(q, c))
+        scale, main = 2.0, lambda x: series * x * x / 2.0
+    elif mode in ("thm11", "thm12"):
+        scale, main = 1.0, lambda x: x * x / (2 * phi * phi)
+        if mode == "thm11":
+            return [], scale, main
+        a, b = classes
+        check_thm12_classes(q, a, b)
+        grp = group(q)
+        K = _exponents(grp, _exponent_rows(grp), [a % q, b % q])
+        conj = np.where(K >= 0, _roots_of_unity(grp.exponent)[K], 0).conjugate()
+        w = conj[:, 0] + conj[:, 1]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    labels = character_labels(q)
+    for label in labels:
+        if label not in zero_sets:
+            raise MissingZeroSetError(f"no zero set for {label}")
+    return list(zip(labels, w.tolist())), scale, main
 
 
 def truncation_bound(x: float, q: int, T: float) -> float:
@@ -102,60 +127,41 @@ def truncation_bound(x: float, q: int, T: float) -> float:
     return x * x / T * math.log(max(q * x, 2.0)) ** 2
 
 
-def _explicit_row(x: float, q: int, weights: Weights, scale: float, main: float,
-                  zero_sets: dict[str, ZeroSet], T: float,
-                  exact: float) -> ExplicitRow:
-    """main - (scale/phi^2) sum of w H_T(x, chi) over the nonzero weights.
+def explicit_rows(mode: str, q: int, classes: tuple[int, ...], xs, exact,
+                  zero_sets: dict[str, ZeroSet], T: float) -> list[ExplicitRow]:
+    """The mode's explicit formula against exact at each x (see _formula):
+    main - (scale/phi^2) sum of w H_T(x, chi) over the nonzero weights.
     The imaginary part of the correction cancels by conjugate pairing;
     it is checked and discarded.  x and T are bounded so x^2/T stays finite."""
-    if not (0 < x <= SIEVE_CAP and REFINE_TOL <= T < math.inf):
-        raise ValueError(f"need 0 < x={x} <= SIEVE_CAP and REFINE_TOL <= T={T} < inf")
-    terms = [w * h_term(x, chi, zero_sets[chi.label], T)
-             for chi, w in weights if w != 0]
-    total = complex(math.fsum(t.real for t in terms),
-                    math.fsum(t.imag for t in terms))
-    corr = scale * total / euler_phi(q) ** 2
-    if abs(corr.imag) > 1e-6 * max(abs(corr.real), main, 1.0):
-        raise GzError(f"conjugate pairing failed: imaginary part "
-                      f"{corr.imag:.3e} against scale {main:.3e}")
-    return ExplicitRow(x, exact, main, corr, truncation_bound(x, q, T))
-
-
-def check_thm12_classes(q: int, a: int, b: int) -> None:
-    """ValueError unless (ab, q) = 1, which Thm 1.2 assumes."""
-    if math.gcd(a * b, q) != 1:
-        raise ValueError("thm12_rhs requires (ab, q) = 1")
-
-
-def thm12_rows(xs: list[float], exact: list[float], q: int, a: int, b: int,
-               zero_sets: dict[str, ZeroSet], T: float) -> list[ExplicitRow]:
-    """Main term minus zero correction for S(x; q, a, b) at each x."""
-    check_thm12_classes(q, a, b)
-    weights = _thm12_weights(q, a, b, zero_sets)
-    return [_explicit_row(x, q, weights, 1.0, x * x / (2 * euler_phi(q) ** 2),
-                          zero_sets, T, e) for x, e in zip(xs, exact)]
+    weights, scale, main = _formula(mode, q, classes, zero_sets)
+    weights = [(label, w) for label, w in weights if w != 0]
+    phi = euler_phi(q)
+    rows = []
+    for x, e in zip(xs, exact):
+        if not (0 < x <= SIEVE_CAP and REFINE_TOL <= T < math.inf):
+            raise ValueError(f"need 0 < x={x} <= SIEVE_CAP and REFINE_TOL <= T={T} < inf")
+        terms = [w * h_term(x, label, zero_sets[label], T) for label, w in weights]
+        total = complex(math.fsum(t.real for t in terms),
+                        math.fsum(t.imag for t in terms))
+        corr, m = scale * total / phi ** 2, main(x)
+        if abs(corr.imag) > 1e-6 * max(abs(corr.real), m, 1.0):
+            raise GzError(f"conjugate pairing failed: imaginary part "
+                          f"{corr.imag:.3e} against scale {m:.3e}")
+        rows.append(ExplicitRow(x, e, m, corr, truncation_bound(x, q, T)))
+    return rows
 
 
 def thm12_rhs(x: float, q: int, a: int, b: int, zero_sets: dict[str, ZeroSet],
               T: float, exact: float = math.nan) -> ExplicitRow:
-    """thm12_rows at one x."""
-    return thm12_rows([x], [exact], q, a, b, zero_sets, T)[0]
-
-
-def thm14_rows(xs: list[float], exact: list[float], q: int, c: int,
-               zero_sets: dict[str, ZeroSet], T: float) -> list[ExplicitRow]:
-    """Main term minus zero correction for sum_{n<=x, n=c(q)} G(n) at each
-    x; the inner a-sum is collapsed through the closed-form character sum."""
-    weights = _thm14_weights(q, c, zero_sets)
-    series = float(singular_series(q, c))
-    return [_explicit_row(x, q, weights, 2.0, series * x * x / 2.0, zero_sets, T, e)
-            for x, e in zip(xs, exact)]
+    """Main term minus zero correction for S(x; q, a, b) at x."""
+    return explicit_rows("thm12", q, (a, b), [x], [exact], zero_sets, T)[0]
 
 
 def thm14_rhs(x: float, q: int, c: int, zero_sets: dict[str, ZeroSet],
               T: float, exact: float = math.nan) -> ExplicitRow:
-    """thm14_rows at one x."""
-    return thm14_rows([x], [exact], q, c, zero_sets, T)[0]
+    """Main term minus zero correction for sum_{n<=x, n=c(q)} G(n) at x;
+    the inner a-sum is collapsed through the closed-form character sum."""
+    return explicit_rows("thm14", q, (c,), [x], [exact], zero_sets, T)[0]
 
 
 def check_landau_gonek_x(x: float) -> None:
@@ -236,14 +242,16 @@ def z_gamma_ratio_matrix(rhos1: np.ndarray, rhos2: np.ndarray) -> np.ndarray:
                   - _loggamma(1 + rhos1[:, None] + rhos2[None, :]))
 
 
-def _residue(rho_q: complex, q: int, weights: Weights, scale: float,
+def _residue(rho_q: complex, q: int, mode: str, classes: tuple[int, ...],
              zero_sets: dict[str, ZeroSet], tol: float) -> complex:
     """-(scale/phi^2) rho_q^-1 sum of w m_chi(rho_q) over the characters
-    whose recorded zeros include rho_q (to within tol)."""
+    whose recorded zeros include rho_q (to within tol), with the mode's
+    weights and scale (_formula)."""
+    weights, scale, _ = _formula(mode, q, classes, zero_sets)
     total = 0j
     found = False
-    for chi, w in weights:
-        zs = zero_sets[chi.label]
+    for label, w in weights:
+        zs = zero_sets[label]
         m = int(zs.mult[np.abs(zs.rho - rho_q) <= tol].sum())
         if m:
             found = True
@@ -259,13 +267,11 @@ def residue_r(rho_q: complex, q: int, a: int, b: int,
     """Residue of the continued series at s = rho_q + 1:
     -(1/phi^2) rho_q^-1 sum over chi vanishing at rho_q of
     (conj chi(a) + conj chi(b)) m_chi(rho_q)."""
-    return _residue(rho_q, q, _thm12_weights(q, a, b, zero_sets), 1.0,
-                    zero_sets, tol)
+    return _residue(rho_q, q, "thm12", (a, b), zero_sets, tol)
 
 
 def residue_r1(rho_q: complex, q: int, c: int,
                zero_sets: dict[str, ZeroSet], tol: float = 1e-6) -> complex:
     """Residue analog for the congruence-class series: the a-summed
     character weight collapses through the closed-form character sum."""
-    return _residue(rho_q, q, _thm14_weights(q, c, zero_sets), 2.0,
-                    zero_sets, tol)
+    return _residue(rho_q, q, "thm14", (c,), zero_sets, tol)

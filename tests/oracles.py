@@ -25,13 +25,14 @@ from gzeros.characters import (
     char_values_table,
     conjugate,
     group,
+    induce_primitive,
     is_primitive,
     root_number,
 )
 from gzeros.circle import ExpSumGrid
 from gzeros.goldbach import twisted_entries
 from gzeros.lfunc import ZeroSet, l_values_array, zero_power_sum
-from gzeros.numtheory import SieveTable, factorize, floor_x, moebius
+from gzeros.numtheory import SieveTable, euler_phi, factorize, floor_x, moebius
 from gzeros.singular import SingularConstants
 
 # ---------------------------------------------------------------------------
@@ -135,6 +136,22 @@ def char_sum_brute_exact(chi: DirichletCharacter, c: int) -> dict[RootOfUnity, i
         v = char_value(chi, a)
         counts[v] = counts.get(v, 0) + 1
     return counts
+
+
+def closed_form_reference(chi: DirichletCharacter, c: int) -> tuple[int, int]:
+    """(coeff, pos) of mu(q*) chi*(c) (phi(q)/phi(q*)) prod_{p | q, p !| q* c}
+    (p-2)/(p-1) = coeff e(pos/ord chi), from induce_primitive and char_value,
+    per character; (0, -1) where chi*(c) = 0."""
+    star = induce_primitive(chi)
+    value = char_value(star, c)
+    if value == 0:
+        return 0, -1
+    t = Fraction(moebius(star.q) * euler_phi(chi.q), euler_phi(star.q))
+    for p in factorize(chi.q).primes:
+        if star.q % p and c % p:
+            t *= Fraction(p - 2, p - 1)
+    assert t.denominator == 1
+    return int(t), value.k * (chi.order // value.m)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import loggamma
 
-from gzeros.analysis import ResidualParams, fit_exponent, geometric_grid, residual_grid, rms
+from gzeros.analysis import explicit_grid, fit_exponent, geometric_grid, rms
 from gzeros.cache import load_or_build_zero_sets
 from gzeros.characters import (
     build_group,
@@ -176,14 +176,12 @@ def test_criterion_05_main_term_band(sieve):
 
 def test_criterion_06_explicit_formula_improvement(sieve, zero_sets):
     xs = geometric_grid(1e3, 1e6, 25)
-    ratios = {}
-    for q in (1, 3):
-        params = ResidualParams(
-            q=q, a=1, b=1, T=HEIGHT, sieve=sieve, zero_sets=zero_sets[q]
-        )
-        r11 = rms(residual_grid("thm11", params, xs))
-        r12 = rms(residual_grid("thm12", params, xs))
-        ratios[q] = r12 / r11
+
+    def rms_of(mode, q):
+        rows = explicit_grid(mode, q, (1, 1), xs, sieve, zero_sets[q], HEIGHT)
+        return rms([(r.x, r.residual) for r in rows])
+
+    ratios = {q: rms_of("thm12", q) / rms_of("thm11", q) for q in (1, 3)}
     ok = all(v <= 0.9 for v in ratios.values())
     _report(6, "RMS thm12 residual <= 0.9 x RMS main-only (q = 1, 3)",
             ok, ", ".join(f"q={q}: {v:.3f}" for q, v in ratios.items()))

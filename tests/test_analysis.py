@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from gzeros.analysis import (
-    ResidualParams,
     b_star,
+    explicit_grid,
     fit_exponent,
     geometric_grid,
-    residual_grid,
     rms,
 )
 from gzeros.cache import load_or_build_zero_sets
@@ -83,28 +82,31 @@ def test_geometric_grid_rejects_fewer_than_two_points(points):
         geometric_grid(10, 100, points)
 
 
+def _residuals(mode, q, classes, xs, sieve, zero_sets, T):
+    """Delta(x) = exact - rhs on the grid, per mode as in explicit_grid."""
+    return [(r.x, r.residual)
+            for r in explicit_grid(mode, q, classes, xs, sieve, zero_sets, T)]
+
+
 def test_residual_thm11_band(sieve):
-    params = ResidualParams(q=1, sieve=sieve)
     xs = geometric_grid(1e3, 1e5, 15)
-    res = residual_grid("thm11", params, xs)
+    res = _residuals("thm11", 1, (1, 1), xs, sieve, {}, 200.0)
     for x, d in res:
         assert abs(d) <= 5 * x ** 1.5
 
 
 def test_residual_thm12_improves(sieve):
     zsets = load_or_build_zero_sets(1, 200)
-    params = ResidualParams(q=1, T=200.0, sieve=sieve, zero_sets=zsets)
     xs = geometric_grid(1e3, 1e5, 15)
-    r11 = residual_grid("thm11", params, xs)
-    r12 = residual_grid("thm12", params, xs)
+    r11 = _residuals("thm11", 1, (1, 1), xs, sieve, zsets, 200.0)
+    r12 = _residuals("thm12", 1, (1, 1), xs, sieve, zsets, 200.0)
     assert rms(r12) < rms(r11)
 
 
 def test_residual_thm14_runs(sieve):
     zsets = load_or_build_zero_sets(4, 100)
-    params = ResidualParams(q=4, c=2, T=100.0, sieve=sieve, zero_sets=zsets)
     xs = geometric_grid(1e3, 1e4, 8)
-    res = residual_grid("thm14", params, xs)
+    res = _residuals("thm14", 4, (2,), xs, sieve, zsets, 100.0)
     for x, d in res:
         assert abs(d) <= 5 * x ** 1.5
 
@@ -121,8 +123,7 @@ def test_residual_thm14_not_worse_than_main_only():
     zsets = load_or_build_zero_sets(4, 200)
     xs = geometric_grid(1e3, 1e6, 25)
     for c in (2, 4):
-        params = ResidualParams(q=4, c=c, T=200.0, sieve=sieve6, zero_sets=zsets)
-        r14 = rms(residual_grid("thm14", params, xs))
+        r14 = rms(_residuals("thm14", 4, (c,), xs, sieve6, zsets, 200.0))
         main_only = rms([
             (float(x), g - float(singular_series(4, c)) * x * x / 2)
             for x, g in zip(xs, restricted_sum(xs, 4, c, sieve6))
@@ -131,8 +132,7 @@ def test_residual_thm14_not_worse_than_main_only():
 
 
 def test_residual_small_x_is_minus_main(sieve):
-    params = ResidualParams(q=1, sieve=sieve)
-    res = residual_grid("thm11", params, np.array([2.0, 3.0]))
+    res = _residuals("thm11", 1, (1, 1), np.array([2.0, 3.0]), sieve, {}, 200.0)
     for x, d in res:
         assert d == pytest.approx(-x * x / 2, rel=1e-12)
 
@@ -142,15 +142,14 @@ def test_residual_thm11_fit_slope(sieve):
     # still dominates the x^1.5 zero oscillation (whose coefficient is
     # only ~0.008), so the fitted slope sits near 1, well below 1.5;
     # the honest assertion is the measured band
-    params = ResidualParams(q=1, sieve=sieve)
     xs = geometric_grid(1e3, 1e5, 25)
-    fit = fit_exponent(residual_grid("thm11", params, xs))
+    fit = fit_exponent(_residuals("thm11", 1, (1, 1), xs, sieve, {}, 200.0))
     assert 0.75 <= fit.exponent <= 1.75
 
 
 def test_residual_unknown_mode(sieve):
     with pytest.raises(ValueError):
-        residual_grid("thm99", ResidualParams(q=1, sieve=sieve), np.array([10.0]))
+        _residuals("thm99", 1, (1, 1), np.array([10.0]), sieve, {}, 200.0)
 
 
 def test_restricted_g_minus_j_band():

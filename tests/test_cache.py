@@ -84,13 +84,13 @@ def test_damaged_conjugate_set_is_not_mirrored(tmp_path, searches):
 
 def test_cli_and_library_read_the_same_sets(tmp_path, monkeypatch):
     read = []
-    real = analysis.thm12_rows
+    real = analysis.explicit_rows
 
-    def spy(xs, exact, q, a, b, zero_sets, height):
+    def spy(mode, q, classes, xs, exact, zero_sets, height):
         read.append(zero_sets)
-        return real(xs, exact, q, a, b, zero_sets, height)
+        return real(mode, q, classes, xs, exact, zero_sets, height)
 
-    monkeypatch.setattr(analysis, "thm12_rows", spy)
+    monkeypatch.setattr(analysis, "explicit_rows", spy)
     assert cli.dispatch([
         "verify-thm12", "--q", "7", "--a", "1", "--b", "2", "--xmin", "100",
         "--xmax", "10000", "--grid", "4", "--height", str(T),
@@ -101,8 +101,8 @@ def test_cli_and_library_read_the_same_sets(tmp_path, monkeypatch):
 
 
 def test_verify_builds_the_group_once(tmp_path, monkeypatch):
-    # the zero sets are read by label, and the weights of the explicit side
-    # are built once for the grid, not at every x
+    # the zero sets and the weights of the explicit side are read by label,
+    # once for the grid: no verify command builds the character list
     from gzeros import characters, explicit
 
     calls = []
@@ -114,12 +114,13 @@ def test_verify_builds_the_group_once(tmp_path, monkeypatch):
                 return real(q)
 
             monkeypatch.setattr(module, "build_group", counting)
-    assert cli.dispatch([
-        "verify-thm12", "--q", "5", "--a", "1", "--b", "2", "--xmin", "100",
-        "--xmax", "10000", "--grid", "6", "--height", str(T),
-        "--out", str(tmp_path / "v.csv"),
-    ]) == 0
-    assert calls == [5]
+    for command, classes in (("verify-thm12", ["--a", "1", "--b", "2"]),
+                             ("verify-thm14", ["--c", "2"])):
+        assert cli.dispatch([
+            command, "--q", "5", *classes, "--xmin", "100", "--xmax", "10000",
+            "--grid", "6", "--height", str(T), "--out", str(tmp_path / "v.csv"),
+        ]) == 0
+        assert calls == [], command
 
 
 def test_zeros_command_searches_the_primitive_character(tmp_path, searches,

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gzeros.characters import (
+    _char_table,
     build_group,
-    char_sum_closed_form,
     character_from_label,
+    character_labels,
     conjugate,
     format_label,
     gauss_sum,
@@ -21,10 +22,9 @@ from gzeros.characters import (
     is_primitive,
     parse_label,
     root_number,
-    _closed_form_coefficients,
 )
 from gzeros.errors import CapacityError
-from gzeros.numtheory import euler_phi, factorize, moebius
+from gzeros.numtheory import euler_phi
 from oracles import (
     MINUS_ONE,
     ONE,
@@ -32,6 +32,7 @@ from oracles import (
     char_sum_brute,
     char_sum_brute_exact,
     char_value,
+    closed_form_reference,
     root_counts_equal,
     root_sum_is_zero,
 )
@@ -413,11 +414,11 @@ def test_orthogonality_exact_small_q():
 def test_character_table_envelope():
     # phi(q) q <= 2^22: q = 2003 is inside; mod 4099 it is 16.8M entries per
     # array, which would still fit in memory, so only the check stops it
-    from gzeros.characters import TABLE_CAP, _char_table, verify_char_sum_identity
+    from gzeros.characters import TABLE_CAP, verify_char_sum_identity
+    from gzeros.explicit import thm14_rhs
 
     assert euler_phi(2003) * 2003 <= TABLE_CAP < euler_phi(4099) * 4099
-    chi = character_from_label("q=4099;e=1")
-    for build in (lambda: char_sum_closed_form(chi, 1),
+    for build in (lambda: thm14_rhs(1e3, 4099, 1, {}, 20.0),
                   lambda: _char_table(4099),
                   lambda: verify_char_sum_identity(4099)):
         with pytest.raises(CapacityError):
@@ -444,26 +445,41 @@ def test_orthogonality_float_to_q500():
 # ---------------------------------------------------------------------------
 # the complete character sum
 
+def _table_closed_form(chi, c):
+    """coeff e(pos/order) at chi's row and the column of c in the table."""
+    tab = _char_table(chi.q)
+    i = build_group(chi.q).index(chi)
+    t, pos = int(tab.coeff[i, c % chi.q]), int(tab.pos[i, c % chi.q])
+    return t * complex(RootOfUnity.make(pos, chi.order)) if t else 0j
+
+
 def test_char_sum_examples():
     g3 = build_group(3)
     principal = g3[0]
     assert char_sum_brute(principal, 2) == pytest.approx(1)
     assert char_sum_brute(principal, 3) == pytest.approx(2)
-    assert char_sum_closed_form(principal, 3) == pytest.approx(2)
+    assert _table_closed_form(principal, 3) == pytest.approx(2)
     # q = 4 nontrivial: q* = 4 is not squarefree, mu(4) = 0
     chi4 = [c for c in build_group(4) if not c.is_principal][0]
-    assert char_sum_closed_form(chi4, 1) == 0
+    assert _table_closed_form(chi4, 1) == 0
     assert char_sum_brute(chi4, 1) == pytest.approx(0, abs=1e-12)
 
 
 def test_char_sum_exact_oracle_small():
     # exhaustive exact equivalence for q <= 40 against the per-a brute
     # force (the acceptance run covers q <= 200 with the batched path);
-    # the closed form is the coefficient table char_sum_closed_form reads
+    # the closed form is the table row, and Thm 1.4's weight of chi is its
+    # conjugate in floating point, bit for bit
+    from gzeros.explicit import _formula
+
     for q in range(1, 41):
-        for chi in build_group(q):
+        tab = _char_table(q)
+        every_set = dict.fromkeys(character_labels(q))
+        weights = {c: _formula("thm14", q, (c,), every_set)[0]
+                   for c in range(1, q + 1)}
+        for i, chi in enumerate(build_group(q)):
             n = chi.order
-            coeff, pos = _closed_form_coefficients(chi)
+            coeff, pos = tab.coeff[i], tab.pos[i]
             for c in range(1, q + 1):
                 t = int(coeff[c % q])
                 zeta = RootOfUnity.make(int(pos[c % q]), n)
@@ -472,43 +488,28 @@ def test_char_sum_exact_oracle_small():
                     assert n % v.m == 0
                     counts[v.k * (n // v.m)] += cnt
                 assert root_counts_equal(counts, n, t, zeta), (q, chi.label, c)
-                assert char_sum_closed_form(chi, c) == t * complex(zeta)
-
-
-def _closed_form_reference(chi, c):
-    """(coeff, pos) of mu(q*) chi*(c) (phi(q)/phi(q*)) prod_{p | q, p !| q* c}
-    (p-2)/(p-1), from induce_primitive and char_value, per character."""
-    star = induce_primitive(chi)
-    value = char_value(star, c)
-    if value == 0:
-        return 0, -1
-    t = Fraction(moebius(star.q) * euler_phi(chi.q), euler_phi(star.q))
-    for p in factorize(chi.q).primes:
-        if star.q % p and c % p:
-            t *= Fraction(p - 2, p - 1)
-    assert t.denominator == 1
-    return int(t), value.k * (chi.order // value.m)
+                assert weights[c][i] == (chi.label,
+                                         (t * complex(zeta)).conjugate())
 
 
 def test_character_table_matches_per_character_reference():
     # every row of the per-modulus table against the per-character objects
-    # (row index, order, parity, conductor: one rule, which test_conductors
+    # (label, order, parity, conductor: one rule, which test_conductors
     # and test_parity check against the values), its K against char_value,
     # and the per-character closed form built from induce_primitive +
     # char_value
-    from gzeros.characters import _char_table, _row
-
     for q in range(1, 61):
         tab = _char_table(q)
+        labels = character_labels(q)
         for i, chi in enumerate(build_group(q)):
-            assert _row(chi) == i
+            assert labels[i] == chi.label
             n, karr = tab.order[i], tab.kn[i]
             assert (n, int(karr[q - 1] > 0), tab.conductor[i]) == (
                 chi.order, chi.parity, chi.conductor), chi.label
             for r in range(q):
                 v = char_value(chi, r)
                 assert karr[r] == (v.k * (n // v.m) if v != 0 else -1)
-                coeff, pos = _closed_form_reference(chi, r)
+                coeff, pos = closed_form_reference(chi, r)
                 assert tab.coeff[i, r] == coeff, (chi.label, r)
                 if coeff:
                     assert tab.pos[i, r] == pos, (chi.label, r)

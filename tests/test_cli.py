@@ -92,6 +92,20 @@ def test_zeros_roundtrip_and_cache(cache_env, tmp_path, capsys):
     assert "certified=True\n" in out
 
 
+def test_zeros_export_and_import_agree_on_an_unreduced_label(cache_env, tmp_path,
+                                                            capsys):
+    # e = 5 and e = 1 name the same character mod 3 (its generator has order
+    # 2): the export carries the reduced label, which the import accepts
+    zfile = tmp_path / "z.txt"
+    assert dispatch(["zeros", "--q", "3", "--char", "q=3;e=5", "--height", "20",
+                     "--export", str(zfile)]) == 0
+    assert capsys.readouterr().out.startswith("q=3;e=1: ")
+    assert zfile.read_text().splitlines()[1] == "# char q=3;e=1"
+    assert dispatch(["zeros", "--q", "3", "--char", "q=3;e=1",
+                     "--import", str(zfile)]) == 0
+    assert "certified=True\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("edit, reason", [
     (lambda rows: [r.replace("0.5 ", "0.75 ", 1) for r in rows],
      "certified=False (hypothetical (off-line entries))"),
@@ -288,8 +302,10 @@ def test_verify_thm12_small(cache_env, tmp_path, capsys):
     ["javg", "--x", "1000", "--q", "0", "--c", "1"],
     ["landau-gonek", "--x", "inf", "--q", "1", "--height", "50"],
     ["landau-gonek", "--x", "2", "--q", "3", "--char", "q=5;e=1", "--height", "20"],
+    ["fit", "--mode", "thm11", "--q", "1", "--xmax", "100000", "--height", "nan"],
+    ["fit", "--mode", "thm11", "--q", "1", "--xmax", "100000", "--height", "0"],
 ], ids=["verify-grid-0", "goldbach-q-0", "javg-q-0", "landau-gonek-x-inf",
-        "landau-gonek-char-not-mod-q"])
+        "landau-gonek-char-not-mod-q", "fit-thm11-height-nan", "fit-thm11-height-0"])
 def test_bad_input_exits_1_without_traceback(argv, cache_env, capsys):
     assert dispatch(argv) == 1
     err = capsys.readouterr().err

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gzeros.cache import load_or_build_zero_sets
-from gzeros.characters import build_group, char_sum_closed_form
+from gzeros.characters import build_group
 from gzeros.explicit import (
     ExplicitRow,
     MissingZeroSetError,
@@ -24,7 +24,7 @@ from gzeros.errors import GzError
 from gzeros.goldbach import restricted_sum, s_grid
 from gzeros.lfunc import find_zeros
 from gzeros.numtheory import build_sieve, euler_phi
-from oracles import char_value
+from oracles import RootOfUnity, char_value, closed_form_reference
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +159,8 @@ def test_thm14_builds_the_closed_form_once_per_character(zsets4):
         thm14_rhs(float(x), 4, 2, zsets4, 200.0)
     built = characters._char_table.cache_info()
     assert built.misses == built.currsize == 1
-    coeff, pos = characters._closed_form_coefficients(build_group(4)[1])
+    tab = characters._char_table(4)
+    coeff, pos = tab.coeff[1], tab.pos[1]
     assert not coeff.flags.writeable and not pos.flags.writeable
 
 
@@ -330,13 +331,20 @@ def _ref_thm12(x, q, a, b, zero_sets, T):
     return x * x / (2 * phi * phi), _ref_corr(terms, phi)
 
 
+def _ref_weight14(chi, c):
+    """conj csum(chi, c) from the per-character closed form and its exact
+    root of unity, rounded once."""
+    t, pos = closed_form_reference(chi, c)
+    return (t * complex(RootOfUnity.make(pos, chi.order))).conjugate() if t else 0j
+
+
 def _ref_thm14(x, q, c, zero_sets, T):
     from gzeros.singular import singular_series
 
     phi = euler_phi(q)
     terms = []
     for chi in build_group(q):
-        w = char_sum_closed_form(chi, c).conjugate()
+        w = _ref_weight14(chi, c)
         if w != 0:
             terms.append(w * h_term(x, chi, zero_sets[chi.label], T))
     corr = 2.0 * complex(math.fsum(t.real for t in terms),
@@ -367,7 +375,7 @@ def _ref_residue_r1(rho_q, q, c, zero_sets):
     for chi in build_group(q):
         m = _ref_multiplicity(zero_sets[chi.label], rho_q)
         if m:
-            total += char_sum_closed_form(chi, c).conjugate() * m
+            total += _ref_weight14(chi, c) * m
     return -2.0 * total / (phi * phi * rho_q)
 
 
