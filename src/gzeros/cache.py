@@ -1,12 +1,13 @@
 """Content-addressed cache for zero sets.
 
 It is also the one provider of zero sets, and the one module that knows
-they are stored per primitive character: load_or_build_zeros(label, T)
-returns the set of the primitive chi* inducing the character, under the
-character's own label, and load_or_build_zero_sets(q, T) does so for
-every chi mod q.  The zeros of L(s, conj chi) are those of L(s, chi)
-with gamma -> -gamma, so a miss mirrors a checksummed set of the
-conjugate character: a conjugate pair costs one zero search.
+how they are stored: load_or_build_zeros(label, T) returns the set of
+the primitive chi* inducing the character, under the character's own
+label, and load_or_build_zero_sets(q, T) does so for every chi mod q.
+The zeros of L(s, conj chi) are those of L(s, chi) with gamma -> -gamma,
+so a conjugate pair has one search and one file, of its member first in
+build_group order; the other's set is that one mirrored, and no output
+depends on which member the cache saw first.
 
 Zero sets are all it holds.  Sieves are not cached: build_sieve takes
 about a third of the time that reading one back from disk took.  Nor
@@ -15,13 +16,13 @@ builds in under 0.1 s on a 2-CPU VM.  load_or_build_sieve and
 load_or_build_convolution only call those builders.
 
 Keys are sha256 digests of the input parameters plus a format version
-and lfunc.EVALUATOR_VERSION, so a version bump invalidates everything
-stale and sets built by an older evaluator are searched again.  Writes
-go through a temporary file and an atomic rename; every file carries a
-sidecar "<name>.sha256" checked on load (a corrupted payload or a
-missing sidecar means a silent recompute, with a log line).  Zero sets
-are stored in the documented GZZEROS text format, so the cache doubles
-as an export directory.
+(2: one file per pair) and lfunc.EVALUATOR_VERSION, so a version bump
+invalidates everything stale and sets built by an older evaluator are
+searched again.  Writes go through a temporary file and an atomic
+rename; every file carries a sidecar "<name>.sha256" checked on load (a
+corrupted payload or a missing sidecar means a silent recompute, with a
+log line).  Zero sets are stored in the documented GZZEROS text format,
+so the cache doubles as an export directory.
 """
 
 from __future__ import annotations
@@ -35,19 +36,13 @@ from pathlib import Path
 
 from .characters import character_from_label, character_labels, conjugate, induce_primitive
 from .goldbach import ClassConvolution, build_class_convolution
-from .lfunc import (
-    EVALUATOR_VERSION,
-    ZeroSet,
-    export_zeros,
-    find_zeros,
-    import_zeros,
-    mirror_zero_set,
-)
+from .lfunc import (EVALUATOR_VERSION, ZeroSet, export_zeros, find_zeros, import_zeros,
+                    mirror_zero_set)
 from .numtheory import SieveTable, build_sieve
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 ENV_CACHE_DIR = "GZ_CACHE_DIR"
 
 
@@ -116,31 +111,25 @@ def _zeros_path(chi_label: str, T: float) -> Path:
     return default_cache_dir() / f"zeros-{key}.txt"
 
 
-def _read_zeros(path: Path, chi_label: str) -> ZeroSet | None:
-    if _verify(path):
-        try:
-            return import_zeros(path, chi_label, validate=False)
-        except Exception as exc:  # damaged payload: rebuild
-            logger.warning("zero cache unreadable (%s); recomputing", exc)
-    return None
-
-
 def load_or_build_zeros(chi_label: str, T: float) -> ZeroSet:
-    """Zero set of one character to height T, labelled chi_label.  It is
-    read or built as the set of the primitive chi* inducing it, so every
-    character induced by chi* shares one file; on a miss the cached set
-    of conj(chi*), mirrored, stands in for find_zeros."""
+    """Zero set of one character to height T, labelled chi_label.  The
+    primitive chi* inducing it and conj chi* share one file, that of the
+    one whose exponents come first in build_group order, which alone is
+    read or searched; the other's set is that one mirrored."""
     star = induce_primitive(character_from_label(chi_label))
-    path = _zeros_path(star.label, T)
-    zs = _read_zeros(path, star.label)
+    base = min(star, conjugate(star), key=lambda chi: chi.exponents)
+    path = _zeros_path(base.label, T)
+    try:
+        zs = import_zeros(path, base.label, validate=False) if _verify(path) else None
+    except Exception as exc:  # damaged payload: rebuild
+        logger.warning("zero cache unreadable (%s); recomputing", exc)
+        zs = None
     if zs is None:
-        conj = conjugate(star).label
-        base = None
-        if conj != star.label:
-            base = _read_zeros(_zeros_path(conj, T), conj)
-        zs = find_zeros(star, T) if base is None else mirror_zero_set(base, star.label)
+        zs = find_zeros(base, T)
         _store_atomic(path, lambda tmp: export_zeros(zs, tmp))
-    return zs if star.label == chi_label else replace(zs, char_label=chi_label)
+    if base != star:
+        return mirror_zero_set(zs, chi_label)
+    return replace(zs, char_label=chi_label)
 
 
 def load_or_build_zero_sets(q: int, T: float) -> dict[str, ZeroSet]:

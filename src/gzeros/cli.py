@@ -4,9 +4,10 @@ Subcommands: sieve, characters, zeros, goldbach, singular, javg,
 verify-thm12, verify-thm14, landau-gonek, circle, fit, selfcheck.
 Exit codes: 0 success, 1 verification/runtime failure, 2 usage error.
 
-Every run is deterministic given its flags: grids are seed-free, zero
-sums accumulate in a fixed order, and floats are printed with shortest
-round-trip repr, so CSV output is bit-identical across runs on one
+Every run is deterministic given its flags, whatever the zero cache
+holds: grids are seed-free, zero sums accumulate in a fixed order, a
+conjugate pair's sets come from one search (cache), and floats print as
+shortest round-trip repr, so CSV output is bit-identical on one
 platform.  JSON summaries carry the schema tag "gz_report_v1".
 """
 
@@ -37,7 +38,8 @@ from .characters import (
 from .circle import (build_grid, check_grid, check_window, check_xi,
                      decompose_check, j_chi, selberg_integral, w_mass)
 from .errors import GzError
-from .explicit import check_landau_gonek_x, check_thm12_classes, landau_gonek
+from .explicit import (check_height, check_landau_gonek_x, check_thm12_classes,
+                       landau_gonek)
 from .goldbach import (_class_lambda, build_class_convolution,
                        check_conv_limit, s_chi)
 from .lfunc import export_zeros, find_zeros, import_zeros, l_values_array
@@ -180,13 +182,14 @@ def _cmd_javg(args) -> int:
 def _explicit_grid(args, mode: str, xs):
     """The mode's classes among the command's arguments ({a, b}, or {c} for
     thm14), the zero sets mod q it reads (none for thm11) and explicit_grid's
-    rows on xs, with the sieve to --xmax."""
-    check_modulus(args.q)  # refuse q < 1 and (ab, q) > 1 before building
+    rows on xs, with the sieve to --xmax, built once every input passed."""
+    check_modulus(args.q)
     if mode == "thm12":
         check_thm12_classes(args.q, args.a, args.b)
     classes = {k: getattr(args, k) for k in (("c",) if mode == "thm14" else ("a", "b"))}
-    sieve = build_sieve(args.xmax)
     zsets = {} if mode == "thm11" else load_or_build_zero_sets(args.q, args.height)
+    check_height(args.height)
+    sieve = build_sieve(args.xmax)
     return classes, zsets, explicit_grid(mode, args.q, tuple(classes.values()), xs,
                                          sieve, zsets, args.height)
 

@@ -80,6 +80,12 @@ def check_thm12_classes(q: int, a: int, b: int) -> None:
         raise ValueError("thm12_rhs requires (ab, q) = 1")
 
 
+def check_height(T: float) -> None:
+    """ValueError unless REFINE_TOL <= T < inf, so x^2/T stays finite."""
+    if not REFINE_TOL <= T < math.inf:
+        raise ValueError(f"need REFINE_TOL <= T={T} < inf")
+
+
 def _formula(mode: str, q: int, classes: tuple[int, ...],
              zero_sets: dict[str, ZeroSet]):
     """(weights, scale, main) of the mode's explicit formula: weights pairs
@@ -133,13 +139,14 @@ def explicit_rows(mode: str, q: int, classes: tuple[int, ...], xs, exact,
     main - (scale/phi^2) sum of w H_T(x, chi) over the nonzero weights.
     The imaginary part of the correction cancels by conjugate pairing;
     it is checked and discarded.  x and T are bounded so x^2/T stays finite."""
+    check_height(T)
     weights, scale, main = _formula(mode, q, classes, zero_sets)
     weights = [(label, w) for label, w in weights if w != 0]
     phi = euler_phi(q)
     rows = []
     for x, e in zip(xs, exact):
-        if not (0 < x <= SIEVE_CAP and REFINE_TOL <= T < math.inf):
-            raise ValueError(f"need 0 < x={x} <= SIEVE_CAP and REFINE_TOL <= T={T} < inf")
+        if not 0 < x <= SIEVE_CAP:
+            raise ValueError(f"need 0 < x={x} <= SIEVE_CAP")
         terms = [w * h_term(x, label, zero_sets[label], T) for label, w in weights]
         total = complex(math.fsum(t.real for t in terms),
                         math.fsum(t.imag for t in terms))

@@ -84,9 +84,9 @@ def _check_classes(caller: str, q: int, a: int, b: int) -> None:
 
 
 def _class_entries(q: int, a: int, x: int, sieve: SieveTable):
-    """The prime powers l <= x with l = a (mod q), and Lambda(l)."""
-    pos = sieve.prime_powers(x)
-    i = np.flatnonzero(np.remainder(pos, q, dtype=np.int64) == a % q)  # any q, past int32
+    """The prime powers l <= x with l = a (mod q) by _residues, and Lambda(l)."""
+    pos, r = sieve.prime_powers(x), _residues(q, x, sieve)
+    i = slice(0, len(pos)) if r is None else np.flatnonzero(r == a % q)
     l = pos[i]
     return l, sieve.lam(i, l)
 
@@ -112,7 +112,7 @@ def _lattice_spectra(q: int, c0: int, K: int, B: int,
     """Row i: rfft(u[iB:(i+1)B], 2B) for u[k] = Lambda(c0 + q k), k < K,
     0 <= c0 < q, one row for each of the ceil(K/B) blocks."""
     pos, lam = _class_entries(q, c0, c0 + q * (K - 1), sieve)
-    k = (pos.astype(np.int64) - c0) // q  # any q, as in _class_entries
+    k = (pos.astype(np.int64) - c0) // q  # any q, past int32
     ends = np.searchsorted(k, np.arange(B, K + B, B)).tolist()
     spectra = np.empty((len(ends), B + 1), dtype=np.complex128)
     block, s = np.empty(B), 0
@@ -152,12 +152,13 @@ def goldbach_g(n: int, q: int, a: int, b: int, sieve: SieveTable) -> float:
     added one term at a time in ascending l."""
     _check_classes("goldbach_g", q, a, b)
     sieve.check_limit(n)
-    if n < 4:
+    if n < 4 or (n - a - b) % q:  # m = n - l is in the class n - a (mod q)
         return 0.0
     l, lam_l = _class_entries(q, a, n - 1, sieve)
     m = np.int32(n) - l  # int32 keys, as the positions are
-    i = np.minimum(np.searchsorted(sieve.positions, m), len(sieve.positions) - 1)
-    hit = (sieve.positions[i] == m) & (np.remainder(m, q, dtype=np.int64) == b % q)
+    del l
+    i = np.searchsorted(sieve.positions[:-1], m)  # at most the last index
+    hit = sieve.positions[i] == m
     i, m = i[hit][::-1], m[hit][::-1]  # lam takes ascending indices
     terms = lam_l[hit] * sieve.lam(i, m)[::-1]
     # a sequential running sum, not np.sum's pairwise one

@@ -1,5 +1,7 @@
-"""The zero-set provider: one cache, conjugate pairs mirrored, one label
-per character, checksummed files, and the CLI reading exactly what the
+"""The zero-set provider: one cache, one search and one file per conjugate
+pair (its member first in build_group order, the other mirrored), outputs
+that do not depend on what the cache already holds, one label per
+character, checksummed files, and the CLI reading exactly what the
 library reads."""
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from gzeros import analysis, cache, cli
 from gzeros.cache import _sha256_file, load_or_build_zero_sets, load_or_build_zeros
 from gzeros.characters import build_group, conjugate
-from gzeros.lfunc import find_zeros
+from gzeros.lfunc import find_zeros, mirror_zero_set
 
 T = 20.0
 
@@ -42,11 +44,12 @@ def _view(sets):
     }
 
 
-def test_conjugate_pairs_cost_one_search(searches):
+def test_conjugate_pairs_cost_one_search(tmp_path, searches):
     sets = load_or_build_zero_sets(7, T)
     # zeta, the quadratic character and one of each conjugate pair
-    # (orders 3 and 6); the other two sets are mirrored
+    # (orders 3 and 6); the other two sets are mirrored, and not stored
     assert len(searches) == 4
+    assert len(list(tmp_path.glob("zeros-*.txt"))) == 4
     chars = build_group(7)
     assert list(sets) == [chi.label for chi in chars]
     mirrored = [chi for chi in chars
@@ -74,12 +77,50 @@ def test_imprimitive_characters_get_their_own_label():
 
 
 def test_damaged_conjugate_set_is_not_mirrored(tmp_path, searches):
-    load_or_build_zeros("q=5;e=1", T)
+    # the pair's one file fails its checksum: it is searched again as the
+    # pair's first member and rewritten, and the mirror read from it
+    zs1 = load_or_build_zeros("q=5;e=1", T)
     (path,) = tmp_path.glob("zeros-*.txt")
+    raw = path.read_bytes()
     path.write_text(path.read_text().replace("0.5 ", "0.25 ", 1))
-    zs = load_or_build_zeros("q=5;e=3", T)
-    assert searches == ["q=5;e=1", "q=5;e=3"]
-    assert zs.certified
+    zs3 = load_or_build_zeros("q=5;e=3", T)
+    assert searches == ["q=5;e=1", "q=5;e=1"]
+    assert list(tmp_path.glob("zeros-*.txt")) == [path]
+    assert path.read_bytes() == raw
+    assert zs3.certified
+    assert _view({0: zs3}) == _view({0: mirror_zero_set(zs1, "q=5;e=3")})
+
+
+def test_later_member_is_the_mirror_of_the_earlier(searches):
+    # requested first on an empty cache, the later member of a complex
+    # pair is served as the earlier member's search mirrored, bit for bit
+    earlier = []
+    for q in range(3, 14):
+        for chi in build_group(q):
+            conj = conjugate(chi)
+            if chi.conductor != q or chi.exponents <= conj.exponents:
+                continue  # real, imprimitive, or the earlier member
+            earlier.append(conj.label)
+            zs = load_or_build_zeros(chi.label, T)
+            assert _view({0: zs}) == _view({0: mirror_zero_set(find_zeros(conj, T),
+                                                               chi.label)})
+    assert searches == earlier and len(earlier) == 14
+
+
+def test_outputs_do_not_depend_on_the_cache_history(tmp_path, monkeypatch):
+    # verify-thm12 mod 5 on an empty cache, and on one whose pair q=5;e=1,
+    # q=5;e=3 was first asked for by its later member
+    outputs = []
+    for seed in ([], ["zeros", "--q", "5", "--char", "q=5;e=3", "--height", "60"]):
+        run = tmp_path / str(len(outputs))
+        monkeypatch.setenv("GZ_CACHE_DIR", str(run))
+        assert not seed or cli.dispatch(seed) == 0
+        assert cli.dispatch([
+            "verify-thm12", "--q", "5", "--a", "1", "--b", "2", "--xmax", "100000",
+            "--height", "60", "--out", str(run / "v.csv"), "--json", str(run / "v.json"),
+        ]) == 0
+        outputs.append([(run / name).read_bytes() for name in ("v.csv", "v.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_and_library_read_the_same_sets(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gzeros import cli
 from gzeros.cache import cache_key, load_or_build_zeros
 from gzeros.cli import CSV_BLOCK_ROWS, _emit_csv, build_parser, dispatch
 from gzeros.goldbach import build_class_convolution, goldbach_g
@@ -304,9 +305,18 @@ def test_verify_thm12_small(cache_env, tmp_path, capsys):
     ["landau-gonek", "--x", "2", "--q", "3", "--char", "q=5;e=1", "--height", "20"],
     ["fit", "--mode", "thm11", "--q", "1", "--xmax", "100000", "--height", "nan"],
     ["fit", "--mode", "thm11", "--q", "1", "--xmax", "100000", "--height", "0"],
+    ["fit", "--mode", "thm11", "--q", "1", "--xmax", "3e8", "--height", "nan"],
+    ["verify-thm12", "--q", "3", "--a", "1", "--b", "2", "--xmax", "3e8",
+     "--height", "nan"],
 ], ids=["verify-grid-0", "goldbach-q-0", "javg-q-0", "landau-gonek-x-inf",
-        "landau-gonek-char-not-mod-q", "fit-thm11-height-nan", "fit-thm11-height-0"])
-def test_bad_input_exits_1_without_traceback(argv, cache_env, capsys):
+        "landau-gonek-char-not-mod-q", "fit-thm11-height-nan", "fit-thm11-height-0",
+        "fit-thm11-height-nan-3e8", "verify-thm12-height-nan-3e8"])
+def test_bad_input_exits_1_without_traceback(argv, cache_env, capsys, monkeypatch):
+    # refused before anything is built: no sieve, however large --x/--xmax
+    def no_sieve(x):
+        raise AssertionError(f"build_sieve({x}) ran on bad input")
+
+    monkeypatch.setattr(cli, "build_sieve", no_sieve)
     assert dispatch(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -466,8 +476,6 @@ def test_goldbach_csv_write_holds_no_second_x_length_array(cache_env, tmp_path,
                                                           monkeypatch):
     # once the table is built, writing the CSV adds one block of rows and
     # of running sums, not a second array over n = 0..x such as np.cumsum(g)
-    from gzeros import cli
-
     x, held = 200000, []
     build = cli.build_class_convolution
 
