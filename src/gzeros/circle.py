@@ -33,7 +33,7 @@ import numpy as np
 
 from .characters import DirichletCharacter, build_group
 from .errors import CapacityError
-from .goldbach import s_chi, twisted_entries
+from .goldbach import twisted_entries
 from .numtheory import SieveTable
 
 GRID_X_CAP = 10 ** 6
@@ -103,21 +103,6 @@ def quadrature_s(grid: ExpSumGrid, chi1: DirichletCharacter,
     s1 = grid.s_vals[chi1.label]
     s2 = grid.s_vals[chi2.label]
     return complex(np.sum(s1 * s2 * np.conj(grid.t_vals)) / grid.N)
-
-
-def decompose_check(
-    x: int,
-    chi1: DirichletCharacter,
-    chi2: DirichletCharacter,
-    grid: ExpSumGrid,
-    sieve: SieveTable,
-) -> float:
-    """|DFT-quadrature value - direct convolution value| of S(x;chi1,chi2)."""
-    if grid.x != x:
-        raise ValueError("grid was built for a different x")
-    quad = quadrature_s(grid, chi1, chi2)
-    direct = s_chi(x, chi1, chi2, sieve)
-    return abs(quad - direct)
 
 
 def j_chi(chi: DirichletCharacter, grid: ExpSumGrid) -> float:

@@ -35,13 +35,12 @@ from .characters import (
     verify_char_sum_identity,
     verify_sieve_identity,
 )
-from .circle import (build_grid, check_grid, check_window, check_xi,
-                     decompose_check, j_chi, selberg_integral, w_mass)
+from .circle import (build_grid, check_grid, check_window, check_xi, j_chi,
+                     quadrature_s, selberg_integral, w_mass)
 from .errors import GzError
 from .explicit import (check_height, check_landau_gonek_x, check_thm12_classes,
                        landau_gonek)
-from .goldbach import (_class_lambda, build_class_convolution,
-                       check_conv_limit, s_chi)
+from .goldbach import build_class_convolution, check_conv_limit, s_chi
 from .lfunc import export_zeros, find_zeros, import_zeros, l_values_array
 from .numtheory import build_sieve, check_modulus, euler_phi, floor_x
 from .singular import (check_j_inputs, compute_c2, j_average, j_weight_table,
@@ -296,7 +295,10 @@ def _cmd_selfcheck(args) -> int:
 
     sieve = build_sieve(4000)
     # Lambda by trial division, sharing no code with the sieve: n <= 4000 is
-    # a prime power when it is a power of its least prime factor (< 64 or n)
+    # a prime power when it is a power of its least prime factor (< 64 or n).
+    # The DFT, FFT and Selberg lines take their references from it, with
+    # classes by n % q, chi(n) from chi's table and sums by np.convolve and
+    # np.cumsum, so no sieve or goldbach helper sits on both sides.
     n, d = np.arange(2, 4001), np.arange(2, 64)
     d = d[np.all((d[:, None] % d != 0) | (d[:, None] <= d), axis=1)]
     least = np.where(n[:, None] % d == 0, d, n[:, None]).min(axis=1)
@@ -304,16 +306,18 @@ def _cmd_selfcheck(args) -> int:
     lam = np.zeros(4001)
     lam[n] = np.where(least ** k == n, np.log(least), 0.0)
     pos = sieve.prime_powers(4000)
-    lam[pos] -= sieve.lam(slice(0, len(pos)))
-    worst = float(np.abs(lam).max())
+    dev = lam.copy()
+    dev[pos] -= sieve.lam(slice(0, len(pos)))
+    worst = float(np.abs(dev).max())
     report("Lambda(n) of the sieve vs trial division (n <= 4000)",
            worst < 1e-12, f"worst dev {worst:.2e}")
 
-    grid = build_grid(300, 3, sieve, 601)
-    worst = 0.0
-    for c1 in build_group(3):
-        for c2 in build_group(3):
-            worst = max(worst, decompose_check(300, c1, c2, grid, sieve))
+    x, chars3 = 300, build_group(3)
+    grid = build_grid(x, 3, sieve, 2 * x + 1)
+    twisted = [char_values_table(c)[np.arange(x + 1) % 3] * lam[:x + 1]
+               for c in chars3]
+    worst = max(abs(quadrature_s(grid, c1, c2) - np.cumsum(np.convolve(u, v))[x])
+                for c1, u in zip(chars3, twisted) for c2, v in zip(chars3, twisted))
     report("orthogonality decomposition (q=3, x=300, DFT vs direct)",
            worst < 1e-6, f"worst residual {worst:.2e}")
 
@@ -321,15 +325,13 @@ def _cmd_selfcheck(args) -> int:
     ok = True
     for q, a, b in [(1, 1, 1), (3, 1, 2), (5, 2, 3)]:
         conv = build_class_convolution(q, a, b, x, sieve)
-        direct = np.convolve(
-            _class_lambda(q, a, x, sieve), _class_lambda(q, b, x, sieve)
-        )[: x + 1]
-        if np.max(np.abs(conv.values - direct)) > 1e-6:
+        u, v = (np.where(np.arange(x + 1) % q == c % q, lam[:x + 1], 0.0)
+                for c in (a, b))
+        if np.max(np.abs(conv.values - np.convolve(u, v)[: x + 1])) > 1e-6:
             ok = False
     report("FFT convolution vs direct double loop (x=400)", ok)
 
     q, x = 3, 500
-    chars3 = build_group(q)
     phi3 = euler_phi(q)
     svals = {
         (c1.label, c2.label): s_chi(x, c1, c2, sieve)
@@ -371,7 +373,7 @@ def _cmd_selfcheck(args) -> int:
 
     x, h = 100, 10
     val = selberg_integral(x, h, zc, sieve)
-    w = np.cumsum(_class_lambda(1, 1, 2 * x + h + 1, sieve))
+    w = np.cumsum(lam[:2 * x + h + 2])
     ts = np.linspace(x, 2 * x, 100001)[:-1] + 0.5 / 100000
     window = w[np.floor(ts + h).astype(int)] - w[np.floor(ts).astype(int)]
     riemann = float(np.sum(np.abs(window - h) ** 2) * (x / 100000))

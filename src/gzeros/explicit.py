@@ -77,7 +77,7 @@ class ExplicitRow:
 def check_thm12_classes(q: int, a: int, b: int) -> None:
     """ValueError unless (ab, q) = 1, which Thm 1.2 assumes."""
     if math.gcd(a * b, q) != 1:
-        raise ValueError("thm12_rhs requires (ab, q) = 1")
+        raise ValueError("Thm 1.2 requires (ab, q) = 1")
 
 
 def check_height(T: float) -> None:

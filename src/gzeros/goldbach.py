@@ -45,8 +45,14 @@ goldbach_g at x = 1e7 they err by 2.1e-7 (q = 3), as one transform did.  Prime
 powers stay in (the definition uses Lambda, never primes only).
 The table holds G only, 8 bytes per n: a reader that wants its running
 sum (the S column of gz goldbach) takes np.cumsum(values), which carries
-the FFT's rounding; s_grid is the exact S(x).  _class_lambda, a dense
-scatter over 0..x, is only selfcheck's oracle.
+the FFT's rounding; s_grid is the exact S(x).
+
+goldbach_g, the per-n reference the table is checked against, shares no
+class code with it: it takes class a by its own % q over the prime powers
+below n, one PAIR_BLOCK of l at a time, and computes Lambda only at the
+hits, where m = n - l is a prime power too.  It holds O(PAIR_BLOCK) beside
+the sieve, plus the hit terms for the one sequential cumsum:
+goldbach_g(3e8, 3, 1, 2) peaks at 133 MB RSS, its sieve alone at 100 MB.
 
 gcd(ab, q) > 1 inputs are legal but logged: the main theorems assume
 (ab, q) = 1, and computing anyway aids debugging.
@@ -83,22 +89,6 @@ def _check_classes(caller: str, q: int, a: int, b: int) -> None:
         logger.warning("%s: gcd(ab, q) > 1 (q=%d a=%d b=%d)", caller, q, a, b)
 
 
-def _class_entries(q: int, a: int, x: int, sieve: SieveTable):
-    """The prime powers l <= x with l = a (mod q) by _residues, and Lambda(l)."""
-    pos, r = sieve.prime_powers(x), _residues(q, x, sieve)
-    i = slice(0, len(pos)) if r is None else np.flatnonzero(r == a % q)
-    l = pos[i]
-    return l, sieve.lam(i, l)
-
-
-def _class_lambda(q: int, a: int, x: int, sieve: SieveTable) -> np.ndarray:
-    """Array v[0..x] with v[l] = Lambda(l) [l = a mod q]."""
-    pos, lam = _class_entries(q, a, x, sieve)
-    v = np.zeros(x + 1, dtype=np.float64)
-    v[pos] = lam
-    return v
-
-
 def _block_length(K: int) -> int:
     """The least power of two B with CONV_BLOCKS * B >= K."""
     B = 1
@@ -110,8 +100,13 @@ def _block_length(K: int) -> int:
 def _lattice_spectra(q: int, c0: int, K: int, B: int,
                      sieve: SieveTable) -> np.ndarray:
     """Row i: rfft(u[iB:(i+1)B], 2B) for u[k] = Lambda(c0 + q k), k < K,
-    0 <= c0 < q, one row for each of the ceil(K/B) blocks."""
-    pos, lam = _class_entries(q, c0, c0 + q * (K - 1), sieve)
+    0 <= c0 < q (the class by _residues), one row for each of the ceil(K/B)
+    blocks."""
+    top = c0 + q * (K - 1)
+    pos, r = sieve.prime_powers(top), _residues(q, top, sieve)
+    i = slice(0, len(pos)) if r is None else np.flatnonzero(r == c0)
+    pos = pos[i]
+    lam = sieve.lam(i, pos)
     k = (pos.astype(np.int64) - c0) // q  # any q, past int32
     ends = np.searchsorted(k, np.arange(B, K + B, B)).tolist()
     spectra = np.empty((len(ends), B + 1), dtype=np.complex128)
@@ -149,18 +144,22 @@ def _lattice_convolution(q: int, a0: int, b0: int, K: int, B: int,
 
 def goldbach_g(n: int, q: int, a: int, b: int, sieve: SieveTable) -> float:
     """G(n; q, a, b), the exact double-precision sum over decompositions,
-    added one term at a time in ascending l."""
+    added one term at a time in ascending l (class a by its own % q, Lambda
+    only where m = n - l is a prime power too)."""
     _check_classes("goldbach_g", q, a, b)
     sieve.check_limit(n)
     if n < 4 or (n - a - b) % q:  # m = n - l is in the class n - a (mod q)
         return 0.0
-    l, lam_l = _class_entries(q, a, n - 1, sieve)
-    m = np.int32(n) - l  # int32 keys, as the positions are
-    del l
-    i = np.searchsorted(sieve.positions[:-1], m)  # at most the last index
-    hit = sieve.positions[i] == m
-    i, m = i[hit][::-1], m[hit][::-1]  # lam takes ascending indices
-    terms = lam_l[hit] * sieve.lam(i, m)[::-1]
+    pos, terms = sieve.prime_powers(n - 1), []  # 2 and 3 at least
+    for s in range(0, len(pos), PAIR_BLOCK):
+        l = pos[s:s + PAIR_BLOCK]
+        # l < n, so l % n is l % q for q >= n, and n is an int32 modulus
+        il = np.flatnonzero(l % min(q, n) == a % q)[::-1] + s  # descending l
+        m = np.int32(n) - pos[il]  # ascending int32 keys, as the positions are
+        im = np.searchsorted(sieve.positions[:-1], m)  # at most the last index
+        hit = sieve.positions[im] == m
+        terms.append(sieve.lam(il[hit][::-1]) * sieve.lam(im[hit], m[hit])[::-1])
+    terms = np.concatenate(terms)
     # a sequential running sum, not np.sum's pairwise one
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 

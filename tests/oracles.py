@@ -234,6 +234,14 @@ def dense_lambda(sieve: SieveTable, x: int, chi: DirichletCharacter | None = Non
     return w
 
 
+def class_lambda(q: int, a: int, x: int, sieve: SieveTable) -> np.ndarray:
+    """The dense class array v[0..x] with v[n] = Lambda(n) for n = a (mod q)
+    and 0 elsewhere, classes by n % q."""
+    v = dense_lambda(sieve, x)
+    v[np.arange(x + 1) % q != a % q] = 0.0
+    return v
+
+
 def j_weight(n: int, constants: SingularConstants) -> float:
     """J(n): 0 for odd n, n C2 prod_{p|n, p>2} (p-1)/(p-2) for even n."""
     if n < 1:

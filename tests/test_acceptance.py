@@ -22,9 +22,9 @@ from gzeros.characters import (
     verify_char_sum_identity,
     verify_sieve_identity,
 )
-from gzeros.circle import build_grid, decompose_check, j_chi, selberg_integral
+from gzeros.circle import build_grid, j_chi, quadrature_s, selberg_integral
 from gzeros.explicit import landau_gonek, z_gamma_ratio_matrix
-from gzeros.goldbach import s_grid
+from gzeros.goldbach import s_chi, s_grid
 from gzeros.lfunc import find_zeros, l_values_array, zero_count_argument
 from gzeros.numtheory import build_sieve, euler_phi
 from gzeros.singular import compute_c2, j_weight_table, singular_series
@@ -79,7 +79,7 @@ def test_criterion_03_orthogonality_decomposition(sieve):
             grid = build_grid(x, q, sieve, 2 * x + 1)
             for c1 in chars:
                 for c2 in chars:
-                    resid = decompose_check(x, c1, c2, grid, sieve)
+                    resid = abs(quadrature_s(grid, c1, c2) - s_chi(x, c1, c2, sieve))
                     worst = max(worst, resid / x)
     ok = worst < 1e-6
     _report(3, "DFT quadrature of S(x;chi1,chi2) == direct, < 1e-6 per unit",

@@ -6,7 +6,6 @@ import pytest
 from gzeros.characters import build_group
 from gzeros.circle import (
     build_grid,
-    decompose_check,
     j_chi,
     quadrature_s,
     selberg_integral,
@@ -74,7 +73,7 @@ def test_grid_s_against_direct(sieve):
 def test_decompose_exactness_q1(sieve):
     grid = build_grid(500, 1, sieve, 1024)
     chi0 = build_group(1)[0]
-    assert decompose_check(500, chi0, chi0, grid, sieve) < 1e-6
+    assert abs(quadrature_s(grid, chi0, chi0) - s_chi(500, chi0, chi0, sieve)) < 1e-6
 
 
 def test_decompose_exactness_q3_all_pairs(sieve):
@@ -83,7 +82,7 @@ def test_decompose_exactness_q3_all_pairs(sieve):
     chars = build_group(3)
     for c1 in chars:
         for c2 in chars:
-            assert decompose_check(x, c1, c2, grid, sieve) < 1e-6
+            assert abs(quadrature_s(grid, c1, c2) - s_chi(x, c1, c2, sieve)) < 1e-6
 
 
 def test_decompose_trivial_x3(sieve):

@@ -150,7 +150,7 @@ def test_thm12_refuses_non_unit_classes_before_building(argv, cache_env, capsys,
     monkeypatch.setattr(gzeros.cli, "build_sieve", never)
     monkeypatch.setattr(gzeros.cli, "load_or_build_zero_sets", never)
     assert dispatch(argv) == 1
-    assert capsys.readouterr().err == "error: thm12_rhs requires (ab, q) = 1\n"
+    assert capsys.readouterr().err == "error: Thm 1.2 requires (ab, q) = 1\n"
 
 
 @pytest.mark.parametrize("argv, message", [

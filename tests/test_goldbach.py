@@ -24,7 +24,7 @@ from gzeros.goldbach import (
     twisted_entries,
 )
 from gzeros.numtheory import build_sieve, euler_phi
-from oracles import char_value, dense_lambda, psi_chi
+from oracles import char_value, class_lambda, dense_lambda, psi_chi
 
 
 @pytest.fixture(scope="module")
@@ -71,22 +71,20 @@ def test_convolution_matches_direct_double_loop(sieve):
     # class pair for the small moduli (non-units, a = 0 and a = b too, and
     # x small enough to leave a lattice or the class a + b empty); plus a
     # pure-python spot check of the oracle itself
-    from gzeros.goldbach import _class_lambda
-
     for x in (0, 1, 3, 7, 2000):
         for q in [1, 3, 4, 5, 8]:
             for a in range(1, q + 1):
                 for b in range(1, q + 1):
                     conv = build_class_convolution(q, a, b, x, sieve)
-                    va = _class_lambda(q, a, x, sieve)
-                    vb = _class_lambda(q, b, x, sieve)
+                    va = class_lambda(q, a, x, sieve)
+                    vb = class_lambda(q, b, x, sieve)
                     direct = np.convolve(va, vb)[: x + 1]
                     ref = np.maximum(1.0, np.abs(direct))
                     assert np.max(np.abs(conv.values - direct) / ref) < 1e-6
     for n in (12, 97, 500):
         assert brute_g(n, 3, 1, 2, sieve) == pytest.approx(
             float(np.convolve(
-                _class_lambda(3, 1, n, sieve), _class_lambda(3, 2, n, sieve)
+                class_lambda(3, 1, n, sieve), class_lambda(3, 2, n, sieve)
             )[n]), rel=1e-12, abs=1e-12,
         )
 
@@ -107,8 +105,8 @@ def test_convolution_invariants(sieve):
 def _on_class_reference(q, a0, b0, K, sieve):
     """The first K values of the direct convolution on the class a0 + b0."""
     x = a0 + b0 + q * (K - 1)
-    direct = np.convolve(goldbach._class_lambda(q, a0, x, sieve),
-                         goldbach._class_lambda(q, b0, x, sieve))
+    direct = np.convolve(class_lambda(q, a0, x, sieve),
+                         class_lambda(q, b0, x, sieve))
     return direct[a0 + b0::q][:K]
 
 
@@ -147,8 +145,8 @@ def test_partitioned_build_against_direct_sums(q, a, b, sieve, monkeypatch):
         assert np.all(g >= 0)
         n = np.arange(x + 1)
         assert np.all(g[((n - a0 - b0) % q != 0) | (n < 4)] == 0)
-        direct = np.convolve(goldbach._class_lambda(q, a, x, sieve),
-                             goldbach._class_lambda(q, b, x, sieve))[: x + 1]
+        direct = np.convolve(class_lambda(q, a, x, sieve),
+                             class_lambda(q, b, x, sieve))[: x + 1]
         assert np.max(np.abs(g - direct) / np.maximum(1.0, np.abs(direct))) < 1e-9
         for k in range(max(4, x - 3 * q), x + 1):
             assert g[k] == pytest.approx(goldbach_g(k, q, a, b, sieve),
