@@ -24,8 +24,10 @@ residue -(scale/phi(q)^2) rho^-1 sum_chi w_chi m_chi(rho) of the continued
 series at s = rho + 1.  Every zero sum is lfunc.zero_power_sum.
 
 Also here: the Landau-Gonek prime-power detector sum_{|gamma|<=T} x^rho
-with its assembled unit-constant error budget and the Gamma-ratio of the
-zero-pair term with its T^(1/2) bound.
+with its assembled unit-constant error budget, and z_gamma_ratio_matrix,
+the Gamma ratios Gamma(rho) Gamma(rho') / Gamma(1 + rho + rho') of the
+zero-pair term over two zero arrays.  A bound on that term's tail past T
+is open (ROADMAP item 1).
 """
 
 from __future__ import annotations

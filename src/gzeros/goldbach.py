@@ -8,22 +8,24 @@ Every summatory value comes from one sparse prefix-sum kernel over the
 sieve's prime powers: sum_{l+m<=n} u(l) v(m) = sum_{l<n} u(l) V(n-l), l
 over the prime powers where u is nonzero, and V(n-l) = C[j] with j the
 number of v's prime powers <= n-l (one searchsorted) and C their running
-sum from a leading 0.  The terms and their order are those of the dense
-sum over length-x arrays u, v and V = cumsum(v), whose zeros add exact
-zeros, so the results are bit-identical to it.  Leaves of PAIR_LEAF terms,
-joined where np.sum's pairwise split joins them (_tree_sum; the split is
-pinned by test_tree_sum_is_numpy_sum_bit_for_bit), keep its bits with
-leaf-sized temporaries.  Memory is O(x/log x) whatever q is: S(1e6; 3, 1, 2)
-peaks at 1.7 MB of allocations (dense arrays: 25 MB), a 25-point grid to 1e8
-at 53 MB (113 MB RSS with its sieve), to 1e9 at 668 MB RSS.  No FFT: the sum
-is a pairwise np.sum (not a BLAS dot), so it does not depend on the threads.
+sum from a leading 0.  One block rule: every loop over the sieve walks its
+PAIR_BLOCK slices.  For each n, one np.sum adds the terms whose l lies in
+one slice, and one math.fsum joins the block sums, real and imaginary
+parts apart.  fsum rounds their exact total once (Shewchuk's algorithm),
+so S(x) depends on where the slices split l, not on the order in which
+the blocks are joined; at 2e7 every s_grid value lies within 1 ulp of
+math.fsum over its own terms.  Memory is O(x/log x) whatever q is:
+S(1e6; 3, 1, 2) peaks at 1.9 MB of allocations (dense arrays: 25 MB), a
+25-point grid to 1e8 at 42 MB (100 MB RSS with its sieve), to 1e9 at
+573 MB RSS.  No FFT and no BLAS dot, so no sum depends on the threads.
 A sum over n <= x ends at floor_x(x) = floor(x (1 + 1e-12)), so grid points
 that are integers in exact arithmetic but round just below keep n = x.
 
-The character twist chi(n) Lambda(n) is sparse too: twisted_entries
-returns the prime powers n <= x with chi(n) != 0 and their values, and
-every twisted sum (s_chi, circle.build_grid, circle.selberg_integral)
-reads that one result.
+The character twist chi(n) Lambda(n) is sparse too: one loop
+(_twisted_blocks) yields the prime powers n <= x with chi(n) != 0 and
+their values a block of the sieve at a time.  s_chi reads its blocks as
+l, and twisted_entries concatenates them for every other twisted sum
+(s_chi's v side, circle.build_grid, circle.selberg_integral).
 
 Per-n arrays (build_class_convolution) come from a partitioned FFT
 convolution on the class lattice (Stockham's sectioned convolution):
@@ -78,8 +80,7 @@ logger = logging.getLogger(__name__)
 # the running sum a block of rows at a time, at 177 MB for q = 3
 CONV_X_CAP = 10 ** 7
 CONV_BLOCKS = 8  # blocks per class lattice at most: B >= K / CONV_BLOCKS
-PAIR_LEAF = 1 << 15  # terms per leaf of each grid point's pair sum (_tree_sum)
-PAIR_BLOCK = 1 << 16  # terms of l gathered at once for every grid point
+PAIR_BLOCK = 1 << 16  # sieve entries per block of every loop over the sieve
 
 
 def _check_classes(caller: str, q: int, a: int, b: int) -> None:
@@ -87,6 +88,13 @@ def _check_classes(caller: str, q: int, a: int, b: int) -> None:
     check_modulus(q)
     if math.gcd(a * b, q) != 1:
         logger.warning("%s: gcd(ab, q) > 1 (q=%d a=%d b=%d)", caller, q, a, b)
+
+
+def _blocks(k: int):
+    """The PAIR_BLOCK slices of the first k sieve entries (one empty slice
+    when k = 0), which every loop over the sieve walks."""
+    return (slice(s, min(s + PAIR_BLOCK, k))
+            for s in range(0, max(k, 1), PAIR_BLOCK))
 
 
 def _block_length(K: int) -> int:
@@ -151,10 +159,10 @@ def goldbach_g(n: int, q: int, a: int, b: int, sieve: SieveTable) -> float:
     if n < 4 or (n - a - b) % q:  # m = n - l is in the class n - a (mod q)
         return 0.0
     pos, terms = sieve.prime_powers(n - 1), []  # 2 and 3 at least
-    for s in range(0, len(pos), PAIR_BLOCK):
-        l = pos[s:s + PAIR_BLOCK]
+    for j in _blocks(len(pos)):
+        l = pos[j]
         # l < n, so l % n is l % q for q >= n, and n is an int32 modulus
-        il = np.flatnonzero(l % min(q, n) == a % q)[::-1] + s  # descending l
+        il = np.flatnonzero(l % min(q, n) == a % q)[::-1] + j.start  # descending l
         m = np.int32(n) - pos[il]  # ascending int32 keys, as the positions are
         im = np.searchsorted(sieve.positions[:-1], m)  # at most the last index
         hit = sieve.positions[im] == m
@@ -202,57 +210,31 @@ def build_class_convolution(
     return ClassConvolution(q=q, a=a, b=b, x=x, values=values)
 
 
-def _tree(lo: int, hi: int, cplx: bool, leaf):
-    """leaf(lo', hi') over the PAIR_LEAF-term leaves of lo:hi, added where np.sum
-    splits a float64 (complex128 if cplx) run: its half, rounded down to 8 floats."""
-    k = hi - lo
-    if k <= PAIR_LEAF:
-        return leaf(lo, hi)
-    h = lo + ((k - k % 8) // 2 if cplx else k // 2 - (k // 2) % 8)
-    return _tree(lo, h, cplx, leaf) + _tree(h, hi, cplx, leaf)
-
-
-def _tree_sum(l, w, m, C, n, lo: int, hi: int, cplx: bool):
-    """np.sum(w[lo:hi] * C[#{m <= n - l}]) over l[lo:hi], lo < hi, to the bit."""
-    def leaf(a, b):
-        key = n - l[a:b]  # descending: it reaches only m[s:e], searched in cache
-        s, e = np.searchsorted(m, key[[-1, 0]], side="right")
-        return np.sum(w[a:b] * C[s + np.searchsorted(m[s:e], key, side="right")])
-    return _tree(lo, hi, cplx, leaf)
-
-
-def _pair_sums(l: np.ndarray, w, m: np.ndarray, C: np.ndarray,
-               ns: np.ndarray, idx=None) -> np.ndarray:
+def _pair_sums(blocks, m: np.ndarray, C: np.ndarray, ns: np.ndarray) -> np.ndarray:
     """sum_{l<n} w(l) V(n-l) with V(k) = sum_{m<=k} v(m), for every n in ns:
-    sum_{l+m<=n} w(l) v(m) for weights w at the ascending positions l >= 1
-    (only at the indices idx, if given) and v at the ascending positions
-    m >= 1, all in the dtype of the keys n - l (searchsorted casts m to any other).
-    w is an array or, like SieveTable.lam, a function of a slice or an
-    index array and of l there.
+    sum_{l+m<=n} w(l) v(m), for blocks of (l, w(l)), l >= 1 ascending in
+    each block, and v at the ascending positions m >= 1, in m's dtype.
 
-    C is v's prefix sum with a leading 0, summed in place from that 0 as a
-    dense cumsum is, so V(k) = C[#{m <= k}] is the dense V[k] to the bit.
-    All points' leaves are summed PAIR_BLOCK terms of l at a time, gathered once.
+    C is v's running sum from a leading 0, so V(k) = C[#{m <= k}].  For each
+    n, one np.sum adds a block's terms with l < n, and math.fsum joins the
+    block sums (real and imaginary parts apart).  fsum rounds once, so the
+    result depends on where the blocks split l, not on their order.
     """
-    take = w if callable(w) else lambda i, pos: w[i]
-    out = np.zeros(len(ns), dtype=np.result_type(take(slice(0, 0), l[:0]), C))
-    cplx = out.dtype.kind == "c"
-    ks = np.searchsorted(l, ns := np.maximum(ns, 0).astype(l.dtype))  # n <= 0: none
-    ks = (ks if idx is None else np.searchsorted(idx, ks.astype(idx.dtype))).tolist()
-    kmax, sums, end, lb, wb = max(ks, default=0), {}, 0, None, None
-    for lo, hi, i in sorted((lo, hi, i) for i, k in enumerate(ks) if k
-                            for lo, hi in _tree(0, k, cplx, lambda a, b: [(a, b)])):
-        if lo >= end:  # the leaves from lo to end end before end + PAIR_LEAF
-            start, end = lo, lo + PAIR_BLOCK
-            j = slice(lo, min(lo + PAIR_BLOCK + PAIR_LEAF, kmax))
-            j = j if idx is None else idx[j]
-            del lb, wb  # before the next block is gathered
-            lb = l[j]  # a view, or the positions at idx gathered once
-            wb = take(j, lb)
-        sums[i, lo] = _tree_sum(lb, wb, m, C, ns[i], lo - start, hi - start, cplx)
-    for i, k in enumerate(ks):
-        out[i] = _tree(0, k, cplx, lambda a, b: sums[i, a]) if k else 0.0
-    return out
+    ns = np.maximum(ns, 0).astype(m.dtype)  # n <= 0: no term
+    parts = [[] for _ in ns]
+    for l, w in blocks:
+        for n, k, part in zip(ns, np.searchsorted(l, ns).tolist(), parts):
+            if k:
+                key = n - l[:k]  # descending: it reaches only m[s:e], searched in cache
+                s, e = np.searchsorted(m, key[[-1, 0]], side="right")
+                j = s + np.searchsorted(m[s:e], key, side="right")
+                # C first: a complex product's bits depend on the operand
+                # order, which numpy keeps for a temporary on the left
+                part.append(np.sum(C[j] * w[:k]))
+    cplx = C.dtype.kind == "c"
+    return np.array([complex(math.fsum(p.real for p in part),
+                             math.fsum(p.imag for p in part)) if cplx
+                     else math.fsum(part) for part in parts], dtype=C.dtype)
 
 
 def _grid(xs, sieve: SieveTable) -> tuple[np.ndarray, int]:
@@ -274,27 +256,31 @@ def _residues(q: int, top: int, sieve: SieveTable):
     return np.remainder(pos, min(q, sieve.limit + 1), out=r, casting="unsafe")
 
 
+def _class_blocks(pos: np.ndarray, r, c: int, sieve: SieveTable):
+    """(l, Lambda(l)) for the prime powers l in pos with residue c in r
+    (every l when r is None), a block of the sieve at a time."""
+    for j in _blocks(len(pos)):
+        if r is not None:
+            j = np.flatnonzero(r[j] == c) + j.start
+        l = pos[j]
+        yield l, sieve.lam(j, l)
+
+
 def _class_sums(ns, top: int, q: int, a: int, b: int, sieve: SieveTable, r):
+    """S(n; q, a, b) for every n in ns: class b's positions and the running
+    sum of its Lambda, and class a read from r a block at a time."""
     pos = sieve.prime_powers(top)
-    if r is None:  # q = 1: the whole sieve is class b, and class a
-        m, i = pos, None
-    else:  # class b's positions and class a's indices, in int32
-        m, i = (np.empty(np.count_nonzero(r == c % q), np.int32) for c in (b, a))
+    # q = 1: the whole sieve is class b, read in place
+    m = pos if r is None else np.empty(np.count_nonzero(r == b % q), np.int32)
     if not len(m):  # every term is Lambda(l) * 0.0 = +0.0
         return np.zeros(len(ns))
-    C, e, f = np.zeros(len(m) + 1), 0, 0
-    for s in range(0, len(pos), PAIR_BLOCK):  # a block of the sieve at a time
-        j = slice(s, min(s + PAIR_BLOCK, len(pos)))
+    C, e = np.zeros(len(m) + 1), 0
+    for mj, vj in _class_blocks(pos, r, b % q, sieve):
         if r is not None:
-            k = np.flatnonzero(r[j] == a % q) + s
-            i[f:f + len(k)] = k
-            f += len(k)
-            j = np.flatnonzero(r[j] == b % q) + s
-        mj = pos[j] if r is None else pos.take(j, out=m[e:e + len(j)])
-        C[e + 1:e + 1 + len(mj)] = sieve.lam(j, mj)  # class b's Lambda
+            m[e:e + len(mj)] = mj
+        C[e + 1:e + 1 + len(mj)] = vj
         e += len(mj)
-    del r  # s_grid's residues are freed here
-    return _pair_sums(pos, sieve.lam, m, np.cumsum(C, out=C), ns, i)
+    return _pair_sums(_class_blocks(pos, r, a % q, sieve), m, np.cumsum(C, out=C), ns)
 
 
 def _like(xs, values: np.ndarray):
@@ -316,27 +302,31 @@ def s_chi(xs, chi1: DirichletCharacter, chi2: DirichletCharacter,
     if chi1.q != chi2.q:
         raise ValueError("characters must share a modulus")
     ns, top = _grid(xs, sieve)
-    l, u = twisted_entries(chi1, top, sieve)
-    m, v = (l, u) if chi2 == chi1 else twisted_entries(chi2, top, sieve)
+    m, v = twisted_entries(chi2, top, sieve)
     C = np.zeros(len(v) + 1, dtype=v.dtype)
     C[1:] = v
     del v
-    return _like(xs, _pair_sums(l, u, m, np.cumsum(C, out=C), ns))
+    return _like(xs, _pair_sums(_twisted_blocks(chi1, top, sieve), m,
+                                np.cumsum(C, out=C), ns))
+
+
+def _twisted_blocks(chi: DirichletCharacter, x: int, sieve: SieveTable):
+    """(n, chi(n) Lambda(n)) for the prime powers n <= x with chi(n) != 0,
+    a block of the sieve at a time."""
+    pos = sieve.prime_powers(x)
+    table = char_values_table(chi)
+    for j in _blocks(len(pos)):
+        vals = table[pos[j] % chi.q] * sieve.lam(j)
+        keep = vals != 0
+        yield pos[j][keep], vals[keep]
 
 
 def twisted_entries(chi: DirichletCharacter, x: int,
                     sieve: SieveTable) -> tuple[np.ndarray, np.ndarray]:
     """The prime powers n <= x with chi(n) != 0 (int32, as the sieve holds
     them), and chi(n) Lambda(n) at each (complex128)."""
-    pos = sieve.prime_powers(x)
-    table = char_values_table(chi)
-    kept = [(pos[:0], np.zeros(0, table.dtype))]
-    for s in range(0, len(pos), PAIR_BLOCK):  # a block of Lambda at a time
-        e = min(s + PAIR_BLOCK, len(pos))
-        vals = table[pos[s:e] % chi.q] * sieve.lam(slice(s, e))
-        keep = vals != 0
-        kept.append((pos[s:e][keep], vals[keep]))
-    return np.concatenate([p for p, _ in kept]), np.concatenate([v for _, v in kept])
+    pos, vals = zip(*_twisted_blocks(chi, x, sieve))
+    return np.concatenate(pos), np.concatenate(vals)
 
 
 def restricted_sum(xs, q: int, c: int, sieve: SieveTable):

@@ -454,17 +454,31 @@ def test_engine_property_against_all_pairs(q, xs, sieve2000):
         logging.disable(logging.NOTSET)
 
 
-def _dense_pair_sums(u, v, ns):
-    # the dense engine the sparse kernel replaced: u, v and V = cumsum(v)
-    # are length-(max(ns) + 1) arrays
+def _fsum(sums):
+    # math.fsum of real sums, or of complex ones' real and imaginary parts
+    if any(isinstance(s, complex) for s in sums):
+        return complex(math.fsum(s.real for s in sums), math.fsum(s.imag for s in sums))
+    return math.fsum(sums)
+
+
+def _dense_pair_sums(u, v, ns, sieve):
+    # the engine's rule on length-(max(ns) + 1) arrays u, v and V = cumsum(v):
+    # for each n, one np.sum over the nonzero u(l), l < n, of each PAIR_BLOCK
+    # of the sieve's prime powers, and the block sums joined by math.fsum
     V = np.cumsum(v)
     l = np.flatnonzero(u)
     w = u[l]
-    out = np.zeros(len(ns), dtype=np.result_type(u, v))
-    for i, n in enumerate(ns):
-        k = int(np.searchsorted(l, n))
-        out[i] = np.sum(w[:k] * V[n - l[:k]])
-    return out
+    pp = np.flatnonzero(dense_lambda(sieve, len(u) - 1))
+    block = np.searchsorted(pp, l) // goldbach.PAIR_BLOCK
+    out = []
+    for n in ns:
+        sums = []
+        for t in np.unique(block):
+            k = (block == t) & (l < n)
+            if k.any():
+                sums.append(np.sum(V[n - l[k]] * w[k]))  # the engine's order
+        out.append(_fsum(sums))
+    return np.array(out, dtype=np.result_type(u, v))
 
 
 def _dense_class(q, a, x, sieve):
@@ -479,20 +493,22 @@ def test_engine_is_bit_identical_to_the_dense_engine(sieve6):
     xs = geometric_grid(1e3, 1e6, 25)
     ns = floor_x(xs)
     top = int(ns.max())
+    # the grid reaches the second block of the sieve, in every class
+    assert len(sieve6.prime_powers(top)) > goldbach.PAIR_BLOCK
     for q, a, b in [(1, 1, 1), (3, 1, 2), (4, 3, 3), (5, 2, 4)]:
         ref = _dense_pair_sums(_dense_class(q, a, top, sieve6),
-                               _dense_class(q, b, top, sieve6), ns)
+                               _dense_class(q, b, top, sieve6), ns, sieve6)
         assert np.array_equal(s_grid(xs, q, a, b, sieve6), ref), (q, a, b)
     for c in range(1, 5):
         ref = np.zeros(len(ns))
         for a in range(1, 5):
             ref += _dense_pair_sums(_dense_class(4, a, top, sieve6),
-                                    _dense_class(4, c - a, top, sieve6), ns)
+                                    _dense_class(4, c - a, top, sieve6), ns, sieve6)
         assert np.array_equal(restricted_sum(xs, 4, c, sieve6), ref), c
     chars = build_group(5)
     for c1, c2 in [(chars[0], chars[0]), (chars[1], chars[2]), (chars[3], chars[1])]:
         ref = _dense_pair_sums(dense_lambda(sieve6, top, c1),
-                               dense_lambda(sieve6, top, c2), ns)
+                               dense_lambda(sieve6, top, c2), ns, sieve6)
         got = s_chi(xs, c1, c2, sieve6)
         # bit for bit, the sign of a zero included
         assert got.tobytes() == ref.tobytes(), (c1.label, c2.label)
@@ -537,36 +553,33 @@ def test_convolution_cap_refuses_before_allocating(sieve):
     assert CONV_X_CAP == 10 ** 7
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_tree_sum_is_numpy_sum_bit_for_bit(dtype, monkeypatch):
-    # each grid point's pair sum is added a leaf at a time and the leaves
-    # joined where np.sum's pairwise split joins them: this pins that split,
-    # and with it every S(x) bit, to the installed numpy.  With C = [1] and
-    # no m, every term is w itself; terms spread over 16 decades make the
-    # sum depend on its order (the sequential sum differs below).
-    rng = np.random.default_rng(24)
-    fixed = [1, 127, 128, 129, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 2 ** 16 + 7]
-    drawn = rng.integers(2 ** 16, 3 * 10 ** 6, 3).tolist()
-    cplx = dtype is np.complex128
-    order_matters = 0
-    for leaf, lengths in [(128, fixed + drawn[:1]), (goldbach.PAIR_LEAF, fixed + drawn)]:
-        monkeypatch.setattr(goldbach, "PAIR_LEAF", leaf)
-        for k in lengths:
-            w = rng.standard_normal(k) * 10.0 ** rng.uniform(-8, 8, k)
-            if cplx:
-                w = w + 1j * rng.standard_normal(k) * 10.0 ** rng.uniform(-8, 8, k)
-            got = goldbach._tree_sum(np.arange(1, k + 1), w, np.zeros(0, np.int64),
-                                     np.ones(1, dtype), k + 1, 0, k, cplx)
-            assert got.tobytes() == np.sum(w).tobytes(), (leaf, k)
-            order_matters += np.cumsum(w)[-1] != np.sum(w)
-    assert order_matters > 0
+def test_block_sums_do_not_depend_on_the_join_order(sieve6, monkeypatch):
+    # math.fsum rounds the block sums' exact total once, so the same blocks
+    # given in reverse order keep every bit.  The grid passes the first
+    # PAIR_BLOCK, but a sequential sum of two block sums keeps its bits in
+    # either order (a + b = b + a): blocks of 2^12 entries, 20 to 1e6,
+    # make a sequential join show the order
+    xs = geometric_grid(1e3, 1e6, 25)
+    assert len(sieve6.prime_powers(int(floor_x(xs[-1])))) > goldbach.PAIR_BLOCK
+    monkeypatch.setattr(goldbach, "PAIR_BLOCK", 1 << 12)
+    chars = build_group(3)
+    runs = [lambda: s_grid(xs, 1, 1, 1, sieve6), lambda: s_grid(xs, 3, 1, 2, sieve6),
+            lambda: restricted_sum(xs, 3, 2, sieve6),
+            lambda: s_chi(xs, chars[1], chars[1], sieve6),
+            lambda: s_chi(xs, chars[0], chars[1], sieve6)]
+    ascending = [run().tobytes() for run in runs]
+    pair_sums = goldbach._pair_sums
+    monkeypatch.setattr(goldbach, "_pair_sums",
+                        lambda blocks, *rest: pair_sums(list(blocks)[::-1], *rest))
+    assert [run().tobytes() for run in runs] == ascending
 
 
 def test_s_grid_peak_memory_holds_leaves_not_classes():
     # a 25-point grid to 8e6, q = 3: four class-length temporaries per grid
     # point and an int64 pos % q peaked at 14.4 MiB; leaf-length ones, one
     # byte per residue and l's positions taken into its own index array,
-    # 9.3 MiB
+    # 9.3 MiB; block-length ones, with class a read from the residues a
+    # block at a time and no index array, 5.2 MiB
     sieve8 = build_sieve(8 * 10 ** 6)
     xs = geometric_grid(1e3, 8e6, 25)
     tracemalloc.start()
@@ -583,7 +596,8 @@ def test_sieve_and_s_grid_peak_memory_with_int32_positions():
     # positions and class copies of l and Lambda(l) peaked at 17.5 MiB;
     # int32 positions, and class a read through int32 sieve indices a
     # block at a time, 12.2 MiB; with Lambda computed where it is read
-    # rather than stored beside the positions, 8.6 MiB
+    # rather than stored beside the positions, 8.6 MiB; with class a read
+    # from the residues a block at a time and no index array, 7.3 MiB
     xs = geometric_grid(1e3, 8e6, 25)
     tracemalloc.start()
     try:
@@ -596,19 +610,19 @@ def test_sieve_and_s_grid_peak_memory_with_int32_positions():
 
 def test_s_grid_at_q1_reads_the_sieve_in_place():
     # at q = 1 both classes are the whole sieve: only the running sum C is
-    # new, so q = 1 peaks no higher than q = 3 (17.0 MiB against 9.3 MiB
-    # when q = 1 took a residue pass and copied pos and Lambda)
+    # new (8 bytes per prime power, 4.1 MiB at 8e6), beside one block's
+    # temporaries (2.4 MiB); a copy of the positions (2.1 MiB) or of
+    # Lambda (4.1 MiB) passes the bound, as q = 1 once took both (17.0 MiB)
     sieve8 = build_sieve(8 * 10 ** 6)
     xs = geometric_grid(1e3, 8e6, 25)
-    peaks = {}
-    for q, b in [(1, 1), (3, 2)]:
-        tracemalloc.start()
-        try:
-            s_grid(xs, q, 1, b, sieve8)
-            peaks[q] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= peaks[3]
+    C = 8 * (len(sieve8.prime_powers(8 * 10 ** 6)) + 1)
+    tracemalloc.start()
+    try:
+        s_grid(xs, 1, 1, 1, sieve8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < C + 3 * 2 ** 20
 
 
 def _python_pair_sums(l, w, m, v, ns):
@@ -619,8 +633,8 @@ def _python_pair_sums(l, w, m, v, ns):
 
 def test_pair_sums_near_the_int32_limit():
     # int32 positions whose sums reach 2^31 - 1: every key n - l stays an
-    # exact int32, with and without the index-read class a; integer
-    # weights make each sum exact, so it must equal the reference
+    # exact int32, in one block of l and in blocks of a subset of l;
+    # integer weights make each sum exact, so it must equal the reference
     top = 2 ** 31 - 1
     l = np.array([1, 2, 3, 5, 7, 2 ** 30, top - 9, top - 3, top - 1], np.int32)
     m = np.array([2, 3, 4, top - 8, top - 5, top - 2], np.int32)
@@ -631,11 +645,12 @@ def test_pair_sums_near_the_int32_limit():
     C = np.concatenate(([0.0], np.cumsum(v)))
     want = _python_pair_sums(l.tolist(), w.tolist(), m.tolist(), v.tolist(),
                              ns.tolist())
-    assert goldbach._pair_sums(l, w, m, C, ns).tolist() == want
+    assert goldbach._pair_sums([(l, w)], m, C, ns).tolist() == want
     idx = np.array([0, 3, 5, 6, 8], np.int32)
     want = _python_pair_sums(l[idx].tolist(), w[idx].tolist(), m.tolist(),
                              v.tolist(), ns.tolist())
-    assert goldbach._pair_sums(l, w, m, C, ns, idx).tolist() == want
+    blocks = [(l[idx[:2]], w[idx[:2]]), (l[idx[2:]], w[idx[2:]])]
+    assert goldbach._pair_sums(blocks, m, C, ns).tolist() == want
 
 
 def test_restricted_sum_frees_its_classes_without_the_collector(sieve6):

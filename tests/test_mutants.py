@@ -29,16 +29,23 @@ def _residues(q, top, sieve):
 goldbach._residues = _residues
 """
 
-# goldbach.twisted_entries reads chi at n + 1, under every name it is bound
-# to, so s_chi and the exponential sums of circle.build_grid both see it
+# goldbach's one twist loop reads chi at n + 1, so s_chi, twisted_entries
+# and the exponential sums of circle.build_grid all see it
 CHI_AT_N_PLUS_1 = """
-from gzeros import circle, goldbach
+from gzeros import goldbach
 from gzeros.characters import char_values_table
-def twisted_entries(chi, x, sieve):
+def _twisted_blocks(chi, x, sieve):
     pos = sieve.prime_powers(x)
     vals = char_values_table(chi)[(pos + 1) % chi.q] * sieve.lam(slice(0, len(pos)))
-    return pos[vals != 0], vals[vals != 0]
-goldbach.twisted_entries = circle.twisted_entries = twisted_entries
+    yield pos[vals != 0], vals[vals != 0]
+goldbach._twisted_blocks = _twisted_blocks
+"""
+
+# a test of the acceptance suite under pytest, named by its node id
+ACCEPTANCE = """
+import sys
+import pytest
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[1]]))
 """
 
 SELFCHECK = """
@@ -60,9 +67,9 @@ print(sum(not math.isclose(values[n], goldbach_g(n, 3, 1, 2, sieve),
 """
 
 
-def _run(mutant: str, code: str) -> subprocess.CompletedProcess:
+def _run(mutant: str, code: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(gzeros.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-c", mutant + code], env=env,
+    return subprocess.run([sys.executable, "-c", mutant + code, *args], env=env,
                           capture_output=True, text=True)
 
 
@@ -77,3 +84,12 @@ def test_class_1_as_0_fails_selfcheck_and_the_per_n_reference():
 def test_chi_at_n_plus_1_fails_the_dft_decomposition():
     out = _run(CHI_AT_N_PLUS_1, SELFCHECK)
     assert "[FAIL] orthogonality decomposition" in out.stdout, out.stdout + out.stderr
+
+
+def test_chi_at_n_plus_1_fails_acceptance_criterion_3():
+    # its direct side convolves dense chi Lambda arrays, not the twist
+    node = "::test_criterion_03_orthogonality_decomposition"
+    out = _run(CHI_AT_N_PLUS_1, ACCEPTANCE,
+               str(Path(__file__).with_name("test_acceptance.py")) + node)
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "[FAIL] criterion 3" in out.stdout, out.stdout
