@@ -19,9 +19,9 @@ Lambda(n) - delta_0 h|^2 dt is a finite sum over integer t: for integer
 x and h the window sum is constant on each [k, k+1), so the integral is
 sum_{k=x}^{2x-1} |psi_chi(k+h) - psi_chi(k) - delta_0 h|^2, exactly.
 
-Both read chi(n) Lambda(n) at the prime powers from
-goldbach.twisted_entries: build_grid scatters them into its FFT input,
-and selberg_integral takes psi_chi from their running sum.
+Both read chi(n) Lambda(n) through goldbach's one twist walk, a block of
+the sieve at a time: build_grid scatters the blocks into its FFT input,
+and selberg_integral takes psi_chi from goldbach's running-sum builder.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .characters import DirichletCharacter, build_group
 from .errors import CapacityError
-from .goldbach import twisted_entries
+from .goldbach import _residues, _running_sum, _twisted_blocks
 from .numtheory import SieveTable
 
 GRID_X_CAP = 10 ** 6
@@ -84,15 +84,16 @@ def check_window(x: int, h: int) -> None:
 def build_grid(x: int, q: int, sieve: SieveTable, N: int) -> ExpSumGrid:
     """Exponential sums for every character mod q via one FFT each."""
     check_grid(x, N)
-    sieve.check_limit(x)
+    pos = sieve.prime_powers(x)  # checks x against the sieve first
+    r = _residues(q, pos, sieve)
     ind = np.zeros(N, dtype=np.complex128)
     ind[1: x + 1] = 1.0
     t_vals = np.fft.ifft(ind) * N  # sum_n e(+n j/N)
     grid = ExpSumGrid(x=x, q=q, N=N, t_vals=t_vals)
     for chi in build_group(q):
-        pos, vals = twisted_entries(chi, x, sieve)
         coeff = np.zeros(N, dtype=np.complex128)
-        coeff[pos] = vals
+        for n, vals in _twisted_blocks(chi, pos, r, sieve):
+            coeff[n] = vals
         grid.s_vals[chi.label] = np.fft.ifft(coeff) * N
     return grid
 
@@ -153,8 +154,9 @@ def selberg_integral(
     the integers k < n <= k+h, so the integrand is constant there.  The
     sieve must reach 2x+h-1."""
     check_window(x, h)
-    pos, vals = twisted_entries(chi, 2 * x + h - 1, sieve)
-    run = np.cumsum(np.concatenate((np.zeros(1, dtype=vals.dtype), vals)))
+    pos = sieve.prime_powers(2 * x + h - 1)
+    walk = _twisted_blocks(chi, pos, _residues(chi.q, pos, sieve), sieve)
+    _, run = _running_sum(pos, len(pos), walk, np.complex128)
     # psi_chi(n) for n = x, ..., 2x+h-1
     psi = run[np.searchsorted(pos, np.arange(x, 2 * x + h, dtype=pos.dtype),
                               side="right")]

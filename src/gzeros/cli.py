@@ -38,10 +38,9 @@ from .characters import (
 from .circle import (build_grid, check_grid, check_window, check_xi, j_chi,
                      quadrature_s, selberg_integral, w_mass)
 from .errors import GzError
-from .explicit import (check_height, check_landau_gonek_x, check_thm12_classes,
-                       landau_gonek)
+from .explicit import check_landau_gonek_x, check_thm12_classes, landau_gonek
 from .goldbach import build_class_convolution, check_conv_limit, s_chi
-from .lfunc import export_zeros, find_zeros, import_zeros, l_values_array
+from .lfunc import check_height, export_zeros, find_zeros, import_zeros, l_values_array
 from .numtheory import build_sieve, check_modulus, euler_phi, floor_x
 from .singular import (check_j_inputs, compute_c2, j_average, j_weight_table,
                        singular_series)

@@ -41,7 +41,7 @@ from .characters import (DirichletCharacter, _char_table, _exponent_rows,
                          _exponents, _roots_of_unity, char_values_table,
                          character_labels, group)
 from .errors import GzError
-from .lfunc import REFINE_TOL, ZeroSet, _loggamma, zero_power_sum
+from .lfunc import ZeroSet, _loggamma, check_height, zero_power_sum
 from .numtheory import SIEVE_CAP, euler_phi, factorize
 from .singular import singular_series
 
@@ -80,12 +80,6 @@ def check_thm12_classes(q: int, a: int, b: int) -> None:
     """ValueError unless (ab, q) = 1, which Thm 1.2 assumes."""
     if math.gcd(a * b, q) != 1:
         raise ValueError("Thm 1.2 requires (ab, q) = 1")
-
-
-def check_height(T: float) -> None:
-    """ValueError unless REFINE_TOL <= T < inf, so x^2/T stays finite."""
-    if not REFINE_TOL <= T < math.inf:
-        raise ValueError(f"need REFINE_TOL <= T={T} < inf")
 
 
 def _formula(mode: str, q: int, classes: tuple[int, ...],

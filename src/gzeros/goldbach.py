@@ -21,11 +21,12 @@ S(1e6; 3, 1, 2) peaks at 1.9 MB of allocations (dense arrays: 25 MB), a
 A sum over n <= x ends at floor_x(x) = floor(x (1 + 1e-12)), so grid points
 that are integers in exact arithmetic but round just below keep n = x.
 
-The character twist chi(n) Lambda(n) is sparse too: one loop
-(_twisted_blocks) yields the prime powers n <= x with chi(n) != 0 and
-their values a block of the sieve at a time.  s_chi reads its blocks as
-l, and twisted_entries concatenates them for every other twisted sum
-(s_chi's v side, circle.build_grid, circle.selberg_integral).
+Every sum reads the sieve one way: _residues is the one residue rule,
+_class_blocks the one class walk (class sums and the per-n lattices), and
+_twisted_blocks the one twist walk, chi(n) Lambda(n) at every prime power
+from the same residues (an exact +0 where chi(n) = 0).  One builder,
+_running_sum, fills v's positions and running sum a block at a time, for
+the class sums, s_chi's v side and circle.selberg_integral's psi_chi.
 
 Per-n arrays (build_class_convolution) come from a partitioned FFT
 convolution on the class lattice (Stockham's sectioned convolution):
@@ -108,22 +109,24 @@ def _block_length(K: int) -> int:
 def _lattice_spectra(q: int, c0: int, K: int, B: int,
                      sieve: SieveTable) -> np.ndarray:
     """Row i: rfft(u[iB:(i+1)B], 2B) for u[k] = Lambda(c0 + q k), k < K,
-    0 <= c0 < q (the class by _residues), one row for each of the ceil(K/B)
-    blocks."""
-    top = c0 + q * (K - 1)
-    pos, r = sieve.prime_powers(top), _residues(q, top, sieve)
-    i = slice(0, len(pos)) if r is None else np.flatnonzero(r == c0)
-    pos = pos[i]
-    lam = sieve.lam(i, pos)
-    k = (pos.astype(np.int64) - c0) // q  # any q, past int32
-    ends = np.searchsorted(k, np.arange(B, K + B, B)).tolist()
-    spectra = np.empty((len(ends), B + 1), dtype=np.complex128)
-    block, s = np.empty(B), 0
-    for i, e in enumerate(ends):
-        block[:] = 0.0
-        block[k[s:e] - i * B] = lam[s:e]
+    0 <= c0 < q, one row for each of the ceil(K/B) blocks.  Class c0 is
+    read by _class_blocks, and each row is transformed once the class
+    passes it."""
+    pos = sieve.prime_powers(c0 + q * (K - 1))
+    spectra = np.empty((-(-K // B), B + 1), dtype=np.complex128)
+    block, i = np.zeros(B), 0
+    for l, lam in _class_blocks(pos, _residues(q, pos, sieve), c0, sieve):
+        k = (l.astype(np.int64) - c0) // q - i * B  # any q, past int32; from row i
+        while len(k) and k[-1] >= B:  # row i is complete
+            e = np.searchsorted(k, B)
+            block[k[:e]] = lam[:e]
+            np.fft.rfft(block, 2 * B, out=spectra[i])
+            block[:] = 0.0
+            i, k, lam = i + 1, k[e:] - B, lam[e:]
+        block[k] = lam
+    for i in range(i, len(spectra)):  # the last row and any empty ones
         np.fft.rfft(block, 2 * B, out=spectra[i])
-        s = e
+        block[:] = 0.0
     return spectra
 
 
@@ -237,20 +240,17 @@ def _pair_sums(blocks, m: np.ndarray, C: np.ndarray, ns: np.ndarray) -> np.ndarr
                      else math.fsum(part) for part in parts], dtype=C.dtype)
 
 
-def _grid(xs, sieve: SieveTable) -> tuple[np.ndarray, int]:
-    """floor_x of the x values as a 1-d array, and the array length the
-    sums need (checked against the sieve)."""
+def _grid(xs, sieve: SieveTable) -> tuple[np.ndarray, np.ndarray]:
+    """floor_x of the x values as a 1-d array, and the prime powers the
+    sums read, up to the largest (checked against the sieve)."""
     ns = np.atleast_1d(floor_x(xs))
-    top = max(int(ns.max()), 0) if ns.size else 0
-    sieve.check_limit(top)
-    return ns, top
+    return ns, sieve.prime_powers(max(int(ns.max()), 0) if ns.size else 0)
 
 
-def _residues(q: int, top: int, sieve: SieveTable):
-    """The prime powers <= top mod q in int8 (int32 past 127); None at q = 1."""
+def _residues(q: int, pos: np.ndarray, sieve: SieveTable):
+    """The prime powers pos mod q in int8 (int32 past 127); None at q = 1."""
     if q == 1:
         return None
-    pos = sieve.prime_powers(top)
     r = np.empty(len(pos), np.int8 if q <= 127 else np.int32)
     # pos % (limit + 1) is pos % q for q > limit, and an int32 modulus
     return np.remainder(pos, min(q, sieve.limit + 1), out=r, casting="unsafe")
@@ -266,21 +266,29 @@ def _class_blocks(pos: np.ndarray, r, c: int, sieve: SieveTable):
         yield l, sieve.lam(j, l)
 
 
-def _class_sums(ns, top: int, q: int, a: int, b: int, sieve: SieveTable, r):
-    """S(n; q, a, b) for every n in ns: class b's positions and the running
-    sum of its Lambda, and class a read from r a block at a time."""
-    pos = sieve.prime_powers(top)
-    # q = 1: the whole sieve is class b, read in place
-    m = pos if r is None else np.empty(np.count_nonzero(r == b % q), np.int32)
-    if not len(m):  # every term is Lambda(l) * 0.0 = +0.0
-        return np.zeros(len(ns))
-    C, e = np.zeros(len(m) + 1), 0
-    for mj, vj in _class_blocks(pos, r, b % q, sieve):
-        if r is not None:
+def _running_sum(pos: np.ndarray, count: int, blocks, dtype):
+    """v's positions m and running sum C from a leading 0, for the count
+    entries (m, v) that blocks yield in ascending m, filled a block at a
+    time and C summed in place by one sequential np.cumsum.  m is pos, read
+    in place, when every prime power is on v's side (count = len(pos))."""
+    m = pos if count == len(pos) else np.empty(count, np.int32)
+    C, e = np.zeros(count + 1, dtype), 0
+    for mj, vj in blocks:
+        if m is not pos:
             m[e:e + len(mj)] = mj
         C[e + 1:e + 1 + len(mj)] = vj
         e += len(mj)
-    return _pair_sums(_class_blocks(pos, r, a % q, sieve), m, np.cumsum(C, out=C), ns)
+    return m, np.cumsum(C, out=C)
+
+
+def _class_sums(ns, pos, q: int, a: int, b: int, sieve: SieveTable, r):
+    """S(n; q, a, b) for every n in ns: class b's positions in pos and the
+    running sum of its Lambda, and class a read from r a block at a time."""
+    count = len(pos) if r is None else np.count_nonzero(r == b % q)
+    if not count:  # every term is Lambda(l) * 0.0 = +0.0
+        return np.zeros(len(ns))
+    m, C = _running_sum(pos, count, _class_blocks(pos, r, b % q, sieve), np.float64)
+    return _pair_sums(_class_blocks(pos, r, a % q, sieve), m, C, ns)
 
 
 def _like(xs, values: np.ndarray):
@@ -291,8 +299,8 @@ def _like(xs, values: np.ndarray):
 def s_grid(xs, q: int, a: int, b: int, sieve: SieveTable):
     """S(x; q, a, b) for every x in xs (a float for scalar x)."""
     _check_classes("s_grid", q, a, b)
-    ns, top = _grid(xs, sieve)
-    return _like(xs, _class_sums(ns, top, q, a, b, sieve, _residues(q, top, sieve)))
+    ns, pos = _grid(xs, sieve)
+    return _like(xs, _class_sums(ns, pos, q, a, b, sieve, _residues(q, pos, sieve)))
 
 
 def s_chi(xs, chi1: DirichletCharacter, chi2: DirichletCharacter,
@@ -301,32 +309,22 @@ def s_chi(xs, chi1: DirichletCharacter, chi2: DirichletCharacter,
     for every x in xs (a complex for scalar x)."""
     if chi1.q != chi2.q:
         raise ValueError("characters must share a modulus")
-    ns, top = _grid(xs, sieve)
-    m, v = twisted_entries(chi2, top, sieve)
-    C = np.zeros(len(v) + 1, dtype=v.dtype)
-    C[1:] = v
-    del v
-    return _like(xs, _pair_sums(_twisted_blocks(chi1, top, sieve), m,
-                                np.cumsum(C, out=C), ns))
+    ns, pos = _grid(xs, sieve)
+    r = _residues(chi1.q, pos, sieve)
+    m, C = _running_sum(pos, len(pos), _twisted_blocks(chi2, pos, r, sieve),
+                        np.complex128)
+    # l runs over the terms chi1(l) != 0 only, as np.sum's split depends on them
+    u = ((l[w != 0], w[w != 0]) for l, w in _twisted_blocks(chi1, pos, r, sieve))
+    return _like(xs, _pair_sums(u, m, C, ns))
 
 
-def _twisted_blocks(chi: DirichletCharacter, x: int, sieve: SieveTable):
-    """(n, chi(n) Lambda(n)) for the prime powers n <= x with chi(n) != 0,
-    a block of the sieve at a time."""
-    pos = sieve.prime_powers(x)
+def _twisted_blocks(chi: DirichletCharacter, pos: np.ndarray, r, sieve: SieveTable):
+    """(n, chi(n) Lambda(n)) for the prime powers n in pos, r their residues
+    mod chi.q, a block of the sieve at a time: an exact +0 at the few n
+    that share a factor with chi.q."""
     table = char_values_table(chi)
     for j in _blocks(len(pos)):
-        vals = table[pos[j] % chi.q] * sieve.lam(j)
-        keep = vals != 0
-        yield pos[j][keep], vals[keep]
-
-
-def twisted_entries(chi: DirichletCharacter, x: int,
-                    sieve: SieveTable) -> tuple[np.ndarray, np.ndarray]:
-    """The prime powers n <= x with chi(n) != 0 (int32, as the sieve holds
-    them), and chi(n) Lambda(n) at each (complex128)."""
-    pos, vals = zip(*_twisted_blocks(chi, x, sieve))
-    return np.concatenate(pos), np.concatenate(vals)
+        yield pos[j], (table[0] if r is None else table[r[j]]) * sieve.lam(j)
 
 
 def restricted_sum(xs, q: int, c: int, sieve: SieveTable):
@@ -337,9 +335,9 @@ def restricted_sum(xs, q: int, c: int, sieve: SieveTable):
     too: prime powers of p | q count.
     """
     check_modulus(q)
-    ns, top = _grid(xs, sieve)
-    r = _residues(q, top, sieve)
+    ns, pos = _grid(xs, sieve)
+    r = _residues(q, pos, sieve)
     total = np.zeros(len(ns))
     for a in range(1, q + 1):
-        total += _class_sums(ns, top, q, a, c - a, sieve, r)
+        total += _class_sums(ns, pos, q, a, c - a, sieve, r)
     return _like(xs, total)

@@ -121,6 +121,14 @@ EM_BLOCK_TERMS = 1 << 16  # table entries per block of points: 1 MiB of complex1
 L_TERMS_CAP = 10 ** 6     # largest q(N + 1), the top base of L's Dirichlet polynomial
 REFINE_TOL = 2.5e-10    # width of a refined bracket around each ordinate
 
+
+def check_height(T: float) -> None:
+    """ValueError unless REFINE_TOL <= T < inf: the one rule for a height
+    that the zero count or the explicit side reads (x^2/T stays finite)."""
+    if not REFINE_TOL <= T < math.inf:
+        raise ValueError(f"T={T} must be finite and >= REFINE_TOL")
+
+
 # B_{2r} / (2r)! for r = 1..12, from the exact Bernoulli numbers
 _B2K = [
     Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
@@ -501,8 +509,7 @@ def zero_count_argument(chi: DirichletCharacter, T: float) -> int:
     excluded from the non-trivial strip).  T must be finite and >= REFINE_TOL
     for every chi: below, the sides pass so near s = 1 that T_1/(s - 1) loses
     every digit (chi mod 11 at T = 1e-30), and T = 0 reads 0 off a segment."""
-    if not REFINE_TOL <= T < math.inf:
-        raise ValueError(f"zero_count_argument: T={T} must be finite and >= REFINE_TOL")
+    check_height(T)
     chi_star = induce_primitive(chi)
     w = _winding(chi_star, T)
     n = round(w)

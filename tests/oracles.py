@@ -30,7 +30,6 @@ from gzeros.characters import (
     root_number,
 )
 from gzeros.circle import ExpSumGrid
-from gzeros.goldbach import twisted_entries
 from gzeros.lfunc import ZeroSet, l_values_array, zero_power_sum
 from gzeros.numtheory import SieveTable, euler_phi, factorize, floor_x, moebius
 from gzeros.singular import SingularConstants
@@ -270,8 +269,9 @@ def r_term(
 
 def psi_chi(u: float, chi: DirichletCharacter, sieve: SieveTable) -> complex:
     """Exact sum_{n <= u} chi(n) Lambda(n), for floor_x(u) <= sieve.limit,
-    with the real and imaginary parts rounded exactly by math.fsum."""
-    vals = twisted_entries(chi, int(floor_x(u)), sieve)[1]
+    with the real and imaginary parts of the dense array rounded exactly by
+    math.fsum."""
+    vals = dense_lambda(sieve, int(floor_x(u)), chi)
     return complex(math.fsum(vals.real), math.fsum(vals.imag))
 
 

@@ -21,10 +21,9 @@ from gzeros.goldbach import (
     restricted_sum,
     s_chi,
     s_grid,
-    twisted_entries,
 )
 from gzeros.numtheory import build_sieve, euler_phi
-from oracles import char_value, class_lambda, dense_lambda, psi_chi
+from oracles import char_value, class_lambda, dense_lambda
 
 
 @pytest.fixture(scope="module")
@@ -180,8 +179,9 @@ def test_per_n_build_peak_memory(sieve6):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # plus one block, and the class entries: a position, Lambda, a
-        # lattice index and a residue, 24 bytes per prime power at most
+        # plus one block, and the class entries: a residue per prime power
+        # and, a block of the sieve at a time, a position, Lambda and a
+        # lattice index, 24 bytes per prime power at most
         entries = 24 * len(sieve6.prime_powers(x))
         assert peak < 8 * max(4 * P * B, x + 1 + (P + 1) * B) + 8 * B + entries, q
 
@@ -274,12 +274,21 @@ def test_s_chi_modulus_mismatch(sieve):
         s_chi(100, build_group(3)[0], build_group(5)[0], sieve)
 
 
-def test_twisted_entries_values(sieve):
+def _twist(chi, x, sieve):
+    # the twist walk's positions and values to x, its blocks concatenated
+    pos = sieve.prime_powers(x)
+    walk = goldbach._twisted_blocks(chi, pos, goldbach._residues(chi.q, pos, sieve), sieve)
+    return map(np.concatenate, zip(*walk))
+
+
+def test_twisted_walk_values(sieve):
     chi = [c for c in build_group(4) if not c.is_principal][0]
-    pos, vals = twisted_entries(chi, 20, sieve)
+    pos, vals = _twist(chi, 20, sieve)
     v = dict(zip(pos.tolist(), vals.tolist()))
-    # chi(n) = 0 drops the powers of 2 (gcd(2,4) > 1)
-    assert sorted(v) == [3, 5, 7, 9, 11, 13, 17, 19]
+    # every prime power, with chi(n) = 0 an exact +0 at the powers of 2
+    assert sorted(v) == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
+    assert all(math.copysign(1, v[n].real) == math.copysign(1, v[n].imag) == 1
+               and v[n] == 0 for n in (2, 4, 8, 16))
     assert v[3] == pytest.approx(-math.log(3))
     assert v[5] == pytest.approx(math.log(5))
     assert v[7] == pytest.approx(-math.log(7))
@@ -400,9 +409,9 @@ def sieve2000():
 def test_engine_property_against_all_pairs(q, xs, sieve2000):
     # s_grid, restricted_sum and s_chi for every class and character pair
     # mod q against brute force over the matrix of all prime-power pairs
-    # (l, m) with l + m <= x, summed by class with np.bincount; psi_chi,
-    # selberg_integral and build_grid's s_vals for every character against
-    # the dense reference: psi exactly (fsum), the others bit for bit
+    # (l, m) with l + m <= x, summed by class with np.bincount; the twist
+    # walk, selberg_integral and build_grid's s_vals for every character
+    # against the dense reference, bit for bit
     logging.disable(logging.WARNING)  # non-unit classes log gcd warnings
     try:
         pos, lam = sieve2000.positions, sieve2000.lam(slice(None))
@@ -438,9 +447,12 @@ def test_engine_property_against_all_pairs(q, xs, sieve2000):
         grid = build_grid(top, q, sieve2000, 2 * top + 1)
         for chi in chars:
             for u in xs:
-                ref = dense_lambda(sieve2000, int(floor_x(u)), chi)
-                want = complex(math.fsum(ref.real), math.fsum(ref.imag))
-                assert psi_chi(u, chi, sieve2000) == want
+                n = int(floor_x(u))
+                pos, vals = _twist(chi, n, sieve2000)
+                ref = dense_lambda(sieve2000, n, chi)
+                assert pos.tolist() == sieve2000.prime_powers(n).tolist()
+                assert vals.tobytes() == ref[pos].tobytes()
+                assert not np.any(np.delete(ref, pos))
             run = np.cumsum(dense_lambda(sieve2000, 2 * sx + h - 1, chi))
             k = np.arange(sx, 2 * sx)
             target = h if chi.is_principal else 0.0
@@ -527,9 +539,17 @@ def test_s_grid_peak_memory_is_below_one_dense_array(sieve6):
 
 
 def test_psi_peak_memory_is_below_one_dense_array(sieve6):
-    # psi_chi and SieveTable.psi read only the prime powers too
+    # psi_chi as circle.selberg_integral builds it (the running-sum builder
+    # over the twist walk) and SieveTable.psi read only the prime powers too
     chi = build_group(3)[1]
-    for psi in (lambda: psi_chi(1e6, chi, sieve6), lambda: sieve6.psi(1e6)):
+    pos = sieve6.prime_powers(10 ** 6)
+
+    def psi_chi():
+        r = goldbach._residues(3, pos, sieve6)
+        return goldbach._running_sum(pos, len(pos), goldbach._twisted_blocks(
+            chi, pos, r, sieve6), np.complex128)
+
+    for psi in (psi_chi, lambda: sieve6.psi(1e6)):
         tracemalloc.start()
         try:
             psi()
@@ -537,6 +557,23 @@ def test_psi_peak_memory_is_below_one_dense_array(sieve6):
         finally:
             tracemalloc.stop()
         assert peak < 8 * (10 ** 6 + 1)
+
+
+def test_s_chi_peak_memory_holds_one_running_sum():
+    # a 25-point grid to 8e6, q = 5: v's side concatenated from the twist
+    # walk's blocks and copied into its running sum peaked at 20.6 MiB; the
+    # running sum filled a block at a time, over the sieve's positions in
+    # place, at 13.4 MiB
+    sieve8 = build_sieve(8 * 10 ** 6)
+    chars = build_group(5)
+    xs = geometric_grid(1e3, 8e6, 25)
+    tracemalloc.start()
+    try:
+        s_chi(xs, chars[1], chars[2], sieve8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17 * 2 ** 20
 
 
 def test_convolution_cap_refuses_before_allocating(sieve):

@@ -13,32 +13,50 @@ from pathlib import Path
 
 import gzeros
 
+# each mutant replaces one goldbach helper through replace(), which fails
+# with a clear message when the name is gone or its parameters changed,
+# rather than leaving the true helper in place
+REPLACE = """
+import inspect
+from gzeros import goldbach
+def replace(name, mutant):
+    assert hasattr(goldbach, name), f"goldbach.{name} is gone: update this mutant"
+    true = getattr(goldbach, name)
+    want = list(inspect.signature(true).parameters)
+    assert list(inspect.signature(mutant).parameters) == want, (
+        f"goldbach.{name} now takes {want}: update this mutant")
+    setattr(goldbach, name, mutant)
+    return true
+"""
+
 # goldbach._residues files class 1 one class lower, under class 0: class 1
 # is empty, and the per-n table (3, 1, 2) reads 0 at every n.  A reference
 # that takes its classes from _residues too reads 0 as well.  (Shifting
 # every class also misplaces the lattice index (l - c0) / q of the table,
-# which such a reference catches.)
-CLASS_1_AS_0 = """
-from gzeros import goldbach
-true_residues = goldbach._residues
-def _residues(q, top, sieve):
-    r = true_residues(q, top, sieve)
+# which such a reference catches.)  The twist walk reads _residues too, so
+# chi(n) reads chi(0) = 0 at n = 1 (mod 3).  selfcheck's FFT line (the
+# table) and its DFT line (build_grid) catch it.  Its orthogonality line,
+# which compares s_chi with the table, no longer does: both now read the
+# mutant, and they err alike.
+CLASS_1_AS_0 = REPLACE + """
+def _residues(q, pos, sieve):
+    r = true_residues(q, pos, sieve)
     if r is not None:
         r[r == 1] = 0
     return r
-goldbach._residues = _residues
+true_residues = replace("_residues", _residues)
 """
 
-# goldbach's one twist loop reads chi at n + 1, so s_chi, twisted_entries
-# and the exponential sums of circle.build_grid all see it
-CHI_AT_N_PLUS_1 = """
-from gzeros import goldbach
+# goldbach's one twist walk reads chi at n + 1, so s_chi, the exponential
+# sums of circle.build_grid and the Selberg sums all see it.  selfcheck's
+# DFT line (build_grid) and its orthogonality line (s_chi against the
+# table) catch it; its Selberg line is at q = 1, where chi(n + 1) = chi(n).
+CHI_AT_N_PLUS_1 = REPLACE + """
 from gzeros.characters import char_values_table
-def _twisted_blocks(chi, x, sieve):
-    pos = sieve.prime_powers(x)
-    vals = char_values_table(chi)[(pos + 1) % chi.q] * sieve.lam(slice(0, len(pos)))
-    yield pos[vals != 0], vals[vals != 0]
-goldbach._twisted_blocks = _twisted_blocks
+def _twisted_blocks(chi, pos, r, sieve):
+    yield pos, (char_values_table(chi)[(pos + 1) % chi.q]
+                * sieve.lam(slice(0, len(pos))))
+replace("_twisted_blocks", _twisted_blocks)
 """
 
 # a test of the acceptance suite under pytest, named by its node id
@@ -73,17 +91,26 @@ def _run(mutant: str, code: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
+def _selfcheck_failures(mutant: str) -> set[str]:
+    """The names of the selfcheck lines that fail under a mutant."""
+    out = _run(mutant, SELFCHECK)
+    assert out.returncode == 1, out.stdout + out.stderr
+    return {line.removeprefix("[FAIL] ").split("  (")[0]
+            for line in out.stdout.splitlines() if line.startswith("[FAIL]")}
+
+
 def test_class_1_as_0_fails_selfcheck_and_the_per_n_reference():
-    out = _run(CLASS_1_AS_0, SELFCHECK)
-    assert "[FAIL] FFT convolution vs direct double loop" in out.stdout, (
-        out.stdout + out.stderr)
+    assert _selfcheck_failures(CLASS_1_AS_0) == {
+        "orthogonality decomposition (q=3, x=300, DFT vs direct)",
+        "FFT convolution vs direct double loop (x=400)"}
     out = _run(CLASS_1_AS_0, PER_N_MISMATCHES)
     assert int(out.stdout or 0) > 0, out.stderr or "the table matches goldbach_g"
 
 
 def test_chi_at_n_plus_1_fails_the_dft_decomposition():
-    out = _run(CHI_AT_N_PLUS_1, SELFCHECK)
-    assert "[FAIL] orthogonality decomposition" in out.stdout, out.stdout + out.stderr
+    assert _selfcheck_failures(CHI_AT_N_PLUS_1) == {
+        "orthogonality decomposition (q=3, x=300, DFT vs direct)",
+        "character orthogonality reconstructs S(x;q,a,b) (q=3)"}
 
 
 def test_chi_at_n_plus_1_fails_acceptance_criterion_3():
