@@ -21,7 +21,8 @@ sum_{k=x}^{2x-1} |psi_chi(k+h) - psi_chi(k) - delta_0 h|^2, exactly.
 
 Both read chi(n) Lambda(n) through goldbach's one twist walk, a block of
 the sieve at a time: build_grid scatters the blocks into its FFT input,
-and selberg_integral takes psi_chi from goldbach's running-sum builder.
+and selberg_integral takes psi_chi from goldbach's running-sum builder
+and forms its window differences a block of k at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .characters import DirichletCharacter, build_group
 from .errors import CapacityError
-from .goldbach import _residues, _running_sum, _twisted_blocks
+from .goldbach import _blocks, _residues, _running_sum, _twisted_blocks
 from .numtheory import SieveTable
 
 GRID_X_CAP = 10 ** 6
@@ -120,11 +121,12 @@ def w_mass(xi: float, chi: DirichletCharacter, grid: ExpSumGrid) -> float:
     """int_{-xi}^{xi} |W(alpha, chi)|^2 dalpha by trapezoid on the grid,
     with interpolated endpoint values at +-xi.  Requires 1/x <= xi <= 1/2."""
     check_xi(xi, grid.x)
-    a = np.arange(grid.N) / grid.N
-    a = np.where(a > 0.5, a - 1.0, a)  # alpha_j mapped to (-1/2, 1/2]
-    order = np.argsort(a)
-    a = a[order]
-    w2 = np.abs(grid.w_vals(chi)[order]) ** 2
+    # alpha_j mapped to (-1/2, 1/2] reads j/N - 1 for j > N/2, so the
+    # ascending order is j = N//2 + 1, ..., N - 1, 0, ..., N//2
+    half = grid.N // 2 + 1
+    a = np.roll(np.arange(grid.N) / grid.N, -half)
+    a[: grid.N - half] -= 1.0
+    w2 = np.roll(np.abs(grid.w_vals(chi)) ** 2, -half)
     if xi == 0.5:
         # full period: the trapezoid of a periodic function is its mean
         return float(np.mean(w2))
@@ -152,13 +154,19 @@ def selberg_integral(
 
     It is exact: for t in [k, k+1) the window t < n <= t+h holds exactly
     the integers k < n <= k+h, so the integrand is constant there.  The
-    sieve must reach 2x+h-1."""
+    sieve must reach 2x+h-1.  The x terms are formed a block of k at a
+    time from the running sum of chi(n) Lambda(n) over the prime powers,
+    and added by one np.sum."""
     check_window(x, h)
     pos = sieve.prime_powers(2 * x + h - 1)
     walk = _twisted_blocks(chi, pos, _residues(chi.q, pos, sieve), sieve)
     _, run = _running_sum(pos, len(pos), walk, np.complex128)
-    # psi_chi(n) for n = x, ..., 2x+h-1
-    psi = run[np.searchsorted(pos, np.arange(x, 2 * x + h, dtype=pos.dtype),
-                              side="right")]
     target = h if chi.is_principal else 0.0
-    return float(np.sum(np.abs(psi[h:] - psi[:x] - target) ** 2))
+    terms = np.empty(x)
+    for j in _blocks(x):
+        k = np.arange(x + j.start, x + j.stop, dtype=pos.dtype)
+        # psi_chi(n) = run[#{prime powers <= n}]
+        terms[j] = np.abs(run[np.searchsorted(pos, k + h, side="right")]
+                          - run[np.searchsorted(pos, k, side="right")]
+                          - target) ** 2
+    return float(np.sum(terms))

@@ -167,7 +167,7 @@ def _cmd_singular(args) -> int:
 
 def _cmd_javg(args) -> int:
     check_j_inputs(args.x, args.q)  # before C2 and the J table are built
-    constants = compute_c2(10 ** 5)
+    constants = compute_c2()
     table = j_weight_table(args.x, constants)
     rows = []
     for x in floor_x(geometric_grid(100, args.x)).tolist():
@@ -353,7 +353,7 @@ def _cmd_selfcheck(args) -> int:
     report("character orthogonality reconstructs S(x;q,a,b) (q=3)",
            worst < 1e-7, f"worst dev {worst:.2e}")
 
-    c2c = compute_c2(10 ** 5)
+    c2c = compute_c2()
     report("twin prime constant in (1.3, 1.33) with tail bound < 1e-12",
            1.3 < c2c.C2 < 1.33 and c2c.tail_bound < 1e-12,
            f"C2 = {c2c.C2:.12f}")

@@ -37,11 +37,7 @@ Lambda(s, chi) = G(s, chi) L(s, chi) for primitive chi:
     log G(s, chi) = ((s + kappa)/2) log(q/pi) + log Gamma((s + kappa)/2).
 
 log Gamma is numpy code, _loggamma (the recurrence up to |z| >= 10, then
-Stirling's series), which explicit.py's Gamma ratios use too.  L(1, chi)
-needs no digamma: by Gauss's theorem psi(a/q) = -gamma_E - log 2q
-- (pi/2) cot(pi a/q) + 2 sum_{0<n<q/2} cos(2 pi n a/q) log sin(pi n/q),
-and the constants cancel against sum_a chi(a) = 0.  The cosine sum over a
-is one FFT of chi's table, so L(1, chi) takes O(q) memory.
+Stirling's series), which explicit.py's Gamma ratios use too.
 
 The argument-principle count takes the imaginary part of log G, and the
 zero scan its imaginary part on the critical line:
@@ -116,7 +112,6 @@ EVALUATOR_VERSION = "4"
 IM_CAP = 10 ** 4        # validated envelope for the Euler-Maclaurin backend
 FIND_Q_CAP = 100
 FIND_T_CAP = 1000
-EM_BERNOULLI_TERMS = 12
 EM_BLOCK_TERMS = 1 << 16  # table entries per block of points: 1 MiB of complex128
 L_TERMS_CAP = 10 ** 6     # largest q(N + 1), the top base of L's Dirichlet polynomial
 REFINE_TOL = 2.5e-10    # width of a refined bracket around each ordinate
@@ -269,7 +264,7 @@ def _l_band(table: np.ndarray, s: np.ndarray, N: int) -> np.ndarray:
     rows = [np.full(len(base), 0.5), base]
     rows += [c * base ** (1 - 2 * r) for r, c in enumerate(_B_OVER_FACT, 1)]
     tail_w = np.array(rows) * chi_n[plan.head:]
-    r = np.arange(1, EM_BERNOULLI_TERMS)[:, None]
+    r = np.arange(1, len(_B2K))[:, None]
     step = max(1, EM_BLOCK_TERMS // len(plan.n))
     out = np.empty(len(s), dtype=np.complex128)
     for i0 in range(0, len(s), step):
@@ -278,7 +273,7 @@ def _l_band(table: np.ndarray, s: np.ndarray, N: int) -> np.ndarray:
         _fill_powers(plan, sv, powers,
                      np.empty((2, plan.widest, len(sv)), dtype=np.complex128))
         tail = np.einsum("km,mb->kb", tail_w, powers[plan.head:])
-        factors = np.ones((EM_BERNOULLI_TERMS, len(sv)), dtype=np.complex128)
+        factors = np.ones((len(_B2K), len(sv)), dtype=np.complex128)
         factors[1:] = (sv + (2 * r - 1)) * (sv + 2 * r)
         poch = np.cumprod(factors, axis=0) * sv
         out[i0: i0 + step] = (_dot(head_w, powers[:plan.head]) + tail[0]
@@ -290,21 +285,12 @@ def _l_band(table: np.ndarray, s: np.ndarray, N: int) -> np.ndarray:
 def l_values_array(chi: DirichletCharacter, s) -> np.ndarray:
     """L(s, chi) over an s array, by Euler-Maclaurin on the Dirichlet
     polynomial sum_{n <= qN} chi(n) n^-s (see the module docstring); for
-    the character mod 1 this is zeta(s).
-
-    At s = 1 the poles of the zeta(s, a/q) in q^-s sum_a chi(a) zeta(s, a/q)
-    cancel for non-principal chi, and L(1, chi) = -q^-1 sum_a chi(a)
-    psi(a/q) by Gauss's digamma theorem.
-    """
+    the character mod 1 this is zeta(s).  s = 1 raises ValueError for
+    every chi."""
     s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
     shape, s = s.shape, s.ravel()
     q = chi.q
-    # zeta's pole stays in the band points, where _em_bands refuses it
-    at_pole = (s == 1) if q > 1 else np.zeros(s.shape, dtype=bool)
-    if at_pole.any() and chi.is_principal:
-        raise ValueError("pole of L(s, chi_0) at s = 1")
-    rest = np.nonzero(~at_pole)[0]
-    bands = _em_bands(s[rest])
+    bands = _em_bands(s)
     top = max((N for _, N in bands), default=0)
     if q * (top + 1) > L_TERMS_CAP:
         raise CapacityError(
@@ -312,16 +298,8 @@ def l_values_array(chi: DirichletCharacter, s) -> np.ndarray:
             f"q(N + 1) = {q * (top + 1)} terms, past the cap {L_TERMS_CAP}")
     table = char_values_table(chi)
     out = np.empty(s.shape, dtype=np.complex128)
-    if at_pole.any():
-        # sum_a chi(a) 2 cos(2 pi n a/q) = F[n] + F[q - n] with F = fft(chi)
-        f = np.fft.fft(table)
-        a = np.arange(1, q)
-        n = np.arange(1, (q + 1) // 2)
-        total = (-0.5 * math.pi * table[1:] @ (1 / np.tan(math.pi * a / q))
-                 + (f[n] + f[q - n]) @ np.log(np.sin(math.pi * n / q)))
-        out[at_pole] = -total / q
     for idx, N in bands:
-        out[rest[idx]] = _l_band(table, s[rest[idx]], N)
+        out[idx] = _l_band(table, s[idx], N)
     return out.reshape(shape)
 
 

