@@ -19,10 +19,11 @@ Keys are sha256 digests of the input parameters plus a format version
 (2: one file per pair) and lfunc.EVALUATOR_VERSION, so a version bump
 invalidates everything stale and sets built by an older evaluator are
 searched again.  Writes go through a temporary file and an atomic
-rename; every file carries a sidecar "<name>.sha256" checked on load (a
-corrupted payload or a missing sidecar means a silent recompute, with a
-log line).  Zero sets are stored in the documented GZZEROS text format,
-so the cache doubles as an export directory.
+rename; every file carries a sidecar "<name>.sha256" that guards its
+bytes, and import_zeros re-certifies every file read, as it does a
+user's file; a file that fails either check is searched again and
+rewritten, with a log line.  Zero sets are stored in the documented
+GZZEROS text format, so the cache doubles as an export directory.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .characters import character_from_label, character_labels, conjugate, induce_primitive
+from .errors import GzError, ValidationError
 from .goldbach import ClassConvolution, build_class_convolution
 from .lfunc import (EVALUATOR_VERSION, ZeroSet, export_zeros, find_zeros, import_zeros,
                     mirror_zero_set)
@@ -120,9 +122,11 @@ def load_or_build_zeros(chi_label: str, T: float) -> ZeroSet:
     base = min(star, conjugate(star), key=lambda chi: chi.exponents)
     path = _zeros_path(base.label, T)
     try:
-        zs = import_zeros(path, base.label, validate=False) if _verify(path) else None
-    except Exception as exc:  # damaged payload: rebuild
-        logger.warning("zero cache unreadable (%s); recomputing", exc)
+        zs = import_zeros(path, base.label) if _verify(path) else None
+        if zs is not None and not zs.certified:
+            raise ValidationError(zs.diagnostics)
+    except (GzError, OSError, ValueError) as exc:  # damaged or uncertified: rebuild
+        logger.warning("zero cache %s failed its check (%s); recomputing", path, exc)
         zs = None
     if zs is None:
         zs = find_zeros(base, T)

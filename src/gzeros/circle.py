@@ -20,19 +20,20 @@ x and h the window sum is constant on each [k, k+1), so the integral is
 sum_{k=x}^{2x-1} |psi_chi(k+h) - psi_chi(k) - delta_0 h|^2, exactly.
 
 Both read chi(n) Lambda(n) through goldbach's one twist walk, a block of
-the sieve at a time: build_grid scatters the blocks into its FFT input,
-and selberg_integral takes psi_chi from goldbach's running-sum builder
-and forms its window differences a block of k at a time.
+the sieve at a time: ExpSumGrid.s_vals scatters the blocks into its FFT
+input, one character when it is read, and selberg_integral takes psi_chi
+from goldbach's running-sum builder and forms its window differences a
+block of k at a time.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import DirichletCharacter, build_group
+from .characters import DirichletCharacter
 from .errors import CapacityError
 from .goldbach import _blocks, _residues, _running_sum, _twisted_blocks
 from .numtheory import SieveTable
@@ -42,20 +43,33 @@ GRID_X_CAP = 10 ** 6
 
 @dataclass
 class ExpSumGrid:
-    """T and per-character S on the uniform N-point grid alpha_j = j/N."""
+    """T on the uniform N-point grid alpha_j = j/N, and the prime powers
+    n <= x from which each S(alpha_j, chi) is formed when it is read: the
+    grid holds no S, so its size does not grow with phi(q)."""
 
     x: int
     q: int
     N: int
     t_vals: np.ndarray                      # T(alpha_j), complex128
-    s_vals: dict[str, np.ndarray] = field(default_factory=dict)
+    sieve: SieveTable
+    pos: np.ndarray                         # prime powers n <= x
+    res: np.ndarray                         # their residues mod q
+
+    def s_vals(self, chi: DirichletCharacter) -> np.ndarray:
+        """S(alpha_j, chi) by one FFT, formed anew on each call."""
+        coeff = np.zeros(self.N, dtype=np.complex128)
+        for n, vals in _twisted_blocks(chi, self.pos, self.res, self.sieve):
+            coeff[n] = vals
+        s = np.fft.ifft(coeff)
+        s *= self.N  # in place: the same products as ifft(coeff) * N
+        return s
 
     def w_vals(self, chi: DirichletCharacter) -> np.ndarray:
-        """W(alpha_j, chi) = S - delta_0(chi) T."""
-        s = self.s_vals[chi.label]
+        """W(alpha_j, chi) = S - delta_0(chi) T, formed anew on each call."""
+        w = self.s_vals(chi)
         if chi.is_principal:
-            return s - self.t_vals
-        return s
+            w -= self.t_vals
+        return w
 
 
 def check_grid(x: int, N: int) -> None:
@@ -83,50 +97,46 @@ def check_window(x: int, h: int) -> None:
 
 
 def build_grid(x: int, q: int, sieve: SieveTable, N: int) -> ExpSumGrid:
-    """Exponential sums for every character mod q via one FFT each."""
+    """T(alpha_j) by one FFT, and the prime powers up to x with their
+    residues mod q, from which ExpSumGrid.s_vals forms each S."""
     check_grid(x, N)
     pos = sieve.prime_powers(x)  # checks x against the sieve first
-    r = _residues(q, pos, sieve)
     ind = np.zeros(N, dtype=np.complex128)
     ind[1: x + 1] = 1.0
     t_vals = np.fft.ifft(ind) * N  # sum_n e(+n j/N)
-    grid = ExpSumGrid(x=x, q=q, N=N, t_vals=t_vals)
-    for chi in build_group(q):
-        coeff = np.zeros(N, dtype=np.complex128)
-        for n, vals in _twisted_blocks(chi, pos, r, sieve):
-            coeff[n] = vals
-        grid.s_vals[chi.label] = np.fft.ifft(coeff) * N
-    return grid
+    return ExpSumGrid(x=x, q=q, N=N, t_vals=t_vals, sieve=sieve, pos=pos,
+                      res=_residues(q, pos, sieve))
 
 
 def quadrature_s(grid: ExpSumGrid, chi1: DirichletCharacter,
                  chi2: DirichletCharacter) -> complex:
     """(1/N) sum_j S(a_j,chi1) S(a_j,chi2) T(-a_j): exact for N >= 2x+1."""
-    s1 = grid.s_vals[chi1.label]
-    s2 = grid.s_vals[chi2.label]
+    s1 = grid.s_vals(chi1)
+    s2 = grid.s_vals(chi2)
     return complex(np.sum(s1 * s2 * np.conj(grid.t_vals)) / grid.N)
 
 
-def j_chi(chi: DirichletCharacter, grid: ExpSumGrid) -> float:
-    """J(chi) = int |W|^2 |T| da, trapezoid on the (periodic) grid.
+def j_chi(w: np.ndarray, grid: ExpSumGrid) -> float:
+    """J(chi) = int |W|^2 |T| da for w = grid.w_vals(chi), trapezoid on the
+    (periodic) grid.
 
     The quadrature error scales like N^-2 times the total variation of
     the integrand; the verification suite uses N = 8x.
     """
-    w = grid.w_vals(chi)
     return float(np.mean(np.abs(w) ** 2 * np.abs(grid.t_vals)))
 
 
-def w_mass(xi: float, chi: DirichletCharacter, grid: ExpSumGrid) -> float:
-    """int_{-xi}^{xi} |W(alpha, chi)|^2 dalpha by trapezoid on the grid,
-    with interpolated endpoint values at +-xi.  Requires 1/x <= xi <= 1/2."""
+def w_mass(xi: float, w: np.ndarray, grid: ExpSumGrid) -> float:
+    """int_{-xi}^{xi} |W(alpha, chi)|^2 dalpha for w = grid.w_vals(chi), by
+    trapezoid on the grid, with interpolated endpoint values at +-xi.
+    Requires 1/x <= xi <= 1/2."""
     check_xi(xi, grid.x)
     # alpha_j mapped to (-1/2, 1/2] reads j/N - 1 for j > N/2, so the
     # ascending order is j = N//2 + 1, ..., N - 1, 0, ..., N//2
     half = grid.N // 2 + 1
     a = np.roll(np.arange(grid.N) / grid.N, -half)
     a[: grid.N - half] -= 1.0
-    w2 = np.roll(np.abs(grid.w_vals(chi)) ** 2, -half)
+    w2 = np.roll(np.abs(w) ** 2, -half)
     if xi == 0.5:
         # full period: the trapezoid of a periodic function is its mean
         return float(np.mean(w2))

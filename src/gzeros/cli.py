@@ -243,12 +243,14 @@ def _cmd_circle(args) -> int:
     payload = {"x": args.x, "q": args.q, "constants": {}}
     lq = math.log(2 * args.q * args.x)
     for chi in build_group(args.q):
-        jval = j_chi(chi, grid)
+        w = grid.w_vals(chi)  # formed once, read by J and the mass
+        jval = j_chi(w, grid)
         entry = {"J": jval, "J_over_shape": jval / (args.x * lq ** 5)}
         if args.xi is not None:
-            mass = w_mass(args.xi, chi, grid)
+            mass = w_mass(args.xi, w, grid)
             entry["w_mass"] = mass
             entry["w_mass_over_shape"] = mass / (args.xi * args.x * lq ** 4)
+        del w  # one W at a time: freed before the next one is formed
         if args.h:
             sel = selberg_integral(args.x, args.h, chi, sieve)
             entry["selberg"] = sel

@@ -51,16 +51,17 @@ mean zero spacing 2 pi / log(q T / 2 pi) at the top of the range; sign
 changes are refined by vectorized Illinois regula falsi to brackets
 narrower than 2.5e-10.  Completeness is certified by comparing against
 the argument-principle count N(T, chi) of zeros in the rectangle
-[-1/2, 3/2] x [-T, T].  The count walks only the right half of its
+[-1/2, 3/2] x [-T, T].  The count reads only the right half of its
 boundary, 1/2 - iT -> 3/2 - iT -> 3/2 + iT -> 1/2 + iT, and N is that
 phase change divided by pi: the functional equation
 Lambda(1 - conj s, chi) = epsilon(chi) conj Lambda(s, chi) maps the right
 half onto the left half traversed backwards, so the left half adds the
-same phase change (for zeta, xi(1 - conj s) = conj xi(s)).  So the
-count never evaluates on Re s = -1/2, where Euler-Maclaurin is least
-accurate.  For the zeta path the s(s-1)/2 factor absorbs the poles, which is the pole
-correction.  A count mismatch raises CertificationFailure: it means a
-missed zero, a multiple zero, or an off-line zero.
+same phase change (for zeta, xi(1 - conj s) = conj xi(s)), and the count
+never evaluates on Re s = -1/2, where Euler-Maclaurin is least accurate.
+Its long right edge is read at its two ends (_winding), so a count takes
+18 evaluations of L at any T.  For zeta s(s-1)/2 absorbs the poles.  A count mismatch raises
+CertificationFailure: it means a missed zero, a multiple zero, or an
+off-line zero.
 
 A ZeroSet is a frozen table of read-only arrays beta, gamma and mult
 sorted by gamma; only this module builds one, and other modules read
@@ -426,8 +427,8 @@ def z_line(chi_star: DirichletCharacter, t) -> np.ndarray:
 
 
 def _phase_values(chi_star: DirichletCharacter, s: np.ndarray) -> np.ndarray:
-    """arg of the completed function at points s (mod 2pi is fine: only
-    wrapped differences are used)."""
+    """arg of the completed function at points s: Im log G, continuous on
+    Re s > 0, plus the principal arg of L (and of s(s-1)/2 for zeta)."""
     lv = l_values_array(chi_star, s)
     ph = _log_gamma_factor(chi_star, s).imag + np.angle(lv)
     if chi_star.q == 1:
@@ -443,18 +444,15 @@ def _wrap(d: np.ndarray) -> np.ndarray:
 def _winding(chi_star: DirichletCharacter, T: float) -> float:
     """Phase change / pi along 1/2 - iT -> 3/2 - iT -> 3/2 + iT -> 1/2 + iT,
     the right half of [-1/2, 3/2] x [-T, T]: by the functional equation
-    the left half adds the same change, so this is the winding number."""
-    corners = [
-        complex(0.5, -T),
-        complex(1.5, -T),
-        complex(1.5, T),
-        complex(0.5, T),
-    ]
+    the left half adds the same change, so this is the winding number.
+    The horizontal edges are walked; on Re s = 3/2, |arg L| <= log
+    zeta(3/2) < pi and s(s-1)/2 avoids the negative reals, so the right
+    edge's change is the difference of its end values, unwrapped."""
     total = 0.0
-    for c0, c1 in zip(corners, corners[1:]):
-        length = abs(c1 - c0)
-        npts = max(8, int(length / 0.25) + 1)
-        pts = c0 + (c1 - c0) * np.linspace(0.0, 1.0, npts + 1)
+    ends = []
+    for c0, c1 in ((complex(0.5, -T), complex(1.5, -T)),
+                   (complex(1.5, T), complex(0.5, T))):
+        pts = c0 + (c1 - c0) * np.linspace(0.0, 1.0, 9)
         ph = _phase_values(chi_star, pts)
         for depth in range(44):
             d = _wrap(np.diff(ph))
@@ -473,14 +471,13 @@ def _winding(chi_star: DirichletCharacter, T: float) -> float:
         else:
             raise ContourError("phase refinement did not converge")
         total += float(np.sum(_wrap(np.diff(ph))))
-    return total / math.pi
+        ends += [ph[0], ph[-1]]  # bottom's first, last; top's first, last
+    return (total + float(ends[2] - ends[1])) / math.pi
 
 
 def zero_count_argument(chi: DirichletCharacter, T: float) -> int:
     """N(T, chi): zeros with |gamma| <= T, 0 < beta < 1, counted with
-    multiplicity, via the winding of the completed function, read off the
-    right half of the rectangle (the zeta path carries the pole
-    correction through its s(s-1)/2 factor).
+    multiplicity, via the winding of the completed function (_winding).
 
     Imprimitive characters count the zeros of the inducing primitive one
     (the Euler factors only vanish on Re s = 0 boundary lines, which are
@@ -661,21 +658,19 @@ def export_zeros(zs: ZeroSet, path) -> None:
             fh.write("%r %r %d\n" % row)
 
 
-def import_zeros(path, char_label: str, validate: bool = True) -> ZeroSet:
+def import_zeros(path, char_label: str) -> ZeroSet:
     """Read a zero file written in the export_zeros format.
 
     Every file must be well formed: finite fields, 0 < beta < 1,
     1 <= multiplicity < 2^53, gamma strictly ascending (a repeated gamma
     is a duplicate), no |gamma| above the "# height" line and a
-    "# certified" flag of 0 or 1.  A violation raises ValidationError
+    "# certified" flag of 0 or 1.  Each on-line entry must satisfy
+    |L(1/2 + i gamma, chi)| < 1e-6.  A violation raises ValidationError
     with the offending line number.
 
-    validate=True also checks each on-line entry against the evaluator,
-    |L(1/2 + i gamma, chi)| < 1e-6, and keeps the file's "# certified 1"
-    only when the total multiplicity equals the argument-principle count
-    N(height, chi*); a height that cannot be counted leaves the set
-    uncertified.  validate=False trusts the flag (the cache reads only
-    files it wrote and checksummed).
+    The file's "# certified 1" is kept only when the total multiplicity
+    equals the argument-principle count N(height, chi*); a height that
+    cannot be counted leaves the set uncertified.
 
     Entries with beta != 1/2 are accepted for hypothetical-scenario
     replay but force certified = False; they are not validated against
@@ -747,7 +742,7 @@ def import_zeros(path, char_label: str, validate: bool = True) -> ZeroSet:
     certified = bool(certified_flag) and not hypothetical
     diagnostics = "hypothetical (off-line entries)" if hypothetical else ""
     on_line = np.nonzero(beta == 0.5)[0]
-    if validate and len(on_line):
+    if len(on_line):
         vals = np.abs(l_values_array(induce_primitive(chi),
                                      0.5 + 1j * gamma[on_line]))
         bad = np.nonzero(vals >= 1e-6)[0]
@@ -757,7 +752,7 @@ def import_zeros(path, char_label: str, validate: bool = True) -> ZeroSet:
                 f"|L(1/2 + {rows[i][2]}i)| = {vals[bad[0]]:.3g} >= 1e-6",
                 line_number=int(line_no[i]),
             )
-    if validate and certified:
+    if certified:
         total = int(mult.sum())
         try:
             n_true = zero_count_argument(chi, height)

@@ -262,7 +262,7 @@ def test_criterion_10_circle_method_shapes(sieve):
     for x in (10 ** 3, 10 ** 4, 10 ** 5):
         grid = build_grid(x, 1, sieve, 8 * x)
         shape = math.log(2 * x)
-        j_ratios.append(j_chi(chi0, grid) / (x * shape ** 5))
+        j_ratios.append(j_chi(grid.w_vals(chi0), grid) / (x * shape ** 5))
         s_ratios.append(
             selberg_integral(x, h, chi0, sieve) / (h * x * shape ** 4)
         )

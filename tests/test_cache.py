@@ -213,3 +213,29 @@ def test_checksum_failures_are_searched_again(tmp_path, searches):
     load_or_build_zeros("q=1;e=", T)
     assert searches == ["q=1;e="] * 3
     assert side.read_text().strip() == _sha256_file(path)
+
+
+@pytest.mark.parametrize("tamper", ["move", "delete"])
+def test_tampered_files_with_fresh_sidecars_are_searched_again(tmp_path, searches,
+                                                               caplog, tamper):
+    # the sidecar guards a file's bytes, not its zeros: a set edited and
+    # given a fresh sidecar passes its checksum, then fails re-certification
+    # (an ordinate moved by 0.01 is no zero of L; a deleted zero leaves the
+    # total below the argument count), and is searched again and rewritten
+    load_or_build_zeros("q=1;e=", T)
+    (path,) = tmp_path.glob("zeros-*.txt")
+    raw = path.read_bytes()
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    if tamper == "move":
+        beta, gamma, mult = lines[i].split()
+        lines[i] = f"{beta} {float(gamma) + 0.01!r} {mult}"
+    else:
+        del lines[i]
+    path.write_text("\n".join(lines) + "\n")
+    path.with_suffix(".txt.sha256").write_text(_sha256_file(path) + "\n")
+    zs = load_or_build_zeros("q=1;e=", T)
+    assert searches == ["q=1;e="] * 2
+    assert "recomputing" in caplog.text
+    assert zs.certified and zs.count() == 2
+    assert path.read_bytes() == raw

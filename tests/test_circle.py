@@ -33,7 +33,7 @@ def test_grid_basics(sieve, grid500):
     assert grid500.t_vals[0].real == pytest.approx(500, abs=1e-9)
     assert grid500.t_vals[0].imag == pytest.approx(0, abs=1e-9)
     chi0 = build_group(1)[0]
-    assert grid500.s_vals[chi0.label][0].real == pytest.approx(
+    assert grid500.s_vals(chi0)[0].real == pytest.approx(
         sieve.psi(500), rel=1e-12
     )
 
@@ -67,7 +67,7 @@ def test_grid_s_against_direct(sieve):
             direct = sum(
                 w[n] * np.exp(2j * np.pi * n * alpha) for n in range(1, 61)
             )
-            assert g.s_vals[chi.label][j] == pytest.approx(direct, abs=1e-9)
+            assert g.s_vals(chi)[j] == pytest.approx(direct, abs=1e-9)
 
 
 def _direct_s(x, c1, c2, sieve):
@@ -130,7 +130,7 @@ def test_cauchy_schwarz_chain(sieve):
     x = 400
     grid = build_grid(x, 5, sieve, 4 * x)
     chars = build_group(5)
-    jvals = {c.label: j_chi(c, grid) for c in chars}
+    jvals = {c.label: j_chi(grid.w_vals(c), grid) for c in chars}
     for c1 in chars:
         for c2 in chars:
             R = abs(r_term(x, c1, c2, grid))
@@ -140,7 +140,7 @@ def test_cauchy_schwarz_chain(sieve):
 def test_j_chi_positive_finite(sieve):
     grid = build_grid(100, 1, sieve, 800)
     chi0 = build_group(1)[0]
-    val = j_chi(chi0, grid)
+    val = j_chi(grid.w_vals(chi0), grid)
     assert val > 0
     assert math.isfinite(val)
 
@@ -152,14 +152,14 @@ def test_w_mass_full_interval_is_parseval(sieve):
         w = dense_lambda(sieve, x, chi).astype(np.complex128)
         w[1: x + 1] -= 1.0 if chi.is_principal else 0.0
         expect = float(np.sum(np.abs(w[1: x + 1]) ** 2))
-        assert w_mass(0.5, chi, grid) == pytest.approx(expect, rel=1e-9)
+        assert w_mass(0.5, grid.w_vals(chi), grid) == pytest.approx(expect, rel=1e-9)
 
 
 def test_w_mass_monotone(sieve):
     x = 500
     grid = build_grid(x, 1, sieve, 8 * x)
-    chi0 = build_group(1)[0]
-    vals = [w_mass(xi, chi0, grid) for xi in [1 / x, 0.01, 0.1, 0.3, 0.5]]
+    w = grid.w_vals(build_group(1)[0])
+    vals = [w_mass(xi, w, grid) for xi in [1 / x, 0.01, 0.1, 0.3, 0.5]]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -169,19 +169,19 @@ def test_w_mass_bound_shape(sieve):
     # near alpha = 0), 0.01 is a generous frozen ceiling
     x = 10 ** 4
     grid = build_grid(x, 1, sieve, 8 * x)
-    chi0 = build_group(1)[0]
+    w = grid.w_vals(build_group(1)[0])
     for xi in (1 / x, 1e-3, 1e-2, 0.1, 0.5):
-        ratio = w_mass(xi, chi0, grid) / (xi * x * math.log(2 * x) ** 4)
+        ratio = w_mass(xi, w, grid) / (xi * x * math.log(2 * x) ** 4)
         assert ratio <= 0.01
 
 
 def test_w_mass_domain(sieve):
     grid = build_grid(100, 1, sieve, 256)
-    chi0 = build_group(1)[0]
+    w = grid.w_vals(build_group(1)[0])
     with pytest.raises(ValueError):
-        w_mass(1e-4, chi0, grid)
+        w_mass(1e-4, w, grid)
     with pytest.raises(ValueError):
-        w_mass(0.6, chi0, grid)
+        w_mass(0.6, w, grid)
 
 
 def test_selberg_exact_vs_brute(sieve):
@@ -271,3 +271,24 @@ def test_selberg_peak_memory_is_below_the_dense_window_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 20 << 20
+
+
+@pytest.mark.parametrize("q", [5, 11])
+def test_circle_peak_memory_does_not_grow_with_the_characters(tmp_path, q):
+    # gz circle holds T and one character's W at a time: its traced peak
+    # stays under five complex arrays of the grid's N = 8x points for any
+    # q.  Keeping S for every character took 7.2 arrays at q = 5 and 13.2
+    # at q = 11 (about one more per character).
+    import tracemalloc
+
+    from gzeros import cli
+
+    x = 20_000
+    tracemalloc.start()
+    try:
+        assert cli.dispatch(["circle", "--x", str(x), "--q", str(q), "--xi", "0.01",
+                             "--json", str(tmp_path / "c.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 16 * (8 * x)

@@ -410,7 +410,7 @@ def test_engine_property_against_all_pairs(q, xs, sieve2000):
     # s_grid, restricted_sum and s_chi for every class and character pair
     # mod q against brute force over the matrix of all prime-power pairs
     # (l, m) with l + m <= x, summed by class with np.bincount; the twist
-    # walk, selberg_integral and build_grid's s_vals for every character
+    # walk, selberg_integral and the grid's s_vals for every character
     # against the dense reference, bit for bit
     logging.disable(logging.WARNING)  # non-unit classes log gcd warnings
     try:
@@ -461,7 +461,7 @@ def test_engine_property_against_all_pairs(q, xs, sieve2000):
             coeff = np.zeros(grid.N, dtype=np.complex128)
             coeff[: top + 1] = dense_lambda(sieve2000, top, chi)
             want = np.fft.ifft(coeff) * grid.N
-            assert grid.s_vals[chi.label].tobytes() == want.tobytes()
+            assert grid.s_vals(chi).tobytes() == want.tobytes()
     finally:
         logging.disable(logging.NOTSET)
 

@@ -312,14 +312,13 @@ def test_zero_count_zeta(zeta_char):
     assert zero_count_argument(zeta_char, 100) == 58  # 29 pairs
 
 
-def _winding_full_rectangle(chi_star, T):
-    """Reference count: phase change / 2pi around all four sides of
-    [-1/2, 3/2] x [-T, T]."""
+def _walked_phase(chi_star, corners):
+    """Reference phase change along the polyline through corners, each
+    side sampled every 1/4 and refined until no wrapped step exceeds 1.2
+    (the walk the count once took on every side)."""
     from gzeros.errors import ContourError
     from gzeros.lfunc import _phase_values, _wrap
 
-    corners = [complex(-0.5, -T), complex(1.5, -T), complex(1.5, T),
-               complex(-0.5, T), complex(-0.5, -T)]
     total = 0.0
     for c0, c1 in zip(corners, corners[1:]):
         npts = max(8, int(abs(c1 - c0) / 0.25) + 1)
@@ -338,7 +337,15 @@ def _winding_full_rectangle(chi_star, T):
         else:
             raise ContourError("phase refinement did not converge")
         total += float(np.sum(_wrap(np.diff(ph))))
-    return total / (2 * math.pi)
+    return total
+
+
+def _winding_full_rectangle(chi_star, T):
+    """Reference count: phase change / 2pi around all four sides of
+    [-1/2, 3/2] x [-T, T]."""
+    corners = [complex(-0.5, -T), complex(1.5, -T), complex(1.5, T),
+               complex(-0.5, T), complex(-0.5, -T)]
+    return _walked_phase(chi_star, corners) / (2 * math.pi)
 
 
 def test_zero_count_matches_full_rectangle(zeta_char):
@@ -353,9 +360,10 @@ def test_zero_count_matches_full_rectangle(zeta_char):
 
 
 def test_zero_count_point_budget(zeta_char, monkeypatch):
-    # one long side of 8,002 points plus two short ones of 9; all four
-    # sides would take 16,024.  Every L value passes through the per-band
-    # kernel, so the counter there sees each point once.
+    # two short sides of 9 points each, and the long side Re s = 3/2 read
+    # at their ends; walking that side took 8,002 points more.  Every L
+    # value passes through the per-band kernel, so the counter there sees
+    # each point once.
     from gzeros import lfunc
 
     points = []
@@ -368,7 +376,27 @@ def test_zero_count_point_budget(zeta_char, monkeypatch):
 
     monkeypatch.setattr(lfunc, "_l_band", counting)
     assert zero_count_argument(zeta_char, 1000) == 1298
-    assert 8_002 <= sum(points) <= 8_500
+    assert sum(points) <= 30
+
+
+_RIGHT_EDGE_CASES = (
+    [("q=1;e=", T) for T in (0.5, 14.134725, 200, 999.7, 1000)]
+    + [(chi.label, T) for q in (*range(3, 14), 24, 40, 97) for chi in build_group(q)
+       if chi.conductor == q for T in (30, 100)])
+
+
+def test_zero_count_right_edge_from_its_ends():
+    # the right edge Re s = 3/2 read at its two ends against the same edge
+    # walked every 1/4: one winding to 1e-9, so one count, on every case
+    from gzeros.lfunc import _winding
+
+    for label, T in _RIGHT_EDGE_CASES:
+        chi = character_from_label(label)
+        corners = [complex(0.5, -T), complex(1.5, -T), complex(1.5, T),
+                   complex(0.5, T)]
+        dense = _walked_phase(chi, corners) / math.pi
+        assert abs(_winding(chi, T) - dense) < 1e-9, (label, T)
+        assert zero_count_argument(chi, T) == round(dense), (label, T)
 
 
 def test_zero_count_shape(zeta_char):
@@ -885,22 +913,21 @@ def test_import_property_on_malformed_files(zeta40_lines, tmp_path_factory,
     def hung(signum, frame):
         raise TimeoutError(f"import_zeros did not return on {lines!r}")
 
-    for validate in (True, False):
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(5)
-        try:
-            zs = import_zeros(path, "q=1;e=", validate=validate)
-        except (GzError, ValueError):
-            continue
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert math.isfinite(zs.height)
-        for arr in (zs.beta, zs.gamma, zs.mult):
-            assert np.all(np.isfinite(arr))
-        if zs.certified:
-            assert np.all(zs.beta == 0.5)
-            assert "# certified 1" in lines
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        zs = import_zeros(path, "q=1;e=")
+    except (GzError, ValueError):
+        return
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert math.isfinite(zs.height)
+    for arr in (zs.beta, zs.gamma, zs.mult):
+        assert np.all(np.isfinite(arr))
+    if zs.certified:
+        assert np.all(zs.beta == 0.5)
+        assert "# certified 1" in lines
 
 
 _LABELS_TO_12 = [chi.label for q in range(1, 13) for chi in build_group(q)]
